@@ -32,15 +32,16 @@ import numpy as np
 
 from . import __version__
 from .catalog import CATALOG_IDS, CatalogError, verification_grid
-from .family import SolitonFamily
-from .generate import (conjugacy_violation, gamma_chart_sector,
+from .family import FamilyError, SolitonFamily
+from .generate import (GenerateError, conjugacy_violation, gamma_chart_sector,
                        generate_conjugate_pair, we_data)
-from .geometry import action, fundamental_form, theta_sweep_invariance
+from .geometry import (GeometryError, action, fundamental_form,
+                       theta_sweep_invariance)
 from .grids import GridError, ParamGrid, SurfaceGrid, laplacian
 from .hodograph import HodographError
 from .io_export import (export_mesh, write_report_csv, write_surface_csv,
                         write_surface_table)
-from .pde import (LorentzBoost, boost, born_infeld_residual,
+from .pde import (LorentzBoost, PDEError, boost, born_infeld_residual,
                   chain_rule_partials, graph_patch, minimal_surface_residual,
                   wick_catenoid_graph_fns, wick_equivalence_check)
 from .quadrature import QuadratureError
@@ -81,6 +82,13 @@ class RunConfig:
                 + ", ".join(i for i in CATALOG_IDS if i != "custom"))
         if need_thetas and len(self.thetas) == 0:
             raise ConfigError("theta list must not be empty for family commands")
+        if not all(math.isfinite(th) for th in self.thetas):
+            raise ConfigError(f"thetas must be finite, got {self.thetas}")
+        for rap in self.rapidities:
+            try:
+                LorentzBoost(rap)
+            except PDEError as exc:
+                raise ConfigError(str(exc)) from None
         for name in ("resid_tol", "cr_tol", "dev_tol", "f_tol",
                      "action_rel_tol", "boost_tol", "comp_tol", "harmonic_tol"):
             if getattr(self, name) <= 0:
@@ -247,51 +255,50 @@ def cmd_family_verify(cfg: RunConfig) -> int:
     X, Y, grid = _surfaces(cfg)
     fam = SolitonFamily(X, Y, validate=False)
     lb = LorentzBoost(cfg.rapidities[0])
-    sweep = theta_sweep_invariance(fam, cfg.thetas, source="auto")
     header = ["theta", "max_bi_residual", "e_deviation", "g_deviation",
               "max_f_abs", "action", "boost_delta"]
     rows = []
-    actions = []
-    bi_max = []
-    boost_deltas = []
-    base_form = fundamental_form(fam.at(cfg.thetas[0]), "wick_signed", "auto")
-    for th in cfg.thetas:
-        S = fam.at(th)
-        form = fundamental_form(S, "wick_signed", "auto")
+    first = None
+
+    def check_theta(th, S, form):
+        nonlocal first
+        if first is None:
+            first = form
         patch = chain_rule_partials(S, first_source="auto", second_source="auto")
         res = born_infeld_residual(patch)
         res_b = born_infeld_residual(boost(patch, lb))
-        delta = abs(res.max_abs - res_b.max_abs)
-        a_val = action(form, grid)
         rows.append([th, res.max_abs,
-                     float(np.max(np.abs(form.E - base_form.E))),
-                     float(np.max(np.abs(form.G - base_form.G))),
-                     float(np.max(np.abs(form.F))), a_val, delta])
-        actions.append(a_val)
-        bi_max.append(res.max_abs)
-        boost_deltas.append(delta)
+                     float(np.max(np.abs(form.E - first.E))),
+                     float(np.max(np.abs(form.G - first.G))),
+                     float(np.max(np.abs(form.F))), action(form, grid),
+                     abs(res.max_abs - res_b.max_abs)])
+
+    sweep = theta_sweep_invariance(fam, cfg.thetas, source="auto", visit=check_theta)
     out = write_report_csv(cfg.out_dir / "family_verify.csv", header, rows)
     print(out)
     for th in cfg.thetas:
         if "obj" in cfg.formats:
             print(export_mesh(fam.at(th), cfg.out_dir / f"s_theta_{th:.6g}.obj"))
-    spread = (max(actions) - min(actions)) / max(abs(np.median(actions)), 1e-300)
+    # numpy reductions, not max(): a NaN at any theta must fail its gate
+    column = {name: np.array([row[k] for row in rows])
+              for k, name in enumerate(header)}
+    actions = column["action"]
+    spread = (np.max(actions) - np.min(actions)) / max(abs(np.median(actions)), 1e-300)
     checks = [
-        ("max_bi_residual", max(bi_max), cfg.resid_tol),
+        ("max_bi_residual", np.max(column["max_bi_residual"]), cfg.resid_tol),
         ("e_deviation", sweep.e_deviation.max_abs, cfg.dev_tol),
         ("g_deviation", sweep.g_deviation.max_abs, cfg.dev_tol),
         ("max_f_abs", sweep.f_max, cfg.f_tol),
         ("action_rel_spread", spread, cfg.action_rel_tol),
-        ("boost_delta", max(boost_deltas), cfg.boost_tol),
+        ("boost_delta", np.max(column["boost_delta"]), cfg.boost_tol),
     ]
     status = 0
     for name, value, tol in checks:
         ok = value <= tol
         print(f"{name}: {value:.3e} (tol {tol:.1e}) {'ok' if ok else 'FAIL'}")
         if not ok:
-            if name in header:
-                col = header.index(name)
-                worst = max(range(len(rows)), key=lambda k: rows[k][col])
+            if name in column:
+                worst = int(np.argmax(column[name]))  # the first NaN, if any
                 print(f"tolerance breach: {name} at theta="
                       f"{cfg.thetas[worst]:.6g}", file=sys.stderr)
             else:
@@ -436,8 +443,8 @@ def main(argv=None) -> int:
         if args.command == "export":
             return cmd_export(cfg, args.format)
         raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
-    except (ConfigError, CatalogError, GridError, HodographError,
-            QuadratureError) as exc:
+    except (ConfigError, CatalogError, FamilyError, GenerateError, GeometryError,
+            GridError, HodographError, PDEError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

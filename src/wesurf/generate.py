@@ -226,7 +226,7 @@ def _frame_at(surface: SurfaceGrid, idx) -> tuple[np.ndarray, np.ndarray]:
     jac = surface_jacobian(surface, "auto")
     d = jac[:, :, idx[0], idx[1]].real
     n = np.cross(d[:, 0], d[:, 1])
-    norm = np.linalg.norm(n)
+    norm = float(np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]))
     if norm < 1e-14:
         raise GenerateError("degenerate tangent frame at the calibration node")
     return d, n / norm
@@ -236,6 +236,53 @@ def nearest_node(grid: ParamGrid, point: complex) -> tuple[int, int]:
     d = np.abs(grid.nodes() - complex(point))
     flat = int(np.argmin(d))
     return np.unravel_index(flat, grid.shape)
+
+
+# The 3x3 algebra below is spelled out in elementwise numpy ops: `@`, `inv`
+# and `svd` would run through BLAS/LAPACK, whose CPU kernel picks the
+# summation order and with it the last bits of the alignment.
+
+_POLAR_MAX_STEPS = 64
+_POLAR_STEP_TOL = 1e-15  # stop once no entry of Q moves by more than this
+
+
+def _apply3(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a 3x3 m and v of shape (3, ...), summed in the order k = 0, 1, 2."""
+    col = (slice(None),) + (None,) * (v.ndim - 1)
+    return m[:, 0][col] * v[0] + m[:, 1][col] * v[1] + m[:, 2][col] * v[2]
+
+
+def _inv3(m: np.ndarray) -> np.ndarray | None:
+    """Inverse of a 3x3 matrix by cofactors; None if it is singular."""
+    cof = np.empty((3, 3))
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            cof[i, j] = m[i1, j1] * m[i2, j2] - m[i1, j2] * m[i2, j1]
+    det = m[0, 0] * cof[0, 0] + m[0, 1] * cof[0, 1] + m[0, 2] * cof[0, 2]
+    if det == 0.0 or not np.isfinite(det):
+        return None
+    return cof.T / det
+
+
+def _polar_factor(q: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor of q (the nearest orthogonal matrix).
+
+    Newton's iteration Q <- (Q + Q^-T) / 2 converges quadratically from any
+    nonsingular start; it stops once a step moves no entry by more than
+    _POLAR_STEP_TOL.
+    """
+    for _ in range(_POLAR_MAX_STEPS):
+        inv = _inv3(q)
+        if inv is None:
+            break
+        step = 0.5 * (q + inv.T)
+        moved = float(np.max(np.abs(step - q)))
+        q = step
+        if moved <= _POLAR_STEP_TOL:
+            return q
+    raise GenerateError("orthogonal polar factor did not converge (singular map)")
 
 
 def align_rigid(target: SurfaceGrid, reference: SurfaceGrid,
@@ -263,14 +310,12 @@ def align_rigid(target: SurfaceGrid, reference: SurfaceGrid,
     for sign in (1.0, -1.0):
         m_t = np.column_stack([dt[:, 0], dt[:, 1], sign * nt])
         m_r = np.column_stack([dr[:, 0], dr[:, 1], nr])
-        try:
-            q = m_r @ np.linalg.inv(m_t)
-        except np.linalg.LinAlgError:
+        inv_t = _inv3(m_t)
+        if inv_t is None:
             continue
-        u, _, vt = np.linalg.svd(q)
-        q = u @ vt  # nearest orthogonal matrix
-        shift = p_r - q @ p_t
-        aligned = np.einsum("ij,jkl->ikl", q, st) + shift[:, None, None]
+        q = _polar_factor(_apply3(m_r, inv_t))
+        shift = p_r - _apply3(q, p_t)
+        aligned = _apply3(q, st) + shift[:, None, None]
         dev = float(np.max(np.abs(aligned - sr)))
         if best is None or dev < best.max_deviation:
             best = RigidAlignment(q, shift, aligned, dev, tuple(base_index))

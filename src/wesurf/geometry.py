@@ -85,25 +85,33 @@ class ThetaInvarianceReport:
         return max(self.e_deviation.max_abs, self.g_deviation.max_abs)
 
 
-def theta_sweep_invariance(fam, thetas, source: str = "auto",
-                           accuracy: int = 2) -> ThetaInvarianceReport:
+def theta_sweep_invariance(fam, thetas, source: str = "auto", accuracy: int = 2,
+                           visit=None) -> ThetaInvarianceReport:
     """Sweep S_theta and report how far E^s, G^s move (they should not).
 
-    `fam` is a SolitonFamily (duck-typed via its .at(theta) method).
+    `fam` is a SolitonFamily (duck-typed via its .at(theta) method).  Each
+    S_theta and its form are built once and handed to `visit(theta, S_theta,
+    form)` when given, so a caller with more per-theta checks runs them in
+    the same pass.  Only the first form and running maxima are kept.  A NaN
+    anywhere propagates into the report.
     """
     thetas = tuple(float(t) for t in thetas)
     if len(thetas) < 1:
         raise GeometryError("need at least one theta")
-    forms = [fundamental_form(fam.at(t), "wick_signed", source, accuracy)
-             for t in thetas]
-    e0, g0 = forms[0].E, forms[0].G
-    e_dev = np.zeros(e0.shape)
-    g_dev = np.zeros(g0.shape)
+    first = None
     f_max = 0.0
-    for form in forms:
-        e_dev = np.maximum(e_dev, np.abs(form.E - e0))
-        g_dev = np.maximum(g_dev, np.abs(form.G - g0))
-        f_max = max(f_max, float(np.max(np.abs(form.F))))
+    for t in thetas:
+        s = fam.at(t)
+        form = fundamental_form(s, "wick_signed", source, accuracy)
+        if first is None:
+            first = form
+            e_dev = np.zeros(form.E.shape)
+            g_dev = np.zeros(form.G.shape)
+        np.maximum(e_dev, np.abs(form.E - first.E), out=e_dev)
+        np.maximum(g_dev, np.abs(form.G - first.G), out=g_dev)
+        f_max = float(np.maximum(f_max, np.max(np.abs(form.F))))
+        if visit is not None:
+            visit(t, s, form)
     return ThetaInvarianceReport(residual_report(e_dev), residual_report(g_dev),
                                  f_max, thetas)
 

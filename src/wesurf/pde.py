@@ -43,9 +43,15 @@ class LorentzBoost:
     b: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", math.cosh(self.rapidity))
-        object.__setattr__(self, "b", math.sinh(self.rapidity))
-        if abs(self.a ** 2 - self.b ** 2 - 1.0) > RAPIDITY_UNIT_TOL * max(1.0, self.a ** 2):
+        if not math.isfinite(self.rapidity):
+            raise PDEError(f"rapidity must be finite, got {self.rapidity}")
+        try:
+            object.__setattr__(self, "a", math.cosh(self.rapidity))
+            object.__setattr__(self, "b", math.sinh(self.rapidity))
+            defect = abs(self.a ** 2 - self.b ** 2 - 1.0)
+        except OverflowError:
+            raise PDEError(f"rapidity {self.rapidity} overflows cosh^2") from None
+        if defect > RAPIDITY_UNIT_TOL * max(1.0, self.a ** 2):
             raise PDEError("cosh^2 - sinh^2 deviates from 1 beyond tolerance")
 
 

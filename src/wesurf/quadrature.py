@@ -34,6 +34,7 @@ RULES = {"gauss_legendre_16": 16, "gauss_legendre_32": 32}
 DEFAULT_RULE = "gauss_legendre_32"
 EXCLUSION_FRACTION = 1e-3  # default exclusion radius = fraction * path length
 _ARC_MAX_STEP = 0.2        # max angular chord (radians) on annulus sweeps
+_BLOCK_NODES = 1 << 17     # quadrature nodes evaluated per integrand call
 
 
 class QuadratureError(ValueError):
@@ -130,14 +131,27 @@ def _segment_integrals(f, z0: np.ndarray, z1: np.ndarray, order: int) -> np.ndar
 
     z0, z1 have shape (...,); f may return extra leading axes (vector-valued
     integrands).  Result shape: f-leading-axes + z0.shape.
+
+    Segments are evaluated in blocks of at most _BLOCK_NODES quadrature
+    nodes, each written into one preallocated result, so memory stays
+    bounded whatever the grid.  f must be elementwise in w, which makes the
+    block size invisible in the result's bits.
     """
     xi, w = _gl_rule(order)
-    z0 = np.asarray(z0, dtype=complex)
-    delta = np.asarray(z1, dtype=complex) - z0
-    nodes = z0[None] + np.multiply.outer(0.5 * (xi + 1.0), delta)
-    fz = _eval_checked(f, nodes)
-    acc = fixed_order_dot(w, np.moveaxis(fz, -nodes.ndim, 0))
-    return acc * (0.5 * delta)
+    t = 0.5 * (xi + 1.0)
+    shape = np.shape(z0)
+    z0 = np.asarray(z0, dtype=complex).reshape(-1)
+    delta = np.asarray(z1, dtype=complex).reshape(-1) - z0
+    step = max(1, _BLOCK_NODES // order)
+    out = None
+    for lo in range(0, max(z0.size, 1), step):  # one pass even with no segments
+        d = delta[lo:lo + step]
+        nodes = z0[None, lo:lo + step] + np.multiply.outer(t, d)
+        acc = fixed_order_dot(w, np.moveaxis(_eval_checked(f, nodes), -2, 0))
+        if out is None:
+            out = np.empty(acc.shape[:-1] + z0.shape, dtype=complex)
+        np.multiply(acc, 0.5 * d, out=out[..., lo:lo + step])
+    return out.reshape(out.shape[:-1] + shape)
 
 
 def integrate_path(f, path: PathSpec, rule: str = DEFAULT_RULE,

@@ -24,7 +24,8 @@ class ResidualReport:
     dropped_count: int = 0
 
     def __post_init__(self):
-        if self.node_count > 0 and not (self.max_abs + 1e-300 >= self.rms >= 0.0):
+        # NaN statistics pass through: the gates that read them fail closed
+        if self.node_count > 0 and (self.max_abs + 1e-300 < self.rms or self.rms < 0.0):
             raise ValueError("inconsistent residual statistics (need max >= rms >= 0)")
 
 

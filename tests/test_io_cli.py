@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import math
 import os
 import subprocess
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import wesurf as ws
+from wesurf import cli
 from wesurf.cli import main
 from wesurf.io_export import SCHEMA, export_mesh, quad_triangles, write_surface_csv
 
@@ -119,6 +122,87 @@ def test_cli_family_verify_corruption_exits_1(tmp_path, capsys):
                "--corrupt-y-scale", "1.01", "--out", str(tmp_path)])
     assert rc == 1
     assert "tolerance breach" in capsys.readouterr().err
+
+
+def _nan_at(fn, call, poison):
+    """fn, except that its call-th result (0-based) is poisoned with NaN."""
+    count = [0]
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        count[0] += 1
+        return poison(out) if count[0] == call + 1 else out
+    return wrapped
+
+
+def _nan_form(field):
+    return lambda form: dataclasses.replace(form, **{field: getattr(form, field) * math.nan})
+
+
+NAN_CASES = {
+    # born_infeld_residual runs unboosted, then boosted, once per theta; a
+    # NaN in a form also reaches the action
+    "bi_residual": ("wesurf.cli", "born_infeld_residual", 2,
+                    lambda rep: dataclasses.replace(rep, max_abs=math.nan),
+                    {"max_bi_residual", "boost_delta"}),
+    "boosted_residual": ("wesurf.cli", "born_infeld_residual", 3,
+                         lambda rep: dataclasses.replace(rep, max_abs=math.nan),
+                         {"boost_delta"}),
+    "action": ("wesurf.cli", "action", 1, lambda a: math.nan, {"action_rel_spread"}),
+    "E": ("wesurf.geometry", "fundamental_form", 1, _nan_form("E"),
+          {"e_deviation", "action_rel_spread"}),
+    "G": ("wesurf.geometry", "fundamental_form", 1, _nan_form("G"),
+          {"g_deviation", "action_rel_spread"}),
+    "F": ("wesurf.geometry", "fundamental_form", 1, _nan_form("F"),
+          {"max_f_abs", "action_rel_spread"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_CASES))
+def test_cli_family_verify_nan_at_second_theta_fails(tmp_path, capsys, monkeypatch, case):
+    module, name, call, poison, breached = NAN_CASES[case]
+    mod = importlib.import_module(module)
+    monkeypatch.setattr(mod, name, _nan_at(getattr(mod, name), call, poison))
+    rc = main(["family-verify", "--theta", "0", "0.3", "0.7", "--formats", "csv",
+               "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    failed = {line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")}
+    assert failed == breached
+    for quantity in breached:
+        at = "" if quantity == "action_rel_spread" else " at theta=0.3"
+        assert f"tolerance breach: {quantity}{at}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["family-verify", "--rapidity", "1000"],
+    ["family-verify", "--rapidity", "nan"],
+    ["boost-check", "--rapidity", "0.5", "-800"],
+    ["family-verify", "--theta", "0", "inf"],
+    ["generate", "--base", "0", "0"],   # the catenoid's pole
+])
+def test_cli_invalid_input_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("error", [ws.FamilyError, ws.GeometryError, ws.PDEError,
+                                   ws.GenerateError])
+def test_cli_library_errors_exit_2(tmp_path, capsys, monkeypatch, error):
+    def fail(cfg):
+        raise error("bad input")
+    monkeypatch.setattr(cli, "cmd_residuals", fail)
+    assert main(["residuals", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: bad input\n"
+
+
+def test_cli_overflowing_rapidity_exits_2_without_traceback(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "wesurf.cli", "family-verify",
+                           "--rapidity", "1000", "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "rapidity" in proc.stderr
 
 
 def test_cli_family_verify_deterministic(tmp_path):

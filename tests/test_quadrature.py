@@ -2,6 +2,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
+from wesurf import quadrature
+from wesurf.catalog import BranchRegionError, singularity_points
+from wesurf.generate import _integrand
 from wesurf.quadrature import RULES, PathNearSingularity, QuadratureError, _segment_integrals
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=2,
@@ -45,6 +49,69 @@ def test_segment_integrals_independent_of_batch(rule):
     single = [_segment_integrals(f, cuts[k:k + 1], cuts[k + 1:k + 2], order)[0]
               for k in range(len(cuts) - 1)]
     assert np.array_equal(batch, single)
+
+
+# block sizes in nodes: 7 segments of the 32-point rule, so blocks straddle
+# chain rows; and one block for any grid
+SMALL_BLOCK, WHOLE_GRID = 7 * 32, 1 << 40
+CATALOG = [i for i in ws.CATALOG_IDS if i != "custom"]
+
+
+def _grid_antiderivatives(sid):
+    data = ws.we_data(sid)
+    f, sing = _integrand(data.R), singularity_points(data.R)
+    # inside every entry's region, schwarz_riemann's principal branch included
+    annulus = ws.default_annulus(0.2, 0.35, 21, 48)
+    return [ws.antiderivative_on_grid(f, data.base, ws.verification_grid(sid), sing),
+            ws.antiderivative_on_grid(f, 0.3, annulus, sing)]
+
+
+@pytest.mark.parametrize("block", [SMALL_BLOCK, WHOLE_GRID])
+@pytest.mark.parametrize("sid", CATALOG)
+def test_grid_antiderivative_independent_of_block_size(monkeypatch, sid, block):
+    default = _grid_antiderivatives(sid)
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
+    for got, want in zip(_grid_antiderivatives(sid), default):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("block", [1, WHOLE_GRID])
+def test_path_integral_independent_of_block_size(monkeypatch, block):
+    f = lambda w: np.stack([np.exp(w) / (w - 2.5j), w ** 2])
+    path = ws.PathSpec((-0.3 + 0.1j, 0.9 + 0.6j, 0.2 - 0.4j), panels=9)
+    default = ws.integrate_path(f, path)
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
+    assert np.array_equal(ws.integrate_path(f, path), default)
+
+
+def test_nonfinite_integrand_in_a_later_block_rejected(monkeypatch):
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", SMALL_BLOCK)
+    path = ws.PathSpec((0.0, 1.0), panels=40)
+    with pytest.raises(QuadratureError, match="non-finite"):
+        ws.integrate_path(lambda w: np.where(w.real > 0.9, np.nan, 1.0), path)
+
+
+def test_branch_region_error_in_a_later_block(monkeypatch):
+    R = ws.we_data("schwarz_riemann").R
+    grid = ws.default_annulus(0.2, 0.6, 21, 48)  # crosses the principal-branch cut
+    monkeypatch.setattr(quadrature, "_BLOCK_NODES", SMALL_BLOCK)
+    with pytest.raises(BranchRegionError, match="principal-branch region"):
+        ws.antiderivative_on_grid(_integrand(R), 0.3, grid)
+
+
+def test_pair_generation_memory_bounded_by_output():
+    # the quadrature's scratch is a fixed number of nodes, so the peak is
+    # the returned arrays plus O(grid) working arrays, not ~4 KB per node
+    grid = ws.default_annulus(0.4, 0.9, 256, 256)
+    data = ws.we_data("catenoid")
+    tracemalloc.start()
+    try:
+        pair = ws.generate_conjugate_pair(data, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = sum(a.nbytes for s in pair for a in (s.values, s.jac, s.jac2))
+    assert peak <= 2 * out, f"peak {peak / out:.2f}x the output"
 
 
 def test_polynomial_exact():
@@ -155,32 +222,35 @@ def _openblas_dynamic_arch() -> bool:
         "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-def _cpu_has_avx() -> bool:
+def _cpu_has(flag: str) -> bool:
     if platform.machine().lower() not in ("x86_64", "amd64"):
         return False
     try:
         with open("/proc/cpuinfo") as fh:
-            return any(line.startswith("flags") and "avx" in line.split()
+            return any(line.startswith("flags") and flag in line.split()
                        for line in fh)
     except OSError:
         return False
 
 
-@pytest.mark.skipif(not (_openblas_dynamic_arch() and _cpu_has_avx()),
+def _run_under_kernel(core: str, args: list[str]) -> subprocess.CompletedProcess:
+    src = str(Path(ws.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True)
+
+
+@pytest.mark.skipif(not (_openblas_dynamic_arch() and _cpu_has("avx")),
                     reason="needs numpy on OpenBLAS built with DYNAMIC_ARCH, "
                            "on an x86-64 CPU with AVX")
 def test_cli_outputs_identical_across_openblas_kernels(tmp_path):
-    src = str(Path(ws.__file__).resolve().parents[1])
     commands = (["generate"], ["family-verify"], ["residuals", "--surface", "scherk"])
     outs = {}
     for core in ("Katmai", "Sandybridge"):
-        env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         for cmd in commands:
             out = tmp_path / core / cmd[0]
-            proc = subprocess.run([sys.executable, "-m", "wesurf.cli", *cmd,
-                                   "--out", str(out)],
-                                  env=env, capture_output=True, text=True)
+            proc = _run_under_kernel(core, ["-m", "wesurf.cli", *cmd, "--out", str(out)])
             assert proc.returncode == 0, proc.stderr
             outs[core, cmd[0]] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     for cmd in commands:
@@ -188,3 +258,24 @@ def test_cli_outputs_identical_across_openblas_kernels(tmp_path):
         assert katmai and katmai.keys() == sandy.keys()
         differ = [name for name in katmai if katmai[name] != sandy[name]]
         assert not differ, f"{cmd[0]}: {differ} differ between BLAS kernels"
+
+
+ALIGN_HASH = """
+import hashlib
+import wesurf as ws
+grid = ws.default_annulus(0.4, 0.9, 51, 128)
+X, _ = ws.generate_conjugate_pair(ws.we_data("catenoid"), grid)
+print(hashlib.sha256(ws.align_rigid(X, ws.catenoid_closed(grid)).aligned.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not (_openblas_dynamic_arch() and _cpu_has("avx2")),
+                    reason="needs numpy on OpenBLAS built with DYNAMIC_ARCH, "
+                           "on an x86-64 CPU with AVX2")
+def test_rigid_alignment_identical_across_openblas_kernels():
+    digests = set()
+    for core in ("Katmai", "Haswell"):
+        proc = _run_under_kernel(core, ["-c", ALIGN_HASH])
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
