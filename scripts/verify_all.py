@@ -36,8 +36,8 @@ def catalog_rows():
                                     interior_only=True)
         iso = ws.fundamental_form(X, "euclidean", source="analytic").isothermal_defect
         mask = interior_mask(grid.shape, 6, 2)
-        harmonic = max(float(np.max(np.abs(ws.laplacian(X, c, accuracy=6))[mask]))
-                       for c in ("x", "t", "phi"))
+        harmonic = float(np.max([np.max(np.abs(ws.laplacian(X, c, accuracy=6))[mask])
+                                 for c in ("x", "t", "phi")]))
         rows.append([sid, f"{grid.n1}x{grid.n2}", residual, cr, iso, harmonic])
         print(f"{sid:20s} residual {residual:9.2e}  CR {cr:9.2e}  "
               f"isothermal {iso:9.2e}  harmonic {harmonic:9.2e}")

@@ -160,7 +160,8 @@ class SolitonRelationsReport:
 
     @property
     def max_mismatch(self) -> float:
-        return max(self.x_minus_t.max_abs, self.x_plus_t.max_abs, self.phi.max_abs)
+        return float(np.max([self.x_minus_t.max_abs, self.x_plus_t.max_abs,
+                             self.phi.max_abs]))
 
 
 def verify_soliton_relations(s: SurfaceGrid, p: FGPair,

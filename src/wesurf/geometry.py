@@ -50,7 +50,7 @@ class FundamentalForm:
     @property
     def isothermal_defect(self) -> float:
         """max(|E - G|, |F|) over the grid: 0 for isothermal coordinates."""
-        return float(max(np.max(np.abs(self.E - self.G)), np.max(np.abs(self.F))))
+        return float(np.maximum(np.max(np.abs(self.E - self.G)), np.max(np.abs(self.F))))
 
 
 def fundamental_form(s: SurfaceGrid, signature: Signature = "euclidean",
@@ -82,7 +82,14 @@ class ThetaInvarianceReport:
 
     @property
     def max_deviation(self) -> float:
-        return max(self.e_deviation.max_abs, self.g_deviation.max_abs)
+        return float(np.maximum(self.e_deviation.max_abs, self.g_deviation.max_abs))
+
+
+def _fold_abs(running: np.ndarray, diff: np.ndarray) -> float:
+    """Fold |diff| into the running nodewise maximum; return max |diff|."""
+    mag = np.abs(diff)
+    np.maximum(running, mag, out=running)
+    return float(np.max(mag))
 
 
 def theta_sweep_invariance(fam, thetas, source: str = "auto", accuracy: int = 2,
@@ -91,9 +98,10 @@ def theta_sweep_invariance(fam, thetas, source: str = "auto", accuracy: int = 2,
 
     `fam` is a SolitonFamily (duck-typed via its .at(theta) method).  Each
     S_theta and its form are built once and handed to `visit(theta, S_theta,
-    form)` when given, so a caller with more per-theta checks runs them in
-    the same pass.  Only the first form and running maxima are kept.  A NaN
-    anywhere propagates into the report.
+    form, e_dev, g_dev, f_abs)` when given, with this theta's max |E - E_0|,
+    max |G - G_0| and max |F|, so a caller with more per-theta checks runs
+    them in the same pass.  Only the first form and running maxima are kept.
+    A NaN anywhere propagates into the report.
     """
     thetas = tuple(float(t) for t in thetas)
     if len(thetas) < 1:
@@ -107,11 +115,12 @@ def theta_sweep_invariance(fam, thetas, source: str = "auto", accuracy: int = 2,
             first = form
             e_dev = np.zeros(form.E.shape)
             g_dev = np.zeros(form.G.shape)
-        np.maximum(e_dev, np.abs(form.E - first.E), out=e_dev)
-        np.maximum(g_dev, np.abs(form.G - first.G), out=g_dev)
-        f_max = float(np.maximum(f_max, np.max(np.abs(form.F))))
+        e_abs = _fold_abs(e_dev, form.E - first.E)
+        g_abs = _fold_abs(g_dev, form.G - first.G)
+        f_abs = float(np.max(np.abs(form.F)))
+        f_max = float(np.maximum(f_max, f_abs))
         if visit is not None:
-            visit(t, s, form)
+            visit(t, s, form, e_abs, g_abs, f_abs)
     return ThetaInvarianceReport(residual_report(e_dev), residual_report(g_dev),
                                  f_max, thetas)
 

@@ -181,6 +181,14 @@ def test_soliton_relations_zero_surface(annulus_grid):
     assert rep.max_mismatch == 0.0
 
 
+def test_soliton_relations_max_mismatch_propagates_nan():
+    def report(value):
+        return ws.ResidualReport(value, value, value, 1, (0, 0))
+    rep = ws.SolitonRelationsReport(report(1e-12), report(1e-12), report(math.nan))
+    assert math.isnan(rep.max_mismatch)
+    assert not rep.max_mismatch < 1e-8
+
+
 def test_soliton_relations_enneper_family(enneper_family):
     theta = 0.45
     S = enneper_family.at(theta)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,40 @@ def test_theta_sweep_detects_corruption(annulus_grid):
     fam = ws.SolitonFamily(X, bad, validate=False)
     rep = ws.theta_sweep_invariance(fam, [0.0, 0.4, 1.1], source="analytic")
     assert rep.max_deviation > 1e-2
+
+
+def test_theta_sweep_visit_gets_each_thetas_maxima(annulus_grid):
+    X = ws.helicoid_closed(annulus_grid)
+    Y = ws.catenoid_closed(annulus_grid)
+    bad = Y.with_values(2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)
+    fam = ws.SolitonFamily(X, bad, validate=False)
+    thetas = [0.0, 0.4, 1.1]
+    seen = []
+    rep = ws.theta_sweep_invariance(fam, thetas, source="analytic",
+                                    visit=lambda *args: seen.append(args))
+    first = ws.fundamental_form(fam.at(thetas[0]), "wick_signed", "analytic")
+    assert [args[0] for args in seen] == thetas
+    for th, S, form, e_dev, g_dev, f_abs in seen:
+        assert np.array_equal(S.values, fam.at(th).values)
+        assert e_dev == float(np.max(np.abs(form.E - first.E)))
+        assert g_dev == float(np.max(np.abs(form.G - first.G)))
+        assert f_abs == float(np.max(np.abs(form.F)))
+    assert rep.e_deviation.max_abs == max(args[3] for args in seen)
+    assert rep.f_max == max(args[5] for args in seen)
+
+
+def _report(value):
+    return ws.ResidualReport(value, value, value, 1, (0, 0))
+
+
+def test_max_deviation_and_isothermal_defect_propagate_nan(annulus_grid):
+    rep = ws.ThetaInvarianceReport(_report(1e-9), _report(math.nan), 0.0, (0.0, 0.3))
+    assert math.isnan(rep.max_deviation)
+    form = ws.fundamental_form(ws.helicoid_closed(annulus_grid), "euclidean",
+                               source="analytic")
+    F = form.F.copy()
+    F[3, 4] = math.nan
+    assert math.isnan(dataclasses.replace(form, F=F).isothermal_defect)
 
 
 # -------------------------------------------------------------------- action

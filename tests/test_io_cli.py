@@ -174,6 +174,25 @@ def test_cli_family_verify_nan_at_second_theta_fails(tmp_path, capsys, monkeypat
         assert f"tolerance breach: {quantity}{at}" in err
 
 
+def test_cli_boost_check_nan_residual_fails(tmp_path, capsys, monkeypatch):
+    # born_infeld_residual runs on the unboosted patch, then once per rapidity
+    poison = lambda rep: dataclasses.replace(rep, max_abs=math.nan)  # noqa: E731
+    monkeypatch.setattr(cli, "born_infeld_residual",
+                        _nan_at(cli.born_infeld_residual, 1, poison))
+    assert main(["boost-check", "--rapidity", "0.5", "--out", str(tmp_path)]) == 1
+    assert "tolerance breach at rapidity 0.5" in capsys.readouterr().err
+    row = (tmp_path / "boost_check.csv").read_text().splitlines()[-1].split(",")
+    assert row[3] == "nan" and float(row[4]) <= cli.RunConfig().comp_tol
+
+
+def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
+    # the boosted partials overflow (inf - inf gives NaN nodes) at this rapidity
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["boost-check", "--rapidity", "300", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "tolerance breach at rapidity 300" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["family-verify", "--rapidity", "1000"],
     ["family-verify", "--rapidity", "nan"],
