@@ -7,8 +7,8 @@ from .catalog import (BranchRegionError, CATALOG_IDS, CatalogError,
                       conjugate, default_base, default_flip_t, eval_R,
                       singularities, singularity_points, verification_grid)
 from .family import (FamilyError, SolitonFamily, SolitonRelationsReport,
-                     family_at, family_fg, theta_derivative,
-                     verify_soliton_relations, wick_rotate)
+                     family_fg, theta_derivative, verify_soliton_relations,
+                     wick_rotate)
 from .generate import (GenerateError, RigidAlignment, WEData, align_rigid,
                        conjugacy_violation, gamma_chart_sector, generate,
                        generate_conjugate_pair, nearest_node, we_data)
@@ -19,8 +19,8 @@ from .grids import (GridError, ParamGrid, SurfaceGrid, array_derivative,
                     central_diff, default_annulus, default_rectangle,
                     laplacian, surface_from_components, surface_jacobian)
 from .hodograph import (FGPair, HodographError, catenoid_closed, catenoid_fg,
-                        enneper_conjugate_fg, enneper_fg, helicoid_closed,
-                        helicoid_fg, hodograph_uv, r_from_uv, surface_from_fg,
+                        enneper_conjugate_fg, enneper_fg, fg_integrals,
+                        helicoid_closed, helicoid_fg, hodograph_uv, r_from_uv, surface_from_fg,
                         umbilic_diagnostic)
 from .io_export import (ExportError, export_mesh, write_report_csv,
                         write_surface_csv, write_surface_table)
@@ -33,5 +33,6 @@ from .quadrature import (PathNearSingularity, PathSpec, QuadratureError,
                          antiderivative_on_grid, integrate_path,
                          integrate_path_with_error)
 from .reports import ResidualReport, residual_report
+from .stencils import StencilError
 
 __version__ = "0.1.0"

@@ -19,16 +19,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .grids import ParamGrid
-
-CATALOG_IDS = (
-    "enneper", "catenoid", "right_helicoid", "general_helicoid", "scherk",
-    "general_scherk", "henneberg", "general_enneper", "schwarz_riemann",
-    "custom",
-)
 
 PHASE_UNIT_TOL = 1e-14
 
@@ -43,6 +38,129 @@ class SingularEvaluation(CatalogError):
 
 class BranchRegionError(CatalogError):
     """Evaluation left the principal-branch region of a multivalued entry."""
+
+
+@dataclass(frozen=True)
+class SurfaceEntry:
+    """Everything the catalog knows about one surface id.
+
+    R and dR map (WEFunction, complex array w) to R(w) and dR/dw before the
+    conjugation phase; poles lists the finite poles / branch points.  domain
+    is the (kind, bounds) of the default verification grid, None where the
+    entry has no default (custom); base is the default integration base
+    point, and flip_t negates the produced surface's t component.
+    """
+
+    R: Callable
+    dR: Callable
+    poles: Callable
+    domain: tuple[str, tuple[float, float, float, float]] | None
+    base: complex = 0.0 + 0.0j
+    flip_t: bool = False
+
+
+def _schwarz_radicand(w):
+    s = 1.0 - 14.0 * w ** 4 + w ** 8
+    if np.any(np.real(s) <= 0):
+        raise BranchRegionError(
+            "schwarz_riemann evaluated outside the principal-branch region "
+            "Re(1 - 14 w^4 + w^8) > 0; restrict the domain/path")
+    return s
+
+
+def _general_scherk_den(f, w):
+    return 1.0 + 2.0 * w ** 2 * math.cos(2.0 * f.alpha) + w ** 4
+
+
+def _general_scherk_dR(f, w):
+    c2a = math.cos(2.0 * f.alpha)
+    return (2.0j * f.a * math.sin(2.0 * f.alpha) * (4.0 * w * c2a + 4.0 * w ** 3)
+            / _general_scherk_den(f, w) ** 2)
+
+
+def _general_scherk_poles(f):
+    root = cmath.exp(1j * (math.pi / 2 - f.alpha))
+    other = cmath.exp(1j * (math.pi / 2 + f.alpha))
+    return [root, -root, other, -other]
+
+
+def _custom_R(f, w):
+    return np.polyval(np.asarray(f.numerator), w) / np.polyval(np.asarray(f.denominator), w)
+
+
+def _custom_dR(f, w):
+    num = np.asarray(f.numerator)
+    den = np.asarray(f.denominator)
+    p = np.polyval(num, w)
+    q = np.polyval(den, w)
+    dp = np.polyval(np.polyder(num), w) if len(num) > 1 else np.zeros_like(w)
+    dq = np.polyval(np.polyder(den), w) if len(den) > 1 else np.zeros_like(w)
+    return (dp * q - p * dq) / q ** 2
+
+
+def _custom_poles(f):
+    roots = np.roots(np.asarray(f.denominator)) if len(f.denominator) > 1 else []
+    return [complex(z) for z in np.sort_complex(np.asarray(roots, dtype=complex))]
+
+
+def _pole_at_origin(f):
+    return [0.0 + 0.0j]
+
+
+def _rect(half):
+    return ("rectangle", (-half, half, -half, half))
+
+
+_SQ3 = math.sqrt(3.0)
+_SCHWARZ_POLES = tuple(radius * cmath.exp(1j * k * math.pi / 2)
+                       for radius in ((2.0 - _SQ3) ** 0.5, (2.0 + _SQ3) ** 0.5)
+                       for k in range(4))
+
+# Verification domains keep enough clearance from the entry's poles (for
+# quadrature and the conjugacy stencils) and from |w| = 1, where the graph
+# slope of every W-E surface diverges (the Gauss map is w), so the
+# nonparametric residual checks meet their tolerances.
+_POLE_SECTOR = ("annulus", (0.45, 0.7, 0.2, 1.47))
+
+_ENTRIES = {
+    "enneper": SurfaceEntry(
+        R=lambda f, w: np.ones_like(w), dR=lambda f, w: np.zeros_like(w),
+        poles=lambda f: [], domain=_rect(0.45)),
+    "catenoid": SurfaceEntry(
+        R=lambda f, w: f.kappa / (2.0 * w ** 2), dR=lambda f, w: -f.kappa / w ** 3,
+        poles=_pole_at_origin, domain=_POLE_SECTOR, base=1.0 + 0.0j),
+    "right_helicoid": SurfaceEntry(
+        R=lambda f, w: 1j * f.kappa / (2.0 * w ** 2),
+        dR=lambda f, w: -1j * f.kappa / w ** 3,
+        poles=_pole_at_origin, domain=_POLE_SECTOR, base=1.0 + 0.0j),
+    "general_helicoid": SurfaceEntry(
+        R=lambda f, w: f.kappa * cmath.exp(1j * f.alpha) / (2.0 * w ** 2),
+        dR=lambda f, w: -f.kappa * cmath.exp(1j * f.alpha) / w ** 3,
+        poles=_pole_at_origin, domain=_POLE_SECTOR, base=1.0 + 0.0j),
+    "scherk": SurfaceEntry(
+        R=lambda f, w: 2.0 / (1.0 - w ** 4),
+        dR=lambda f, w: 8.0 * w ** 3 / (1.0 - w ** 4) ** 2,
+        poles=lambda f: [1.0 + 0j, -1.0 + 0j, 1j, -1j], domain=_rect(0.5)),
+    "general_scherk": SurfaceEntry(
+        R=lambda f, w: -2.0j * f.a * math.sin(2.0 * f.alpha) / _general_scherk_den(f, w),
+        dR=_general_scherk_dR, poles=_general_scherk_poles, domain=_rect(0.4)),
+    "henneberg": SurfaceEntry(
+        R=lambda f, w: 1.0 - w ** -4, dR=lambda f, w: 4.0 * w ** -5,
+        poles=_pole_at_origin, domain=("annulus", (0.6, 0.75, 0.25, 1.32)),
+        base=0.675 * cmath.exp(0.785j), flip_t=True),
+    "general_enneper": SurfaceEntry(
+        R=lambda f, w: 1j * f.a * (w ** 2 - 1.0) / w ** 3 - 1j * f.b / (2.0 * w ** 2),
+        dR=lambda f, w: 1j * f.a * (-(w ** -2) + 3.0 * w ** -4) + 1j * f.b / w ** 3,
+        poles=_pole_at_origin, domain=("annulus", (0.6, 0.75, 0.2, 1.47)),
+        base=0.675 * cmath.exp(0.835j)),
+    "schwarz_riemann": SurfaceEntry(
+        R=lambda f, w: _schwarz_radicand(w) ** -0.5,
+        dR=lambda f, w: (28.0 * w ** 3 - 4.0 * w ** 7) * _schwarz_radicand(w) ** -1.5,
+        poles=lambda f: list(_SCHWARZ_POLES), domain=_rect(0.25)),
+    "custom": SurfaceEntry(R=_custom_R, dR=_custom_dR, poles=_custom_poles, domain=None),
+}
+
+CATALOG_IDS = tuple(_ENTRIES)
 
 
 @dataclass(frozen=True)
@@ -86,41 +204,14 @@ def conjugate(f: WEFunction) -> WEFunction:
     return replace(f, conjugation_phase=f.conjugation_phase * -1j)
 
 
-def _schwarz_radicand(w):
-    return 1.0 - 14.0 * w ** 4 + w ** 8
-
-
-def _raw_R(f: WEFunction, w: np.ndarray) -> np.ndarray:
-    if f.id == "enneper":
-        return np.ones_like(w)
-    if f.id == "catenoid":
-        return f.kappa / (2.0 * w ** 2)
-    if f.id == "right_helicoid":
-        return 1j * f.kappa / (2.0 * w ** 2)
-    if f.id == "general_helicoid":
-        return f.kappa * cmath.exp(1j * f.alpha) / (2.0 * w ** 2)
-    if f.id == "scherk":
-        return 2.0 / (1.0 - w ** 4)
-    if f.id == "general_scherk":
-        c2a = math.cos(2.0 * f.alpha)
-        return (-2.0j * f.a * math.sin(2.0 * f.alpha)
-                / (1.0 + 2.0 * w ** 2 * c2a + w ** 4))
-    if f.id == "henneberg":
-        return 1.0 - w ** -4
-    if f.id == "general_enneper":
-        return 1j * f.a * (w ** 2 - 1.0) / w ** 3 - 1j * f.b / (2.0 * w ** 2)
-    if f.id == "schwarz_riemann":
-        s = _schwarz_radicand(w)
-        if np.any(np.real(s) <= 0):
-            raise BranchRegionError(
-                "schwarz_riemann evaluated outside the principal-branch region "
-                "Re(1 - 14 w^4 + w^8) > 0; restrict the domain/path")
-        return s ** -0.5
-    if f.id == "custom":
-        num = np.polyval(np.asarray(f.numerator), w)
-        den = np.polyval(np.asarray(f.denominator), w)
-        return num / den
-    raise CatalogError(f"unhandled id {f.id}")  # pragma: no cover
+def _evaluate(f: WEFunction, w, rule: Callable, label: str) -> np.ndarray | complex:
+    w_arr = np.asarray(w, dtype=complex)
+    scalar = w_arr.ndim == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = f.conjugation_phase * rule(f, w_arr if not scalar else w_arr[None])
+    if not np.all(np.isfinite(out)):
+        raise SingularEvaluation(f"{label} evaluated at a singular point")
+    return complex(out[0]) if scalar else out
 
 
 def eval_R(f: WEFunction, w) -> np.ndarray | complex:
@@ -130,90 +221,17 @@ def eval_R(f: WEFunction, w) -> np.ndarray | complex:
     result); callers keep paths away from poles via quadrature's exclusion
     checks, this guard only catches exact hits.
     """
-    w_arr = np.asarray(w, dtype=complex)
-    scalar = w_arr.ndim == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = f.conjugation_phase * _raw_R(f, w_arr if not scalar else w_arr[None])
-    if not np.all(np.isfinite(out)):
-        raise SingularEvaluation(f"R({f.id}) evaluated at a singular point")
-    return complex(out[0]) if scalar else out
-
-
-def _raw_R_deriv(f: WEFunction, w: np.ndarray) -> np.ndarray:
-    if f.id == "enneper":
-        return np.zeros_like(w)
-    if f.id == "catenoid":
-        return -f.kappa / w ** 3
-    if f.id == "right_helicoid":
-        return -1j * f.kappa / w ** 3
-    if f.id == "general_helicoid":
-        return -f.kappa * cmath.exp(1j * f.alpha) / w ** 3
-    if f.id == "scherk":
-        return 8.0 * w ** 3 / (1.0 - w ** 4) ** 2
-    if f.id == "general_scherk":
-        c2a = math.cos(2.0 * f.alpha)
-        den = 1.0 + 2.0 * w ** 2 * c2a + w ** 4
-        return 2.0j * f.a * math.sin(2.0 * f.alpha) * (4.0 * w * c2a + 4.0 * w ** 3) / den ** 2
-    if f.id == "henneberg":
-        return 4.0 * w ** -5
-    if f.id == "general_enneper":
-        return 1j * f.a * (-(w ** -2) + 3.0 * w ** -4) + 1j * f.b / w ** 3
-    if f.id == "schwarz_riemann":
-        s = _schwarz_radicand(w)
-        if np.any(np.real(s) <= 0):
-            raise BranchRegionError(
-                "schwarz_riemann derivative outside the principal-branch region")
-        return (28.0 * w ** 3 - 4.0 * w ** 7) * s ** -1.5
-    if f.id == "custom":
-        num = np.asarray(f.numerator)
-        den = np.asarray(f.denominator)
-        p = np.polyval(num, w)
-        q = np.polyval(den, w)
-        dp = np.polyval(np.polyder(num), w) if len(num) > 1 else np.zeros_like(w)
-        dq = np.polyval(np.polyder(den), w) if len(den) > 1 else np.zeros_like(w)
-        return (dp * q - p * dq) / q ** 2
-    raise CatalogError(f"unhandled id {f.id}")  # pragma: no cover
+    return _evaluate(f, w, _ENTRIES[f.id].R, f"R({f.id})")
 
 
 def eval_R_deriv(f: WEFunction, w) -> np.ndarray | complex:
     """conjugation_phase * dR/dw, vectorized (for exact second derivatives)."""
-    w_arr = np.asarray(w, dtype=complex)
-    scalar = w_arr.ndim == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = f.conjugation_phase * _raw_R_deriv(f, w_arr if not scalar else w_arr[None])
-    if not np.all(np.isfinite(out)):
-        raise SingularEvaluation(f"dR/dw ({f.id}) evaluated at a singular point")
-    return complex(out[0]) if scalar else out
-
-
-_SQ3 = math.sqrt(3.0)
-_SCHWARZ_RADII = ((2.0 - _SQ3) ** 0.5, (2.0 + _SQ3) ** 0.5)
+    return _evaluate(f, w, _ENTRIES[f.id].dR, f"dR/dw ({f.id})")
 
 
 def singularity_points(f: WEFunction) -> list[complex]:
     """All finite poles / branch points of the entry, unfiltered."""
-    if f.id == "enneper":
-        return []
-    if f.id in ("catenoid", "right_helicoid", "general_helicoid",
-                "henneberg", "general_enneper"):
-        return [0.0 + 0.0j]
-    if f.id == "scherk":
-        return [1.0 + 0j, -1.0 + 0j, 1j, -1j]
-    if f.id == "general_scherk":
-        half = math.pi / 2 - f.alpha
-        root = cmath.exp(1j * half)
-        other = cmath.exp(1j * (math.pi / 2 + f.alpha))
-        return [root, -root, other, -other]
-    if f.id == "schwarz_riemann":
-        pts = []
-        for radius in _SCHWARZ_RADII:
-            for k in range(4):
-                pts.append(radius * cmath.exp(1j * k * math.pi / 2))
-        return pts
-    if f.id == "custom":
-        roots = np.roots(np.asarray(f.denominator)) if len(f.denominator) > 1 else []
-        return [complex(z) for z in np.sort_complex(np.asarray(roots, dtype=complex))]
-    raise CatalogError(f"unhandled id {f.id}")  # pragma: no cover
+    return _ENTRIES[f.id].poles(f)
 
 
 def singularities(f: WEFunction, region: ParamGrid) -> list[complex]:
@@ -231,67 +249,29 @@ def singularities(f: WEFunction, region: ParamGrid) -> list[complex]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# default domains, bases and flags per entry
-# ---------------------------------------------------------------------------
-
-def _sector(rho0, rho1, psi0, psi1, h=0.01) -> ParamGrid:
-    n1 = int(round((rho1 - rho0) / h)) + 1
-    n2 = int(round((psi1 - psi0) / h)) + 1
-    return ParamGrid("annulus", n1, n2, (rho0, rho1, psi0, psi1))
-
-
-def _rect(half, h=0.01) -> ParamGrid:
-    n = int(round(2 * half / h)) + 1
-    return ParamGrid("rectangle", n, n, (-half, half, -half, half))
-
-
-_POLE_SECTOR = (0.45, 0.7, 0.2, 1.47)
-
-_ENTRY_TABLE = {
-    # id: (verification domain args, rect?, default base, flip_t)
-    "enneper": (0.45, True, 0.0 + 0.0j, False),
-    "catenoid": (_POLE_SECTOR, False, 1.0 + 0.0j, False),
-    "right_helicoid": (_POLE_SECTOR, False, 1.0 + 0.0j, False),
-    "general_helicoid": (_POLE_SECTOR, False, 1.0 + 0.0j, False),
-    "scherk": (0.5, True, 0.0 + 0.0j, False),
-    "general_scherk": (0.4, True, 0.0 + 0.0j, False),
-    "henneberg": ((0.6, 0.75, 0.25, 1.32), False, 0.675 * cmath.exp(0.785j), True),
-    "general_enneper": ((0.6, 0.75, 0.2, 1.47), False, 0.675 * cmath.exp(0.835j), False),
-    "schwarz_riemann": (0.25, True, 0.0 + 0.0j, False),
-}
+def _defaults(surface_id: str) -> SurfaceEntry:
+    entry = _ENTRIES.get(surface_id)
+    if entry is None or entry.domain is None:
+        raise CatalogError(
+            f"no default domain for {surface_id!r}; valid ids: "
+            f"{', '.join(sorted(i for i, e in _ENTRIES.items() if e.domain))}")
+    return entry
 
 
 def verification_grid(surface_id: str, refine: int = 1) -> ParamGrid:
-    """Default verification domain at step h ~= 1e-2 / refine.
-
-    Domains keep enough clearance from the entry's poles (for quadrature and
-    the conjugacy stencils) and from |w| = 1, where the graph slope of every
-    W-E surface diverges (the Gauss map is w), so the nonparametric residual
-    checks meet their tolerances.
-    """
-    args, is_rect, _, _ = _entry_row(surface_id)
+    """Default verification domain of an entry at step h ~= 1e-2 / refine."""
+    kind, b = _defaults(surface_id).domain
     h = 0.01 / refine
-    if is_rect:
-        return _rect(args, h)
-    return _sector(*args, h)
+    return ParamGrid(kind, int(round((b[1] - b[0]) / h)) + 1,
+                     int(round((b[3] - b[2]) / h)) + 1, b)
 
 
 def default_base(surface_id: str) -> complex:
-    return _entry_row(surface_id)[2]
+    return _defaults(surface_id).base
 
 
 def default_flip_t(surface_id: str) -> bool:
-    return _entry_row(surface_id)[3]
-
-
-def _entry_row(surface_id: str):
-    try:
-        return _ENTRY_TABLE[surface_id]
-    except KeyError:
-        raise CatalogError(
-            f"no default domain for {surface_id!r}; valid ids: "
-            f"{', '.join(sorted(_ENTRY_TABLE))}") from None
+    return _defaults(surface_id).flip_t
 
 
 def catalog_function(surface_id: str, **params) -> WEFunction:

@@ -25,7 +25,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,7 @@ from .pde import (LorentzBoost, PDEError, boost, born_infeld_residual,
                   chain_rule_partials, graph_patch, minimal_surface_residual,
                   wick_catenoid_graph_fns, wick_equivalence_check)
 from .quadrature import QuadratureError
-from .stencils import interior_mask
+from .stencils import StencilError, interior_mask
 
 DEFAULT_THETAS = (0.0, 0.3, 0.7, 1.1, math.pi / 2)
 VALID_FORMATS = ("csv", "obj", "table")
@@ -89,13 +89,17 @@ class RunConfig:
                 LorentzBoost(rap)
             except PDEError as exc:
                 raise ConfigError(str(exc)) from None
-        for name in ("resid_tol", "cr_tol", "dev_tol", "f_tol",
-                     "action_rel_tol", "boost_tol", "comp_tol", "harmonic_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be positive")
+        for name in TOLERANCES:
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0):
+                raise ConfigError(f"tolerance {name} must be finite and positive")
         bad = [f for f in self.formats if f not in VALID_FORMATS]
         if bad:
             raise ConfigError(f"unknown export formats {bad}; valid: {VALID_FORMATS}")
+
+
+# every check tolerance: validated, read from [tolerances] and set by --<name>
+TOLERANCES = tuple(f.name for f in fields(RunConfig) if f.name.endswith("_tol"))
 
 
 def _read_config_file(path: str) -> dict:
@@ -132,11 +136,9 @@ def _read_config_file(path: str) -> dict:
         if "rapidity" in fam:
             out["rapidities"] = tuple(float(v) for v in fam["rapidity"].split(",") if v.strip())
     if cp.has_section("tolerances"):
-        known = ("resid_tol", "cr_tol", "dev_tol", "f_tol", "action_rel_tol",
-                 "boost_tol", "comp_tol", "harmonic_tol")
         for key, val in cp["tolerances"].items():
-            if key not in known:
-                raise ConfigError(f"unknown tolerance {key!r}; valid: {known}")
+            if key not in TOLERANCES:
+                raise ConfigError(f"unknown tolerance {key!r}; valid: {TOLERANCES}")
             out[key] = float(val)
     if cp.has_section("output"):
         o = cp["output"]
@@ -183,8 +185,7 @@ def _build_config(args) -> RunConfig:
         cfg.thetas = tuple(args.theta)
     if getattr(args, "rapidity", None) is not None:
         cfg.rapidities = tuple(args.rapidity)
-    for name in ("resid_tol", "cr_tol", "dev_tol", "f_tol", "action_rel_tol",
-                 "boost_tol", "comp_tol", "harmonic_tol"):
+    for name in TOLERANCES:
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
@@ -247,7 +248,17 @@ def cmd_generate(cfg: RunConfig) -> int:
         print(f)
     print(f"harmonicity max {worst_h:.3e}, isothermal defect "
           f"{form.isothermal_defect:.3e}, CR defect {cr:.3e}")
-    return 0
+    # Harmonicity rows are reported, not gated: they measure the stencil's
+    # truncation as much as the surface (6e-6 on a 24x24 full annulus).
+    # Both gated rows come from the exact derivatives the surfaces carry.
+    status = 0
+    for quantity, value, tol in (("isothermal_defect", form.isothermal_defect, cfg.dev_tol),
+                                 ("cr_defect", cr, cfg.cr_tol)):
+        if not value <= tol:  # NaN fails
+            print(f"tolerance breach: {quantity} {value:.3e} (tol {tol:.1e})",
+                  file=sys.stderr)
+            status = 1
+    return status
 
 
 def cmd_family_verify(cfg: RunConfig) -> int:
@@ -317,7 +328,13 @@ def cmd_residuals(cfg: RunConfig) -> int:
                            rows)
     print(out)
     print(f"minimal residual max {mres.max_abs:.3e} (tol {cfg.resid_tol:.1e})")
-    return 0 if mres.max_abs <= cfg.resid_tol and wres.max_abs <= cfg.resid_tol else 1
+    status = 0
+    for kind, report in (("minimal", mres), ("born_infeld_wick", wres)):
+        if not report.max_abs <= cfg.resid_tol:  # NaN fails
+            print(f"tolerance breach: {kind} {report.max_abs:.3e} (tol {cfg.resid_tol:.1e})",
+                  file=sys.stderr)
+            status = 1
+    return status
 
 
 def _wick_catenoid_patch():
@@ -343,8 +360,12 @@ def cmd_boost_check(cfg: RunConfig) -> int:
                              np.max(np.abs(once.phi_x - twice.phi_x))]))
         delta = abs(base.max_abs - after.max_abs)
         rows.append([rap, base.max_abs, after.max_abs, delta, comp])
-        if not (delta <= cfg.boost_tol and comp <= cfg.comp_tol):  # NaN fails
-            print(f"tolerance breach at rapidity {rap}", file=sys.stderr)
+        breached = [name for name, value, tol in (("delta", delta, cfg.boost_tol),
+                                                  ("composition_error", comp, cfg.comp_tol))
+                    if not value <= tol]  # NaN fails
+        if breached:
+            print(f"tolerance breach at rapidity {rap}: {', '.join(breached)}",
+                  file=sys.stderr)
             status = 1
     out = write_report_csv(cfg.out_dir / "boost_check.csv",
                            ["rapidity", "residual_before", "residual_after",
@@ -384,9 +405,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, nargs="+", help="grid counts n1 [n2]")
     p.add_argument("--out", help="output directory")
     p.add_argument("--formats", help="comma list from csv,obj,table")
-    for name in ("resid-tol", "cr-tol", "dev-tol", "f-tol", "action-rel-tol",
-                 "boost-tol", "comp-tol", "harmonic-tol"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float)
+    for name in TOLERANCES:
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,7 +457,7 @@ def main(argv=None) -> int:
             return cmd_export(cfg, args.format)
         raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
     except (ConfigError, CatalogError, FamilyError, GenerateError, GeometryError,
-            GridError, HodographError, PDEError, QuadratureError) as exc:
+            GridError, HodographError, PDEError, QuadratureError, StencilError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

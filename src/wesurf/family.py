@@ -31,8 +31,8 @@ import numpy as np
 
 from .generate import conjugacy_violation
 from .grids import SurfaceGrid
-from .hodograph import FGPair
-from .quadrature import DEFAULT_RULE, antiderivative_on_grid
+from .hodograph import FGPair, fg_integrals
+from .quadrature import DEFAULT_RULE
 from .reports import ResidualReport, residual_report
 
 HALF_PI = 0.5 * math.pi
@@ -118,10 +118,6 @@ class SolitonFamily:
         return SurfaceGrid(self.X.grid, values, "wick_rotated", jac, jac2, meta)
 
 
-def family_at(fam: SolitonFamily, theta: float) -> SurfaceGrid:
-    return fam.at(theta)
-
-
 def theta_derivative(fam: SolitonFamily, theta: float, order: int) -> SurfaceGrid:
     """d^order S_theta / d theta^order = S at theta + order * pi/2.
 
@@ -173,21 +169,9 @@ def verify_soliton_relations(s: SurfaceGrid, p: FGPair,
     All four integrals run from the grid node at base_index along the fixed
     path family; each relation's constant is calibrated at that node.
     """
-    grid = s.grid
-    r = grid.nodes()
-    base = complex(r[base_index])
-
-    def holo(w):
-        return np.stack([w ** 2 * p.Fp(w), w * p.Fp(w)])
-
-    def anti(w):
-        return np.stack([w ** 2 * p.Gp(w), w * p.Gp(w)])
-
-    A, P = antiderivative_on_grid(holo, base, grid, singularities, rule)
-    B, Q = antiderivative_on_grid(anti, base, grid, singularities, rule,
-                                  conjugate_plane=True)
+    rhs = fg_integrals(p, s.grid, complex(s.grid.nodes()[base_index]),
+                       singularities, rule)
     lhs = (s.x - s.t, s.x + s.t, s.phi)
-    rhs = (p.F(r) - B, p.G(np.conj(r)) - A, P + Q)
     reports = []
     for left, right in zip(lhs, rhs):
         shift = left[base_index] - right[base_index]
@@ -196,6 +180,6 @@ def verify_soliton_relations(s: SurfaceGrid, p: FGPair,
 
 
 __all__ = [
-    "FamilyError", "SolitonFamily", "SolitonRelationsReport", "family_at",
-    "family_fg", "theta_derivative", "verify_soliton_relations", "wick_rotate",
+    "FamilyError", "SolitonFamily", "SolitonRelationsReport", "family_fg",
+    "theta_derivative", "verify_soliton_relations", "wick_rotate",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import WEFunction, eval_R, eval_R_deriv, singularity_points
-from .grids import ParamGrid, SurfaceGrid, surface_jacobian
+from .grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_jacobian
 from .quadrature import DEFAULT_RULE, antiderivative_on_grid
 from .stencils import interior_mask
 
@@ -94,56 +94,24 @@ def _holomorphic_triple(data: WEData, grid: ParamGrid, rule: str):
     return phi, dphi, ddphi
 
 
-def _jac_from_dphi(dphi: np.ndarray, part: str) -> np.ndarray:
-    """Analytic (d/dr1, d/dr2) of Re(Phi) or Im(Phi) from Phi'.
-
-    d(Re f)/dr1 = Re f', d(Re f)/dr2 = -Im f'; for Im f swap accordingly.
-    """
-    jac = np.empty((3, 2) + dphi.shape[1:], dtype=complex)
-    if part == "re":
-        jac[:, 0] = dphi.real
-        jac[:, 1] = -dphi.imag
-    else:
-        jac[:, 0] = dphi.imag
-        jac[:, 1] = dphi.real
-    return jac
-
-
-def _jac2_from_ddphi(ddphi: np.ndarray, part: str) -> np.ndarray:
-    """Analytic (d11, d12, d22) of Re(Phi) or Im(Phi) from Phi''."""
-    jac2 = np.empty((3, 3) + ddphi.shape[1:], dtype=complex)
-    if part == "re":
-        jac2[:, 0] = ddphi.real
-        jac2[:, 1] = -ddphi.imag
-        jac2[:, 2] = -ddphi.real
-    else:
-        jac2[:, 0] = ddphi.imag
-        jac2[:, 1] = ddphi.real
-        jac2[:, 2] = -ddphi.imag
-    return jac2
-
-
-def _assemble(grid, phi_part, jac, jac2, offsets, flip_t, meta) -> SurfaceGrid:
-    values = phi_part.astype(complex)
-    values[0] += offsets[0]
-    values[1] += offsets[1]
-    values[2] += offsets[2]
-    if flip_t:
+def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> SurfaceGrid:
+    """The surface Re(Phi) (part "re") or its conjugate Im(Phi) (part "im")."""
+    jac, jac2 = cauchy_riemann_jacs(dphi, ddphi, (part,) * 3)
+    values = (phi.real if part == "re" else phi.imag).astype(complex)
+    values[0] += data.offsets[0]
+    values[1] += data.offsets[1]
+    values[2] += data.offsets[2]
+    if data.flip_t:
         values[1] = -values[1]
-        jac = jac.copy()
         jac[1] = -jac[1]
-        jac2 = jac2.copy()
         jac2[1] = -jac2[1]
+    meta = {"surface": data.R.id, "base": data.base, "conjugate": part == "im"}
     return SurfaceGrid(grid, values, "real", jac, jac2, meta)
 
 
 def generate(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE) -> SurfaceGrid:
     """Sample the W-E surface of `data` on `grid` (real minimal surface)."""
-    phi, dphi, ddphi = _holomorphic_triple(data, grid, rule)
-    meta = {"surface": data.R.id, "base": data.base, "conjugate": False}
-    return _assemble(grid, phi.real, _jac_from_dphi(dphi, "re"),
-                     _jac2_from_ddphi(ddphi, "re"), data.offsets,
-                     data.flip_t, meta)
+    return _assemble(data, grid, *_holomorphic_triple(data, grid, rule), "re")
 
 
 def generate_conjugate_pair(data: WEData, grid: ParamGrid,
@@ -154,14 +122,9 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid,
     generate(conjugate(R)) produces the same Y up to reassociation round-off
     (Re(-i z) = Im z).
     """
-    phi, dphi, ddphi = _holomorphic_triple(data, grid, rule)
-    meta_x = {"surface": data.R.id, "base": data.base, "conjugate": False}
-    meta_y = {"surface": data.R.id, "base": data.base, "conjugate": True}
-    X = _assemble(grid, phi.real, _jac_from_dphi(dphi, "re"),
-                  _jac2_from_ddphi(ddphi, "re"), data.offsets, data.flip_t, meta_x)
-    Y = _assemble(grid, phi.imag, _jac_from_dphi(dphi, "im"),
-                  _jac2_from_ddphi(ddphi, "im"), data.offsets, data.flip_t, meta_y)
-    return X, Y
+    triple = _holomorphic_triple(data, grid, rule)
+    return (_assemble(data, grid, *triple, "re"),
+            _assemble(data, grid, *triple, "im"))
 
 
 def gamma_chart_sector(g1_min: float, g1_max: float, g2_min: float,

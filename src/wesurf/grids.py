@@ -294,6 +294,27 @@ def laplacian(surface: SurfaceGrid, component: str, accuracy: int = 2) -> np.nda
     return f_rr + f_r / rho + f_pp / rho ** 2
 
 
+def cauchy_riemann_jacs(d1, d2, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic (jac, jac2) of components c_k = Re f_k or Im f_k.
+
+    d1[k], d2[k] are the complex derivatives f_k', f_k'' of holomorphic f_k at
+    the nodes; parts[k] is "re" or "im".  By Cauchy-Riemann
+    d(Re f)/dr1 = Re f', d(Re f)/dr2 = -Im f', and (d11, d12, d22) of Re f are
+    (Re f'', -Im f'', -Re f''); for Im f swap Re and Im with the sign rules.
+    """
+    shape = np.shape(d1[0])
+    jac = np.empty((3, 2) + shape, dtype=complex)
+    jac2 = np.empty((3, 3) + shape, dtype=complex)
+    for k, (f1, f2, part) in enumerate(zip(d1, d2, parts)):
+        if part == "re":
+            jac[k, 0], jac[k, 1] = f1.real, -f1.imag
+            jac2[k, 0], jac2[k, 1], jac2[k, 2] = f2.real, -f2.imag, -f2.real
+        else:
+            jac[k, 0], jac[k, 1] = f1.imag, f1.real
+            jac2[k, 0], jac2[k, 1], jac2[k, 2] = f2.imag, f2.real, -f2.imag
+    return jac, jac2
+
+
 def surface_jacobian(surface: SurfaceGrid, source: str = "auto",
                      accuracy: int = 2) -> np.ndarray:
     """First derivatives of all components, shape (3, 2, n1, n2).
@@ -316,6 +337,7 @@ def surface_jacobian(surface: SurfaceGrid, source: str = "auto",
 
 __all__ = [
     "COMPONENTS", "GridError", "ParamGrid", "SurfaceGrid", "array_derivative",
-    "central_diff", "default_annulus", "default_rectangle", "laplacian",
-    "surface_from_components", "surface_jacobian",
+    "cauchy_riemann_jacs", "central_diff", "default_annulus",
+    "default_rectangle", "laplacian", "surface_from_components",
+    "surface_jacobian",
 ]

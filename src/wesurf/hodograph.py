@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import ParamGrid, SurfaceGrid, REAL_IMAG_TOL
+from .grids import REAL_IMAG_TOL, ParamGrid, SurfaceGrid, cauchy_riemann_jacs
 from .quadrature import DEFAULT_RULE, antiderivative_on_grid
 
 
@@ -85,6 +85,27 @@ def enneper_conjugate_fg() -> FGPair:
                   reality_constraint=True, label="enneper-conjugate")
 
 
+def fg_integrals(pair: FGPair, grid: ParamGrid, base: complex, singularities=(),
+                 rule: str = DEFAULT_RULE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right-hand sides of the module's three F/G relations at the nodes.
+
+    Returns the values of (x - i t, x + i t, phi), with all four indefinite
+    integrals taken from `base` (so they vanish there).
+    """
+    r = grid.nodes()
+
+    def holo(s):
+        return np.stack([s ** 2 * pair.Fp(s), s * pair.Fp(s)])
+
+    def anti(s):
+        return np.stack([s ** 2 * pair.Gp(s), s * pair.Gp(s)])
+
+    A, P = antiderivative_on_grid(holo, base, grid, singularities, rule)
+    B, Q = antiderivative_on_grid(anti, base, grid, singularities, rule,
+                                  conjugate_plane=True)
+    return pair.F(r) - B, pair.G(np.conj(r)) - A, P + Q
+
+
 def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
                     offsets=(0.0, 0.0, 0.0), singularities=(),
                     rule: str = DEFAULT_RULE) -> SurfaceGrid:
@@ -99,21 +120,10 @@ def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
     base = complex(base)
     r = grid.nodes()
     rb = np.conj(r)
-
-    def holo(s):
-        return np.stack([s ** 2 * pair.Fp(s), s * pair.Fp(s)])
-
-    def anti(s):
-        return np.stack([s ** 2 * pair.Gp(s), s * pair.Gp(s)])
-
-    A, P = antiderivative_on_grid(holo, base, grid, singularities, rule)
-    B, Q = antiderivative_on_grid(anti, base, grid, singularities, rule,
-                                  conjugate_plane=True)
-    M = pair.F(r) - B            # x - i t
-    N = pair.G(rb) - A           # x + i t
+    M, N, phi = fg_integrals(pair, grid, base, singularities, rule)  # x -+ i t, phi
     x = 0.5 * (M + N) + offsets[0]
     t = 0.5j * (M - N) + offsets[1]
-    phi = P + Q + offsets[2]
+    phi = phi + offsets[2]
 
     fp, gp = pair.Fp(r), pair.Gp(rb)
     dM = np.stack([fp - rb ** 2 * gp, 1j * (fp + rb ** 2 * gp)])
@@ -152,24 +162,6 @@ def _log_branch(grid: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.log(np.abs(r)), np.angle(r)
 
 
-def _wirtinger_jacs(holos_d1, holos_d2, parts, shape):
-    """(jac, jac2) for components c_k = Re or Im of holomorphic f_k.
-
-    holos_d1/holos_d2: first/second complex derivatives f_k', f_k'';
-    parts: "re" or "im" per component.
-    """
-    jac = np.empty((3, 2) + shape, dtype=complex)
-    jac2 = np.empty((3, 3) + shape, dtype=complex)
-    for k, (d1, d2, part) in enumerate(zip(holos_d1, holos_d2, parts)):
-        if part == "re":
-            jac[k] = np.stack([d1.real, -d1.imag])
-            jac2[k] = np.stack([d2.real, -d2.imag, -d2.real])
-        else:
-            jac[k] = np.stack([d1.imag, d1.real])
-            jac2[k] = np.stack([d2.imag, d2.real, -d2.imag])
-    return jac, jac2
-
-
 def helicoid_closed(grid: ParamGrid) -> SurfaceGrid:
     """x = -Im(r + 1/r)/2, t = Re(r - 1/r)/2, phi = arg r."""
     r = grid.nodes()
@@ -182,9 +174,9 @@ def helicoid_closed(grid: ParamGrid) -> SurfaceGrid:
     gp = 0.5 * (1.0 - 1.0 / r ** 2)   # derivative of (r + 1/r)/2
     hp = 0.5 * (1.0 + 1.0 / r ** 2)   # derivative of (r - 1/r)/2
     # components are (-Im g, Re h, Im ln r): fold signs into the derivatives
-    jac, jac2 = _wirtinger_jacs([-gp, hp, 1.0 / r],
-                                [-(1.0 / r ** 3), -(1.0 / r ** 3), -(1.0 / r ** 2)],
-                                ["im", "re", "im"], grid.shape)
+    jac, jac2 = cauchy_riemann_jacs([-gp, hp, 1.0 / r],
+                                    [-(1.0 / r ** 3), -(1.0 / r ** 3), -(1.0 / r ** 2)],
+                                    ["im", "re", "im"])
     meta = {"surface": "helicoid_closed", "base": None}
     return SurfaceGrid(grid, np.stack([x, t, phi]).astype(complex), "real",
                        jac, jac2, meta)
@@ -201,9 +193,9 @@ def catenoid_closed(grid: ParamGrid) -> SurfaceGrid:
     phi = -ln_rho
     gp = 0.5 * (1.0 - 1.0 / r ** 2)
     hp = 0.5 * (1.0 + 1.0 / r ** 2)
-    jac, jac2 = _wirtinger_jacs([gp, hp, -1.0 / r],
-                                [1.0 / r ** 3, -(1.0 / r ** 3), 1.0 / r ** 2],
-                                ["re", "im", "re"], grid.shape)
+    jac, jac2 = cauchy_riemann_jacs([gp, hp, -1.0 / r],
+                                    [1.0 / r ** 3, -(1.0 / r ** 3), 1.0 / r ** 2],
+                                    ["re", "im", "re"])
     meta = {"surface": "catenoid_closed", "base": None}
     return SurfaceGrid(grid, np.stack([x, t, phi]).astype(complex), "real",
                        jac, jac2, meta)
@@ -279,5 +271,6 @@ def umbilic_diagnostic(surface_id: str, z):
 __all__ = [
     "FGPair", "HodographError", "catenoid_closed", "catenoid_fg",
     "enneper_conjugate_fg", "enneper_fg", "helicoid_closed", "helicoid_fg",
-    "hodograph_uv", "r_from_uv", "surface_from_fg", "umbilic_diagnostic",
+    "fg_integrals", "hodograph_uv", "r_from_uv", "surface_from_fg",
+    "umbilic_diagnostic",
 ]

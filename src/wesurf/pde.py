@@ -75,7 +75,6 @@ class NonparametricPatch:
     valid_mask: np.ndarray
     jacobian_det: np.ndarray | None = None
     dropped_count: int = 0
-    mixed_asymmetry: float = 0.0
 
     def __post_init__(self):
         fields = (self.x, self.t, self.phi, self.phi_x, self.phi_t,
@@ -162,11 +161,13 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
     phi_xt = 0.5 * (phi_xt_a + phi_tx_b)
 
     valid = ~_dilate(bad, reach) if reach else ~bad
-    asym = float(np.max(np.abs((phi_xt_a - phi_tx_b)[valid]))) if valid.any() else np.nan
     return NonparametricPatch(
         x=s.x.copy(), t=s.t.copy(), phi=s.phi.copy(),
         phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=phi_xt, phi_tt=phi_tt,
-        valid_mask=valid, jacobian_det=det, mixed_asymmetry=asym)
+        valid_mask=valid, jacobian_det=det)
+
+
+_GRAPH_FIELDS = ("phi", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt")
 
 
 def graph_patch(x: np.ndarray, t: np.ndarray, fns: dict) -> NonparametricPatch:
@@ -175,15 +176,11 @@ def graph_patch(x: np.ndarray, t: np.ndarray, fns: dict) -> NonparametricPatch:
     `fns` maps the field names to callables of (x, t); all six derivative
     entries are required.
     """
-    needed = ("phi", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt")
-    data = {k: np.asarray(fns[k](x, t), dtype=complex) for k in needed}
+    data = {k: np.asarray(fns[k](x, t), dtype=complex) for k in _GRAPH_FIELDS}
     mask = np.ones(np.shape(data["phi"]), dtype=bool)
     return NonparametricPatch(x=np.asarray(x, dtype=complex),
                               t=np.asarray(t, dtype=complex),
-                              phi=data["phi"], phi_x=data["phi_x"],
-                              phi_t=data["phi_t"], phi_xx=data["phi_xx"],
-                              phi_xt=data["phi_xt"], phi_tt=data["phi_tt"],
-                              valid_mask=mask)
+                              valid_mask=mask, **data)
 
 
 def helicoid_graph_fns() -> dict:
@@ -277,29 +274,21 @@ def boost(p: NonparametricPatch, lb: LorentzBoost) -> NonparametricPatch:
 
 
 def boost_graph_fns(fns: dict, lb: LorentzBoost) -> dict:
-    """Boost closed-form callables: phi'(x', t') = phi(a x' - b t', -b x' + a t')."""
+    """Boost closed-form callables: phi'(x', t') = phi(a x' - b t', -b x' + a t').
+
+    Each callable samples `fns` at the pulled-back points and applies
+    `boost` to the resulting patch, so its fields are complex arrays and
+    non-finite samples raise PDEError as in `graph_patch`.
+    """
     a, b = lb.a, lb.b
 
-    def pull(x, t):
-        return a * x - b * t, -b * x + a * t
-
-    def wrap(combine):
+    def field(name):
         def g(x, t):
-            x0, t0 = pull(x, t)
-            return combine(x0, t0)
+            patch = graph_patch(a * x - b * t, -b * x + a * t, fns)
+            return getattr(boost(patch, lb), name)
         return g
 
-    return {
-        "phi": wrap(lambda x0, t0: fns["phi"](x0, t0)),
-        "phi_x": wrap(lambda x0, t0: a * fns["phi_x"](x0, t0) - b * fns["phi_t"](x0, t0)),
-        "phi_t": wrap(lambda x0, t0: -b * fns["phi_x"](x0, t0) + a * fns["phi_t"](x0, t0)),
-        "phi_xx": wrap(lambda x0, t0: a * a * fns["phi_xx"](x0, t0)
-                       - 2 * a * b * fns["phi_xt"](x0, t0) + b * b * fns["phi_tt"](x0, t0)),
-        "phi_xt": wrap(lambda x0, t0: -a * b * (fns["phi_xx"](x0, t0) + fns["phi_tt"](x0, t0))
-                       + (a * a + b * b) * fns["phi_xt"](x0, t0)),
-        "phi_tt": wrap(lambda x0, t0: b * b * fns["phi_xx"](x0, t0)
-                       - 2 * a * b * fns["phi_xt"](x0, t0) + a * a * fns["phi_tt"](x0, t0)),
-    }
+    return {name: field(name) for name in _GRAPH_FIELDS}
 
 
 def wick_substitute(p: NonparametricPatch) -> NonparametricPatch:

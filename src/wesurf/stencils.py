@@ -13,6 +13,10 @@ from functools import lru_cache
 import numpy as np
 
 
+class StencilError(ValueError):
+    """A stencil request or input the finite-difference layer cannot serve."""
+
+
 def fixed_order_dot(w: np.ndarray, slabs: np.ndarray) -> np.ndarray:
     """sum_k w[k] * slabs[k], accumulated in the order k = 0, 1, ... .
 
@@ -34,7 +38,7 @@ def fd_weights(z: float, x: tuple[float, ...], m: int) -> np.ndarray:
     """
     n = len(x)
     if m >= n:
-        raise ValueError(f"need more than {m} nodes for derivative order {m}")
+        raise StencilError(f"need more than {m} nodes for derivative order {m}")
     c = np.zeros((n, m + 1))
     c[0, 0] = 1.0
     c1 = 1.0
@@ -64,9 +68,9 @@ def _stencil_table(order: int, accuracy: int) -> tuple[np.ndarray, np.ndarray, i
     order + accuracy nodes, matching the centered stencil's accuracy.
     """
     if order not in (1, 2):
-        raise ValueError("derivative order must be 1 or 2")
+        raise StencilError("derivative order must be 1 or 2")
     if accuracy not in (2, 4, 6):
-        raise ValueError("accuracy must be 2, 4 or 6")
+        raise StencilError("accuracy must be 2, 4 or 6")
     width = accuracy + 1  # centered window, odd
     half = width // 2
     offsets = tuple(float(k) for k in range(-half, half + 1))
@@ -93,12 +97,12 @@ def axis_derivative(arr: np.ndarray, h: float, axis: int, order: int = 1,
     accuracy on the `half` rows nearest each edge.
     """
     if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite input to finite-difference stencil")
+        raise StencilError("non-finite input to finite-difference stencil")
     center, edge, half = _stencil_table(order, accuracy)
     n = arr.shape[axis]
     need = min_samples(order, accuracy)
     if n < need:
-        raise ValueError(
+        raise StencilError(
             f"axis has {n} samples; order={order} accuracy={accuracy} needs >= {need}")
     work = np.moveaxis(arr, axis, 0)
     out = np.zeros_like(work)

@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
 from wesurf import cli
@@ -199,6 +204,9 @@ def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
     ["boost-check", "--rapidity", "0.5", "-800"],
     ["family-verify", "--theta", "0", "inf"],
     ["generate", "--base", "0", "0"],   # the catenoid's pole
+    ["residuals", "--surface", "catenoid", "--kappa", "1e300", "--n", "21"],  # stencil input
+    ["family-verify", "--dev-tol", "nan"],
+    ["family-verify", "--resid-tol", "inf"],
 ])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -214,6 +222,65 @@ def test_cli_library_errors_exit_2(tmp_path, capsys, monkeypatch, error):
     monkeypatch.setattr(cli, "cmd_residuals", fail)
     assert main(["residuals", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: bad input\n"
+
+
+def test_cli_generate_breach_names_the_row(tmp_path, capsys):
+    # kappa 1e300 overflows E - G to NaN in the isothermal defect
+    with np.errstate(all="ignore"):
+        rc = main(["generate", "--kappa", "1e300", "--formats", "csv",
+                   "--out", str(tmp_path)])
+    assert rc == 1
+    assert "tolerance breach: isothermal_defect nan" in capsys.readouterr().err
+
+
+def test_cli_generate_nan_cr_defect_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "conjugacy_violation", lambda *args, **kwargs: math.nan)
+    assert main(["generate", "--formats", "csv", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "tolerance breach: cr_defect nan (tol 1.0e-06)\n"
+
+
+def test_cli_residuals_breach_names_the_residual(tmp_path, capsys):
+    assert main(["residuals", "--surface", "catenoid", "--n", "8",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "tolerance breach: minimal" in err
+    assert "tolerance breach: born_infeld_wick" in err
+
+
+_BREACH = re.compile(r"^tolerance breach(?: at rapidity \S+)?: \w+", re.MULTILINE)
+_ODD = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                 st.sampled_from([0.0, -1.0, 1e-300, 1e300, 400.0, math.nan, math.inf]))
+_USUAL = st.one_of(st.floats(1e-9, 2.0), _ODD)   # mostly valid, sometimes not
+
+
+@settings(max_examples=80, deadline=None)
+@given(command=st.sampled_from(["generate", "family-verify", "residuals",
+                                "boost-check", "export"]),
+       surface=st.sampled_from(ws.CATALOG_IDS), n=st.integers(1, 24),
+       thetas=st.lists(st.one_of(st.floats(-2.0, 2.0), _ODD), min_size=1, max_size=3),
+       rapidities=st.lists(st.one_of(st.floats(-3.0, 3.0), _ODD), min_size=1, max_size=2),
+       kappa=_USUAL, tolerance=st.sampled_from(cli.TOLERANCES), tol_value=_USUAL)
+def test_cli_exit_codes_property(command, surface, n, thetas, rapidities, kappa,
+                                 tolerance, tol_value):
+    """Any input exits 0, 1 or 2 without a traceback; 1 names its breach."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        # lists go through the INI file: argparse takes "-inf" for a flag
+        config = os.path.join(out, "run.ini")
+        with open(config, "w") as fh:
+            fh.write(f"[family]\nthetas = {', '.join(map(repr, thetas))}\n"
+                     f"rapidity = {', '.join(map(repr, rapidities))}\n")
+        rc = main([command, "--config", config, "--surface", surface, "--n", str(n),
+                   f"--kappa={kappa!r}", f"--{tolerance.replace('_', '-')}={tol_value!r}",
+                   "--formats", "csv", "--out", out])
+    text = err.getvalue()
+    assert rc in (0, 1, 2), text
+    assert "Traceback" not in text
+    if rc == 1:
+        assert _BREACH.search(text), text
+    if rc == 2:
+        assert text.startswith("error: "), text
 
 
 def test_cli_overflowing_rapidity_exits_2_without_traceback(tmp_path):
