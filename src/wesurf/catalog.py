@@ -208,7 +208,9 @@ def _evaluate(f: WEFunction, w, rule: Callable, label: str) -> np.ndarray | comp
     w_arr = np.asarray(w, dtype=complex)
     scalar = w_arr.ndim == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = f.conjugation_phase * rule(f, w_arr if not scalar else w_arr[None])
+        # named, not a temporary right operand: see the quadrature module
+        out = rule(f, w_arr if not scalar else w_arr[None])
+        out = f.conjugation_phase * out
     if not np.all(np.isfinite(out)):
         raise SingularEvaluation(f"{label} evaluated at a singular point")
     return complex(out[0]) if scalar else out

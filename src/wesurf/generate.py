@@ -11,7 +11,10 @@ construction, which is what the soliton-family machinery relies on.
 
 Generated surfaces carry their exact first derivatives: d(Re Phi_k)/dr1 is
 the integrand Phi_k'(r) evaluated at the node, no quadrature or finite
-differences involved.
+differences involved.  The values come from `antiderivative_on_grid` with
+R's declared poles as singularities, so each quadrature chain runs the
+lowest Gauss-Legendre order their distance allows; `rule` caps that order,
+and an R without poles (Enneper) runs it on every chain.
 """
 
 from __future__ import annotations

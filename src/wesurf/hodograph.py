@@ -90,15 +90,21 @@ def fg_integrals(pair: FGPair, grid: ParamGrid, base: complex, singularities=(),
     """Right-hand sides of the module's three F/G relations at the nodes.
 
     Returns the values of (x - i t, x + i t, phi), with all four indefinite
-    integrals taken from `base` (so they vanish there).
+    integrals taken from `base` (so they vanish there).  `singularities`
+    are the poles of F' and G'; the quadrature picks each chain's order
+    from them, and with none declared every chain runs the `rule`'s order.
     """
     r = grid.nodes()
 
+    # Fp/Gp bound to a name: a temporary right operand (`s * pair.Fp(s)`)
+    # makes the bits depend on the block size (see the quadrature module)
     def holo(s):
-        return np.stack([s ** 2 * pair.Fp(s), s * pair.Fp(s)])
+        fp = pair.Fp(s)
+        return np.stack([s ** 2 * fp, s * fp])
 
     def anti(s):
-        return np.stack([s ** 2 * pair.Gp(s), s * pair.Gp(s)])
+        gp = pair.Gp(s)
+        return np.stack([s ** 2 * gp, s * gp])
 
     A, P = antiderivative_on_grid(holo, base, grid, singularities, rule)
     B, Q = antiderivative_on_grid(anti, base, grid, singularities, rule,

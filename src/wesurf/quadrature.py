@@ -1,6 +1,6 @@
-"""Complex-path quadrature with fixed-order Gauss-Legendre panels.
+"""Complex-path quadrature with Gauss-Legendre panels.
 
-Integrands are assumed analytic away from declared singularities, so fixed
+Integrands are assumed analytic away from declared singularities, so the
 panels converge spectrally and results are deterministic for a given
 configuration.  Paths never pass through singularities: every segment is
 checked against an exclusion radius before any integrand evaluation.
@@ -11,11 +11,23 @@ same bits whichever BLAS kernel is loaded and however many segments share
 the call.  Each rule's weights are normalised once so that their sum in
 that order is exactly 2: constant integrands integrate exactly.
 
+Nodes are evaluated in blocks of at most _BLOCK_NODES.  The block size is
+invisible in the bits only if the integrand is elementwise in w and never
+multiplies by a temporary right operand (`s * g(s)`): numpy may evaluate
+such a product in place in the temporary, with the operands swapped, once
+the block is large (256 KiB or more), and its SIMD complex multiply is not
+bitwise commutative.  Bind the factor to a name first.
+
+`integrate_path` runs the `rule`'s order on every panel.
 `antiderivative_on_grid` evaluates F(r) = int_{base}^{r} f(w) dw at every
 grid node using a fixed path family (horizontal-then-vertical segments for
 rectangles, radial-then-angular sweeps for annuli) with cumulative chaining
-along each axis.  For holomorphic f the values are path independent on
-simply connected domains; on annuli the fixed family makes multivalued
+along each axis.  Each chain runs the smallest order in _CHAIN_ORDERS,
+capped by the `rule`'s order, whose Gauss error bound on the Bernstein
+ellipse through the nearest declared singularity is negligible (see
+`_chain_order`); a chain with no declared singularity runs the `rule`'s
+order.  For holomorphic f the values are path independent on simply
+connected domains; on annuli the fixed family makes multivalued
 antiderivatives (log, fractional powers) pick a consistent branch, because
 path integration continues the branch automatically.
 """
@@ -35,6 +47,11 @@ DEFAULT_RULE = "gauss_legendre_32"
 EXCLUSION_FRACTION = 1e-3  # default exclusion radius = fraction * path length
 _ARC_MAX_STEP = 0.2        # max angular chord (radians) on annulus sweeps
 _BLOCK_NODES = 1 << 17     # quadrature nodes evaluated per integrand call
+_CHAIN_ORDERS = (8, 16, 32)  # Gauss-Legendre orders a grid chain may run
+# Gauss error bound a chain's order must meet, per unit of max |f| on the
+# ellipse; that maximum is unknown, and six decades below round-off keep
+# poles up to order 6 at the 32-point rule's accuracy
+_CHAIN_TOL = 1e-22
 
 
 class QuadratureError(ValueError):
@@ -134,8 +151,8 @@ def _segment_integrals(f, z0: np.ndarray, z1: np.ndarray, order: int) -> np.ndar
 
     Segments are evaluated in blocks of at most _BLOCK_NODES quadrature
     nodes, each written into one preallocated result, so memory stays
-    bounded whatever the grid.  f must be elementwise in w, which makes the
-    block size invisible in the result's bits.
+    bounded whatever the grid.  The module docstring gives the conditions
+    on f that keep the block size invisible in the result's bits.
     """
     xi, w = _gl_rule(order)
     t = 0.5 * (xi + 1.0)
@@ -184,6 +201,34 @@ def integrate_path_with_error(f, path: PathSpec, rule: str = DEFAULT_RULE,
 # grid antiderivatives via cumulative chains
 # ---------------------------------------------------------------------------
 
+def _chain_order(z0: np.ndarray, z1: np.ndarray, singularities, cap: int) -> int:
+    """Smallest order in _CHAIN_ORDERS, at most `cap`, that the chain needs.
+
+    For a segment with midpoint m and half-length h, a singularity s lies on
+    the Bernstein ellipse of parameter rho = |u + sqrt(u-1) sqrt(u+1)|,
+    u = (s - m) / h.  The n-point Gauss error is at most
+    (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen, ATAP Thm 19.3), so the
+    smallest rho over the chain's segments and the declared singularities
+    picks the order.  With no declared singularity the analyticity radius
+    is unknown and the chain keeps `cap`.
+    """
+    half = 0.5 * (z1 - z0)
+    nonzero = half != 0
+    if not len(singularities) or not np.any(nonzero):
+        return cap
+    mid, half = 0.5 * (z0 + z1)[nonzero], half[nonzero]
+    rho = np.inf
+    for s in singularities:
+        u = (complex(s) - mid) / half
+        rho = min(rho, float(np.min(np.abs(u + np.sqrt(u - 1) * np.sqrt(u + 1)))))
+    for n in _CHAIN_ORDERS:
+        if n >= cap:
+            break
+        if rho > 1 and 64 / 15 * rho ** -(2 * n) / (rho * rho - 1) < _CHAIN_TOL:
+            return n
+    return cap
+
+
 def _cumulative_chain(f, points: np.ndarray, base_index: int, order: int,
                       singularities, radius: float) -> np.ndarray:
     """Integral from points[base_index] to points[k], for every k.
@@ -198,6 +243,7 @@ def _cumulative_chain(f, points: np.ndarray, base_index: int, order: int,
     else:
         keep = np.any(np.abs(z1 - z0) > 0, axis=tuple(range(1, points.ndim)))
     check_clearance(z0[keep], z1[keep], singularities, radius)
+    order = _chain_order(z0[keep], z1[keep], singularities, order)
     ax = -points.ndim  # chain axis, counted from the end
     if np.any(keep):
         vals = _segment_integrals(f, z0[keep], z1[keep], order)
@@ -240,7 +286,9 @@ def antiderivative_on_grid(f, base: complex, grid: ParamGrid, singularities=(),
     """int_{base}^{node} f(w) dw for every node of `grid`.
 
     Paths run axis-by-axis from the base point: horizontal then vertical for
-    rectangles, radial then angular for annuli.  With conjugate_plane=True the
+    rectangles, radial then angular for annuli.  `rule` caps the
+    Gauss-Legendre order of each chain, which `_chain_order` picks from the
+    declared singularities.  With conjugate_plane=True the
     whole construction (base, nodes, paths) is conjugated, which evaluates
     int_{conj(base)}^{conj(node)} f(s) ds for integrands of the conjugate
     variable.

@@ -25,8 +25,9 @@ def fixed_order_dot(w: np.ndarray, slabs: np.ndarray) -> np.ndarray:
     the bits of the result.
     """
     acc = w[0] * slabs[0]
+    tmp = np.empty_like(acc)
     for k in range(1, len(w)):
-        acc += w[k] * slabs[k]
+        acc += np.multiply(w[k], slabs[k], out=tmp)
     return acc
 
 

@@ -51,13 +51,31 @@ def test_segment_integrals_independent_of_batch(rule):
     assert np.array_equal(batch, single)
 
 
-# block sizes in nodes: 7 segments of the 32-point rule, so blocks straddle
-# chain rows; and one block for any grid
+@pytest.mark.parametrize("order", sorted(set(quadrature._CHAIN_ORDERS) | set(RULES.values())))
+def test_constant_integrand_exact_for_every_order(order):
+    z0 = np.array([0.0, 0.3 + 0.1j, -1.0, 0.9 - 0.7j])
+    z1 = np.array([1.0 + 1.0j, 0.55 - 0.2j, 2.5j, 0.9 - 0.6j])
+    got = _segment_integrals(lambda w: np.ones_like(w), z0, z1, order)
+    assert np.array_equal(got, z1 - z0)
+
+
+# block sizes in nodes: 7 segments of the 32-point rule (28 of the 8-point
+# rule), so blocks straddle chain rows; and one block for any grid
 SMALL_BLOCK, WHOLE_GRID = 7 * 32, 1 << 40
 CATALOG = [i for i in ws.CATALOG_IDS if i != "custom"]
+FG_FAMILY = "helicoid+catenoid@0.7"
+PHASED = "catenoid*exp(0.3i)"
 
 
-def _grid_antiderivatives(sid):
+def _grid_antiderivatives(sid, n_fg=128):
+    if sid == FG_FAMILY:
+        pair = ws.family_fg(ws.helicoid_fg(), ws.catenoid_fg(), 0.7)
+        annulus = ws.default_annulus(0.4, 0.9, n_fg, n_fg)
+        return list(ws.fg_integrals(pair, annulus, 0.65, singularities=[0.0]))
+    if sid == PHASED:
+        R = ws.catalog_function("catenoid", conjugation_phase=complex(np.exp(0.3j)))
+        annulus = ws.default_annulus(0.4, 0.9, 128, 128)
+        return [ws.antiderivative_on_grid(_integrand(R), 1.0, annulus, [0.0])]
     data = ws.we_data(sid)
     f, sing = _integrand(data.R), singularity_points(data.R)
     # inside every entry's region, schwarz_riemann's principal branch included
@@ -67,12 +85,65 @@ def _grid_antiderivatives(sid):
 
 
 @pytest.mark.parametrize("block", [SMALL_BLOCK, WHOLE_GRID])
-@pytest.mark.parametrize("sid", CATALOG)
+@pytest.mark.parametrize("sid", CATALOG + [FG_FAMILY, PHASED])
 def test_grid_antiderivative_independent_of_block_size(monkeypatch, sid, block):
     default = _grid_antiderivatives(sid)
     monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
     for got, want in zip(_grid_antiderivatives(sid), default):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sid", CATALOG + [FG_FAMILY])
+def test_chain_orders_match_32_point_oracle(monkeypatch, sid):
+    shipped = _grid_antiderivatives(sid, n_fg=256)
+    monkeypatch.setattr(quadrature, "_CHAIN_ORDERS", (32,))
+    for got, want in zip(shipped, _grid_antiderivatives(sid, n_fg=256)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("sid", ["catenoid", "henneberg", "general_enneper"])
+def test_chain_orders_match_32_point_oracle_near_the_pole(monkeypatch, sid):
+    # coarse radial segments reach within a segment length of the pole at 0
+    data = ws.we_data(sid)
+    f, sing = _integrand(data.R), singularity_points(data.R)
+    annulus = ws.default_annulus(0.05, 0.9, 8, 16)
+    shipped = ws.antiderivative_on_grid(f, 0.5, annulus, sing)
+    monkeypatch.setattr(quadrature, "_CHAIN_ORDERS", (32,))
+    oracle = ws.antiderivative_on_grid(f, 0.5, annulus, sing)
+    assert np.max(np.abs(shipped - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_chain_order_from_bernstein_bound():
+    z = np.linspace(0.0, 1.0, 11)  # ten segments of length h = 0.1
+    z0, z1 = z[:-1], z[1:]
+    order = lambda sing, cap=32: quadrature._chain_order(z0, z1, sing, cap)
+    assert order([0.55 + 0.05j]) == 32  # half a segment length off the chain
+    assert order([0.55 + 0.3j]) == 16   # three segment lengths
+    assert order([0.55 + 2.0j]) == 8
+    assert order([0.55 + 0.05j], cap=16) == 16
+    assert order([0.55 + 2.0j], cap=16) == 8
+    for cap in RULES.values():  # no declared singularity: the rule's order
+        assert order([], cap) == cap
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_length_segments_do_not_enter_the_order(monkeypatch):
+    used = []
+    segment_integrals = quadrature._segment_integrals
+
+    def spy(f, z0, z1, order):
+        used.append(order)
+        return segment_integrals(f, z0, z1, order)
+
+    monkeypatch.setattr(quadrature, "_segment_integrals", spy)
+    radii = np.linspace(0.4, 0.9, 11)
+    radii = np.concatenate([radii[:4], radii[3:]])  # one repeated row
+    # a moving chain next to one that stays at 0.5 (all segments zero length)
+    pts = np.stack([radii, np.full_like(radii, 0.5)], axis=1).astype(complex)
+    cum = quadrature._cumulative_chain(lambda w: 1.0 / w, pts, 0, 32, [0.0], 1e-3)
+    assert used == [8]
+    assert np.max(np.abs(cum[:, 0] - np.log(radii / 0.4))) < 1e-14
+    assert np.all(cum[:, 1] == 0)
 
 
 @pytest.mark.parametrize("block", [1, WHOLE_GRID])
