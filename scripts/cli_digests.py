@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of a fixed set of CLI runs: the byte guard for refactors.
+
+Each run calls `wesurf.cli.main` in-process with `--out` pointing at a fresh
+temporary directory, then records the exit code, the digest of every file
+written there, and the digests of stdout and stderr (with the output
+directory replaced by `<OUT>`).  The result is printed as one JSON object
+keyed by the run's argv.
+
+Compare two checkouts by running the script against each source tree and
+diffing the output:
+
+    PYTHONPATH=src python scripts/cli_digests.py > after.json
+    PYTHONPATH=/path/to/base/src python scripts/cli_digests.py > before.json
+    diff before.json after.json
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from wesurf.cli import main
+
+RUNS = (
+    ["generate"],
+    ["generate", "--surface", "henneberg"],
+    ["generate", "--surface", "general_scherk", "--alpha", "0.5"],
+    ["generate", "--surface", "catenoid", "--annulus", "0.4", "0.9", "--n", "64"],
+    ["generate", "--surface", "general_enneper",
+     "--gamma-chart", "0.4", "2.0", "-0.8", "-0.2", "--n", "21"],
+    ["family-verify"],
+    ["family-verify", "--annulus", "0.4", "0.9", "--n", "512", "--formats", "csv"],
+    ["family-verify", "--surface", "right_helicoid", "--rapidity", "1.3"],
+    ["family-verify", "--theta", "0", "3.0", "4.5"],
+    ["family-verify", "--corrupt-y-scale", "1.5", "--formats", "csv"],
+    ["residuals", "--surface", "catenoid"],
+    ["residuals", "--surface", "scherk"],
+    ["residuals", "--surface", "schwarz_riemann"],
+    ["boost-check"],
+    ["boost-check", "--rapidity", "0.2", "0.8", "1.5"],
+    ["export"],
+    ["export", "--surface", "enneper", "--format", "table"],
+    ["export", "--surface", "general_helicoid", "--format", "csv"],
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_run(argv: list[str]) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([*argv, "--out", tmp])
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        root = Path(tmp)
+        files = {str(p.relative_to(root)): _sha(p.read_bytes())
+                 for p in sorted(root.rglob("*")) if p.is_file()}
+        stdout, stderr = (s.getvalue().replace(tmp, "<OUT>").encode() for s in (out, err))
+    return {"exit": code, "files": files, "stdout": _sha(stdout), "stderr": _sha(stderr)}
+
+
+if __name__ == "__main__":
+    os.environ.pop("WESURF_OUT", None)  # it would override --out
+    digests = {" ".join(run): digest_run(run) for run in RUNS}
+    print(json.dumps(digests, indent=1, sort_keys=True))

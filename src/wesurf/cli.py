@@ -205,10 +205,8 @@ def _surfaces(cfg: RunConfig) -> tuple[SurfaceGrid, SurfaceGrid, ParamGrid]:
     data = we_data(cfg.surface, base=cfg.base, **cfg.params)
     X, Y = generate_conjugate_pair(data, grid)
     if cfg.corrupt_y_scale != 1.0:
-        vals = Y.values * cfg.corrupt_y_scale
-        jac = None if Y.jac is None else Y.jac * cfg.corrupt_y_scale
-        jac2 = None if Y.jac2 is None else Y.jac2 * cfg.corrupt_y_scale
-        Y = SurfaceGrid(Y.grid, vals, Y.reality, jac, jac2, dict(Y.meta))
+        k = cfg.corrupt_y_scale
+        Y = Y.with_values(Y.values * k, jac=Y.jac * k, jac2=Y.jac2 * k)
     return X, Y, grid
 
 
@@ -269,6 +267,7 @@ def cmd_family_verify(cfg: RunConfig) -> int:
     header = ["theta", "max_bi_residual", "e_deviation", "g_deviation",
               "max_f_abs", "action", "boost_delta"]
     rows = []
+    meshes = []
 
     def check_theta(th, S, form, e_dev, g_dev, f_abs):
         patch = chain_rule_partials(S, first_source="auto", second_source="auto")
@@ -276,13 +275,12 @@ def cmd_family_verify(cfg: RunConfig) -> int:
         res_b = born_infeld_residual(boost(patch, lb))
         rows.append([th, res.max_abs, e_dev, g_dev, f_abs, action(form, grid),
                      abs(res.max_abs - res_b.max_abs)])
+        if "obj" in cfg.formats:
+            meshes.append(export_mesh(S, cfg.out_dir / f"s_theta_{th:.6g}.obj"))
 
     sweep = theta_sweep_invariance(fam, cfg.thetas, source="auto", visit=check_theta)
-    out = write_report_csv(cfg.out_dir / "family_verify.csv", header, rows)
-    print(out)
-    for th in cfg.thetas:
-        if "obj" in cfg.formats:
-            print(export_mesh(fam.at(th), cfg.out_dir / f"s_theta_{th:.6g}.obj"))
+    report = write_report_csv(cfg.out_dir / "family_verify.csv", header, rows)
+    print(report, *meshes, sep="\n")
     # numpy reductions, not max(): a NaN at any theta must fail its gate
     column = {name: np.array([row[k] for row in rows])
               for k, name in enumerate(header)}

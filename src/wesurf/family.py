@@ -4,9 +4,11 @@ From a conjugate pair of real minimal surfaces X, Y (isothermal, sharing a
 grid), Wick rotation t -> i t yields complex solutions X^s, Y^s of the
 Born-Infeld equation, and every combination
 
-    S_theta = cos(theta) X^s + sin(theta) Y^s
+    S_theta = cos(theta) X^s + sin(theta) Y^s = (cos(theta) X + sin(theta) Y)^s
 
-is again a solution.  The family's F/G data is the same combination of the
+is again a solution: Wick rotation is linear, so S_theta is the rotated
+member at angle theta of X's associate (Bonnet) family, and `SolitonFamily.at`
+builds it that way.  The family's F/G data is the same combination of the
 members' handles, F_theta = cos(theta) F_1 + sin(theta) F_2, which for the
 helicoid/catenoid pair collapses to (i/2) e^{-i theta} / r.
 
@@ -25,7 +27,7 @@ x^s -+ t^s equals the minimal surface's x -+ i t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +39,7 @@ from .reports import ResidualReport, residual_report
 
 HALF_PI = 0.5 * math.pi
 _TRIG_SNAP = 1e-15
+CR_TOLERANCE = 1e-6  # max Cauchy-Riemann defect of an accepted pair
 
 
 class FamilyError(ValueError):
@@ -60,24 +63,21 @@ def _cos_sin(theta: float) -> tuple[float, float]:
 
 def wick_rotate(s: SurfaceGrid) -> SurfaceGrid:
     """t -> i t; x and phi unchanged.  Applying it twice negates t."""
-    values = s.values.copy()
-    values[1] = 1j * values[1]
-    jac = None
-    if s.jac is not None:
-        jac = s.jac.copy()
-        jac[1] = 1j * jac[1]
-    jac2 = None
-    if s.jac2 is not None:
-        jac2 = s.jac2.copy()
-        jac2[1] = 1j * jac2[1]
-    meta = dict(s.meta)
-    meta["wick_rotations"] = meta.get("wick_rotations", 0) + 1
-    return SurfaceGrid(s.grid, values, "wick_rotated", jac, jac2, meta)
+    def rotate(a):
+        if a is None:
+            return None
+        out = np.empty_like(a)
+        out[0], out[2] = a[0], a[2]
+        np.multiply(1j, a[1], out=out[1])  # 1j first: SIMD complex * is not commutative
+        return out
+
+    return SurfaceGrid(s.grid, rotate(s.values), "wick_rotated", rotate(s.jac),
+                       rotate(s.jac2), dict(s.meta))
 
 
 @dataclass(frozen=True)
 class SolitonFamily:
-    """A conjugate minimal-surface pair with cached Wick rotations.
+    """A conjugate minimal-surface pair X, Y; `at` builds S_theta from it.
 
     The pair must pass the Cauchy-Riemann conjugacy check before a family is
     accepted; corruption tests can bypass with validate=False.
@@ -85,9 +85,6 @@ class SolitonFamily:
 
     X: SurfaceGrid
     Y: SurfaceGrid
-    Xs: SurfaceGrid = field(init=False)
-    Ys: SurfaceGrid = field(init=False)
-    cr_tolerance: float = 1e-6
     validate: bool = True
 
     def __post_init__(self):
@@ -96,26 +93,29 @@ class SolitonFamily:
         if self.validate:
             defect = conjugacy_violation(self.X, self.Y, source="auto",
                                          accuracy=2, interior_only=True)
-            if defect > self.cr_tolerance:
+            if defect > CR_TOLERANCE:
                 raise FamilyError(
                     f"surfaces are not harmonic conjugates: CR defect {defect:.3g} "
-                    f"> {self.cr_tolerance:.3g}")
-        object.__setattr__(self, "Xs", wick_rotate(self.X))
-        object.__setattr__(self, "Ys", wick_rotate(self.Y))
+                    f"> {CR_TOLERANCE:.3g}")
 
     def at(self, theta: float) -> SurfaceGrid:
-        """S_theta = cos(theta) X^s + sin(theta) Y^s, componentwise."""
+        """S_theta = (cos(theta) X + sin(theta) Y)^s, componentwise."""
         c, s = _cos_sin(theta)
-        values = c * self.Xs.values + s * self.Ys.values
-        jac = None
-        if self.Xs.jac is not None and self.Ys.jac is not None:
-            jac = c * self.Xs.jac + s * self.Ys.jac
-        jac2 = None
-        if self.Xs.jac2 is not None and self.Ys.jac2 is not None:
-            jac2 = c * self.Xs.jac2 + s * self.Ys.jac2
-        meta = {"surface": self.X.meta.get("surface"), "theta": theta,
-                "base": self.X.meta.get("base")}
-        return SurfaceGrid(self.X.grid, values, "wick_rotated", jac, jac2, meta)
+
+        def comb(a, b):
+            if a is None or b is None:
+                return None
+            out = c * a
+            for k in range(3):  # per component: the temporary is a third the size
+                out[k] += s * b[k]
+            return out
+
+        X, Y = self.X, self.Y
+        meta = {"surface": X.meta.get("surface"), "theta": theta,
+                "base": X.meta.get("base")}
+        member = SurfaceGrid(X.grid, comb(X.values, Y.values), X.reality,
+                             comb(X.jac, Y.jac), comb(X.jac2, Y.jac2), meta)
+        return wick_rotate(member)
 
 
 def theta_derivative(fam: SolitonFamily, theta: float, order: int) -> SurfaceGrid:

@@ -121,6 +121,7 @@ def theta_sweep_invariance(fam, thetas, source: str = "auto", accuracy: int = 2,
         f_max = float(np.maximum(f_max, f_abs))
         if visit is not None:
             visit(t, s, form, e_abs, g_abs, f_abs)
+        del s  # free S_theta before the next one is built
     return ThetaInvarianceReport(residual_report(e_dev), residual_report(g_dev),
                                  f_max, thetas)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ def test_wick_catenoid_matches_nonparametric_form(annulus_grid):
 
 # ------------------------------------------------------------------- family
 
+def _same_surface(a, b):
+    return all(np.array_equal(u, v) for u, v in ((a.values, b.values),
+                                                 (a.jac, b.jac), (a.jac2, b.jac2)))
+
+
 def test_family_rejects_non_conjugate_pair(annulus_grid):
     X = ws.helicoid_closed(annulus_grid)
     Y = ws.catenoid_closed(annulus_grid)
@@ -47,17 +53,41 @@ def test_family_rejects_non_conjugate_pair(annulus_grid):
     with pytest.raises(FamilyError):
         ws.SolitonFamily(X, bad)
     fam = ws.SolitonFamily(X, bad, validate=False)  # corruption injection
-    assert fam.Ys is not None
+    assert _same_surface(fam.at(math.pi / 2), ws.wick_rotate(bad))
 
 
 def test_family_at_zero_is_wick_x(hc_family):
-    S = hc_family.at(0.0)
-    assert np.array_equal(S.values, hc_family.Xs.values)
+    assert _same_surface(hc_family.at(0.0), ws.wick_rotate(hc_family.X))
 
 
 def test_family_at_half_pi_is_wick_y(hc_family):
-    S = hc_family.at(math.pi / 2)
-    assert np.array_equal(S.values, hc_family.Ys.values)
+    assert _same_surface(hc_family.at(math.pi / 2), ws.wick_rotate(hc_family.Y))
+
+
+@pytest.mark.parametrize("family", ["hc_family", "enneper_family"])
+@pytest.mark.parametrize("theta", [0.3, 2.0, 4.5, -1.0])
+def test_family_is_combination_of_wick_rotated_members(family, theta, request):
+    # (cos X + sin Y)^s == cos X^s + sin Y^s in every quadrant of theta
+    fam = request.getfixturevalue(family)
+    Xs, Ys = ws.wick_rotate(fam.X), ws.wick_rotate(fam.Y)
+    c, s = math.cos(theta), math.sin(theta)
+    S = fam.at(theta)
+    assert S.reality == "wick_rotated"
+    assert np.array_equal(S.values, c * Xs.values + s * Ys.values)
+    assert np.array_equal(S.jac, c * Xs.jac + s * Ys.jac)
+    assert np.array_equal(S.jac2, c * Xs.jac2 + s * Ys.jac2)
+
+
+def test_family_keeps_no_surface_copies():
+    grid = ws.default_annulus(0.4, 0.9, 64, 64)
+    X, Y = ws.helicoid_closed(grid), ws.catenoid_closed(grid)
+    tracemalloc.start()
+    try:
+        ws.SolitonFamily(X, Y, validate=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.values.nbytes, f"family construction peaked at {peak} bytes"
 
 
 def test_family_phi_closed_form(hc_family, annulus_grid):
@@ -108,8 +138,8 @@ def test_theta_derivative_order_two_negates(hc_family):
 
 
 def test_first_derivative_at_zero_is_wick_y(hc_family):
-    assert np.array_equal(ws.theta_derivative(hc_family, 0.0, 1).values,
-                          hc_family.Ys.values)
+    assert _same_surface(ws.theta_derivative(hc_family, 0.0, 1),
+                         ws.wick_rotate(hc_family.Y))
 
 
 def test_theta_derivative_order_range():

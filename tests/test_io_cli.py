@@ -108,12 +108,17 @@ def test_cli_unknown_surface_exits_2(tmp_path, capsys):
     assert "valid ids" in capsys.readouterr().err
 
 
-def test_cli_family_verify_passes(tmp_path):
+def test_cli_family_verify_passes(tmp_path, capsys):
     rc = main(["family-verify", "--surface", "catenoid", "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "family_verify.csv").read_text().splitlines()
     assert lines[1].split(",")[0] == "theta"
     assert len(lines) == 2 + 5  # default five thetas
+    # the report's path first, then one mesh per theta in sweep order
+    printed = capsys.readouterr().out.splitlines()[:6]
+    assert printed == [str(tmp_path / name) for name in (
+        "family_verify.csv", "s_theta_0.obj", "s_theta_0.3.obj", "s_theta_0.7.obj",
+        "s_theta_1.1.obj", "s_theta_1.5708.obj")]
 
 
 def test_cli_family_verify_empty_theta_exits_2(tmp_path, capsys):
