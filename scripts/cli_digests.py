@@ -37,6 +37,7 @@ RUNS = (
     ["family-verify", "--surface", "right_helicoid", "--rapidity", "1.3"],
     ["family-verify", "--theta", "0", "3.0", "4.5"],
     ["family-verify", "--corrupt-y-scale", "1.5", "--formats", "csv"],
+    ["family-verify", "--surface", "henneberg", "--formats", "csv"],
     ["residuals", "--surface", "catenoid"],
     ["residuals", "--surface", "scherk"],
     ["residuals", "--surface", "schwarz_riemann"],

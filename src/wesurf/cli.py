@@ -263,6 +263,7 @@ def cmd_family_verify(cfg: RunConfig) -> int:
     cfg.validate(need_thetas=True)
     X, Y, grid = _surfaces(cfg)
     fam = SolitonFamily(X, Y, validate=False)
+    del X, Y  # the family holds the pair packed; free the members
     lb = LorentzBoost(cfg.rapidities[0])
     header = ["theta", "max_bi_residual", "e_deviation", "g_deviation",
               "max_f_abs", "action", "boost_delta"]

@@ -8,7 +8,11 @@ Born-Infeld equation, and every combination
 
 is again a solution: Wick rotation is linear, so S_theta is the rotated
 member at angle theta of X's associate (Bonnet) family, and `SolitonFamily.at`
-builds it that way.  The family's F/G data is the same combination of the
+builds it that way.  The family stores the pair packed as Z = X + i Y, one
+complex array each for the values and the first and second derivatives:
+X and Y are real, so Z holds both exactly, and the member at angle theta is
+Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on float views.
+The family's F/G data is the same combination of the
 members' handles, F_theta = cos(theta) F_1 + sin(theta) F_2, which for the
 helicoid/catenoid pair collapses to (i/2) e^{-i theta} / r.
 
@@ -75,47 +79,82 @@ def wick_rotate(s: SurfaceGrid) -> SurfaceGrid:
                        rotate(s.jac2), dict(s.meta))
 
 
-@dataclass(frozen=True)
+def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """Re a + i Re b in one complex array; None when either array is missing."""
+    if a is None or b is None:
+        return None
+    if np.any(a.imag) or np.any(b.imag):
+        raise FamilyError("family members must be real: a component has a "
+                          "non-zero imaginary part")
+    z = np.empty_like(a)
+    z.real, z.imag = a.real, b.real
+    z.flags.writeable = False
+    return z
+
+
 class SolitonFamily:
     """A conjugate minimal-surface pair X, Y; `at` builds S_theta from it.
+
+    The pair is stored packed: values, jac and jac2 each hold Re X + i Re Y
+    in one complex array, half the bytes of two all-complex surfaces.  The
+    packing is exact for any real pair, conjugate or not, so `at` gives the
+    values of combining the members themselves, with +0 imaginary parts in
+    the member.  A member with a non-zero imaginary part raises FamilyError;
+    jac/jac2 are None when either member lacks them.  X and Y are rebuilt on
+    demand; the family keeps no reference to the surfaces it was built from.
 
     The pair must pass the Cauchy-Riemann conjugacy check before a family is
     accepted; corruption tests can bypass with validate=False.
     """
 
-    X: SurfaceGrid
-    Y: SurfaceGrid
-    validate: bool = True
-
-    def __post_init__(self):
-        if self.X.grid != self.Y.grid:
+    def __init__(self, X: SurfaceGrid, Y: SurfaceGrid, validate: bool = True):
+        if X.grid != Y.grid:
             raise FamilyError("family members must share a ParamGrid")
-        if self.validate:
-            defect = conjugacy_violation(self.X, self.Y, source="auto",
+        if validate:
+            defect = conjugacy_violation(X, Y, source="auto",
                                          accuracy=2, interior_only=True)
             if defect > CR_TOLERANCE:
                 raise FamilyError(
                     f"surfaces are not harmonic conjugates: CR defect {defect:.3g} "
                     f"> {CR_TOLERANCE:.3g}")
+        self.grid = X.grid
+        self.values = _pack(X.values, Y.values)
+        self.jac = _pack(X.jac, Y.jac)
+        self.jac2 = _pack(X.jac2, Y.jac2)
+        self._metas = (dict(X.meta), dict(Y.meta))
 
-    def at(self, theta: float) -> SurfaceGrid:
-        """S_theta = (cos(theta) X + sin(theta) Y)^s, componentwise."""
-        c, s = _cos_sin(theta)
-
-        def comb(a, b):
-            if a is None or b is None:
+    def _real_surface(self, part, meta: dict) -> SurfaceGrid:
+        """The real surface whose arrays are part(z) of the packed arrays z."""
+        def real(z):
+            if z is None:
                 return None
-            out = c * a
-            for k in range(3):  # per component: the temporary is a third the size
-                out[k] += s * b[k]
+            out = np.empty_like(z)
+            for k in range(len(z)):  # per component: the temporary is a third the size
+                out[k] = part(z[k])  # imaginary parts set to +0
             return out
 
-        X, Y = self.X, self.Y
-        meta = {"surface": X.meta.get("surface"), "theta": theta,
-                "base": X.meta.get("base")}
-        member = SurfaceGrid(X.grid, comb(X.values, Y.values), X.reality,
-                             comb(X.jac, Y.jac), comb(X.jac2, Y.jac2), meta)
-        return wick_rotate(member)
+        return SurfaceGrid(self.grid, real(self.values), "real", real(self.jac),
+                           real(self.jac2), meta)
+
+    @property
+    def X(self) -> SurfaceGrid:
+        return self._real_surface(np.real, dict(self._metas[0]))
+
+    @property
+    def Y(self) -> SurfaceGrid:
+        return self._real_surface(np.imag, dict(self._metas[1]))
+
+    def at(self, theta: float) -> SurfaceGrid:
+        """S_theta = (cos(theta) X + sin(theta) Y)^s, componentwise.
+
+        The member is real, so its combination is taken on float views:
+        real products, unlike numpy's SIMD complex ones, are commutative
+        bit for bit.
+        """
+        c, s = _cos_sin(theta)
+        meta = {"surface": self._metas[0].get("surface"), "theta": theta,
+                "base": self._metas[0].get("base")}
+        return wick_rotate(self._real_surface(lambda z: c * z.real + s * z.imag, meta))
 
 
 def theta_derivative(fam: SolitonFamily, theta: float, order: int) -> SurfaceGrid:

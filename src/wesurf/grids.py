@@ -206,11 +206,14 @@ class SurfaceGrid:
         return self.values[_COMPONENT_INDEX[name]]
 
     def with_values(self, values, reality=None, jac=None, jac2=None, meta=None) -> "SurfaceGrid":
+        """The same grid with new arrays.
+
+        Omitted reality and meta keep the receiver's; omitted jac and jac2
+        mean none, since the receiver's derivatives belong to its old values.
+        """
         return SurfaceGrid(self.grid, values,
                            self.reality if reality is None else reality,
-                           self.jac if jac is None else jac,
-                           self.jac2 if jac2 is None else jac2,
-                           dict(self.meta) if meta is None else meta)
+                           jac, jac2, dict(self.meta) if meta is None else meta)
 
 
 def surface_from_components(grid: ParamGrid, x, t, phi, reality: Reality = "real",

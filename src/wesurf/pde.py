@@ -141,14 +141,17 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
         x11, x12, x22 = s.jac2[0]
         t11, t12, t22 = s.jac2[1]
         p11, p12, p22 = s.jac2[2]
-        ddet = (np.stack([x11, x12]) * t2 + x1 * np.stack([t12, t22])
-                - np.stack([x12, x22]) * t1 - x2 * np.stack([t11, t12]))
-        dnum_x = (np.stack([t12, t22]) * p1 + t2 * np.stack([p11, p12])
-                  - np.stack([t11, t12]) * p2 - t1 * np.stack([p12, p22]))
-        dnum_t = (np.stack([x11, x12]) * p2 + x1 * np.stack([p12, p22])
-                  - np.stack([x12, x22]) * p1 - x2 * np.stack([p11, p12]))
-        a1, a2 = (dnum_x - phi_x * ddet) / det_safe
-        b1, b2 = (dnum_t - phi_t * ddet) / det_safe
+        # one direction at a time: (d x1, d x2, d t1, d t2, d p1, d p2) along r1, r2
+        partials = []
+        for dx1, dx2, dt1, dt2, dp1, dp2 in ((x11, x12, t11, t12, p11, p12),
+                                             (x12, x22, t12, t22, p12, p22)):
+            ddet = dx1 * t2 + x1 * dt2 - dx2 * t1 - x2 * dt1
+            dnum_x = dt2 * p1 + t2 * dp1 - dt1 * p2 - t1 * dp2
+            dnum_t = dx1 * p2 + x1 * dp2 - dx2 * p1 - x2 * dp1
+            partials.append(((dnum_x - phi_x * ddet) / det_safe,
+                             (dnum_t - phi_t * ddet) / det_safe))
+            del ddet, dnum_x, dnum_t
+        (a1, b1), (a2, b2) = partials
         reach = 0
     else:
         a1 = array_derivative(grid, phi_x, "r1", 1, accuracy)
@@ -162,7 +165,7 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
 
     valid = ~_dilate(bad, reach) if reach else ~bad
     return NonparametricPatch(
-        x=s.x.copy(), t=s.t.copy(), phi=s.phi.copy(),
+        x=s.x, t=s.t, phi=s.phi,  # read-only views of the surface
         phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=phi_xt, phi_tt=phi_tt,
         valid_mask=valid, jacobian_det=det)
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -78,16 +79,81 @@ def test_family_is_combination_of_wick_rotated_members(family, theta, request):
     assert np.array_equal(S.jac2, c * Xs.jac2 + s * Ys.jac2)
 
 
-def test_family_keeps_no_surface_copies():
+def test_family_packs_pair_and_keeps_no_member():
     grid = ws.default_annulus(0.4, 0.9, 64, 64)
     X, Y = ws.helicoid_closed(grid), ws.catenoid_closed(grid)
+    member_bytes = X.values.nbytes + X.jac.nbytes + X.jac2.nbytes
+    refs = (weakref.ref(X), weakref.ref(Y))
     tracemalloc.start()
     try:
-        ws.SolitonFamily(X, Y, validate=False)
-        peak = tracemalloc.get_traced_memory()[1]
+        fam = ws.SolitonFamily(X, Y, validate=False)
+        del X, Y
+        # numpy data buffers only: the family's arrays, not its Python objects
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
     finally:
         tracemalloc.stop()
-    assert peak < X.values.nbytes, f"family construction peaked at {peak} bytes"
+    assert refs[0]() is None and refs[1]() is None, "the family keeps a member alive"
+    held_bytes = sum(trace.size for trace in held.traces)
+    assert held_bytes <= member_bytes, f"family holds {held_bytes} bytes"
+    assert fam.values.nbytes + fam.jac.nbytes + fam.jac2.nbytes == member_bytes
+
+
+def _offset_catenoid_pair():
+    data = ws.we_data("catenoid", offsets=(0.3, -1.2, 2.0))
+    return ws.generate_conjugate_pair(data, ws.default_annulus(0.4, 0.9, 24, 40)), True
+
+
+def _fg_pair():
+    grid = ws.default_annulus(0.4, 0.9, 24, 40)
+    return (ws.surface_from_fg(ws.helicoid_fg(), grid, base=1.0, singularities=[0.0]),
+            ws.surface_from_fg(ws.catenoid_fg(), grid, base=1.0, singularities=[0.0])), True
+
+
+def _scaled_y_pair():
+    grid = ws.default_annulus(0.4, 0.9, 24, 40)
+    Y = ws.catenoid_closed(grid)
+    return (ws.helicoid_closed(grid),
+            Y.with_values(2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)), False
+
+
+def _henneberg_pair():
+    data = ws.we_data("henneberg")  # flip_t negates t after generation
+    return ws.generate_conjugate_pair(data, ws.verification_grid("henneberg")), True
+
+
+@pytest.mark.parametrize("make_pair", [_henneberg_pair, _offset_catenoid_pair,
+                                       _fg_pair, _scaled_y_pair])
+def test_packed_family_matches_combined_members(make_pair):
+    (X, Y), validate = make_pair()
+    fam = ws.SolitonFamily(X, Y, validate=validate)
+    for theta in (0.3, 2.0, 4.5, -1.0):
+        c, s = math.cos(theta), math.sin(theta)
+
+        def comb(a, b):
+            return None if a is None or b is None else c * a + s * b
+
+        want = ws.wick_rotate(ws.SurfaceGrid(X.grid, comb(X.values, Y.values), "real",
+                                             comb(X.jac, Y.jac), comb(X.jac2, Y.jac2)))
+        got = fam.at(theta)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.jac, want.jac)
+        if want.jac2 is None:
+            assert got.jac2 is None
+        else:
+            assert np.array_equal(got.jac2, want.jac2)
+    assert _same_surface(fam.X, X) and _same_surface(fam.Y, Y)
+
+
+def test_family_rejects_member_with_imaginary_part(annulus_grid):
+    X = ws.helicoid_closed(annulus_grid)
+    Y = ws.catenoid_closed(annulus_grid)
+    # within SurfaceGrid's reality tolerance, but not exactly real
+    tainted = Y.with_values(Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
+    assert tainted.reality == "real"
+    for pair in ((X, tainted), (tainted, X)):
+        with pytest.raises(FamilyError, match="imaginary"):
+            ws.SolitonFamily(*pair, validate=False)
 
 
 def test_family_phi_closed_form(hc_family, annulus_grid):

@@ -58,6 +58,15 @@ def test_surface_values_immutable_and_validated():
         ws.surface_from_components(g, bad, bad, bad)
 
 
+
+def test_with_values_drops_omitted_derivatives():
+    s = ws.catenoid_closed(ws.default_annulus(0.4, 0.9, 8, 8))
+    scaled = s.with_values(2.0 * s.values)
+    assert scaled.jac is None and scaled.jac2 is None  # not s's stale derivatives
+    assert scaled.reality == s.reality and scaled.meta == s.meta
+    kept = s.with_values(2.0 * s.values, jac=2.0 * s.jac)
+    assert np.array_equal(kept.jac, 2.0 * s.jac) and kept.jac2 is None
+
 # ------------------------------------------------------------- central_diff
 
 def test_derivative_of_constant_is_zero():

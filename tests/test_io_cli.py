@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,33 @@ def test_cli_family_verify_empty_theta_exits_2(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
 
+
+def test_cli_family_verify_member_with_imaginary_part_exits_2(tmp_path, capsys,
+                                                              monkeypatch):
+    def tainted_pair(data, grid):
+        X, Y = ws.generate_conjugate_pair(data, grid)
+        return X, Y.with_values(Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
+
+    monkeypatch.setattr(cli, "generate_conjugate_pair", tainted_pair)
+    assert main(["family-verify", "--formats", "csv", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "imaginary part" in err
+
+
+def test_cli_family_verify_peak_memory_is_a_few_surfaces(tmp_path, capsys):
+    # the family keeps the pair packed in one buffer (one surface's bytes),
+    # the CLI drops the members, and each S_theta is freed before the next
+    n = 128
+    surface_bytes = 18 * 16 * n * n  # values, jac, jac2: 18 complex arrays
+    tracemalloc.start()
+    try:
+        rc = main(["family-verify", "--annulus", "0.4", "0.9", "--n", str(n),
+                   "--formats", "csv", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 4.5 * surface_bytes, f"peak {peak / surface_bytes:.2f} surfaces"
 
 def test_cli_family_verify_corruption_exits_1(tmp_path, capsys):
     rc = main(["family-verify", "--surface", "catenoid",
