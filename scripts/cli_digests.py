@@ -45,6 +45,7 @@ RUNS = (
     ["boost-check", "--rapidity", "0.2", "0.8", "1.5"],
     ["export"],
     ["export", "--surface", "enneper", "--format", "table"],
+    ["export", "--surface", "catenoid", "--format", "table"],   # n1 != n2
     ["export", "--surface", "general_helicoid", "--format", "csv"],
 )
 

@@ -16,19 +16,19 @@ from .geometry import (FundamentalForm, GeometryError, ThetaInvarianceReport,
                        action, change_of_variables_action, fundamental_form,
                        theta_sweep_invariance)
 from .grids import (GridError, ParamGrid, SurfaceGrid, array_derivative,
-                    central_diff, default_annulus, default_rectangle,
-                    laplacian, surface_from_components, surface_jacobian)
+                    central_diff, default_annulus, laplacian,
+                    surface_from_components, surface_jacobian)
 from .hodograph import (FGPair, HodographError, catenoid_closed, catenoid_fg,
                         enneper_conjugate_fg, enneper_fg, fg_integrals,
                         helicoid_closed, helicoid_fg, hodograph_uv, r_from_uv, surface_from_fg,
                         umbilic_diagnostic)
-from .io_export import (ExportError, export_mesh, write_report_csv,
-                        write_surface_csv, write_surface_table)
+from .io_export import (export_mesh, write_report_csv, write_surface_csv,
+                        write_surface_table)
 from .pde import (LorentzBoost, NonparametricPatch, PDEError, boost,
                   boost_graph_fns, born_infeld_residual, catenoid_graph_fns,
-                  chain_rule_partials, graph_patch, helicoid_graph_fns,
-                  minimal_surface_residual, t_reflect, wick_catenoid_graph_fns,
-                  wick_equivalence_check, wick_substitute)
+                  chain_rule_partials, graph_patch, minimal_surface_residual,
+                  t_reflect, wick_catenoid_graph_fns, wick_equivalence_check,
+                  wick_substitute)
 from .quadrature import (PathNearSingularity, PathSpec, QuadratureError,
                          antiderivative_on_grid, integrate_path,
                          integrate_path_with_error)

@@ -104,9 +104,18 @@ TOLERANCES = tuple(f.name for f in fields(RunConfig) if f.name.endswith("_tol"))
 
 def _read_config_file(path: str) -> dict:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        values = _config_values(cp)
+    except (ValueError, configparser.Error) as exc:
+        # a value that does not parse, or a file with no [section] header
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    return values
+
+
+def _config_values(cp: configparser.ConfigParser) -> dict:
     out: dict = {}
     sec = cp["surface"] if cp.has_section("surface") else {}
     if "id" in sec:
@@ -162,22 +171,22 @@ def _build_config(args) -> RunConfig:
             cfg.params[key] = val
     if getattr(args, "base", None) is not None:
         cfg.base = complex(args.base[0], args.base[1])
+    annulus, counts = getattr(args, "annulus", None), getattr(args, "n", None)
+    if annulus is not None and len(annulus) not in (2, 4):
+        raise ConfigError(f"--annulus takes rho_min rho_max [psi_min psi_max], "
+                          f"got {len(annulus)} values")
+    if counts is not None and len(counts) > 2:
+        raise ConfigError(f"--n takes n1 [n2], got {len(counts)} values")
+    n = counts or [64]
     if getattr(args, "gamma_chart", None) is not None:
         g = args.gamma_chart
-        n = getattr(args, "n", None) or [64]
         cfg.grid = gamma_chart_sector(g[0], g[1], g[2], g[3], n[0], n[-1])
-    elif getattr(args, "annulus", None) is not None:
-        b = args.annulus
-        bounds = (b[0], b[1], b[2] if len(b) > 2 else 0.0,
-                  b[3] if len(b) > 3 else 2 * math.pi)
-        n = getattr(args, "n", None) or [64]
+    elif annulus is not None:
+        bounds = (*annulus, 0.0, 2 * math.pi)[:4]
         cfg.grid = ParamGrid("annulus", n[0], n[-1], bounds)
     elif getattr(args, "rect", None) is not None:
-        b = args.rect
-        n = getattr(args, "n", None) or [64]
-        cfg.grid = ParamGrid("rectangle", n[0], n[-1], tuple(b))
-    elif getattr(args, "n", None):
-        n = args.n
+        cfg.grid = ParamGrid("rectangle", n[0], n[-1], tuple(args.rect))
+    elif counts:
         base_grid = cfg.grid or verification_grid(cfg.surface)
         cfg.grid = ParamGrid(base_grid.kind, n[0], n[-1], base_grid.bounds,
                              base_grid.allow_unit_circle)

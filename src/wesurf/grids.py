@@ -130,10 +130,6 @@ class ParamGrid:
         return w
 
 
-def default_rectangle(half_width: float = 0.6, n: int = 121) -> ParamGrid:
-    return ParamGrid("rectangle", n, n, (-half_width, half_width, -half_width, half_width))
-
-
 def default_annulus(rho_min: float = 0.4, rho_max: float = 0.9,
                     n_rho: int = 51, n_psi: int = 128) -> ParamGrid:
     """Full-circle annulus strictly inside the unit disk, away from r = 0."""
@@ -340,7 +336,6 @@ def surface_jacobian(surface: SurfaceGrid, source: str = "auto",
 
 __all__ = [
     "COMPONENTS", "GridError", "ParamGrid", "SurfaceGrid", "array_derivative",
-    "cauchy_riemann_jacs", "central_diff", "default_annulus",
-    "default_rectangle", "laplacian", "surface_from_components",
-    "surface_jacobian",
+    "cauchy_riemann_jacs", "central_diff", "default_annulus", "laplacian",
+    "surface_from_components", "surface_jacobian",
 ]

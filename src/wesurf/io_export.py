@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -20,28 +21,41 @@ from .grids import SurfaceGrid
 
 SCHEMA = "wesurf/1"
 
-
-class ExportError(ValueError):
-    pass
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+# node columns of the CSV and table writers, in file order
+_NODE_COLUMNS = ("r1", "r2", "x_re", "x_im", "t_re", "t_im", "phi_re", "phi_im")
 
 
-def _atomic_write(path: Path, text: str) -> Path:
+def _atomic_write(path, chunks) -> Path:
+    """Write the strings of `chunks` to a temp file, then rename it to `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
     return path
+
+
+def _lines(template: str, columns) -> str:
+    """`template` filled from each row of the equal-length 1-D `columns`,
+    one line per row.
+
+    `.tolist()` yields Python ints and floats, for which '%.17g' % v is
+    exactly format(v, '.17g'); 17 digits read back as the same double.
+    """
+    return "".join(map(f"{template}\n".__mod__, zip(*[c.tolist() for c in columns])))
+
+
+def _grid_rows(s: SurfaceGrid):
+    """Per grid row, the _NODE_COLUMNS as an (n2, 8) float array."""
+    r = s.grid.nodes()
+    for i in range(s.grid.n1):
+        yield np.stack([r[i], s.x[i], s.t[i], s.phi[i]], axis=-1).view(np.float64)
 
 
 def mesh_vertices(s: SurfaceGrid) -> np.ndarray:
@@ -57,79 +71,52 @@ def mesh_vertices(s: SurfaceGrid) -> np.ndarray:
     return coords.reshape(3, -1).T
 
 
+def _faces(n1: int, n2: int) -> np.ndarray:
+    """quad_triangles as a (2*(n1-1)*(n2-1), 3) integer array."""
+    v00 = (np.arange(0, (n1 - 1) * n2, n2)[:, None] + np.arange(n2 - 1)).ravel()
+    v10 = v00 + n2
+    return np.stack([v00, v10, v10 + 1, v10 + 1, v00 + 1, v00], axis=1).reshape(-1, 3)
+
+
 def quad_triangles(n1: int, n2: int) -> list[tuple[int, int, int]]:
     """Two triangles per grid quad, vertices in row-major order, 0-based."""
-    faces = []
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            v00 = i * n2 + j
-            v01 = v00 + 1
-            v10 = v00 + n2
-            v11 = v10 + 1
-            faces.append((v00, v10, v11))
-            faces.append((v11, v01, v00))
-    return faces
+    return list(map(tuple, _faces(n1, n2).tolist()))
 
 
-def export_mesh(s: SurfaceGrid, path, format: str = "obj") -> Path:
+def export_mesh(s: SurfaceGrid, path) -> Path:
     """Write the surface as an OBJ mesh (plus a complex-data sidecar CSV for
     Wick-rotated grids).
 
     Grids sampled over a full circle close up automatically because the
     angular axis includes both endpoints (seam vertices coincide).
     """
-    if format != "obj":
-        raise ExportError(f"unsupported mesh format {format!r}")
     path = Path(path)
-    verts = mesh_vertices(s)
-    lines = [f"# wesurf mesh export (schema {SCHEMA})"]
-    for v in verts:
-        lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    for a, b, c in quad_triangles(s.grid.n1, s.grid.n2):
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    out = _atomic_write(path, "\n".join(lines) + "\n")
+    n1, n2 = s.grid.shape
+    verts, faces = mesh_vertices(s), _faces(n1, n2) + 1
+    out = _atomic_write(path, chain(
+        [f"# wesurf mesh export (schema {SCHEMA})\n"],
+        (_lines("v %.17g %.17g %.17g", verts[k:k + n2].T) for k in range(0, len(verts), n2)),
+        (_lines("f %d %d %d", faces[k:k + n2].T) for k in range(0, len(faces), n2))))
     if s.reality != "real":
         write_surface_csv(s, path.with_name(path.stem + "_complex.csv"))
     return out
 
 
-def _node_rows(s: SurfaceGrid):
-    r = s.grid.nodes()
-    n1, n2 = s.grid.shape
-    for i in range(n1):
-        for j in range(n2):
-            yield (i, j, r[i, j].real, r[i, j].imag,
-                   s.x[i, j], s.t[i, j], s.phi[i, j])
-
-
 def write_surface_csv(s: SurfaceGrid, path) -> Path:
     """Node table: grid indices, parameter-plane position, complex components."""
-    header = "i,j,r1,r2,x_re,x_im,t_re,t_im,phi_re,phi_im"
-    lines = [f"# schema: {SCHEMA}", header]
-    for i, j, r1, r2, x, t, phi in _node_rows(s):
-        lines.append(",".join([str(i), str(j), _fmt(r1), _fmt(r2),
-                               _fmt(x.real), _fmt(x.imag),
-                               _fmt(t.real), _fmt(t.imag),
-                               _fmt(phi.real), _fmt(phi.imag)]))
-    return _atomic_write(Path(path), "\n".join(lines) + "\n")
+    j = np.arange(s.grid.n2)
+    return _atomic_write(path, chain(
+        [f"# schema: {SCHEMA}\ni,j,{','.join(_NODE_COLUMNS)}\n"],
+        (_lines("%d,%d" + ",%.17g" * 8, [np.full_like(j, i), j, *row.T])
+         for i, row in enumerate(_grid_rows(s)))))
 
 
 def write_surface_table(s: SurfaceGrid, path) -> Path:
     """Gnuplot-ready table: whitespace columns, blank line between grid rows
     (splot/pm3d block format)."""
-    lines = [f"# schema: {SCHEMA}",
-             "# columns: r1 r2 x_re x_im t_re t_im phi_re phi_im"]
-    r = s.grid.nodes()
-    n1, n2 = s.grid.shape
-    for i in range(n1):
-        for j in range(n2):
-            vals = (r[i, j].real, r[i, j].imag,
-                    s.x[i, j].real, s.x[i, j].imag,
-                    s.t[i, j].real, s.t[i, j].imag,
-                    s.phi[i, j].real, s.phi[i, j].imag)
-            lines.append(" ".join(_fmt(v) for v in vals))
-        lines.append("")
-    return _atomic_write(Path(path), "\n".join(lines) + "\n")
+    return _atomic_write(path, chain(
+        [f"# schema: {SCHEMA}\n# columns: {' '.join(_NODE_COLUMNS)}\n"],
+        (_lines(" ".join(["%.17g"] * 8), row.T) + "\n" for row in _grid_rows(s))))
 
 
 def write_report_csv(path, header: list[str], rows: list[list]) -> Path:
@@ -143,11 +130,10 @@ def write_report_csv(path, header: list[str], rows: list[list]) -> Path:
             elif isinstance(v, (int, np.integer)):
                 cells.append(str(int(v)))
             else:
-                cells.append(_fmt(v))
+                cells.append("%.17g" % v)
         lines.append(",".join(cells))
-    return _atomic_write(Path(path), "\n".join(lines) + "\n")
+    return _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
-__all__ = ["ExportError", "SCHEMA", "export_mesh", "mesh_vertices",
-           "quad_triangles", "write_report_csv", "write_surface_csv",
-           "write_surface_table"]
+__all__ = ["SCHEMA", "export_mesh", "mesh_vertices", "quad_triangles",
+           "write_report_csv", "write_surface_csv", "write_surface_table"]

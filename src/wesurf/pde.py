@@ -186,20 +186,6 @@ def graph_patch(x: np.ndarray, t: np.ndarray, fns: dict) -> NonparametricPatch:
                               valid_mask=mask, **data)
 
 
-def helicoid_graph_fns() -> dict:
-    """phi = arctan(t/x) and its partials (q = x^2 + t^2)."""
-    def q(x, t):
-        return x ** 2 + t ** 2
-    return {
-        "phi": lambda x, t: np.arctan2(np.real(t), np.real(x)),
-        "phi_x": lambda x, t: -t / q(x, t),
-        "phi_t": lambda x, t: x / q(x, t),
-        "phi_xx": lambda x, t: 2 * x * t / q(x, t) ** 2,
-        "phi_xt": lambda x, t: (t ** 2 - x ** 2) / q(x, t) ** 2,
-        "phi_tt": lambda x, t: -2 * x * t / q(x, t) ** 2,
-    }
-
-
 def catenoid_graph_fns() -> dict:
     """phi = arccosh sqrt(x^2 + t^2), valid on x^2 + t^2 > 1."""
     def q(x, t):
@@ -323,7 +309,7 @@ def t_reflect(p: NonparametricPatch) -> NonparametricPatch:
 __all__ = [
     "LorentzBoost", "NonparametricPatch", "PDEError", "boost",
     "boost_graph_fns", "born_infeld_residual", "catenoid_graph_fns",
-    "chain_rule_partials", "graph_patch", "helicoid_graph_fns",
-    "minimal_surface_residual", "t_reflect", "wick_catenoid_graph_fns",
-    "wick_equivalence_check", "wick_substitute",
+    "chain_rule_partials", "graph_patch", "minimal_surface_residual",
+    "t_reflect", "wick_catenoid_graph_fns", "wick_equivalence_check",
+    "wick_substitute",
 ]

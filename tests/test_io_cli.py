@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 import wesurf as ws
 from wesurf import cli
 from wesurf.cli import main
-from wesurf.io_export import SCHEMA, export_mesh, quad_triangles, write_surface_csv
+from wesurf.io_export import (SCHEMA, export_mesh, quad_triangles, write_surface_csv,
+                              write_surface_table)
 
 
 def flat_surface(n1=3, n2=3):
@@ -68,9 +69,53 @@ def test_wick_mesh_writes_complex_sidecar(tmp_path):
     assert first[1] == pytest.approx(abs(complex(s.t[0, 0]).imag))
 
 
+def _loop_triangles(n1, n2):
+    faces = []
+    for i in range(n1 - 1):
+        for j in range(n2 - 1):
+            v00 = i * n2 + j
+            faces += [(v00, v00 + n2, v00 + n2 + 1), (v00 + n2 + 1, v00 + 1, v00)]
+    return faces
+
+
 def test_quad_triangulation_indices():
     faces = quad_triangles(2, 3)
     assert faces == [(0, 3, 4), (4, 1, 0), (1, 4, 5), (5, 2, 1)]
+    for n1, n2 in ((4, 7), (6, 2), (1, 5), (5, 1)):
+        assert quad_triangles(n1, n2) == _loop_triangles(n1, n2)
+
+
+def test_writers_format_every_float_as_17g(tmp_path):
+    """Each written float is format(float(v), ".17g") of its source value."""
+    def ref(v):
+        return format(float(v), ".17g")
+
+    vals = [-0.0, 5e-324, 1e300, 0.1, 1 / 3, -2.5]
+    g = ws.ParamGrid("rectangle", 3, 4, (-0.5, 0.5, -1.0, 1.0))
+    real = ws.surface_from_components(g, *(np.resize(np.roll(vals, k), g.shape)
+                                           for k in range(3)))
+    r = g.nodes()
+    for name, s in (("real", real), ("wick", ws.wick_rotate(real))):
+        t_mesh = s.t.real if s.reality == "real" else np.abs(s.t.imag)
+        nodes = {(i, j): [ref(f(z[i, j])) for z in (r, s.x, s.t, s.phi)
+                          for f in (np.real, np.imag)]
+                 for i in range(3) for j in range(4)}
+        csv = [f"{i},{j}," + ",".join(v) for (i, j), v in nodes.items()]
+        table = [line for i in range(3)
+                 for line in [" ".join(nodes[i, j]) for j in range(4)] + [""]]
+        obj = ([f"v {ref(s.x[i, j].real)} {ref(t_mesh[i, j])} {ref(s.phi[i, j].real)}"
+                for i in range(3) for j in range(4)]
+               + [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in _loop_triangles(3, 4)])
+        text = write_surface_csv(s, tmp_path / f"{name}.csv").read_text()
+        assert text.splitlines()[2:] == csv
+        path = write_surface_table(s, tmp_path / f"{name}.dat")
+        assert path.read_text().splitlines()[2:] == table
+        assert export_mesh(s, tmp_path / f"{name}.obj").read_text().splitlines()[1:] == obj
+        sidecar = tmp_path / f"{name}_complex.csv"
+        assert sidecar.exists() == (name == "wick")
+        assert name == "real" or sidecar.read_text() == text
+    assert {"-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "0.10000000000000001",
+            "0.33333333333333331", "-2.5"} <= set(",".join(csv).split(","))
 
 
 def test_surface_csv_schema(tmp_path):
@@ -240,6 +285,9 @@ def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
     ["residuals", "--surface", "catenoid", "--kappa", "1e300", "--n", "21"],  # stencil input
     ["family-verify", "--dev-tol", "nan"],
     ["family-verify", "--resid-tol", "inf"],
+    ["generate", "--annulus", "0.4"],
+    ["generate", "--annulus", "0.4", "0.9", "0.0"],
+    ["residuals", "--n", "30", "40", "50"],
 ])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -373,6 +421,19 @@ def test_cli_config_file_with_flag_override(tmp_path):
     rc = main(["family-verify", "--config", str(cfgfile), "--theta", "0", "0.3", "0.9"])
     assert rc == 0
     assert len((tmp_path / "family_verify.csv").read_text().splitlines()) == 2 + 3
+
+
+@pytest.mark.parametrize("text", [
+    "[surface]\nkappa = abc\n",
+    "[grid]\nn1 = x\n",
+    "[tolerances]\nresid_tol = nope\n",
+    "kappa = 1.0\n",   # no section header
+])
+def test_cli_malformed_config_file_exits_2(tmp_path, capsys, text):
+    cfgfile = tmp_path / "bad.ini"
+    cfgfile.write_text(text)
+    assert main(["generate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_env_var_overrides_output_dir(tmp_path, monkeypatch):
