@@ -38,9 +38,12 @@ RUNS = (
     ["family-verify", "--theta", "0", "3.0", "4.5"],
     ["family-verify", "--corrupt-y-scale", "1.5", "--formats", "csv"],
     ["family-verify", "--surface", "henneberg", "--formats", "csv"],
+    ["family-verify", "--annulus", "0.4", "0.9", "--n", "97", "200",   # partial row block
+     "--theta", "0", "0.3", "2.2", "4.1", "--rapidity", "1.1"],
     ["residuals", "--surface", "catenoid"],
     ["residuals", "--surface", "scherk"],
     ["residuals", "--surface", "schwarz_riemann"],
+    ["residuals", "--surface", "catenoid", "--n", "131", "257"],   # fd route, 3 row blocks
     ["boost-check"],
     ["boost-check", "--rapidity", "0.2", "0.8", "1.5"],
     ["export"],

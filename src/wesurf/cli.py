@@ -93,6 +93,8 @@ class RunConfig:
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol > 0):
                 raise ConfigError(f"tolerance {name} must be finite and positive")
+        if not self.formats:
+            raise ConfigError(f"format list must not be empty; valid: {VALID_FORMATS}")
         bad = [f for f in self.formats if f not in VALID_FORMATS]
         if bad:
             raise ConfigError(f"unknown export formats {bad}; valid: {VALID_FORMATS}")

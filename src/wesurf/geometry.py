@@ -27,7 +27,7 @@ from typing import Literal
 
 import numpy as np
 
-from .grids import ParamGrid, SurfaceGrid, surface_jacobian
+from .grids import ParamGrid, SurfaceGrid, _by_row_blocks, surface_jacobian
 from .reports import ResidualReport, residual_report
 
 Signature = Literal["euclidean", "wick_signed"]
@@ -64,10 +64,12 @@ def fundamental_form(s: SurfaceGrid, signature: Signature = "euclidean",
         raise GeometryError(f"unknown signature {signature!r}")
     jac = surface_jacobian(s, source, accuracy)
     sign = np.array([1.0, -1.0 if signature == "wick_signed" else 1.0, 1.0])
-    d1, d2 = jac[:, 0], jac[:, 1]
-    E = np.einsum("k,kij->ij", sign, d1 * d1)
-    F = np.einsum("k,kij->ij", sign, d1 * d2)
-    G = np.einsum("k,kij->ij", sign, d2 * d2)
+
+    def kernel(j):
+        d1, d2 = j[:, 0], j[:, 1]
+        return [np.einsum("k,kij->ij", sign, u * v) for u, v in ((d1, d1), (d1, d2), (d2, d2))]
+
+    E, F, G = _by_row_blocks(kernel, jac)
     return FundamentalForm(E, F, G, signature, s.grid)
 
 

@@ -32,6 +32,7 @@ Axis = Literal["r1", "r2"]
 Reality = Literal["real", "wick_rotated"]
 
 REAL_IMAG_TOL = 1e-12
+_ROW_BLOCK_NODES = 1 << 14  # 256 KiB of complex per array: a kernel's block stays in L2
 
 
 class GridError(ValueError):
@@ -160,12 +161,12 @@ class SurfaceGrid:
             raise GridError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
         if not np.all(np.isfinite(vals)):
             raise GridError("surface components must be finite")
-        if self.reality == "real":
-            bad = np.abs(vals.imag) > REAL_IMAG_TOL * (1.0 + np.abs(vals.real))
-            if np.any(bad):
-                raise GridError("reality=real but components have imaginary parts")
-        elif self.reality != "wick_rotated":
+        if self.reality not in ("real", "wick_rotated"):
             raise GridError(f"unknown reality flag {self.reality!r}")
+        # most real grids hold only +-0 imaginary parts: skip the tolerance arithmetic
+        if self.reality == "real" and np.any(vals.imag) and np.any(
+                np.abs(vals.imag) > REAL_IMAG_TOL * (1.0 + np.abs(vals.real))):
+            raise GridError("reality=real but components have imaginary parts")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if self.jac is not None:
@@ -218,6 +219,29 @@ def surface_from_components(grid: ParamGrid, x, t, phi, reality: Reality = "real
                        np.asarray(t, dtype=complex),
                        np.asarray(phi, dtype=complex)])
     return SurfaceGrid(grid, values, reality, jac, jac2, meta or {})
+
+
+def _by_row_blocks(kernel, *arrays) -> tuple[np.ndarray, ...]:
+    """Run a nodewise kernel on blocks of whole grid rows; stitch its outputs.
+
+    The last two axes of every array are the grid's (n1, n2); `kernel` gets
+    the same rows of each and returns a sequence of block-shaped arrays.  It must
+    never multiply by a temporary right operand, or its bits would depend on
+    the block size (README, Numerical notes).
+    """
+    if arrays[0].ndim < 2:  # ungridded samples, e.g. from boost_graph_fns
+        return kernel(*arrays)
+    n1, n2 = arrays[0].shape[-2:]
+    step = max(1, _ROW_BLOCK_NODES // n2)
+    outs = None
+    for i in range(0, n1, step):
+        rows = np.s_[..., i:i + step, :]
+        block = kernel(*(a[rows] for a in arrays))
+        if outs is None:
+            outs = tuple(np.empty(b.shape[:-2] + (n1, n2), b.dtype) for b in block)
+        for out, b in zip(outs, block):
+            out[rows] = b
+    return outs
 
 
 # ---------------------------------------------------------------------------

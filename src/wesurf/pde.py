@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SurfaceGrid, array_derivative, surface_jacobian
+from .grids import SurfaceGrid, _by_row_blocks, array_derivative, surface_jacobian
 from .reports import ResidualReport, residual_report
 
 RAPIDITY_UNIT_TOL = 1e-12
@@ -79,9 +79,8 @@ class NonparametricPatch:
     def __post_init__(self):
         fields = (self.x, self.t, self.phi, self.phi_x, self.phi_t,
                   self.phi_xx, self.phi_xt, self.phi_tt)
-        for arr in fields:
-            if np.any(~np.isfinite(np.asarray(arr)[self.valid_mask])):
-                raise PDEError("non-finite derivative data at retained nodes")
+        if not all(np.all(np.isfinite(a), where=self.valid_mask) for a in fields):
+            raise PDEError("non-finite derivative data at retained nodes")
         self.dropped_count = int(self.valid_mask.size - self.valid_mask.sum())
 
 
@@ -115,33 +114,38 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
     analytic when available.  Graph slopes of W-E charts diverge toward
     |r| = 1, which is where the fd route loses accuracy first.
     """
-    grid = s.grid
     jac = surface_jacobian(s, first_source, accuracy)
-    x1, x2 = jac[0, 0], jac[0, 1]
-    t1, t2 = jac[1, 0], jac[1, 1]
-    p1, p2 = jac[2, 0], jac[2, 1]
-    det = x1 * t2 - x2 * t1
-    bad = np.abs(det) < det_floor
-    det_safe = np.where(bad, 1.0, det)
-    norm_j = np.maximum(np.abs(x1) + np.abs(x2), np.abs(t1) + np.abs(t2))
-    norm_inv = np.maximum(np.abs(t2) + np.abs(x2), np.abs(t1) + np.abs(x1)) / np.abs(det_safe)
-    bad |= norm_j * norm_inv > cond_cutoff
-
-    def solve(f1, f2):
-        return (t2 * f1 - t1 * f2) / det_safe, (x1 * f2 - x2 * f1) / det_safe
-
-    phi_x, phi_t = solve(p1, p2)
     if second_source not in ("fd", "analytic", "auto"):
         raise PDEError(f"unknown second_source {second_source!r}")
     analytic = second_source == "analytic" or (second_source == "auto" and s.jac2 is not None)
-    if analytic:
-        if s.jac2 is None:
-            raise PDEError("surface carries no analytic second derivatives")
+    if analytic and s.jac2 is None:
+        raise PDEError("surface carries no analytic second derivatives")
+
+    # nodewise stages, run by _by_row_blocks on rows of jac (3, 2, n1, n2)
+    def solve(j, det_safe, f1, f2):
+        (x1, x2), (t1, t2), _ = j
+        return (t2 * f1 - t1 * f2) / det_safe, (x1 * f2 - x2 * f1) / det_safe
+
+    def first_stage(j):
+        (x1, x2), (t1, t2), (p1, p2) = j
+        det = x1 * t2 - x2 * t1
+        bad = np.abs(det) < det_floor
+        det_safe = np.where(bad, 1.0, det)
+        norm_j = np.maximum(np.abs(x1) + np.abs(x2), np.abs(t1) + np.abs(t2))
+        norm_inv = np.maximum(np.abs(t2) + np.abs(x2), np.abs(t1) + np.abs(x1)) / np.abs(det_safe)
+        bad |= norm_j * norm_inv > cond_cutoff
+        return (det, bad, det_safe, *solve(j, det_safe, p1, p2))
+
+    def final_solves(j, det_safe, a1, a2, b1, b2):
+        phi_xx, phi_xt_a = solve(j, det_safe, a1, a2)
+        phi_tx_b, phi_tt = solve(j, det_safe, b1, b2)
+        return phi_xx, 0.5 * (phi_xt_a + phi_tx_b), phi_tt
+
+    def analytic_stages(j, j2):
+        det, bad, det_safe, phi_x, phi_t = first_stage(j)
+        (x1, x2), (t1, t2), (p1, p2) = j
         # d_i of the solved gradient fields, by quotient rule on exact data
-        x11, x12, x22 = s.jac2[0]
-        t11, t12, t22 = s.jac2[1]
-        p11, p12, p22 = s.jac2[2]
-        # one direction at a time: (d x1, d x2, d t1, d t2, d p1, d p2) along r1, r2
+        (x11, x12, x22), (t11, t12, t22), (p11, p12, p22) = j2
         partials = []
         for dx1, dx2, dt1, dt2, dp1, dp2 in ((x11, x12, t11, t12, p11, p12),
                                              (x12, x22, t12, t22, p12, p22)):
@@ -150,20 +154,21 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
             dnum_t = dx1 * p2 + x1 * dp2 - dx2 * p1 - x2 * dp1
             partials.append(((dnum_x - phi_x * ddet) / det_safe,
                              (dnum_t - phi_t * ddet) / det_safe))
-            del ddet, dnum_x, dnum_t
         (a1, b1), (a2, b2) = partials
-        reach = 0
-    else:
-        a1 = array_derivative(grid, phi_x, "r1", 1, accuracy)
-        a2 = array_derivative(grid, phi_x, "r2", 1, accuracy)
-        b1 = array_derivative(grid, phi_t, "r1", 1, accuracy)
-        b2 = array_derivative(grid, phi_t, "r2", 1, accuracy)
-        reach = accuracy + 1  # stencil window reach, incl. one-sided edges
-    phi_xx, phi_xt_a = solve(a1, a2)
-    phi_tx_b, phi_tt = solve(b1, b2)
-    phi_xt = 0.5 * (phi_xt_a + phi_tx_b)
+        return (det, bad, phi_x, phi_t, *final_solves(j, det_safe, a1, a2, b1, b2))
 
-    valid = ~_dilate(bad, reach) if reach else ~bad
+    if analytic:
+        det, bad, phi_x, phi_t, phi_xx, phi_xt, phi_tt = _by_row_blocks(
+            analytic_stages, jac, s.jac2)
+        valid = ~bad
+    else:
+        det, bad, det_safe, phi_x, phi_t = _by_row_blocks(first_stage, jac)
+        a1 = array_derivative(s.grid, phi_x, "r1", 1, accuracy)
+        a2 = array_derivative(s.grid, phi_x, "r2", 1, accuracy)
+        b1 = array_derivative(s.grid, phi_t, "r1", 1, accuracy)
+        b2 = array_derivative(s.grid, phi_t, "r2", 1, accuracy)
+        phi_xx, phi_xt, phi_tt = _by_row_blocks(final_solves, jac, det_safe, a1, a2, b1, b2)
+        valid = ~_dilate(bad, accuracy + 1)  # stencil window reach, incl. one-sided edges
     return NonparametricPatch(
         x=s.x, t=s.t, phi=s.phi,  # read-only views of the surface
         phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=phi_xt, phi_tt=phi_tt,
@@ -223,43 +228,50 @@ def wick_catenoid_graph_fns() -> dict:
     }
 
 
-def _residual_scale(p: NonparametricPatch) -> np.ndarray:
-    return (np.abs(1 + p.phi_t ** 2) * np.abs(p.phi_xx)
-            + 2 * np.abs(p.phi_x * p.phi_t * p.phi_xt)
-            + np.abs(1 + p.phi_x ** 2) * np.abs(p.phi_tt))
+def _residual(p: NonparametricPatch, born_infeld: bool) -> ResidualReport:
+    """Minimal-surface or Born-Infeld residual report, scaled by the minimal terms."""
+    def kernel(phi_x, phi_t, phi_xx, phi_xt, phi_tt):
+        qt, qx = phi_t ** 2, 1 + phi_x ** 2
+        mixed = 2 * phi_x * phi_t * phi_xt
+        if born_infeld:
+            res = (1 - qt) * phi_xx + mixed - qx * phi_tt
+        else:
+            res = (1 + qt) * phi_xx - mixed + qx * phi_tt
+        scale = (np.abs(1 + qt) * np.abs(phi_xx) + 2 * np.abs(phi_x * phi_t * phi_xt)
+                 + np.abs(qx) * np.abs(phi_tt))
+        return res, scale
+
+    res, scale = _by_row_blocks(kernel, p.phi_x, p.phi_t, p.phi_xx, p.phi_xt, p.phi_tt)
+    return residual_report(res, p.valid_mask, scale)
 
 
 def minimal_surface_residual(p: NonparametricPatch) -> ResidualReport:
-    res = ((1 + p.phi_t ** 2) * p.phi_xx
-           - 2 * p.phi_x * p.phi_t * p.phi_xt
-           + (1 + p.phi_x ** 2) * p.phi_tt)
-    return residual_report(res, p.valid_mask, _residual_scale(p))
+    return _residual(p, born_infeld=False)
 
 
 def born_infeld_residual(p: NonparametricPatch) -> ResidualReport:
     """Pointwise Born-Infeld defect; modulus is reported for complex data."""
-    res = ((1 - p.phi_t ** 2) * p.phi_xx
-           + 2 * p.phi_x * p.phi_t * p.phi_xt
-           - (1 + p.phi_x ** 2) * p.phi_tt)
-    return residual_report(res, p.valid_mask, _residual_scale(p))
+    return _residual(p, born_infeld=True)
 
 
 def boost(p: NonparametricPatch, lb: LorentzBoost) -> NonparametricPatch:
     """Boosted patch: x' = a x + b t, t' = b x + a t, derivative data pulled
-    back exactly (phi'(x', t') = phi(x, t))."""
+    back exactly (phi'(x', t') = phi(x, t)).  phi, valid_mask and
+    jacobian_det are shared with `p`, not copied."""
     a, b = lb.a, lb.b
-    x2 = a * p.x + b * p.t
-    t2 = b * p.x + a * p.t
-    px = a * p.phi_x - b * p.phi_t
-    pt = -b * p.phi_x + a * p.phi_t
-    pxx = a * a * p.phi_xx - 2 * a * b * p.phi_xt + b * b * p.phi_tt
-    pxt = -a * b * (p.phi_xx + p.phi_tt) + (a * a + b * b) * p.phi_xt
-    ptt = b * b * p.phi_xx - 2 * a * b * p.phi_xt + a * a * p.phi_tt
-    return NonparametricPatch(x=x2, t=t2, phi=p.phi.copy(), phi_x=px, phi_t=pt,
+
+    def kernel(x, t, phi_x, phi_t, phi_xx, phi_xt, phi_tt):
+        return (a * x + b * t, b * x + a * t,
+                a * phi_x - b * phi_t, -b * phi_x + a * phi_t,
+                a * a * phi_xx - 2 * a * b * phi_xt + b * b * phi_tt,
+                -a * b * (phi_xx + phi_tt) + (a * a + b * b) * phi_xt,
+                b * b * phi_xx - 2 * a * b * phi_xt + a * a * phi_tt)
+
+    x, t, px, pt, pxx, pxt, ptt = _by_row_blocks(
+        kernel, p.x, p.t, p.phi_x, p.phi_t, p.phi_xx, p.phi_xt, p.phi_tt)
+    return NonparametricPatch(x=x, t=t, phi=p.phi, phi_x=px, phi_t=pt,
                               phi_xx=pxx, phi_xt=pxt, phi_tt=ptt,
-                              valid_mask=p.valid_mask.copy(),
-                              jacobian_det=None if p.jacobian_det is None
-                              else p.jacobian_det.copy())
+                              valid_mask=p.valid_mask, jacobian_det=p.jacobian_det)
 
 
 def boost_graph_fns(fns: dict, lb: LorentzBoost) -> dict:

@@ -37,6 +37,24 @@ def hc_family_sector(sector_grid):
                             ws.catenoid_closed(sector_grid))
 
 
+@pytest.fixture(scope="session", params=[(37, 53), (131, 257)], ids=["37x53", "131x257"])
+def s_theta_annulus(request):
+    """A Wick-rotated helicoid/catenoid member on a non-square annulus, each
+    component turned by its own complex phase.
+
+    The phases give every product non-zero real and imaginary parts: a real
+    times an imaginary array would commute bit for bit and hide a swapped
+    complex multiply.  At 131x257 a whole-grid row block holds 526 KiB per
+    complex array and a block of 1 or 7 rows less than 256 KiB, numpy's
+    temporary-elision size.
+    """
+    n1, n2 = request.param
+    grid = ws.ParamGrid("annulus", n1, n2, (0.4, 0.9, 0.0, 2 * math.pi))
+    s = ws.SolitonFamily(ws.helicoid_closed(grid), ws.catenoid_closed(grid)).at(0.7)
+    c = np.exp(1j * np.array([0.3, -0.5, 1.1]))[:, None, None]
+    return s.with_values(c * s.values, jac=c[:, None] * s.jac, jac2=c[:, None] * s.jac2)
+
+
 @pytest.fixture(scope="session")
 def enneper_family():
     grid = ws.verification_grid("enneper")

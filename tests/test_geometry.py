@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wesurf as ws
+from wesurf import grids
 from wesurf.geometry import GeometryError
 from wesurf.stencils import interior_mask
 
@@ -21,6 +22,23 @@ def test_plane_form_is_identity():
     assert np.max(np.abs(form.E - 1.0)) < 1e-12
     assert np.max(np.abs(form.G - 1.0)) < 1e-12
     assert np.max(np.abs(form.F)) < 1e-12
+
+
+def _form_bytes(s):
+    out = []
+    for signature in ("euclidean", "wick_signed"):
+        for source in ("analytic", "fd"):
+            form = ws.fundamental_form(s, signature, source)
+            out += [a.tobytes() for a in (form.E, form.F, form.G)]
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 7, "all"])
+def test_fundamental_form_independent_of_row_block(s_theta_annulus, monkeypatch, rows):
+    reference = _form_bytes(s_theta_annulus)
+    n1, n2 = s_theta_annulus.grid.shape
+    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
+    assert _form_bytes(s_theta_annulus) == reference
 
 
 def test_helicoid_isothermal_and_conformal_factor(annulus_grid):

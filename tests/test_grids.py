@@ -58,6 +58,17 @@ def test_surface_values_immutable_and_validated():
         ws.surface_from_components(g, bad, bad, bad)
 
 
+def test_real_surface_imaginary_part_tolerance_edge():
+    # at |value| = 1 the bound is REAL_IMAG_TOL * (1 + 1) = 2e-12, at one node
+    g = ws.ParamGrid("rectangle", 3, 4, (0.0, 1.0, 0.0, 1.0))
+    ones = np.ones(g.shape)
+    x = ones.astype(complex)
+    x[1, 2] = 1 + 1e-13j
+    ws.surface_from_components(g, x, ones, ones, reality="real")
+    x[1, 2] = 1 + 1e-11j
+    with pytest.raises(GridError):
+        ws.surface_from_components(g, x, ones, ones, reality="real")
+
 
 def test_with_values_drops_omitted_derivatives():
     s = ws.catenoid_closed(ws.default_annulus(0.4, 0.9, 8, 8))

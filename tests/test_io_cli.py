@@ -288,6 +288,7 @@ def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
     ["generate", "--annulus", "0.4"],
     ["generate", "--annulus", "0.4", "0.9", "0.0"],
     ["residuals", "--n", "30", "40", "50"],
+    ["generate", "--formats", ",", "--n", "8"],   # empty format list
 ])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -434,6 +435,15 @@ def test_cli_malformed_config_file_exits_2(tmp_path, capsys, text):
     cfgfile.write_text(text)
     assert main(["generate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_empty_format_list_in_config_file_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[grid]\nn1 = 8\nn2 = 8\n[output]\nformats =\n")
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_env_var_overrides_output_dir(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
+from wesurf import grids
 from wesurf.pde import PDEError, wick_substitute
 
 
@@ -53,6 +54,32 @@ def test_degenerate_chart_nodes_are_dropped_and_counted():
     assert p.dropped_count > 0
     rep = ws.minimal_surface_residual(p)
     assert rep.node_count == p.valid_mask.sum()
+
+
+# ----------------------------------------------------------------- row blocks
+
+def _nodewise_bytes(s):
+    """Bytes of every blocked kernel's output on surface `s`, both routes."""
+    lb = ws.LorentzBoost(0.8)
+    out = []
+    for second_source in ("analytic", "fd"):
+        p = ws.chain_rule_partials(s, second_source=second_source)
+        pb = ws.boost(p, lb)
+        for patch in (p, pb):
+            out += [a.tobytes() for a in (patch.x, patch.t, patch.phi, patch.phi_x,
+                                          patch.phi_t, patch.phi_xx, patch.phi_xt,
+                                          patch.phi_tt, patch.valid_mask, patch.jacobian_det)]
+        out += [repr(ws.born_infeld_residual(p)), repr(ws.minimal_surface_residual(p)),
+                repr(ws.born_infeld_residual(pb))]
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 7, "all"])
+def test_nodewise_kernels_independent_of_row_block(s_theta_annulus, monkeypatch, rows):
+    reference = _nodewise_bytes(s_theta_annulus)
+    n1, n2 = s_theta_annulus.grid.shape
+    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
+    assert _nodewise_bytes(s_theta_annulus) == reference
 
 
 # ------------------------------------------------------------------ residuals
@@ -161,6 +188,8 @@ def test_boost_graph_fns_match_patch_boost():
     pb = ws.boost(p, lb)
     direct = boosted_fns["phi_x"](pb.x, pb.t)
     assert np.max(np.abs(direct - pb.phi_x)) < 1e-10
+    # ungridded (1-D) sample points boost in one piece
+    assert np.max(np.abs(boosted_fns["phi_x"](pb.x[0], pb.t[0]) - pb.phi_x[0])) < 1e-10
 
 
 def test_boost_hyperbolic_identity_invariant():
