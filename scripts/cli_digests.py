@@ -40,6 +40,8 @@ RUNS = (
     ["family-verify", "--surface", "henneberg", "--formats", "csv"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "97", "200",   # partial row block
      "--theta", "0", "0.3", "2.2", "4.1", "--rapidity", "1.1"],
+    ["family-verify", "--annulus", "0.4", "0.9", "--n", "83", "200",   # 81-row band + 2 rows
+     "--formats", "csv"],
     ["residuals", "--surface", "catenoid"],
     ["residuals", "--surface", "scherk"],
     ["residuals", "--surface", "schwarz_riemann"],

@@ -57,7 +57,7 @@ def family_rows():
     cases.append(("enneper", ws.SolitonFamily(eX, eY),
                   (ws.enneper_fg(), ws.enneper_conjugate_fg()), [], egrid))
     for name, fam, (fg1, fg2), sing, g in cases:
-        sweep = ws.theta_sweep_invariance(fam, THETAS, source="analytic")
+        sweep = ws.theta_sweep_invariance(fam, THETAS)
         for th in THETAS:
             S = fam.at(th)
             patch = ws.chain_rule_partials(S, first_source="analytic",

@@ -30,6 +30,7 @@ x^s -+ t^s equals the minimal surface's x -+ i t.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,17 @@ class SolitonFamily:
 
         return SurfaceGrid(self.grid, real(self.values), "real", real(self.jac),
                            real(self.jac2), meta)
+
+    def rows(self, i: int, j: int) -> "SolitonFamily":
+        """The family over grid rows i..j-1 (`ParamGrid.rows`): views of the
+        packed arrays, no copy.  Its `at` gives those rows of the whole
+        family's `at`, bit for bit, since the member is built nodewise."""
+        band = np.s_[..., i:j, :]
+        view = copy.copy(self)
+        view.grid = self.grid.rows(i, j)
+        view.values, view.jac, view.jac2 = (None if z is None else z[band]
+                                            for z in (self.values, self.jac, self.jac2))
+        return view
 
     @property
     def X(self) -> SurfaceGrid:

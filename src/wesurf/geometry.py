@@ -27,6 +27,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import grids
 from .grids import ParamGrid, SurfaceGrid, _by_row_blocks, surface_jacobian
 from .reports import ResidualReport, residual_report
 
@@ -75,12 +76,20 @@ def fundamental_form(s: SurfaceGrid, signature: Signature = "euclidean",
 
 @dataclass(frozen=True)
 class ThetaInvarianceReport:
-    """Deviation of E^s, G^s from the first theta's arrays, and max |F^s|."""
+    """Deviation of E^s, G^s from the first theta's arrays, and max |F^s|.
+
+    The per-theta series follow `thetas`: max |E - E_0|, max |G - G_0| and
+    max |F| at each theta, and the action of each theta's form.
+    """
 
     e_deviation: ResidualReport
     g_deviation: ResidualReport
     f_max: float
     thetas: tuple[float, ...]
+    e_devs: tuple[float, ...] = ()
+    g_devs: tuple[float, ...] = ()
+    f_abs: tuple[float, ...] = ()
+    actions: tuple[float, ...] = ()
 
     @property
     def max_deviation(self) -> float:
@@ -94,38 +103,52 @@ def _fold_abs(running: np.ndarray, diff: np.ndarray) -> float:
     return float(np.max(mag))
 
 
-def theta_sweep_invariance(fam, thetas, source: str = "auto", accuracy: int = 2,
-                           visit=None) -> ThetaInvarianceReport:
+def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
     """Sweep S_theta and report how far E^s, G^s move (they should not).
 
-    `fam` is a SolitonFamily (duck-typed via its .at(theta) method).  Each
-    S_theta and its form are built once and handed to `visit(theta, S_theta,
-    form, e_dev, g_dev, f_abs)` when given, with this theta's max |E - E_0|,
-    max |G - G_0| and max |F|, so a caller with more per-theta checks runs
-    them in the same pass.  Only the first form and running maxima are kept.
-    A NaN anywhere propagates into the report.
+    `fam` is a SolitonFamily (duck-typed: .grid, .jac, .rows(i, j) and
+    .at(theta)).  Each theta is built one band of whole rows at a time
+    (`grids._row_bands`), so no full-grid S_theta exists; a family without
+    analytic first derivatives runs as one band, the whole grid, so that
+    its finite-difference form sees every neighbour.  Each band's S_theta
+    rows go to `visit(theta, rows, S_rows)` when given, with `rows` the
+    band's slice of grid rows; bands arrive in order, each row once per
+    theta.  A visit may do nodewise work only: the same nodes of the whole
+    S_theta would give it the same bits.  The form's E, F, G are assembled
+    into buffers for the action, a whole-grid sum taken after each theta's
+    last band.  A NaN anywhere propagates into the report.
     """
     thetas = tuple(float(t) for t in thetas)
     if len(thetas) < 1:
         raise GeometryError("need at least one theta")
-    first = None
-    f_max = 0.0
+    grid = fam.grid
+    bands = grids._row_bands(*grid.shape) if fam.jac is not None else [(0, grid.n1)]
+    E, F, G, E0, G0 = (np.empty(grid.shape, complex) for _ in range(5))
+    e_dev, g_dev = np.zeros(grid.shape), np.zeros(grid.shape)
+    series = []
     for t in thetas:
-        s = fam.at(t)
-        form = fundamental_form(s, "wick_signed", source, accuracy)
-        if first is None:
-            first = form
-            e_dev = np.zeros(form.E.shape)
-            g_dev = np.zeros(form.G.shape)
-        e_abs = _fold_abs(e_dev, form.E - first.E)
-        g_abs = _fold_abs(g_dev, form.G - first.G)
-        f_abs = float(np.max(np.abs(form.F)))
-        f_max = float(np.maximum(f_max, f_abs))
-        if visit is not None:
-            visit(t, s, form, e_abs, g_abs, f_abs)
-        del s  # free S_theta before the next one is built
+        e_abs = g_abs = f_abs = 0.0
+        for i, j in bands:
+            rows = slice(i, j)
+            s = fam.rows(i, j).at(t)
+            form = fundamental_form(s, "wick_signed")
+            if not series:
+                E0[rows], G0[rows] = form.E, form.G
+            # np.maximum, not max(): a NaN in any band must reach the series
+            e_abs = np.maximum(e_abs, _fold_abs(e_dev[rows], form.E - E0[rows]))
+            g_abs = np.maximum(g_abs, _fold_abs(g_dev[rows], form.G - G0[rows]))
+            f_abs = np.maximum(f_abs, np.max(np.abs(form.F)))
+            E[rows], F[rows], G[rows] = form.E, form.F, form.G
+            del form
+            if visit is not None:
+                visit(t, rows, s)
+            del s  # free this band before the next is built
+        a = action(FundamentalForm(E, F, G, "wick_signed", grid), grid)
+        series.append((float(e_abs), float(g_abs), float(f_abs), a))
+    e_devs, g_devs, f_abs, actions = zip(*series)
     return ThetaInvarianceReport(residual_report(e_dev), residual_report(g_dev),
-                                 f_max, thetas)
+                                 float(np.max(f_abs)), thetas,
+                                 e_devs, g_devs, f_abs, actions)
 
 
 def action(form: FundamentalForm, grid: ParamGrid) -> float:

@@ -116,6 +116,19 @@ class ParamGrid:
         s = np.broadcast_to(np.sin(self.axis2)[None, :], self.shape)
         return rho, c, s
 
+    def rows(self, i: int, j: int) -> "ParamGrid":
+        """The grid of rows i..j-1 along axis 0, all of axis 1.
+
+        Its axis-0 bounds are the receiver's nodes i and j-1, so the node
+        positions match the receiver's rows up to linspace rounding; rows
+        (0, n1) are the receiver itself.  Fewer than 3 rows raise GridError.
+        """
+        if (i, j) == (0, self.n1):
+            return self
+        a1 = self.axis1
+        return ParamGrid(self.kind, j - i, self.n2, (a1[i], a1[j - 1], *self.bounds[2:]),
+                         self.allow_unit_circle)
+
     def area_weights(self) -> np.ndarray:
         """Trapezoid weights for integrating f(r1, r2) dr1 dr2 over the domain.
 
@@ -242,6 +255,19 @@ def _by_row_blocks(kernel, *arrays) -> tuple[np.ndarray, ...]:
         for out, b in zip(outs, block):
             out[rows] = b
     return outs
+
+
+def _row_bands(n1: int, n2: int) -> list[tuple[int, int]]:
+    """(start, stop) of the bands of whole rows a banded sweep visits in turn.
+
+    Bands hold max(3, _ROW_BLOCK_NODES // n2) rows, so each is a valid
+    ParamGrid; a remainder of fewer than 3 rows joins the last band.
+    """
+    step = max(3, _ROW_BLOCK_NODES // n2)
+    starts = list(range(0, n1, step))
+    if len(starts) > 1 and n1 - starts[-1] < 3:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n1]))
 
 
 # ---------------------------------------------------------------------------

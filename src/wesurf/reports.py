@@ -36,24 +36,30 @@ def residual_report(residual: np.ndarray, mask: np.ndarray | None = None,
     mask selects retained nodes (True = keep); scale, if given, is the local
     term-magnitude array used for the relative statistic.
     """
-    mag = np.abs(residual)
+    mag = np.abs(residual).astype(float, copy=False)  # a fresh float array: written below
     if mask is None:
         mask = np.ones(mag.shape, dtype=bool)
-    dropped = int(mask.size - mask.sum())
-    if not mask.any():
+    kept = int(np.count_nonzero(mask))
+    dropped = int(mask.size - kept)
+    if not kept:
         return ResidualReport(np.nan, np.nan, np.nan, 0, (-1, -1), None, dropped)
     sel = mag[mask]
-    masked = np.where(mask, mag, -np.inf)
-    worst = np.unravel_index(int(np.argmax(masked)), mag.shape)
     max_rel = None
     if scale is not None:
-        rel = mag / (1.0 + np.abs(scale))
-        max_rel = float(np.max(rel[mask]))
+        rel = np.abs(scale).astype(float, copy=False)
+        rel += 1.0
+        np.divide(mag, rel, out=rel)
+        max_rel = float(np.max(rel, where=mask, initial=-np.inf))
+        del rel
+    mag[~mask] = -np.inf  # dropped nodes never win the argmax; the first NaN does
+    worst = np.unravel_index(int(np.argmax(mag)), mag.shape)
+    max_abs, mean_abs = float(sel.max()), float(sel.mean())
+    np.square(sel, out=sel)
     return ResidualReport(
-        max_abs=float(sel.max()),
-        mean_abs=float(sel.mean()),
-        rms=float(np.sqrt(np.mean(sel ** 2))),
-        node_count=int(mask.sum()),
+        max_abs=max_abs,
+        mean_abs=mean_abs,
+        rms=float(np.sqrt(np.mean(sel))),
+        node_count=kept,
         worst_node=(int(worst[0]), int(worst[1])),
         max_rel=max_rel,
         dropped_count=dropped,

@@ -147,7 +147,7 @@ def test_criterion_6_theta_derivatives_bit_for_bit(hc_family):
 # ---------------------------------------------------------------- criterion 7
 
 def test_criterion_7_first_form_and_action_invariance(hc_family, annulus_grid):
-    sweep = ws.theta_sweep_invariance(hc_family, THETAS_41, source="analytic")
+    sweep = ws.theta_sweep_invariance(hc_family, THETAS_41)
     record("C7 E deviation over sweep", sweep.e_deviation.max_abs, 1e-8)
     record("C7 G deviation over sweep", sweep.g_deviation.max_abs, 1e-8)
     record("C7 max |F|", sweep.f_max, 1e-8)

@@ -68,8 +68,7 @@ def test_wick_signed_form_is_real_and_theta_invariant(hc_family):
 
 
 def test_theta_sweep_invariance(hc_family):
-    rep = ws.theta_sweep_invariance(hc_family, [0.0, 0.4, 1.1, math.pi / 2],
-                                    source="analytic")
+    rep = ws.theta_sweep_invariance(hc_family, [0.0, 0.4, 1.1, math.pi / 2])
     assert rep.e_deviation.max_abs < 1e-8
     assert rep.g_deviation.max_abs < 1e-8
     assert rep.f_max < 1e-8
@@ -86,28 +85,109 @@ def test_theta_sweep_detects_corruption(annulus_grid):
     Y = ws.catenoid_closed(annulus_grid)
     bad = Y.with_values(2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)
     fam = ws.SolitonFamily(X, bad, validate=False)
-    rep = ws.theta_sweep_invariance(fam, [0.0, 0.4, 1.1], source="analytic")
+    rep = ws.theta_sweep_invariance(fam, [0.0, 0.4, 1.1])
     assert rep.max_deviation > 1e-2
 
 
-def test_theta_sweep_visit_gets_each_thetas_maxima(annulus_grid):
-    X = ws.helicoid_closed(annulus_grid)
-    Y = ws.catenoid_closed(annulus_grid)
+def _scaled_y_family(grid):
+    """Helicoid/catenoid family with Y doubled: E, F, G move with theta."""
+    X = ws.helicoid_closed(grid)
+    Y = ws.catenoid_closed(grid)
     bad = Y.with_values(2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)
-    fam = ws.SolitonFamily(X, bad, validate=False)
+    return ws.SolitonFamily(X, bad, validate=False)
+
+
+def _band_rows(monkeypatch, grid, rows):
+    """Set the sweep's band height to `rows` whole rows (or the whole grid)."""
+    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES",
+                        grid.n2 * (grid.n1 if rows == "all" else rows))
+
+
+def test_theta_sweep_visit_gets_each_thetas_maxima(annulus_grid, monkeypatch):
+    fam = _scaled_y_family(annulus_grid)
     thetas = [0.0, 0.4, 1.1]
+    _band_rows(monkeypatch, annulus_grid, 7)
+    bands = grids._row_bands(*annulus_grid.shape)
+    assert len(bands) > 1
+    whole = {th: fam.at(th) for th in thetas}
     seen = []
-    rep = ws.theta_sweep_invariance(fam, thetas, source="analytic",
-                                    visit=lambda *args: seen.append(args))
-    first = ws.fundamental_form(fam.at(thetas[0]), "wick_signed", "analytic")
-    assert [args[0] for args in seen] == thetas
-    for th, S, form, e_dev, g_dev, f_abs in seen:
-        assert np.array_equal(S.values, fam.at(th).values)
-        assert e_dev == float(np.max(np.abs(form.E - first.E)))
-        assert g_dev == float(np.max(np.abs(form.G - first.G)))
-        assert f_abs == float(np.max(np.abs(form.F)))
-    assert rep.e_deviation.max_abs == max(args[3] for args in seen)
-    assert rep.f_max == max(args[5] for args in seen)
+
+    def visit(th, rows, S):
+        seen.append((th, rows.start, rows.stop))
+        assert np.array_equal(S.values, whole[th].values[:, rows])
+
+    rep = ws.theta_sweep_invariance(fam, thetas, visit=visit)
+    assert seen == [(th, i, j) for th in thetas for i, j in bands]
+    first = ws.fundamental_form(whole[thetas[0]], "wick_signed", "analytic")
+    for k, th in enumerate(thetas):
+        form = ws.fundamental_form(whole[th], "wick_signed", "analytic")
+        assert rep.e_devs[k] == float(np.max(np.abs(form.E - first.E)))
+        assert rep.g_devs[k] == float(np.max(np.abs(form.G - first.G)))
+        assert rep.f_abs[k] == float(np.max(np.abs(form.F)))
+    assert rep.e_deviation.max_abs == max(rep.e_devs) > 1e-2
+    assert rep.g_deviation.max_abs == max(rep.g_devs)
+    assert rep.f_max == max(rep.f_abs)
+
+
+@pytest.fixture(scope="module", params=[(37, 53), (131, 257)], ids=["37x53", "131x257"])
+def banded_family(request):
+    n1, n2 = request.param
+    return _scaled_y_family(ws.ParamGrid("annulus", n1, n2, (0.4, 0.9, 0.0, 2 * math.pi)))
+
+
+SWEEP_THETAS = (0.0, 0.4, 1.1, math.pi / 2)
+
+
+@pytest.mark.parametrize("rows", [3, 7, "all"])
+def test_theta_sweep_independent_of_band_height(banded_family, monkeypatch, rows):
+    reference = repr(ws.theta_sweep_invariance(banded_family, SWEEP_THETAS))
+    _band_rows(monkeypatch, banded_family.grid, rows)
+    assert repr(ws.theta_sweep_invariance(banded_family, SWEEP_THETAS)) == reference
+
+
+@pytest.mark.parametrize("rows", [3, 7, "all"])
+def test_theta_sweep_bands_are_rows_of_the_whole_surface(banded_family, monkeypatch, rows):
+    grid = banded_family.grid
+    _band_rows(monkeypatch, grid, rows)
+    whole = {th: banded_family.at(th) for th in SWEEP_THETAS}
+    covered = {th: np.zeros(grid.n1, dtype=int) for th in SWEEP_THETAS}
+
+    def visit(th, band, S):
+        assert S.grid.shape == (band.stop - band.start, grid.n2)
+        for name in ("values", "jac", "jac2"):
+            assert np.array_equal(getattr(S, name), getattr(whole[th], name)[..., band, :])
+        covered[th][band] += 1
+
+    rep = ws.theta_sweep_invariance(banded_family, SWEEP_THETAS, visit=visit)
+    for th in SWEEP_THETAS:
+        assert np.all(covered[th] == 1)
+    for th, a in zip(SWEEP_THETAS, rep.actions, strict=True):
+        form = ws.fundamental_form(whole[th], "wick_signed")
+        assert a == ws.action(form, grid)
+
+
+def test_row_bands_fold_a_short_remainder_into_the_last_band(monkeypatch):
+    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", 200 * 81)
+    assert grids._row_bands(83, 200) == [(0, 83)]
+    assert grids._row_bands(84, 200) == [(0, 81), (81, 84)]
+    assert grids._row_bands(164, 200) == [(0, 81), (81, 164)]
+    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", 1)
+    assert grids._row_bands(8, 200) == [(0, 3), (3, 8)]  # never fewer than 3 rows
+
+
+def test_theta_sweep_without_analytic_jac_is_one_band(monkeypatch, annulus_grid):
+    X, Y = (s.with_values(s.values) for s in (ws.helicoid_closed(annulus_grid),
+                                                  ws.catenoid_closed(annulus_grid)))
+    fam = ws.SolitonFamily(X, Y, validate=False)
+    assert fam.jac is None
+    _band_rows(monkeypatch, annulus_grid, 3)
+    seen = []
+    rep = ws.theta_sweep_invariance(fam, [0.0, 0.4],
+                                    visit=lambda th, rows, S: seen.append((rows, S)))
+    assert [rows for rows, _ in seen] == [slice(0, annulus_grid.n1)] * 2
+    assert seen[0][1].grid == annulus_grid  # the stencils see the whole grid
+    form = ws.fundamental_form(fam.at(0.4), "wick_signed", "fd")
+    assert rep.actions[1] == ws.action(form, annulus_grid)
 
 
 def _report(value):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
-from wesurf import cli
+from wesurf import cli, grids, pde
 from wesurf.cli import main
 from wesurf.io_export import (SCHEMA, export_mesh, quad_triangles, write_surface_csv,
                               write_surface_table)
@@ -231,7 +231,7 @@ NAN_CASES = {
     "boosted_residual": ("wesurf.cli", "born_infeld_residual", 3,
                          lambda rep: dataclasses.replace(rep, max_abs=math.nan),
                          {"boost_delta"}),
-    "action": ("wesurf.cli", "action", 1, lambda a: math.nan, {"action_rel_spread"}),
+    "action": ("wesurf.geometry", "action", 1, lambda a: math.nan, {"action_rel_spread"}),
     "E": ("wesurf.geometry", "fundamental_form", 1, _nan_form("E"),
           {"e_deviation", "action_rel_spread"}),
     "G": ("wesurf.geometry", "fundamental_form", 1, _nan_form("G"),
@@ -255,6 +255,105 @@ def test_cli_family_verify_nan_at_second_theta_fails(tmp_path, capsys, monkeypat
     for quantity in breached:
         at = "" if quantity == "action_rel_spread" else " at theta=0.3"
         assert f"tolerance breach: {quantity}{at}" in err
+
+
+BAND_SHAPES = {"37x53": (37, 53), "131x257": (131, 257)}
+BAND_THETAS = (0.0, 0.3, 1.1)
+
+
+def _family_verify(out_dir, n1, n2):
+    return main(["family-verify", "--annulus", "0.4", "0.9", "--n", str(n1), str(n2),
+                 "--theta", *map(str, BAND_THETAS), "--formats", "csv",
+                 "--out", str(out_dir)])
+
+
+def _report_rows(out_dir):
+    lines = (out_dir / "family_verify.csv").read_text().splitlines()
+    return [line.split(",") for line in lines[2:]]
+
+
+@pytest.mark.parametrize("shape", sorted(BAND_SHAPES))
+@pytest.mark.parametrize("rows", [3, 7, "all"])
+def test_cli_family_verify_independent_of_band_height(tmp_path, capsys, monkeypatch,
+                                                      shape, rows):
+    n1, n2 = BAND_SHAPES[shape]
+    ref, banded = tmp_path / "ref", tmp_path / "banded"
+    rc = _family_verify(ref, n1, n2)
+    ref_out = capsys.readouterr().out.replace(str(ref), "<OUT>")
+    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
+    assert _family_verify(banded, n1, n2) == rc
+    assert capsys.readouterr().out.replace(str(banded), "<OUT>") == ref_out
+    assert ((banded / "family_verify.csv").read_bytes()
+            == (ref / "family_verify.csv").read_bytes())
+
+
+def _seven_row_bands(monkeypatch, poison):
+    """family-verify on a 37x53 annulus in bands of 7 rows; poison(patch,
+    theta_index, band_index) edits each band's chain-rule patch in place."""
+    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", 7 * 53)
+    bands = grids._row_bands(37, 53)
+    calls = [0]
+    partials = cli.chain_rule_partials
+
+    def wrapped(S, **kwargs):
+        patch = partials(S, **kwargs)
+        poison(patch, *divmod(calls[0], len(bands)))
+        calls[0] += 1
+        return patch
+    monkeypatch.setattr(cli, "chain_rule_partials", wrapped)
+    return bands
+
+
+def test_cli_family_verify_skips_a_band_that_keeps_no_node(tmp_path, capsys, monkeypatch):
+    def drop_second_band(patch, k, band):
+        if band == 1:
+            patch.valid_mask[:] = False
+    i, j = _seven_row_bands(monkeypatch, drop_second_band)[1]
+    assert _family_verify(tmp_path, 37, 53) == 0
+    # the whole-grid reports with the same rows dropped
+    fam = ws.SolitonFamily(*ws.generate_conjugate_pair(
+        ws.we_data("catenoid"), ws.default_annulus(0.4, 0.9, 37, 53)), validate=False)
+    lb = ws.LorentzBoost(cli.RunConfig().rapidities[0])
+    for th, row in zip(BAND_THETAS, _report_rows(tmp_path), strict=True):
+        patch = ws.chain_rule_partials(fam.at(th), second_source="analytic")
+        patch.valid_mask[i:j] = False
+        res = ws.born_infeld_residual(patch).max_abs
+        res_b = ws.born_infeld_residual(ws.boost(patch, lb)).max_abs
+        assert (float(row[1]), float(row[6])) == (res, abs(res - res_b))
+
+
+def test_cli_family_verify_with_no_kept_node_fails(tmp_path, capsys, monkeypatch):
+    def drop_all(patch, k, band):
+        patch.valid_mask[:] = False
+    _seven_row_bands(monkeypatch, drop_all)
+    assert _family_verify(tmp_path, 37, 53) == 1
+    out, err = capsys.readouterr()
+    assert all(row[1] == row[6] == "nan" for row in _report_rows(tmp_path))
+    failed = {line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")}
+    assert failed == {"max_bi_residual", "boost_delta"}
+    assert "tolerance breach: max_bi_residual at theta=0\n" in err
+
+
+def test_cli_family_verify_nan_in_a_later_band_fails(tmp_path, capsys, monkeypatch):
+    # residual_report runs twice per band, unboosted then boosted: put a NaN
+    # into the unboosted residual at a kept node of theta 0.3's third band
+    bands = _seven_row_bands(monkeypatch, lambda patch, k, band: None)
+    poisoned_call = 2 * (len(bands) + 2)
+    calls = [0]
+    report = pde.residual_report
+
+    def wrapped(res, mask, scale):
+        if calls[0] == poisoned_call:
+            res[np.unravel_index(np.argmax(mask), mask.shape)] = math.nan
+        calls[0] += 1
+        return report(res, mask, scale)
+    monkeypatch.setattr(pde, "residual_report", wrapped)
+    assert _family_verify(tmp_path, 37, 53) == 1
+    out, err = capsys.readouterr()
+    assert [row[1] == "nan" for row in _report_rows(tmp_path)] == [False, True, False]
+    failed = {line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")}
+    assert failed == {"max_bi_residual", "boost_delta"}
+    assert "tolerance breach: max_bi_residual at theta=0.3" in err
 
 
 def test_cli_boost_check_nan_residual_fails(tmp_path, capsys, monkeypatch):

@@ -265,6 +265,61 @@ def test_residual_report_relative_statistic():
     assert rep.max_rel <= rep.max_abs + 1e-30
     assert rep.max_abs >= rep.rms >= 0.0
 
+
+def _residual_report_before(residual, mask=None, scale=None):
+    """residual_report's statistics by its earlier full-size formulas."""
+    mag = np.abs(residual)
+    if mask is None:
+        mask = np.ones(mag.shape, dtype=bool)
+    dropped = int(mask.size - mask.sum())
+    if not mask.any():
+        return ws.ResidualReport(np.nan, np.nan, np.nan, 0, (-1, -1), None, dropped)
+    sel = mag[mask]
+    worst = np.unravel_index(int(np.argmax(np.where(mask, mag, -np.inf))), mag.shape)
+    max_rel = None if scale is None else float(np.max((mag / (1.0 + np.abs(scale)))[mask]))
+    return ws.ResidualReport(float(sel.max()), float(sel.mean()),
+                             float(np.sqrt(np.mean(sel ** 2))), int(mask.sum()),
+                             (int(worst[0]), int(worst[1])), max_rel, dropped)
+
+
+def _residual_cases():
+    rng = np.random.default_rng(11)
+    res = rng.normal(size=(9, 13)) + 1j * rng.normal(size=(9, 13))
+    mask = rng.random(res.shape) > 0.3
+    scale = 10.0 * rng.random(res.shape)
+    tied = res.copy()
+    tied[[2, 5, 6], [3, 7, 1]] = [4.0, -4.0, 4j]  # equal maxima: the first kept one wins
+    tied[0, 0], mask[0, 0] = 9.0, False            # a larger value at a dropped node
+    mask[[2, 5, 6], [3, 7, 1]] = True
+    nan_kept = tied.copy()
+    nan_kept[[3, 4, 7], [2, 8, 5]] = np.nan          # the first NaN is the worst node
+    mask[[3, 4, 7], [2, 8, 5]] = True
+    nan_dropped = tied.copy()
+    nan_dropped[1, 1], mask[1, 1] = np.nan, False
+    odd_scale = scale.copy()
+    odd_scale[~mask] = np.resize([np.nan, np.inf, -np.inf], int((~mask).sum()))
+    return {
+        "plain": (res, None, None),
+        "masked": (res, mask, scale),
+        "ties": (tied, mask, scale),
+        "nan_at_kept_node": (nan_kept, mask, scale),
+        "nan_at_dropped_node": (nan_dropped, mask, scale),
+        "nonfinite_scale_at_dropped_nodes": (tied, mask, odd_scale),
+        "nan_kept_nonfinite_scale": (nan_kept, mask, odd_scale),
+        "all_dropped": (res, np.zeros(res.shape, dtype=bool), scale),
+        "real_residual": (res.real, mask, None),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_residual_cases()))
+def test_residual_report_matches_full_size_formulas(case):
+    residual, mask, scale = _residual_cases()[case]
+    with np.errstate(invalid="ignore"):
+        before = _residual_report_before(residual, mask, scale)
+        after = ws.residual_report(residual, mask, scale)
+    assert repr(after) == repr(before)  # repr round-trips every float bit
+
+
 def test_minimal_residual_second_order_rate():
     # the default stencils converge at O(h^2): halving h gains >= 3.5x
     errs = []
