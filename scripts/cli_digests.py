@@ -52,6 +52,7 @@ RUNS = (
     ["export", "--surface", "enneper", "--format", "table"],
     ["export", "--surface", "catenoid", "--format", "table"],   # n1 != n2
     ["export", "--surface", "general_helicoid", "--format", "csv"],
+    ["export", "--surface", "henneberg", "--format", "csv"],   # flip_t: sign of zero in t
 )
 
 

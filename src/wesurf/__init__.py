@@ -10,13 +10,13 @@ from .family import (FamilyError, SolitonFamily, SolitonRelationsReport,
                      family_fg, theta_derivative, verify_soliton_relations,
                      wick_rotate)
 from .generate import (GenerateError, RigidAlignment, WEData, align_rigid,
-                       conjugacy_violation, gamma_chart_sector, generate,
-                       generate_conjugate_pair, nearest_node, we_data)
+                       gamma_chart_sector, generate, generate_conjugate_pair,
+                       generate_pair_members, nearest_node, we_data)
 from .geometry import (FundamentalForm, GeometryError, ThetaInvarianceReport,
                        action, change_of_variables_action, fundamental_form,
                        theta_sweep_invariance)
 from .grids import (GridError, ParamGrid, SurfaceGrid, array_derivative,
-                    central_diff, default_annulus, laplacian,
+                    central_diff, conjugacy_violation, default_annulus, laplacian,
                     surface_from_components, surface_jacobian)
 from .hodograph import (FGPair, HodographError, catenoid_closed, catenoid_fg,
                         enneper_conjugate_fg, enneper_fg, fg_integrals,

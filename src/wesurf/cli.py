@@ -32,11 +32,11 @@ import numpy as np
 
 from . import __version__
 from .catalog import CATALOG_IDS, CatalogError, verification_grid
-from .family import FamilyError, SolitonFamily
-from .generate import (GenerateError, conjugacy_violation, gamma_chart_sector,
-                       generate_conjugate_pair, we_data)
+from .family import FamilyError
+from .generate import (GenerateError, WEData, gamma_chart_sector, generate,
+                       generate_conjugate_pair, generate_pair_members, we_data)
 from .geometry import GeometryError, fundamental_form, theta_sweep_invariance
-from .grids import GridError, ParamGrid, SurfaceGrid, laplacian
+from .grids import GridError, ParamGrid, SurfaceGrid, conjugacy_violation, laplacian
 from .hodograph import HodographError
 from .io_export import (export_mesh, write_report_csv, write_surface_csv,
                         write_surface_table)
@@ -210,14 +210,9 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
-def _surfaces(cfg: RunConfig) -> tuple[SurfaceGrid, SurfaceGrid, ParamGrid]:
+def _inputs(cfg: RunConfig) -> tuple[WEData, ParamGrid]:
     grid = cfg.grid or verification_grid(cfg.surface)
-    data = we_data(cfg.surface, base=cfg.base, **cfg.params)
-    X, Y = generate_conjugate_pair(data, grid)
-    if cfg.corrupt_y_scale != 1.0:
-        k = cfg.corrupt_y_scale
-        Y = Y.with_values(Y.values * k, jac=Y.jac * k, jac2=Y.jac2 * k)
-    return X, Y, grid
+    return we_data(cfg.surface, base=cfg.base, **cfg.params), grid
 
 
 def _export_surface(s: SurfaceGrid, stem: str, cfg: RunConfig) -> list[Path]:
@@ -233,7 +228,8 @@ def _export_surface(s: SurfaceGrid, stem: str, cfg: RunConfig) -> list[Path]:
 
 def cmd_generate(cfg: RunConfig) -> int:
     cfg.validate()
-    X, Y, grid = _surfaces(cfg)
+    data, grid = _inputs(cfg)
+    X, Y = generate_pair_members(data, grid)
     files = _export_surface(X, cfg.surface, cfg)
     files += _export_surface(Y, f"{cfg.surface}_conjugate", cfg)
     rows = []
@@ -271,9 +267,7 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_family_verify(cfg: RunConfig) -> int:
     cfg.validate(need_thetas=True)
-    X, Y, grid = _surfaces(cfg)
-    fam = SolitonFamily(X, Y, validate=False)
-    del X, Y  # the family holds the pair packed; free the members
+    fam = generate_conjugate_pair(*_inputs(cfg), y_scale=cfg.corrupt_y_scale)
     lb = LorentzBoost(cfg.rapidities[0])
     header = ["theta", "max_bi_residual", "e_deviation", "g_deviation",
               "max_f_abs", "action", "boost_delta"]
@@ -329,7 +323,7 @@ def cmd_family_verify(cfg: RunConfig) -> int:
 
 def cmd_residuals(cfg: RunConfig) -> int:
     cfg.validate()
-    X, _, _ = _surfaces(cfg)
+    X = generate(*_inputs(cfg))
     # accuracy 6: the default O(h^2) truncation sits right at the 1e-4
     # tolerance for the pole-adjacent entries
     patch = chain_rule_partials(X, first_source="auto", accuracy=6, second_source="fd")
@@ -395,7 +389,7 @@ def cmd_export(cfg: RunConfig, fmt: str) -> int:
     if fmt not in VALID_FORMATS:
         raise ConfigError(f"unknown format {fmt!r}; valid: {VALID_FORMATS}")
     cfg.formats = (fmt,)
-    X, _, _ = _surfaces(cfg)
+    X = generate(*_inputs(cfg))
     for f in _export_surface(X, cfg.surface, cfg):
         print(f)
     return 0

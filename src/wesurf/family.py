@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generate import conjugacy_violation
-from .grids import SurfaceGrid
+from .grids import ParamGrid, SurfaceGrid, conjugacy_violation
 from .hodograph import FGPair, fg_integrals
 from .quadrature import DEFAULT_RULE
 from .reports import ResidualReport, residual_report
@@ -102,7 +101,9 @@ class SolitonFamily:
     values of combining the members themselves, with +0 imaginary parts in
     the member.  A member with a non-zero imaginary part raises FamilyError;
     jac/jac2 are None when either member lacks them.  X and Y are rebuilt on
-    demand; the family keeps no reference to the surfaces it was built from.
+    demand, and iterating the family gives (X, Y); the family keeps no
+    reference to the surfaces it was built from.  `packed` takes arrays
+    already packed, as `generate_conjugate_pair` writes them.
 
     The pair must pass the Cauchy-Riemann conjugacy check before a family is
     accepted; corruption tests can bypass with validate=False.
@@ -123,6 +124,18 @@ class SolitonFamily:
         self.jac = _pack(X.jac, Y.jac)
         self.jac2 = _pack(X.jac2, Y.jac2)
         self._metas = (dict(X.meta), dict(Y.meta))
+
+    @classmethod
+    def packed(cls, grid: ParamGrid, values: np.ndarray, jac: np.ndarray,
+               jac2: np.ndarray, metas: tuple[dict, dict]) -> "SolitonFamily":
+        """The family whose packed arrays Re X + i Re Y are given (taken
+        over, not copied, and made read-only); metas are X's and Y's."""
+        fam = cls.__new__(cls)
+        for z in (values, jac, jac2):
+            z.flags.writeable = False
+        fam.grid, fam.values, fam.jac, fam.jac2 = grid, values, jac, jac2
+        fam._metas = (dict(metas[0]), dict(metas[1]))
+        return fam
 
     def _real_surface(self, part, meta: dict) -> SurfaceGrid:
         """The real surface whose arrays are part(z) of the packed arrays z."""
@@ -155,6 +168,11 @@ class SolitonFamily:
     @property
     def Y(self) -> SurfaceGrid:
         return self._real_surface(np.imag, dict(self._metas[1]))
+
+    def __iter__(self):
+        """X, then Y: `X, Y = fam` unpacks the pair."""
+        yield self.X
+        yield self.Y
 
     def at(self, theta: float) -> SurfaceGrid:
         """S_theta = (cos(theta) X + sin(theta) Y)^s, componentwise.

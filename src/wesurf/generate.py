@@ -6,8 +6,11 @@ The three coordinate functions are real parts of one holomorphic triple
 
 so the harmonic conjugate surface (R -> -i R) is simply the imaginary parts
 of the same triple.  `generate_conjugate_pair` therefore integrates once and
-splits; the pair satisfies the Cauchy-Riemann relations componentwise by
-construction, which is what the soliton-family machinery relies on.
+writes the pair straight into the packed arrays of a `SolitonFamily`
+(Re X + i Re Y is Phi itself, up to offsets), which unpacks to (X, Y); the
+pair satisfies the Cauchy-Riemann relations componentwise by construction,
+which is what the soliton-family machinery relies on.
+`generate_pair_members` assembles X and Y as two separate surfaces instead.
 
 Generated surfaces carry their exact first derivatives: d(Re Phi_k)/dr1 is
 the integrand Phi_k'(r) evaluated at the node, no quadrature or finite
@@ -25,9 +28,9 @@ import numpy as np
 
 from . import catalog
 from .catalog import WEFunction, eval_R, eval_R_deriv, singularity_points
+from .family import SolitonFamily
 from .grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_jacobian
 from .quadrature import DEFAULT_RULE, antiderivative_on_grid
-from .stencils import interior_mask
 
 
 class GenerateError(ValueError):
@@ -77,23 +80,30 @@ def _integrand(R: WEFunction):
     return f
 
 
-def _node_derivatives(R: WEFunction, grid: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi'_k, Phi''_k) at the nodes: exact holomorphic derivatives."""
+def _node_derivatives(R: WEFunction, grid: ParamGrid, dphi, ddphi) -> None:
+    """Write (Phi'_k, Phi''_k) at the nodes, the exact holomorphic
+    derivatives, into dphi and ddphi (each indexed by k first)."""
     r = grid.nodes()
     rv = eval_R(R, r)
     dv = eval_R_deriv(R, r)
-    dphi = np.stack([(1.0 - r ** 2) * rv, 1j * (1.0 + r ** 2) * rv, 2.0 * r * rv])
-    ddphi = np.stack([-2.0 * r * rv + (1.0 - r ** 2) * dv,
-                      1j * (2.0 * r * rv + (1.0 + r ** 2) * dv),
-                      2.0 * rv + 2.0 * r * dv])
-    return dphi, ddphi
+    dphi[0] = (1.0 - r ** 2) * rv
+    dphi[1] = 1j * (1.0 + r ** 2) * rv
+    dphi[2] = 2.0 * r * rv
+    ddphi[0] = -2.0 * r * rv + (1.0 - r ** 2) * dv
+    ddphi[1] = 1j * (2.0 * r * rv + (1.0 + r ** 2) * dv)
+    ddphi[2] = 2.0 * rv + 2.0 * r * dv
+
+
+def _antiderivative(data: WEData, grid: ParamGrid, rule: str) -> np.ndarray:
+    return antiderivative_on_grid(_integrand(data.R), data.base, grid,
+                                  singularities=singularity_points(data.R), rule=rule)
 
 
 def _holomorphic_triple(data: WEData, grid: ParamGrid, rule: str):
-    sing = singularity_points(data.R)
-    phi = antiderivative_on_grid(_integrand(data.R), data.base, grid,
-                                 singularities=sing, rule=rule)
-    dphi, ddphi = _node_derivatives(data.R, grid)
+    phi = _antiderivative(data, grid, rule)
+    dphi = np.empty((3,) + grid.shape, dtype=complex)
+    ddphi = np.empty_like(dphi)
+    _node_derivatives(data.R, grid, dphi, ddphi)
     return phi, dphi, ddphi
 
 
@@ -108,8 +118,11 @@ def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> Sur
         values[1] = -values[1]
         jac[1] = -jac[1]
         jac2[1] = -jac2[1]
-    meta = {"surface": data.R.id, "base": data.base, "conjugate": part == "im"}
-    return SurfaceGrid(grid, values, "real", jac, jac2, meta)
+    return SurfaceGrid(grid, values, "real", jac, jac2, _meta(data, part == "im"))
+
+
+def _meta(data: WEData, conjugate: bool) -> dict:
+    return {"surface": data.R.id, "base": data.base, "conjugate": conjugate}
 
 
 def generate(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE) -> SurfaceGrid:
@@ -117,17 +130,62 @@ def generate(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE) -> Surface
     return _assemble(data, grid, *_holomorphic_triple(data, grid, rule), "re")
 
 
-def generate_conjugate_pair(data: WEData, grid: ParamGrid,
-                            rule: str = DEFAULT_RULE) -> tuple[SurfaceGrid, SurfaceGrid]:
-    """(X, Y) with Y the harmonic conjugate (R -> -i R), sharing offsets.
+def generate_pair_members(data: WEData, grid: ParamGrid,
+                          rule: str = DEFAULT_RULE) -> tuple[SurfaceGrid, SurfaceGrid]:
+    """(X, Y) as two real surfaces, Y the harmonic conjugate (R -> -i R).
 
-    Both surfaces come from one holomorphic triple, so Re -> X and Im -> Y;
+    Both come from one holomorphic triple, so Re -> X and Im -> Y;
     generate(conjugate(R)) produces the same Y up to reassociation round-off
-    (Re(-i z) = Im z).
+    (Re(-i z) = Im z).  Their imaginary parts are signed zeros (-0 in t
+    after flip_t), which the `generate` command's writers print.
     """
     triple = _holomorphic_triple(data, grid, rule)
     return (_assemble(data, grid, *triple, "re"),
             _assemble(data, grid, *triple, "im"))
+
+
+def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE,
+                            y_scale: float = 1.0) -> SolitonFamily:
+    """The family of X = Re Phi and its harmonic conjugate Y = Im Phi.
+
+    The packed arrays Re X + i Re Y are written straight from the triple
+    (Phi, Phi', Phi''), so X and Y are never built:
+
+        values[k] = (Re Phi_k + o_k) + i (Im Phi_k + o_k)    (o: offsets)
+        jac[k]    = (Phi'_k, i Phi'_k)
+        jac2[k]   = (Phi''_k, i Phi''_k, -Phi''_k)
+
+    and flip_t negates component 1 of all three.  Each entry is a copy, a
+    real/imaginary swap or a sign change, written through .real/.imag views
+    (1j * f would flip signs of zero), so the family equals
+    SolitonFamily(*generate_pair_members(...)) bit for bit.  Iterating it
+    gives (X, Y).  y_scale != 1 multiplies Y's arrays by y_scale: a test
+    hook for a pair that is not conjugate.  It equals scaling Y then
+    packing, except that an exact zero of a flipped t keeps the sign of its
+    real product, where Y's complex product (with a -0 imaginary part)
+    would give +0.
+    """
+    phi = _antiderivative(data, grid, rule)
+    values = np.empty((3,) + grid.shape, dtype=complex)
+    offsets = np.array(data.offsets)[:, None, None]
+    np.add(phi.real, offsets, out=values.real)
+    np.add(phi.imag, offsets, out=values.imag)
+    del phi
+    jac = np.empty((3, 2) + grid.shape, dtype=complex)
+    jac2 = np.empty((3, 3) + grid.shape, dtype=complex)
+    _node_derivatives(data.R, grid, jac[:, 0], jac2[:, 0])
+    for z in (jac, jac2):  # the d/dr2 slot i f = -Im f + i Re f
+        np.negative(z.imag[:, 0], out=z.real[:, 1])
+        z.imag[:, 1] = z.real[:, 0]
+    np.negative(jac2[:, 0], out=jac2[:, 2])
+    if data.flip_t:
+        for z in (values, jac, jac2):
+            np.negative(z[1], out=z[1])
+    if y_scale != 1.0:
+        for z in (values, jac, jac2):
+            z.imag *= y_scale
+    return SolitonFamily.packed(grid, values, jac, jac2,
+                                (_meta(data, False), _meta(data, True)))
 
 
 def gamma_chart_sector(g1_min: float, g1_max: float, g2_min: float,
@@ -148,31 +206,6 @@ def gamma_chart_sector(g1_min: float, g1_max: float, g2_min: float,
     allow = rho[0] < 1.0 < rho[1]
     return ParamGrid("annulus", n1, n2, (rho[0], rho[1], psi[0], psi[1]),
                      allow_unit_circle=allow)
-
-
-# ---------------------------------------------------------------------------
-# conjugacy (Cauchy-Riemann) checks
-# ---------------------------------------------------------------------------
-
-def conjugacy_violation(X: SurfaceGrid, Y: SurfaceGrid, source: str = "auto",
-                        accuracy: int = 2, interior_only: bool = False) -> float:
-    """max over components/nodes of the Cauchy-Riemann defect of the pair.
-
-    Checks dX/dr1 - dY/dr2 and dX/dr2 + dY/dr1 componentwise.  With
-    source="fd" the one-sided edge stencils carry larger truncation
-    constants; interior_only=True restricts the max to fully centered nodes.
-    """
-    if X.grid != Y.grid:
-        raise GenerateError("pair members must share a grid")
-    jx = surface_jacobian(X, source, accuracy)
-    jy = surface_jacobian(Y, source, accuracy)
-    v = np.maximum(np.abs(jx[:, 0] - jy[:, 1]), np.abs(jx[:, 1] + jy[:, 0]))
-    if interior_only:
-        mask = interior_mask(X.grid.shape, accuracy)
-        if not mask.any():
-            raise GenerateError("grid too small for an interior-only check")
-        v = v[:, mask]
-    return float(np.max(v))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +325,6 @@ def align_rigid(target: SurfaceGrid, reference: SurfaceGrid,
 
 __all__ = [
     "GenerateError", "RigidAlignment", "WEData", "align_rigid",
-    "conjugacy_violation", "gamma_chart_sector", "generate",
-    "generate_conjugate_pair", "nearest_node", "we_data",
+    "gamma_chart_sector", "generate", "generate_conjugate_pair",
+    "generate_pair_members", "nearest_node", "we_data",
 ]

@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .stencils import axis_derivative, min_samples
+from .stencils import axis_derivative, interior_mask, min_samples
 
 TWO_PI = 2.0 * np.pi
 
@@ -384,8 +384,30 @@ def surface_jacobian(surface: SurfaceGrid, source: str = "auto",
     return out
 
 
+def conjugacy_violation(X: SurfaceGrid, Y: SurfaceGrid, source: str = "auto",
+                        accuracy: int = 2, interior_only: bool = False) -> float:
+    """max over components/nodes of the Cauchy-Riemann defect of the pair.
+
+    Checks dX/dr1 - dY/dr2 and dX/dr2 + dY/dr1 componentwise.  With
+    source="fd" the one-sided edge stencils carry larger truncation
+    constants; interior_only=True restricts the max to fully centered nodes.
+    """
+    if X.grid != Y.grid:
+        raise GridError("pair members must share a grid")
+    jx = surface_jacobian(X, source, accuracy)
+    jy = surface_jacobian(Y, source, accuracy)
+    v = np.maximum(np.abs(jx[:, 0] - jy[:, 1]), np.abs(jx[:, 1] + jy[:, 0]))
+    if interior_only:
+        mask = interior_mask(X.grid.shape, accuracy)
+        if not mask.any():
+            raise GridError("grid too small for an interior-only check")
+        v = v[:, mask]
+    return float(np.max(v))
+
+
 __all__ = [
     "COMPONENTS", "GridError", "ParamGrid", "SurfaceGrid", "array_derivative",
-    "cauchy_riemann_jacs", "central_diff", "default_annulus", "laplacian",
+    "cauchy_riemann_jacs", "central_diff", "conjugacy_violation", "default_annulus",
+    "laplacian",
     "surface_from_components", "surface_jacobian",
 ]

@@ -90,6 +90,47 @@ def test_conjugate_pair_cauchy_riemann_all_entries(sid):
                                   interior_only=True) < 1e-6
 
 
+def _same_bits(a, b):
+    """Equal as floats, signs of zero included."""
+    fa, fb = a.view(np.float64), b.view(np.float64)
+    return np.array_equal(fa, fb) and np.array_equal(np.signbit(fa), np.signbit(fb))
+
+
+def _assert_same_family(got, want):
+    for name in ("values", "jac", "jac2"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("offsets", [(0.0, 0.0, 0.0), (0.3, -1.2, 2.0)],
+                         ids=["no_offsets", "offsets"])
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_packed_pair_equals_packed_members(sid, offsets):
+    # the family written straight from the triple holds the bits of
+    # packing the assembled members: every entry is a copy, a swap or a sign
+    data = ws.we_data(sid, offsets=offsets)
+    grid = ws.verification_grid(sid)
+    X, Y = ws.generate_pair_members(data, grid)
+    fam = ws.generate_conjugate_pair(data, grid)
+    ref = ws.SolitonFamily(X, Y, validate=False)
+    _assert_same_family(fam, ref)
+    for theta in (0.3, 2.0):
+        _assert_same_family(fam.at(theta), ref.at(theta))
+    for k in (1.5, -0.5):  # --corrupt-y-scale: scale the packed Y, or Y then pack
+        scaled = Y.with_values(Y.values * k, jac=Y.jac * k, jac2=Y.jac2 * k)
+        _assert_same_family(ws.generate_conjugate_pair(data, grid, y_scale=k),
+                            ws.SolitonFamily(X, scaled, validate=False))
+
+
+def test_packed_pair_unpacks_to_the_members():
+    data = ws.we_data("henneberg", offsets=(0.3, -1.2, 2.0))
+    grid = ws.verification_grid("henneberg")
+    members = ws.generate_pair_members(data, grid)
+    for got, want in zip(ws.generate_conjugate_pair(data, grid), members):
+        assert got.meta == want.meta
+        for name in ("values", "jac", "jac2"):  # equal up to signs of zero
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 @pytest.mark.parametrize("sid", ALL_IDS)
 def test_isothermality_with_conformal_factor_oracle(sid):
     # E = G = |R|^2 (1 + |w|^2)^2 and F = 0 in the W-E chart

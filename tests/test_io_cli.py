@@ -175,9 +175,10 @@ def test_cli_family_verify_empty_theta_exits_2(tmp_path, capsys):
 
 def test_cli_family_verify_member_with_imaginary_part_exits_2(tmp_path, capsys,
                                                               monkeypatch):
-    def tainted_pair(data, grid):
-        X, Y = ws.generate_conjugate_pair(data, grid)
-        return X, Y.with_values(Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
+    def tainted_pair(data, grid, **kwargs):
+        X, Y = ws.generate_conjugate_pair(data, grid, **kwargs)
+        tainted = Y.with_values(Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
+        return ws.SolitonFamily(X, tainted, validate=False)
 
     monkeypatch.setattr(cli, "generate_conjugate_pair", tainted_pair)
     assert main(["family-verify", "--formats", "csv", "--out", str(tmp_path)]) == 2
@@ -185,20 +186,35 @@ def test_cli_family_verify_member_with_imaginary_part_exits_2(tmp_path, capsys,
     assert err.startswith("error: ") and "imaginary part" in err
 
 
-def test_cli_family_verify_peak_memory_is_a_few_surfaces(tmp_path, capsys):
-    # the family keeps the pair packed in one buffer (one surface's bytes),
-    # the CLI drops the members, and each S_theta is freed before the next
-    n = 128
-    surface_bytes = 18 * 16 * n * n  # values, jac, jac2: 18 complex arrays
+def _family_verify_peak_surfaces(n, out_dir):
+    """tracemalloc peak of an n x n `family-verify` run, in surfaces: the
+    18 complex grid arrays of values, jac and jac2."""
     tracemalloc.start()
     try:
         rc = main(["family-verify", "--annulus", "0.4", "0.9", "--n", str(n),
-                   "--formats", "csv", "--out", str(tmp_path)])
+                   "--formats", "csv", "--out", str(out_dir)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 0
-    assert peak <= 4.5 * surface_bytes, f"peak {peak / surface_bytes:.2f} surfaces"
+    return peak / (18 * 16 * n * n)
+
+
+def test_cli_family_verify_peak_memory_is_a_few_surfaces(tmp_path, capsys):
+    # the family keeps the pair packed in one buffer (one surface's bytes)
+    # and each S_theta is freed before the next
+    peak = _family_verify_peak_surfaces(128, tmp_path)
+    assert peak <= 4.5, f"peak {peak:.2f} surfaces"
+
+
+def test_cli_family_verify_builds_the_family_without_the_members(tmp_path, capsys):
+    # generating X and Y and then packing them peaks at 3 surfaces; writing
+    # the packed family straight from the holomorphic triple takes 1.4, so
+    # the sweep's bands (2 surfaces at 256^2) set the peak.  At 128^2 one
+    # band holds the whole grid and hides the difference.
+    peak = _family_verify_peak_surfaces(256, tmp_path)
+    assert peak <= 2.25, f"peak {peak:.2f} surfaces"
+
 
 def test_cli_family_verify_corruption_exits_1(tmp_path, capsys):
     rc = main(["family-verify", "--surface", "catenoid",
