@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
-from wesurf.family import FamilyError
+from wesurf.family import FamilyError, _cos_sin
 
 from conftest import rng_points
 
@@ -28,6 +28,41 @@ def test_double_wick_negates_t(annulus_grid):
     ww = ws.wick_rotate(ws.wick_rotate(s))
     assert np.array_equal(ww.t, -s.t)
     assert np.array_equal(ww.x, s.x)
+
+
+def _arrays(s):
+    return [a for a in (s.values, s.jac, s.jac2) if a is not None]
+
+
+def test_wick_rotate_copies_its_input(hc_family):
+    for s in (ws.catenoid_closed(hc_family.grid), hc_family.at(0.7)):
+        before = [a.copy() for a in _arrays(s)]
+        w = ws.wick_rotate(s)
+        for a, b in zip(_arrays(s), before):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        for a, out in zip(_arrays(s), _arrays(w)):
+            assert not out.flags.writeable
+            assert not np.shares_memory(a, out)
+
+
+def test_double_wick_negates_rotated_t_bitwise(hc_family):
+    # bitwise where t has no exact zero: 1j * (1j * z) keeps no sign of a zero
+    S = hc_family.at(0.7)
+    assert np.all(S.t.imag != 0)
+    ww = ws.wick_rotate(ws.wick_rotate(S))
+    for a, b in zip(_arrays(ww), _arrays(S)):
+        assert np.array_equal(a[1].view(np.uint64), (-b[1]).view(np.uint64))
+        assert np.array_equal(a[::2].view(np.uint64), b[::2].view(np.uint64))
+
+
+def test_family_at_shares_no_memory_with_the_family(hc_family):
+    for fam in (hc_family, hc_family.rows(3, 20)):
+        S = fam.at(0.7)
+        for out in _arrays(S):
+            assert not out.flags.writeable
+            assert not any(np.shares_memory(out, z) for z in _arrays(fam))
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(_arrays(S))
+                       for b in _arrays(S)[k + 1:])
 
 
 def test_wick_catenoid_matches_nonparametric_form(annulus_grid):
@@ -99,50 +134,87 @@ def test_family_packs_pair_and_keeps_no_member():
     assert fam.values.nbytes + fam.jac.nbytes + fam.jac2.nbytes == member_bytes
 
 
+# each maker returns (family, (X, Y)): generated families unpack to their
+# members, the others are packed from the members given
+
 def _offset_catenoid_pair():
     data = ws.we_data("catenoid", offsets=(0.3, -1.2, 2.0))
-    return ws.generate_conjugate_pair(data, ws.default_annulus(0.4, 0.9, 24, 40)), True
+    fam = ws.generate_conjugate_pair(data, ws.default_annulus(0.4, 0.9, 24, 40))
+    return fam, tuple(fam)
 
 
 def _fg_pair():
     grid = ws.default_annulus(0.4, 0.9, 24, 40)
-    return (ws.surface_from_fg(ws.helicoid_fg(), grid, base=1.0, singularities=[0.0]),
-            ws.surface_from_fg(ws.catenoid_fg(), grid, base=1.0, singularities=[0.0])), True
+    X = ws.surface_from_fg(ws.helicoid_fg(), grid, base=1.0, singularities=[0.0])
+    Y = ws.surface_from_fg(ws.catenoid_fg(), grid, base=1.0, singularities=[0.0])
+    return ws.SolitonFamily(X, Y), (X, Y)
+
+
+def _closed_form_pair():
+    grid = ws.default_annulus(0.4, 0.9, 24, 40)
+    X, Y = ws.helicoid_closed(grid), ws.catenoid_closed(grid)
+    return ws.SolitonFamily(X, Y), (X, Y)
 
 
 def _scaled_y_pair():
     grid = ws.default_annulus(0.4, 0.9, 24, 40)
-    Y = ws.catenoid_closed(grid)
-    return (ws.helicoid_closed(grid),
-            Y.with_values(2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)), False
+    X, Y = ws.helicoid_closed(grid), ws.catenoid_closed(grid)
+    Y = Y.with_values(2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)
+    return ws.SolitonFamily(X, Y, validate=False), (X, Y)
 
 
 def _henneberg_pair():
-    data = ws.we_data("henneberg")  # flip_t negates t after generation
-    return ws.generate_conjugate_pair(data, ws.verification_grid("henneberg")), True
+    # flip_t negates t after generation
+    fam = ws.generate_conjugate_pair(ws.we_data("henneberg"), ws.verification_grid("henneberg"))
+    return fam, tuple(fam)
 
 
-@pytest.mark.parametrize("make_pair", [_henneberg_pair, _offset_catenoid_pair,
-                                       _fg_pair, _scaled_y_pair])
-def test_packed_family_matches_combined_members(make_pair):
-    (X, Y), validate = make_pair()
-    fam = ws.SolitonFamily(X, Y, validate=validate)
-    for theta in (0.3, 2.0, 4.5, -1.0):
-        c, s = math.cos(theta), math.sin(theta)
+def _y_scale_family():
+    fam = ws.generate_conjugate_pair(ws.we_data("catenoid"),
+                                     ws.verification_grid("catenoid"), y_scale=1.5)
+    return fam, tuple(fam)
+
+
+def _catalog_family(surface):
+    def make():
+        fam = ws.generate_conjugate_pair(ws.we_data(surface), ws.verification_grid(surface))
+        return fam, tuple(fam)
+    return pytest.param(make, id=surface)
+
+
+def _bits(a):
+    return None if a is None else a.view(np.uint64)
+
+
+# the quarter angles snap cos or sin to 0: signed zeros in t's real part
+PIN_THETAS = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, -1.0, 4.5)
+
+
+@pytest.mark.parametrize("make_family", [
+    _henneberg_pair, _offset_catenoid_pair, _fg_pair, _scaled_y_pair, _closed_form_pair,
+    _y_scale_family,
+    *(_catalog_family(i) for i in ws.CATALOG_IDS if i not in ("custom", "henneberg"))])
+def test_packed_family_matches_combined_members(make_family):
+    # bit for bit, signs of zero included: np.array_equal treats -0 == +0
+    fam, (X, Y) = make_family()
+    for theta in PIN_THETAS:
+        c, s = _cos_sin(theta)
 
         def comb(a, b):
-            return None if a is None or b is None else c * a + s * b
+            return None if a is None or b is None else c * a.real + s * b.real
 
         want = ws.wick_rotate(ws.SurfaceGrid(X.grid, comb(X.values, Y.values), "real",
                                              comb(X.jac, Y.jac), comb(X.jac2, Y.jac2)))
         got = fam.at(theta)
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.jac, want.jac)
-        if want.jac2 is None:
-            assert got.jac2 is None
-        else:
-            assert np.array_equal(got.jac2, want.jac2)
-    assert _same_surface(fam.X, X) and _same_surface(fam.Y, Y)
+        for g, w in ((got.values, want.values), (got.jac, want.jac), (got.jac2, want.jac2)):
+            if w is None:
+                assert g is None
+            else:
+                assert np.array_equal(_bits(g), _bits(w)), theta
+    for got, member in zip(fam, (X, Y)):
+        for g, m in ((got.values, member.values), (got.jac, member.jac),
+                     (got.jac2, member.jac2)):
+            assert (g is None and m is None) or np.array_equal(_bits(g.real), _bits(m.real))
 
 
 def test_family_rejects_member_with_imaginary_part(annulus_grid):
