@@ -36,6 +36,8 @@ RUNS = (
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "512", "--formats", "csv"],
     ["family-verify", "--surface", "right_helicoid", "--rapidity", "1.3"],
     ["family-verify", "--theta", "0", "3.0", "4.5"],
+    ["family-verify", "--theta", "3.141592653589793", "4.71238898038469",   # quarter angles:
+     "-1.0", "-2.5"],                                  # signs of zero in t_re (OBJ sidecar)
     ["family-verify", "--corrupt-y-scale", "1.5", "--formats", "csv"],
     ["family-verify", "--surface", "henneberg", "--formats", "csv"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "97", "200",   # partial row block

@@ -267,8 +267,10 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 def cmd_family_verify(cfg: RunConfig) -> int:
     cfg.validate(need_thetas=True)
-    fam = generate_conjugate_pair(*_inputs(cfg), y_scale=cfg.corrupt_y_scale)
+    if len(cfg.rapidities) != 1:  # the boost_delta column has one rapidity
+        raise ConfigError(f"family-verify takes one rapidity, got {list(cfg.rapidities)}")
     lb = LorentzBoost(cfg.rapidities[0])
+    fam = generate_conjugate_pair(*_inputs(cfg), y_scale=cfg.corrupt_y_scale)
     header = ["theta", "max_bi_residual", "e_deviation", "g_deviation",
               "max_f_abs", "action", "boost_delta"]
     band_maxima = []  # per theta: (unboosted, boosted) max residual of each band

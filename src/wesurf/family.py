@@ -11,7 +11,8 @@ member at angle theta of X's associate (Bonnet) family, and `SolitonFamily.at`
 builds it that way.  The family stores the pair packed as Z = X + i Y, one
 complex array each for the values and the first and second derivatives:
 X and Y are real, so Z holds both exactly, and the member at angle theta is
-Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on float views.
+Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on float views
+into one fresh array per field, which `wick_rotate` then rotates in place.
 The family's F/G data is the same combination of the
 members' handles, F_theta = cos(theta) F_1 + sin(theta) F_2, which for the
 helicoid/catenoid pair collapses to (i/2) e^{-i theta} / r.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,11 +67,36 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return c, s
 
 
-def wick_rotate(s: SurfaceGrid) -> SurfaceGrid:
-    """t -> i t; x and phi unchanged.  Applying it twice negates t."""
+class _RealMember(NamedTuple):
+    """Fresh, writeable arrays of a real member, imaginary parts +0, not yet
+    validated: `SolitonFamily.at` hands them to `wick_rotate` to rotate."""
+
+    grid: ParamGrid
+    values: np.ndarray
+    jac: np.ndarray | None
+    jac2: np.ndarray | None
+    meta: dict
+
+
+def wick_rotate(s: SurfaceGrid | _RealMember) -> SurfaceGrid:
+    """t -> i t; x and phi unchanged.  Applying it twice negates t, up to
+    the signs of exact zeros.
+
+    A SurfaceGrid is copied, never mutated.  The fresh arrays of a real
+    member (from `SolitonFamily.at`) are rotated in place instead, with the
+    bits of 1j * (m + 0j): imag <- m + 0, then real <- m * 0, a zero with
+    the sign of m; the result is validated once, as the rotated surface.
+    """
+    fresh = isinstance(s, _RealMember)
+
     def rotate(a):
         if a is None:
             return None
+        if fresh:
+            t = a[1]
+            np.add(t.real, 0.0, out=t.imag)
+            np.multiply(t.real, 0.0, out=t.real)
+            return a
         out = np.empty_like(a)
         out[0], out[2] = a[0], a[2]
         np.multiply(1j, a[1], out=out[1])  # 1j first: SIMD complex * is not commutative
@@ -137,8 +164,9 @@ class SolitonFamily:
         fam._metas = (dict(metas[0]), dict(metas[1]))
         return fam
 
-    def _real_surface(self, part, meta: dict) -> SurfaceGrid:
-        """The real surface whose arrays are part(z) of the packed arrays z."""
+    def _real_arrays(self, part) -> list[np.ndarray | None]:
+        """Fresh part(z) of each packed array z (values, jac, jac2), imaginary
+        parts +0; None stays None."""
         def real(z):
             if z is None:
                 return None
@@ -147,8 +175,12 @@ class SolitonFamily:
                 out[k] = part(z[k])  # imaginary parts set to +0
             return out
 
-        return SurfaceGrid(self.grid, real(self.values), "real", real(self.jac),
-                           real(self.jac2), meta)
+        return [real(z) for z in (self.values, self.jac, self.jac2)]
+
+    def _real_surface(self, part, meta: dict) -> SurfaceGrid:
+        """The real surface whose arrays are part(z) of the packed arrays z."""
+        values, jac, jac2 = self._real_arrays(part)
+        return SurfaceGrid(self.grid, values, "real", jac, jac2, meta)
 
     def rows(self, i: int, j: int) -> "SolitonFamily":
         """The family over grid rows i..j-1 (`ParamGrid.rows`): views of the
@@ -179,12 +211,15 @@ class SolitonFamily:
 
         The member is real, so its combination is taken on float views:
         real products, unlike numpy's SIMD complex ones, are commutative
-        bit for bit.
+        bit for bit.  It is written into fresh arrays, which `wick_rotate`
+        rotates in place, and validated once, as S_theta.  The result's
+        arrays are read-only and share no memory with the family's.
         """
         c, s = _cos_sin(theta)
         meta = {"surface": self._metas[0].get("surface"), "theta": theta,
                 "base": self._metas[0].get("base")}
-        return wick_rotate(self._real_surface(lambda z: c * z.real + s * z.imag, meta))
+        member = self._real_arrays(lambda z: c * z.real + s * z.imag)
+        return wick_rotate(_RealMember(self.grid, *member, meta))
 
 
 def theta_derivative(fam: SolitonFamily, theta: float, order: int) -> SurfaceGrid:

@@ -39,6 +39,12 @@ class GridError(ValueError):
     pass
 
 
+def _all_finite(z: np.ndarray) -> bool:
+    """True when every entry of a contiguous complex array is finite; the
+    float view's check is the complex one's, at about half the cost."""
+    return bool(np.isfinite(z.view(np.float64)).all())
+
+
 @dataclass(frozen=True)
 class ParamGrid:
     """Uniform grid over a rectangle or an annular sector of the r-plane.
@@ -172,7 +178,7 @@ class SurfaceGrid:
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=complex))
         if vals.shape != (3, self.grid.n1, self.grid.n2):
             raise GridError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not _all_finite(vals):
             raise GridError("surface components must be finite")
         if self.reality not in ("real", "wick_rotated"):
             raise GridError(f"unknown reality flag {self.reality!r}")
@@ -186,7 +192,7 @@ class SurfaceGrid:
             jac = np.ascontiguousarray(np.asarray(self.jac, dtype=complex))
             if jac.shape != (3, 2, self.grid.n1, self.grid.n2):
                 raise GridError(f"jac shape {jac.shape} invalid")
-            if not np.all(np.isfinite(jac)):
+            if not _all_finite(jac):
                 raise GridError("analytic derivatives must be finite")
             jac.flags.writeable = False
             object.__setattr__(self, "jac", jac)
@@ -195,7 +201,7 @@ class SurfaceGrid:
             jac2 = np.ascontiguousarray(np.asarray(self.jac2, dtype=complex))
             if jac2.shape != (3, 3, self.grid.n1, self.grid.n2):
                 raise GridError(f"jac2 shape {jac2.shape} invalid")
-            if not np.all(np.isfinite(jac2)):
+            if not _all_finite(jac2):
                 raise GridError("analytic second derivatives must be finite")
             jac2.flags.writeable = False
             object.__setattr__(self, "jac2", jac2)
@@ -240,12 +246,17 @@ def _by_row_blocks(kernel, *arrays) -> tuple[np.ndarray, ...]:
     The last two axes of every array are the grid's (n1, n2); `kernel` gets
     the same rows of each and returns a sequence of block-shaped arrays.  It must
     never multiply by a temporary right operand, or its bits would depend on
-    the block size (README, Numerical notes).
+    the block size (README, Numerical notes).  It must return fresh arrays,
+    no view of an input and no array twice: when one block covers every row,
+    as for each band of the theta sweep, its outputs are returned as they
+    are, with no stitch copy.
     """
     if arrays[0].ndim < 2:  # ungridded samples, e.g. from boost_graph_fns
         return kernel(*arrays)
     n1, n2 = arrays[0].shape[-2:]
     step = max(1, _ROW_BLOCK_NODES // n2)
+    if step >= n1:
+        return tuple(kernel(*arrays))
     outs = None
     for i in range(0, n1, step):
         rows = np.s_[..., i:i + step, :]

@@ -58,6 +58,18 @@ def test_surface_values_immutable_and_validated():
         ws.surface_from_components(g, bad, bad, bad)
 
 
+@pytest.mark.parametrize("field", ["values", "jac", "jac2"])
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                 complex(-np.inf, 1.0)])
+def test_surface_rejects_one_non_finite_part(field, bad):
+    s = ws.helicoid_closed(ws.default_annulus(0.4, 0.9, 5, 7))
+    arrays = {"values": s.values.copy(), "jac": s.jac.copy(), "jac2": s.jac2.copy()}
+    arrays[field].flat[7] = bad
+    with pytest.raises(GridError, match="finite"):
+        ws.SurfaceGrid(s.grid, arrays["values"], "wick_rotated", arrays["jac"],
+                       arrays["jac2"])
+
+
 def test_real_surface_imaginary_part_tolerance_edge():
     # at |value| = 1 the bound is REAL_IMAG_TOL * (1 + 1) = 2e-12, at one node
     g = ws.ParamGrid("rectangle", 3, 4, (0.0, 1.0, 0.0, 1.0))
@@ -77,6 +89,31 @@ def test_with_values_drops_omitted_derivatives():
     assert scaled.reality == s.reality and scaled.meta == s.meta
     kept = s.with_values(2.0 * s.values, jac=2.0 * s.jac)
     assert np.array_equal(kept.jac, 2.0 * s.jac) and kept.jac2 is None
+
+
+# ------------------------------------------------------------- row blocks
+
+def test_row_blocks_one_block_returns_the_kernels_arrays(monkeypatch):
+    rng = np.random.default_rng(5)
+    a, b = (rng.standard_normal((2, 11, 13)) + 1j * rng.standard_normal((2, 11, 13))
+            for _ in range(2))
+    made = []
+
+    def kernel(u, v):
+        out = (u * v, np.abs(u) < np.abs(v))
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(ws.grids, "_ROW_BLOCK_NODES", 3 * 13)   # 4 blocks
+    stitched = ws.grids._by_row_blocks(kernel, a, b)
+    monkeypatch.setattr(ws.grids, "_ROW_BLOCK_NODES", 11 * 13)  # one block
+    made.clear()
+    whole = ws.grids._by_row_blocks(kernel, a, b)
+    assert [w is m for w, m in zip(whole, made[0])] == [True, True]
+    for w, s in zip(whole, stitched):
+        assert w.dtype == s.dtype and w.tobytes() == s.tobytes()
+        assert not any(np.shares_memory(out, x) for out in (w, s) for x in (a, b))
+
 
 # ------------------------------------------------------------- central_diff
 

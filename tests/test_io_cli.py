@@ -404,11 +404,26 @@ def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
     ["generate", "--annulus", "0.4", "0.9", "0.0"],
     ["residuals", "--n", "30", "40", "50"],
     ["generate", "--formats", ",", "--n", "8"],   # empty format list
+    ["family-verify", "--rapidity", "0.8", "9.0"],   # boost_delta has one rapidity
 ])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_family_verify_takes_one_rapidity(tmp_path, capsys):
+    # 9.0 alone breaches boost_tol: a second rapidity must not be dropped
+    assert main(["family-verify", "--rapidity", "9.0", "--formats", "csv",
+                 "--out", str(tmp_path / "alone")]) == 1
+    assert "tolerance breach: boost_delta" in capsys.readouterr().err
+    for line, got in (("rapidity = 0.8, 9.0", "[0.8, 9.0]"), ("rapidity =", "[]")):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(f"[family]\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["family-verify", "--config", str(cfgfile), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: family-verify takes one rapidity, got {got}\n"
+        assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("error", [ws.FamilyError, ws.GeometryError, ws.PDEError,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
-from wesurf import grids
+from wesurf import geometry, grids, pde
 from wesurf.pde import PDEError, wick_substitute
 
 
@@ -80,6 +80,30 @@ def test_nodewise_kernels_independent_of_row_block(s_theta_annulus, monkeypatch,
     n1, n2 = s_theta_annulus.grid.shape
     monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
     assert _nodewise_bytes(s_theta_annulus) == reference
+
+
+@pytest.mark.parametrize("rows", [1, 7, "all"])
+def test_row_block_kernels_return_fresh_arrays(s_theta_annulus, monkeypatch, rows):
+    """Every blocked kernel's outputs share no memory with its inputs or with
+    each other: one block hands them back as they are, with no stitch copy."""
+    calls = []
+
+    def checked(kernel, *arrays):
+        outs = grids._by_row_blocks(kernel, *arrays)
+        for k, out in enumerate(outs):
+            assert not any(np.shares_memory(out, a) for a in arrays)
+            assert not any(np.shares_memory(out, o) for o in outs[k + 1:])
+        calls.append(kernel.__qualname__)
+        return outs
+
+    for module in (pde, geometry):
+        monkeypatch.setattr(module, "_by_row_blocks", checked)
+    n1, n2 = s_theta_annulus.grid.shape
+    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
+    _nodewise_bytes(s_theta_annulus)
+    ws.fundamental_form(s_theta_annulus, "wick_signed")
+    assert {name.split(".")[0] for name in calls} == {
+        "chain_rule_partials", "boost", "_residual", "fundamental_form"}
 
 
 # ------------------------------------------------------------------ residuals
