@@ -40,6 +40,9 @@ RUNS = (
      "-1.0", "-2.5"],                                  # signs of zero in t_re (OBJ sidecar)
     ["family-verify", "--corrupt-y-scale", "1.5", "--formats", "csv"],
     ["family-verify", "--surface", "henneberg", "--formats", "csv"],
+    ["family-verify", "--surface", "henneberg", "--corrupt-y-scale", "1.5",  # flip_t x y_scale,
+     "--theta", "0", "1.5707963267948966", "3.141592653589793", "-1.0"],      # OBJ signs of zero
+    ["family-verify", "--surface", "henneberg", "--corrupt-y-scale", "-0.5", "--formats", "csv"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "97", "200",   # partial row block
      "--theta", "0", "0.3", "2.2", "4.1", "--rapidity", "1.1"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "83", "200",   # 81-row band + 2 rows

@@ -357,6 +357,8 @@ def _wick_catenoid_patch():
 
 def cmd_boost_check(cfg: RunConfig) -> int:
     cfg.validate()
+    if not cfg.rapidities:  # no rapidity runs no check, which must not pass
+        raise ConfigError("boost-check needs at least one rapidity")
     patch = _wick_catenoid_patch()
     base = born_infeld_residual(patch)
     rows = []

@@ -9,7 +9,9 @@ Born-Infeld equation, and every combination
 is again a solution: Wick rotation is linear, so S_theta is the rotated
 member at angle theta of X's associate (Bonnet) family, and `SolitonFamily.at`
 builds it that way.  The family stores the pair packed as Z = X + i Y, one
-complex array each for the values and the first and second derivatives:
+complex array each for the values and the first and second derivatives
+(a generated family keeps only the d/dr1 slots Phi', Phi'' of the latter
+and builds the rest by Cauchy-Riemann):
 X and Y are real, so Z holds both exactly, and the member at angle theta is
 Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on float views
 into one fresh array per field, which `wick_rotate` then rotates in place.
@@ -119,6 +121,15 @@ def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     return z
 
 
+# A one-slot jac or jac2 holds the d/dr1 slot z of a holomorphic pair
+# X + i Y; by Cauchy-Riemann the d/dr2 (and d12) slot is i z and the d22 slot
+# is -z.  Slot j's X and Y parts, Re and Im of that multiple of z, each as
+# (sign, 0 for Re z or 1 for Im z):
+_SLOT_PARTS = (((1.0, 0), (1.0, 1)),     # z:    Re z,  Im z
+               ((-1.0, 1), (1.0, 0)),    # i z: -Im z,  Re z
+               ((-1.0, 0), (-1.0, 1)))   # -z:  -Re z, -Im z
+
+
 class SolitonFamily:
     """A conjugate minimal-surface pair X, Y; `at` builds S_theta from it.
 
@@ -130,7 +141,9 @@ class SolitonFamily:
     jac/jac2 are None when either member lacks them.  X and Y are rebuilt on
     demand, and iterating the family gives (X, Y); the family keeps no
     reference to the surfaces it was built from.  `packed` takes arrays
-    already packed, as `generate_conjugate_pair` writes them.
+    already packed, as `generate_conjugate_pair` writes them: there jac and
+    jac2 hold one slot each, Phi' and Phi'', and every other slot follows
+    by Cauchy-Riemann (`_SLOT_PARTS`), a quarter of the bytes of X and Y.
 
     The pair must pass the Cauchy-Riemann conjugacy check before a family is
     accepted; corruption tests can bypass with validate=False.
@@ -151,34 +164,57 @@ class SolitonFamily:
         self.jac = _pack(X.jac, Y.jac)
         self.jac2 = _pack(X.jac2, Y.jac2)
         self._metas = (dict(X.meta), dict(Y.meta))
+        self._y_scale = 1.0
 
     @classmethod
     def packed(cls, grid: ParamGrid, values: np.ndarray, jac: np.ndarray,
-               jac2: np.ndarray, metas: tuple[dict, dict]) -> "SolitonFamily":
+               jac2: np.ndarray, metas: tuple[dict, dict],
+               y_scale: float = 1.0) -> "SolitonFamily":
         """The family whose packed arrays Re X + i Re Y are given (taken
-        over, not copied, and made read-only); metas are X's and Y's."""
+        over, not copied, and made read-only); metas are X's and Y's.
+
+        jac and jac2 may hold the d/dr1 slot alone, shape (3, 1, n1, n2),
+        when X + i Y is holomorphic: the d/dr2 and d12 slots are then i times
+        it and the d22 slot minus it.  Y is y_scale times what the arrays
+        hold, the product taken when a member is built.
+        """
         fam = cls.__new__(cls)
         for z in (values, jac, jac2):
             z.flags.writeable = False
         fam.grid, fam.values, fam.jac, fam.jac2 = grid, values, jac, jac2
         fam._metas = (dict(metas[0]), dict(metas[1]))
+        fam._y_scale = float(y_scale)
         return fam
 
     def _real_arrays(self, part) -> list[np.ndarray | None]:
-        """Fresh part(z) of each packed array z (values, jac, jac2), imaginary
-        parts +0; None stays None."""
-        def real(z):
+        """Fresh real arrays of part(sx, x, sy, y) for values, jac and jac2,
+        imaginary parts +0; None stays None.
+
+        x and y are float arrays of one component and slot of X and of Y up
+        to the signs sx and sy: views of the packed arrays, y times the
+        family's y_scale, and a one-slot jac or jac2 is spread over its slots
+        by `_SLOT_PARTS`.  This is the one place that rule is applied.
+        """
+        def real(z, n_slots):
             if z is None:
                 return None
-            out = np.empty_like(z)
-            for k in range(len(z)):  # per component: the temporary is a third the size
-                out[k] = part(z[k])  # imaginary parts set to +0
+            compact = z.shape[1] == 1
+            out = np.empty((len(z), n_slots) + z.shape[2:], dtype=complex)
+            for k, j in np.ndindex(out.shape[:2]):  # small temporaries: one grid each
+                src = z[k, 0 if compact else j]
+                re_im = (src.real, src.imag)
+                (sx, px), (sy, py) = _SLOT_PARTS[j if compact else 0]
+                x, y = re_im[px], re_im[py]
+                if self._y_scale != 1.0:
+                    y = self._y_scale * y
+                out[k, j] = part(sx, x, sy, y)  # imaginary parts set to +0
             return out
 
-        return [real(z) for z in (self.values, self.jac, self.jac2)]
+        values = real(self.values[:, None], 1)[:, 0]  # values: one slot, as z
+        return [values, real(self.jac, 2), real(self.jac2, 3)]
 
     def _real_surface(self, part, meta: dict) -> SurfaceGrid:
-        """The real surface whose arrays are part(z) of the packed arrays z."""
+        """The real surface of `_real_arrays(part)`."""
         values, jac, jac2 = self._real_arrays(part)
         return SurfaceGrid(self.grid, values, "real", jac, jac2, meta)
 
@@ -195,11 +231,13 @@ class SolitonFamily:
 
     @property
     def X(self) -> SurfaceGrid:
-        return self._real_surface(np.real, dict(self._metas[0]))
+        return self._real_surface(lambda sx, x, sy, y: x if sx > 0 else -x,
+                                  dict(self._metas[0]))
 
     @property
     def Y(self) -> SurfaceGrid:
-        return self._real_surface(np.imag, dict(self._metas[1]))
+        return self._real_surface(lambda sx, x, sy, y: y if sy > 0 else -y,
+                                  dict(self._metas[1]))
 
     def __iter__(self):
         """X, then Y: `X, Y = fam` unpacks the pair."""
@@ -218,7 +256,8 @@ class SolitonFamily:
         c, s = _cos_sin(theta)
         meta = {"surface": self._metas[0].get("surface"), "theta": theta,
                 "base": self._metas[0].get("base")}
-        member = self._real_arrays(lambda z: c * z.real + s * z.imag)
+        # the signs go on the weights: c * (-x) and (-c) * x are the same bits
+        member = self._real_arrays(lambda sx, x, sy, y: (sx * c) * x + (sy * s) * y)
         return wick_rotate(_RealMember(self.grid, *member, meta))
 
 

@@ -7,7 +7,8 @@ The three coordinate functions are real parts of one holomorphic triple
 so the harmonic conjugate surface (R -> -i R) is simply the imaginary parts
 of the same triple.  `generate_conjugate_pair` therefore integrates once and
 writes the pair straight into the packed arrays of a `SolitonFamily`
-(Re X + i Re Y is Phi itself, up to offsets), which unpacks to (X, Y); the
+(Re X + i Re Y is Phi itself, up to offsets, and its derivative arrays hold
+Phi' and Phi'' alone), which unpacks to (X, Y); the
 pair satisfies the Cauchy-Riemann relations componentwise by construction,
 which is what the soliton-family machinery relies on.
 `generate_pair_members` assembles X and Y as two separate surfaces instead.
@@ -152,18 +153,19 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_R
     (Phi, Phi', Phi''), so X and Y are never built:
 
         values[k] = (Re Phi_k + o_k) + i (Im Phi_k + o_k)    (o: offsets)
-        jac[k]    = (Phi'_k, i Phi'_k)
-        jac2[k]   = (Phi''_k, i Phi''_k, -Phi''_k)
+        jac[k]    = Phi'_k     (the d/dr1 slot alone)
+        jac2[k]   = Phi''_k    (the d11 slot alone)
 
-    and flip_t negates component 1 of all three.  Each entry is a copy, a
-    real/imaginary swap or a sign change, written through .real/.imag views
-    (1j * f would flip signs of zero), so the family equals
-    SolitonFamily(*generate_pair_members(...)) bit for bit.  Iterating it
-    gives (X, Y).  y_scale != 1 multiplies Y's arrays by y_scale: a test
-    hook for a pair that is not conjugate.  It equals scaling Y then
-    packing, except that an exact zero of a flipped t keeps the sign of its
-    real product, where Y's complex product (with a -0 imaginary part)
-    would give +0.
+    and flip_t negates component 1 of all three.  X + i Y is holomorphic,
+    so the family builds the other slots by Cauchy-Riemann when it makes a
+    member: d/dr2 and d12 are i Phi', i Phi'', and d22 is -Phi''.  Each of
+    their parts is a copy or a sign change of a stored one, so the family
+    equals SolitonFamily(*generate_pair_members(...)) bit for bit in `at`
+    and in the unpacked (X, Y), and holds a quarter of their bytes.
+    y_scale != 1 multiplies Y by y_scale: a test hook for a pair that is not
+    conjugate.  It equals scaling Y then packing, except that an exact zero
+    of a flipped t keeps the sign of its real product, where Y's complex
+    product (with a -0 imaginary part) would give +0.
     """
     phi = _antiderivative(data, grid, rule)
     values = np.empty((3,) + grid.shape, dtype=complex)
@@ -171,21 +173,14 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_R
     np.add(phi.real, offsets, out=values.real)
     np.add(phi.imag, offsets, out=values.imag)
     del phi
-    jac = np.empty((3, 2) + grid.shape, dtype=complex)
-    jac2 = np.empty((3, 3) + grid.shape, dtype=complex)
+    jac = np.empty((3, 1) + grid.shape, dtype=complex)
+    jac2 = np.empty_like(jac)
     _node_derivatives(data.R, grid, jac[:, 0], jac2[:, 0])
-    for z in (jac, jac2):  # the d/dr2 slot i f = -Im f + i Re f
-        np.negative(z.imag[:, 0], out=z.real[:, 1])
-        z.imag[:, 1] = z.real[:, 0]
-    np.negative(jac2[:, 0], out=jac2[:, 2])
     if data.flip_t:
         for z in (values, jac, jac2):
             np.negative(z[1], out=z[1])
-    if y_scale != 1.0:
-        for z in (values, jac, jac2):
-            z.imag *= y_scale
     return SolitonFamily.packed(grid, values, jac, jac2,
-                                (_meta(data, False), _meta(data, True)))
+                                (_meta(data, False), _meta(data, True)), y_scale)
 
 
 def gamma_chart_sector(g1_min: float, g1_max: float, g2_min: float,

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,29 +99,55 @@ def _same_bits(a, b):
     return np.array_equal(fa, fb) and np.array_equal(np.signbit(fa), np.signbit(fb))
 
 
-def _assert_same_family(got, want):
+def _assert_same_surface(got, want, label):
     for name in ("values", "jac", "jac2"):
-        assert _same_bits(getattr(got, name), getattr(want, name)), name
+        assert _same_bits(getattr(got, name), getattr(want, name)), (label, name)
+
+
+# the quarter angles snap cos or sin to 0: signed zeros in the member
+PACKED_THETAS = (0.0, 0.3, 2.0, math.pi / 2, math.pi, 3 * math.pi / 2, -1.0, 4.5)
 
 
 @pytest.mark.parametrize("offsets", [(0.0, 0.0, 0.0), (0.3, -1.2, 2.0)],
                          ids=["no_offsets", "offsets"])
 @pytest.mark.parametrize("sid", ALL_IDS)
 def test_packed_pair_equals_packed_members(sid, offsets):
-    # the family written straight from the triple holds the bits of
-    # packing the assembled members: every entry is a copy, a swap or a sign
+    # the family written from (Phi, Phi', Phi'') gives the bits of packing
+    # the assembled members, in S_theta and unpacked: the slots it stores are
+    # copies, and the ones it builds by Cauchy-Riemann are swaps and signs
     data = ws.we_data(sid, offsets=offsets)
     grid = ws.verification_grid(sid)
     X, Y = ws.generate_pair_members(data, grid)
     fam = ws.generate_conjugate_pair(data, grid)
     ref = ws.SolitonFamily(X, Y, validate=False)
-    _assert_same_family(fam, ref)
-    for theta in (0.3, 2.0):
-        _assert_same_family(fam.at(theta), ref.at(theta))
-    for k in (1.5, -0.5):  # --corrupt-y-scale: scale the packed Y, or Y then pack
+    for theta in PACKED_THETAS:
+        _assert_same_surface(fam.at(theta), ref.at(theta), theta)
+    for got, want in zip(fam, ref):
+        _assert_same_surface(got, want, "unpacked")
+    for k in (1.5, -0.5):  # --corrupt-y-scale: scale Y in the family, or Y then pack
         scaled = Y.with_values(Y.values * k, jac=Y.jac * k, jac2=Y.jac2 * k)
-        _assert_same_family(ws.generate_conjugate_pair(data, grid, y_scale=k),
-                            ws.SolitonFamily(X, scaled, validate=False))
+        fam_k = ws.generate_conjugate_pair(data, grid, y_scale=k)
+        ref_k = ws.SolitonFamily(X, scaled, validate=False)
+        for theta in (0.3, 2.0, math.pi / 2):
+            _assert_same_surface(fam_k.at(theta), ref_k.at(theta), (k, theta))
+        for got, want in zip(fam_k, ref_k):
+            _assert_same_surface(got, want, (k, "unpacked"))
+
+
+def test_generated_family_holds_one_slot_per_derivative():
+    # values, Phi' and Phi'': 144 bytes per node; storing the d/dr2, d12 and
+    # d22 slots too, which Cauchy-Riemann gives from these, took 288
+    grid = ws.default_annulus(0.4, 0.9, 256, 256)
+    tracemalloc.start()
+    try:
+        fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), grid)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    finally:
+        tracemalloc.stop()
+    per_node = sum(trace.size for trace in held.traces) / (grid.n1 * grid.n2)
+    assert per_node < 145, f"{per_node:.1f} bytes per node"
+    assert fam.jac.shape[1] == fam.jac2.shape[1] == 1
 
 
 def test_packed_pair_unpacks_to_the_members():

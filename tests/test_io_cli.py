@@ -216,6 +216,13 @@ def test_cli_family_verify_builds_the_family_without_the_members(tmp_path, capsy
     assert peak <= 2.25, f"peak {peak:.2f} surfaces"
 
 
+def test_cli_family_verify_keeps_one_slot_per_derivative(tmp_path, capsys):
+    # the generated family stores Phi' and Phi'' alone and builds the d/dr2
+    # and d22 slots per band: 24.5 MiB at 256^2, where all slots took 33.5
+    peak_mib = _family_verify_peak_surfaces(256, tmp_path) * 18 * 16 * 256 ** 2 / 2 ** 20
+    assert peak_mib <= 30, f"peak {peak_mib:.1f} MiB"
+
+
 def test_cli_family_verify_corruption_exits_1(tmp_path, capsys):
     rc = main(["family-verify", "--surface", "catenoid",
                "--corrupt-y-scale", "1.01", "--out", str(tmp_path)])
@@ -424,6 +431,15 @@ def test_cli_family_verify_takes_one_rapidity(tmp_path, capsys):
         assert main(["family-verify", "--config", str(cfgfile), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: family-verify takes one rapidity, got {got}\n"
         assert not any(out.iterdir())
+
+
+def test_cli_boost_check_empty_rapidity_list_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[family]\nrapidity =\n")
+    out = tmp_path / "out"
+    assert main(["boost-check", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: boost-check needs at least one rapidity\n"
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("error", [ws.FamilyError, ws.GeometryError, ws.PDEError,
