@@ -47,6 +47,10 @@ RUNS = (
      "--theta", "0", "0.3", "2.2", "4.1", "--rapidity", "1.1"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "83", "200",   # 81-row band + 2 rows
      "--formats", "csv"],
+    ["family-verify", "--rapidity", "6", "--formats", "csv"],   # boost_delta breach, exit 1
+    ["family-verify", "--surface", "scherk", "--formats", "csv"],
+    ["family-verify", "--surface", "schwarz_riemann", "--rapidity", "1.2",
+     "--theta", "0", "0.4", "2.5", "--formats", "csv"],
     ["residuals", "--surface", "catenoid"],
     ["residuals", "--surface", "scherk"],
     ["residuals", "--surface", "schwarz_riemann"],

@@ -42,7 +42,7 @@ from .io_export import (export_mesh, write_report_csv, write_surface_csv,
                         write_surface_table)
 from .pde import (LorentzBoost, PDEError, boost, born_infeld_residual,
                   chain_rule_partials, graph_patch, minimal_surface_residual,
-                  wick_catenoid_graph_fns, wick_equivalence_check)
+                  wick_catenoid_graph_fns, wick_equivalence_check, wick_substitute)
 from .quadrature import QuadratureError
 from .stencils import StencilError, interior_mask
 
@@ -275,10 +275,13 @@ def cmd_family_verify(cfg: RunConfig) -> int:
               "max_f_abs", "action", "boost_delta"]
     band_maxima = []  # per theta: (unboosted, boosted) max residual of each band
 
-    def check_band(th, rows, S):
-        patch = chain_rule_partials(S, second_source="analytic")
-        res = born_infeld_residual(patch)
-        res_b = born_infeld_residual(boost(patch, lb))
+    def check_band(th, rows, X):
+        # X is the real member of S_theta = X^s: its partials run in float,
+        # and by the Wick identity its minimal residual is S_theta's
+        # Born-Infeld residual, bit for bit; the boosted data are complex
+        patch = chain_rule_partials(X, second_source="analytic")
+        res = minimal_surface_residual(patch)
+        res_b = born_infeld_residual(boost(wick_substitute(patch), lb))
         if rows.start == 0:
             band_maxima.append([])
         if res.node_count:  # a band that keeps no node has no maximum

@@ -70,14 +70,28 @@ def _cos_sin(theta: float) -> tuple[float, float]:
 
 
 class _RealMember(NamedTuple):
-    """Fresh, writeable arrays of a real member, imaginary parts +0, not yet
-    validated: `SolitonFamily.at` hands them to `wick_rotate` to rotate."""
+    """The arrays of a real member X, not validated: either fresh, writeable
+    complex arrays with +0 imaginary parts, which `SolitonFamily.at` hands to
+    `wick_rotate` to rotate in place, or the float64 arrays of `real_member`,
+    which the nodewise kernels read as they read a SurfaceGrid."""
 
     grid: ParamGrid
     values: np.ndarray
     jac: np.ndarray | None
     jac2: np.ndarray | None
     meta: dict
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.values[0]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.values[1]
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.values[2]
 
 
 def wick_rotate(s: SurfaceGrid | _RealMember) -> SurfaceGrid:
@@ -106,6 +120,25 @@ def wick_rotate(s: SurfaceGrid | _RealMember) -> SurfaceGrid:
 
     return SurfaceGrid(s.grid, rotate(s.values), "wick_rotated", rotate(s.jac),
                        rotate(s.jac2), dict(s.meta))
+
+
+def real_member(s: SurfaceGrid) -> _RealMember:
+    """X of S = X^s: Re x, Im t and Re phi of the values, jac and jac2 of
+    S, copied into contiguous float64 arrays.
+
+    The parts of S that are read are exactly X's when S comes from
+    `SolitonFamily.at`, which writes X into them and zeros into the other
+    parts; nothing checks that here.  The nodewise kernels then run in
+    float arithmetic on X and give S's bits (README, Numerical notes).
+    """
+    def parts(z):
+        if z is None:
+            return None
+        out = np.empty(z.shape)
+        out[0], out[1], out[2] = z[0].real, z[1].imag, z[2].real
+        return out
+
+    return _RealMember(s.grid, parts(s.values), parts(s.jac), parts(s.jac2), dict(s.meta))
 
 
 def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
@@ -324,5 +357,5 @@ def verify_soliton_relations(s: SurfaceGrid, p: FGPair,
 
 __all__ = [
     "FamilyError", "SolitonFamily", "SolitonRelationsReport", "family_fg",
-    "theta_derivative", "verify_soliton_relations", "wick_rotate",
+    "real_member", "theta_derivative", "verify_soliton_relations", "wick_rotate",
 ]

@@ -28,6 +28,7 @@ from typing import Literal
 import numpy as np
 
 from . import grids
+from .family import real_member
 from .grids import ParamGrid, SurfaceGrid, _by_row_blocks, surface_jacobian
 from .reports import ResidualReport, residual_report
 
@@ -110,28 +111,31 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
     .at(theta)).  Each theta is built one band of whole rows at a time
     (`grids._row_bands`), so no full-grid S_theta exists; a family without
     analytic first derivatives runs as one band, the whole grid, so that
-    its finite-difference form sees every neighbour.  Each band's S_theta
-    rows go to `visit(theta, rows, S_rows)` when given, with `rows` the
-    band's slice of grid rows; bands arrive in order, each row once per
-    theta.  A visit may do nodewise work only: the same nodes of the whole
-    S_theta would give it the same bits.  The form's E, F, G are assembled
-    into buffers for the action, a whole-grid sum taken after each theta's
-    last band.  A NaN anywhere propagates into the report.
+    its finite-difference form sees every neighbour.  Each band of S_theta
+    = X_theta^s is read as its real member X_theta (`family.real_member`),
+    and the form is X_theta's euclidean one in float arithmetic: the
+    wick-signed form of S_theta, bit for bit.  The member's rows go to
+    `visit(theta, rows, X_rows)` when given, with `rows` the band's slice
+    of grid rows; bands arrive in order, each row once per theta.  A visit
+    may do nodewise work only: the same nodes of the whole member would
+    give it the same bits.  The form's E, F, G are assembled into float
+    buffers for the action, a whole-grid sum taken after each theta's last
+    band.  A NaN anywhere propagates into the report.
     """
     thetas = tuple(float(t) for t in thetas)
     if len(thetas) < 1:
         raise GeometryError("need at least one theta")
     grid = fam.grid
     bands = grids._row_bands(*grid.shape) if fam.jac is not None else [(0, grid.n1)]
-    E, F, G, E0, G0 = (np.empty(grid.shape, complex) for _ in range(5))
+    E, F, G, E0, G0 = (np.empty(grid.shape) for _ in range(5))
     e_dev, g_dev = np.zeros(grid.shape), np.zeros(grid.shape)
     series = []
     for t in thetas:
         e_abs = g_abs = f_abs = 0.0
         for i, j in bands:
             rows = slice(i, j)
-            s = fam.rows(i, j).at(t)
-            form = fundamental_form(s, "wick_signed")
+            member = real_member(fam.rows(i, j).at(t))
+            form = fundamental_form(member)
             if not series:
                 E0[rows], G0[rows] = form.E, form.G
             # np.maximum, not max(): a NaN in any band must reach the series
@@ -141,8 +145,8 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
             E[rows], F[rows], G[rows] = form.E, form.F, form.G
             del form
             if visit is not None:
-                visit(t, rows, s)
-            del s  # free this band before the next is built
+                visit(t, rows, member)
+            del member  # free this band before the next is built
         a = action(FundamentalForm(E, F, G, "wick_signed", grid), grid)
         series.append((float(e_abs), float(g_abs), float(f_abs), a))
     e_devs, g_devs, f_abs, actions = zip(*series)

@@ -388,7 +388,7 @@ def surface_jacobian(surface: SurfaceGrid, source: str = "auto",
         return surface.jac
     if source == "analytic":
         raise GridError("surface carries no analytic derivatives")
-    out = np.empty((3, 2, surface.grid.n1, surface.grid.n2), dtype=complex)
+    out = np.empty((3, 2, surface.grid.n1, surface.grid.n2), dtype=surface.values.dtype)
     for k in range(3):
         out[k, 0] = array_derivative(surface.grid, surface.values[k], "r1", 1, accuracy)
         out[k, 1] = array_derivative(surface.grid, surface.values[k], "r2", 1, accuracy)

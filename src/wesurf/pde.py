@@ -5,10 +5,11 @@
 
 The two equations exchange under the Wick substitution t -> i t.  Parametric
 grids are converted to nonparametric derivative data by inverting the 2x2
-Jacobian d(x, t)/d(r1, r2) nodewise (complex-valued for Wick-rotated grids);
-second partials differentiate the (phi_x, phi_t) fields on the grid and
-apply the inverse Jacobian again, so they inherit the finite-difference
-step dependence even when the first derivatives are analytic.
+Jacobian d(x, t)/d(r1, r2) nodewise (complex-valued for Wick-rotated grids,
+float64 for the real member of `family.real_member`, whose Wick substitution
+has the rotated grid's bits); second partials differentiate the (phi_x, phi_t)
+fields on the grid and apply the inverse Jacobian again, so they inherit the
+finite-difference step dependence even when the first derivatives are analytic.
 
 Also here: the Lorentz boost (cosh, sinh matrix) under which the Born-Infeld
 equation is invariant, applied to patches by transforming coordinates and
@@ -121,10 +122,11 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
     if analytic and s.jac2 is None:
         raise PDEError("surface carries no analytic second derivatives")
 
-    # nodewise stages, run by _by_row_blocks on rows of jac (3, 2, n1, n2)
-    def solve(j, det_safe, f1, f2):
+    # nodewise stages, run by _by_row_blocks on rows of jac (3, 2, n1, n2);
+    # every quotient is a product with inv = 1 / det_safe (README, Numerical notes)
+    def solve(j, inv, f1, f2):
         (x1, x2), (t1, t2), _ = j
-        return (t2 * f1 - t1 * f2) / det_safe, (x1 * f2 - x2 * f1) / det_safe
+        return (t2 * f1 - t1 * f2) * inv, (x1 * f2 - x2 * f1) * inv
 
     def first_stage(j):
         (x1, x2), (t1, t2), (p1, p2) = j
@@ -134,15 +136,16 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
         norm_j = np.maximum(np.abs(x1) + np.abs(x2), np.abs(t1) + np.abs(t2))
         norm_inv = np.maximum(np.abs(t2) + np.abs(x2), np.abs(t1) + np.abs(x1)) / np.abs(det_safe)
         bad |= norm_j * norm_inv > cond_cutoff
-        return (det, bad, det_safe, *solve(j, det_safe, p1, p2))
+        inv = 1.0 / det_safe
+        return (det, bad, inv, *solve(j, inv, p1, p2))
 
-    def final_solves(j, det_safe, a1, a2, b1, b2):
-        phi_xx, phi_xt_a = solve(j, det_safe, a1, a2)
-        phi_tx_b, phi_tt = solve(j, det_safe, b1, b2)
+    def final_solves(j, inv, a1, a2, b1, b2):
+        phi_xx, phi_xt_a = solve(j, inv, a1, a2)
+        phi_tx_b, phi_tt = solve(j, inv, b1, b2)
         return phi_xx, 0.5 * (phi_xt_a + phi_tx_b), phi_tt
 
     def analytic_stages(j, j2):
-        det, bad, det_safe, phi_x, phi_t = first_stage(j)
+        det, bad, inv, phi_x, phi_t = first_stage(j)
         (x1, x2), (t1, t2), (p1, p2) = j
         # d_i of the solved gradient fields, by quotient rule on exact data
         (x11, x12, x22), (t11, t12, t22), (p11, p12, p22) = j2
@@ -152,22 +155,22 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
             ddet = dx1 * t2 + x1 * dt2 - dx2 * t1 - x2 * dt1
             dnum_x = dt2 * p1 + t2 * dp1 - dt1 * p2 - t1 * dp2
             dnum_t = dx1 * p2 + x1 * dp2 - dx2 * p1 - x2 * dp1
-            partials.append(((dnum_x - phi_x * ddet) / det_safe,
-                             (dnum_t - phi_t * ddet) / det_safe))
+            partials.append(((dnum_x - phi_x * ddet) * inv,
+                             (dnum_t - phi_t * ddet) * inv))
         (a1, b1), (a2, b2) = partials
-        return (det, bad, phi_x, phi_t, *final_solves(j, det_safe, a1, a2, b1, b2))
+        return (det, bad, phi_x, phi_t, *final_solves(j, inv, a1, a2, b1, b2))
 
     if analytic:
         det, bad, phi_x, phi_t, phi_xx, phi_xt, phi_tt = _by_row_blocks(
             analytic_stages, jac, s.jac2)
         valid = ~bad
     else:
-        det, bad, det_safe, phi_x, phi_t = _by_row_blocks(first_stage, jac)
+        det, bad, inv, phi_x, phi_t = _by_row_blocks(first_stage, jac)
         a1 = array_derivative(s.grid, phi_x, "r1", 1, accuracy)
         a2 = array_derivative(s.grid, phi_x, "r2", 1, accuracy)
         b1 = array_derivative(s.grid, phi_t, "r1", 1, accuracy)
         b2 = array_derivative(s.grid, phi_t, "r2", 1, accuracy)
-        phi_xx, phi_xt, phi_tt = _by_row_blocks(final_solves, jac, det_safe, a1, a2, b1, b2)
+        phi_xx, phi_xt, phi_tt = _by_row_blocks(final_solves, jac, inv, a1, a2, b1, b2)
         valid = ~_dilate(bad, accuracy + 1)  # stencil window reach, incl. one-sided edges
     return NonparametricPatch(
         x=s.x, t=s.t, phi=s.phi,  # read-only views of the surface
@@ -294,11 +297,12 @@ def boost_graph_fns(fns: dict, lb: LorentzBoost) -> dict:
 
 def wick_substitute(p: NonparametricPatch) -> NonparametricPatch:
     """t -> i t on derivative data: phi_t -> -i phi_t, phi_tt -> -phi_tt,
-    phi_xt -> -i phi_xt (x-derivatives unchanged)."""
-    return NonparametricPatch(x=p.x.copy(), t=1j * p.t, phi=p.phi.copy(),
-                              phi_x=p.phi_x.copy(), phi_t=-1j * p.phi_t,
-                              phi_xx=p.phi_xx.copy(), phi_xt=-1j * p.phi_xt,
-                              phi_tt=-p.phi_tt, valid_mask=p.valid_mask.copy())
+    phi_xt -> -i phi_xt.  x, phi, phi_x, phi_xx and valid_mask, which the
+    substitution leaves unchanged, are shared with `p`, not copied."""
+    return NonparametricPatch(x=p.x, t=1j * p.t, phi=p.phi,
+                              phi_x=p.phi_x, phi_t=-1j * p.phi_t,
+                              phi_xx=p.phi_xx, phi_xt=-1j * p.phi_xt,
+                              phi_tt=-p.phi_tt, valid_mask=p.valid_mask)
 
 
 def wick_equivalence_check(minimal: NonparametricPatch) -> ResidualReport:

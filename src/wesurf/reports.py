@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_RMS_SLACK = 1.0 + 4 * np.finfo(float).eps  # max_abs * _RMS_SLACK: 4 to 8 ulps above max_abs
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -24,8 +26,9 @@ class ResidualReport:
     dropped_count: int = 0
 
     def __post_init__(self):
-        # NaN statistics pass through: the gates that read them fail closed
-        if self.node_count > 0 and (self.max_abs + 1e-300 < self.rms or self.rms < 0.0):
+        # NaN statistics pass through: the gates that read them fail closed.
+        # The RMS of a constant residual can round 2 ulps above its max.
+        if self.node_count > 0 and (self.rms > self.max_abs * _RMS_SLACK or self.rms < 0.0):
             raise ValueError("inconsistent residual statistics (need max >= rms >= 0)")
 
 

@@ -118,7 +118,7 @@ def axis_derivative(arr: np.ndarray, h: float, axis: int, order: int = 1,
         out[n - half + k] = fixed_order_dot(edge[half - 1 - k, ::-1], work[n - ew:])
     if order % 2 == 1:
         out[n - half:] = -out[n - half:]
-    out /= h ** order
+    out *= 1.0 / h ** order  # complex / h is this product: float and complex agree
     return np.moveaxis(out, 0, axis)
 
 

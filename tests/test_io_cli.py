@@ -246,12 +246,13 @@ def _nan_form(field):
 
 
 NAN_CASES = {
-    # born_infeld_residual runs unboosted, then boosted, once per theta; a
-    # NaN in a form also reaches the action
-    "bi_residual": ("wesurf.cli", "born_infeld_residual", 2,
+    # once per theta, the unboosted Born-Infeld residual is the minimal
+    # residual of the real member and the boosted one is born_infeld_residual;
+    # a NaN in a form also reaches the action
+    "bi_residual": ("wesurf.cli", "minimal_surface_residual", 1,
                     lambda rep: dataclasses.replace(rep, max_abs=math.nan),
                     {"max_bi_residual", "boost_delta"}),
-    "boosted_residual": ("wesurf.cli", "born_infeld_residual", 3,
+    "boosted_residual": ("wesurf.cli", "born_infeld_residual", 1,
                          lambda rep: dataclasses.replace(rep, max_abs=math.nan),
                          {"boost_delta"}),
     "action": ("wesurf.geometry", "action", 1, lambda a: math.nan, {"action_rel_spread"}),

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
 from wesurf import geometry, grids, pde
+from wesurf.family import real_member
 from wesurf.pde import PDEError, wick_substitute
 
 
@@ -253,6 +254,51 @@ def test_non_minimal_graph_fails_both_residuals():
     assert ws.born_infeld_residual(p).max_abs > 1e-1
 
 
+def _same_nonzero_bits(a, b):
+    """a and b are equal as uint64 views, except that a zero in both may
+    differ in sign."""
+    a, b = (np.asarray(z, dtype=complex).view(np.float64) for z in (a, b))
+    both_zero = (a == 0) & (b == 0)
+    return np.array_equal(np.where(both_zero, 0.0, a).view(np.uint64),
+                          np.where(both_zero, 0.0, b).view(np.uint64))
+
+
+@pytest.fixture(scope="module",
+                params=[*(i for i in ws.CATALOG_IDS if i != "custom"), "catenoid_y_scale_1.5"])
+def generated_family(request):
+    surface, _, y_scale = request.param.partition("_y_scale_")
+    return ws.generate_conjugate_pair(ws.we_data(surface), ws.verification_grid(surface),
+                                      y_scale=float(y_scale or 1.0))
+
+
+@pytest.mark.parametrize("rows", [1, 7, "all"])
+def test_real_member_route_gives_s_theta_bits(generated_family, monkeypatch, rows):
+    """The chain rule on S_theta's real member X in float, Wick-substituted,
+    is the chain rule on S_theta; X's minimal residual is S_theta's
+    Born-Infeld residual (the node sets are the same)."""
+    n1, n2 = generated_family.grid.shape
+    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
+    for theta in (0.0, 0.3, math.pi / 2, math.pi, 4.5):
+        S = generated_family.at(theta)
+        for z in (S.values, S.jac, S.jac2):  # real_member reads the other parts
+            assert not (np.any(z[0].imag) or np.any(z[1].real) or np.any(z[2].imag))
+        X = real_member(S)
+        complex_route = ws.chain_rule_partials(S, second_source="analytic")
+        float_route = ws.chain_rule_partials(X, second_source="analytic")
+        assert float_route.phi_xx.dtype == np.float64
+        keep = complex_route.valid_mask
+        assert np.array_equal(float_route.valid_mask, keep)
+        assert _same_nonzero_bits(complex_route.jacobian_det, 1j * float_route.jacobian_det)
+        substituted = wick_substitute(float_route)
+        for name in ("phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt"):
+            assert _same_nonzero_bits(getattr(complex_route, name)[keep],
+                                      getattr(substituted, name)[keep]), (theta, name)
+        bi = ws.born_infeld_residual(complex_route)
+        minimal = ws.minimal_surface_residual(float_route)
+        assert (minimal.max_abs, minimal.mean_abs, minimal.rms) == (bi.max_abs, bi.mean_abs,
+                                                                    bi.rms), theta
+
+
 def test_wick_substitution_transforms_derivative_data():
     xs, ts = xt_mesh(2.0, 3.0, -0.3, 0.3, 9)
     p = ws.graph_patch(xs, ts, ws.catenoid_graph_fns())
@@ -288,6 +334,24 @@ def test_residual_report_relative_statistic():
     assert rep.max_rel is not None
     assert rep.max_rel <= rep.max_abs + 1e-30
     assert rep.max_abs >= rep.rms >= 0.0
+
+
+CONSTANT_NS = (1, 2, 3, 5, 7, 10, 100, 1000, 4097)
+CONSTANT_VS = (0.1, 0.3, 1 / 3, 0.7, 1.1, 2.9, 1e-3, 123.456)
+
+
+def test_residual_report_accepts_constant_residuals():
+    above = 0
+    for n in CONSTANT_NS:
+        for v in CONSTANT_VS:
+            rep = ws.residual_report(np.full((1, n), v))
+            assert rep.max_abs == v and rep.node_count == n
+            above += rep.rms > rep.max_abs  # rounded up: these raised before
+    assert above > 0
+    with pytest.raises(ValueError, match="inconsistent"):
+        ws.ResidualReport(1.0, 1.0, 1.0 + 1e-12, 1, (0, 0))
+    with pytest.raises(ValueError, match="inconsistent"):
+        ws.ResidualReport(0.0, 0.0, 1e-300, 1, (0, 0))
 
 
 def _residual_report_before(residual, mask=None, scale=None):
