@@ -28,6 +28,7 @@ from wesurf.cli import main
 RUNS = (
     ["generate"],
     ["generate", "--surface", "henneberg"],
+    ["generate", "--surface", "henneberg", "--formats", "table"],   # flip_t: t_im column
     ["generate", "--surface", "general_scherk", "--alpha", "0.5"],
     ["generate", "--surface", "catenoid", "--annulus", "0.4", "0.9", "--n", "64"],
     ["generate", "--surface", "general_enneper",
@@ -55,6 +56,7 @@ RUNS = (
     ["residuals", "--surface", "scherk"],
     ["residuals", "--surface", "schwarz_riemann"],
     ["residuals", "--surface", "catenoid", "--n", "131", "257"],   # fd route, 3 row blocks
+    ["residuals", "--surface", "henneberg"],   # flip_t through generate
     ["boost-check"],
     ["boost-check", "--rapidity", "0.2", "0.8", "1.5"],
     ["export"],

@@ -9,29 +9,24 @@ from .catalog import (BranchRegionError, CATALOG_IDS, CatalogError,
 from .family import (FamilyError, SolitonFamily, SolitonRelationsReport,
                      family_fg, theta_derivative, verify_soliton_relations,
                      wick_rotate)
-from .generate import (GenerateError, RigidAlignment, WEData, align_rigid,
-                       gamma_chart_sector, generate, generate_conjugate_pair,
-                       generate_pair_members, nearest_node, we_data)
+from .generate import (GenerateError, WEData, flip_t_signs, gamma_chart_sector,
+                       generate, generate_conjugate_pair, we_data)
 from .geometry import (FundamentalForm, GeometryError, ThetaInvarianceReport,
                        action, change_of_variables_action, fundamental_form,
                        theta_sweep_invariance)
 from .grids import (GridError, ParamGrid, SurfaceGrid, array_derivative,
-                    central_diff, conjugacy_violation, default_annulus, laplacian,
-                    surface_from_components, surface_jacobian)
+                    conjugacy_violation, default_annulus, laplacian, surface_jacobian)
 from .hodograph import (FGPair, HodographError, catenoid_closed, catenoid_fg,
                         enneper_conjugate_fg, enneper_fg, fg_integrals,
-                        helicoid_closed, helicoid_fg, hodograph_uv, r_from_uv, surface_from_fg,
-                        umbilic_diagnostic)
+                        helicoid_closed, helicoid_fg, surface_from_fg)
 from .io_export import (export_mesh, write_report_csv, write_surface_csv,
                         write_surface_table)
 from .pde import (LorentzBoost, NonparametricPatch, PDEError, boost,
-                  boost_graph_fns, born_infeld_residual, catenoid_graph_fns,
-                  chain_rule_partials, graph_patch, minimal_surface_residual,
-                  t_reflect, wick_catenoid_graph_fns, wick_equivalence_check,
-                  wick_substitute)
+                  born_infeld_residual, chain_rule_partials, graph_patch,
+                  minimal_surface_residual, wick_catenoid_graph_fns,
+                  wick_equivalence_check, wick_substitute)
 from .quadrature import (PathNearSingularity, PathSpec, QuadratureError,
-                         antiderivative_on_grid, integrate_path,
-                         integrate_path_with_error)
+                         antiderivative_on_grid, integrate_path)
 from .reports import ResidualReport, residual_report
 from .stencils import StencilError
 

@@ -10,8 +10,9 @@ writes the pair straight into the packed arrays of a `SolitonFamily`
 (Re X + i Re Y is Phi itself, up to offsets, and its derivative arrays hold
 Phi' and Phi'' alone), which unpacks to (X, Y); the
 pair satisfies the Cauchy-Riemann relations componentwise by construction,
-which is what the soliton-family machinery relies on.
-`generate_pair_members` assembles X and Y as two separate surfaces instead.
+which is what the soliton-family machinery relies on.  It is the one
+construction: `generate` is its X, and the `generate` command writes its
+X and Y, each through `flip_t_signs`.
 
 Generated surfaces carry their exact first derivatives: d(Re Phi_k)/dr1 is
 the integrand Phi_k'(r) evaluated at the node, no quadrature or finite
@@ -23,14 +24,14 @@ and an R without poles (Enneper) runs it on every chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import catalog
 from .catalog import WEFunction, eval_R, eval_R_deriv, singularity_points
 from .family import SolitonFamily
-from .grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_jacobian
+from .grids import ParamGrid, SurfaceGrid
 from .quadrature import DEFAULT_RULE, antiderivative_on_grid
 
 
@@ -95,56 +96,6 @@ def _node_derivatives(R: WEFunction, grid: ParamGrid, dphi, ddphi) -> None:
     ddphi[2] = 2.0 * rv + 2.0 * r * dv
 
 
-def _antiderivative(data: WEData, grid: ParamGrid, rule: str) -> np.ndarray:
-    return antiderivative_on_grid(_integrand(data.R), data.base, grid,
-                                  singularities=singularity_points(data.R), rule=rule)
-
-
-def _holomorphic_triple(data: WEData, grid: ParamGrid, rule: str):
-    phi = _antiderivative(data, grid, rule)
-    dphi = np.empty((3,) + grid.shape, dtype=complex)
-    ddphi = np.empty_like(dphi)
-    _node_derivatives(data.R, grid, dphi, ddphi)
-    return phi, dphi, ddphi
-
-
-def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> SurfaceGrid:
-    """The surface Re(Phi) (part "re") or its conjugate Im(Phi) (part "im")."""
-    jac, jac2 = cauchy_riemann_jacs(dphi, ddphi, (part,) * 3)
-    values = (phi.real if part == "re" else phi.imag).astype(complex)
-    values[0] += data.offsets[0]
-    values[1] += data.offsets[1]
-    values[2] += data.offsets[2]
-    if data.flip_t:
-        values[1] = -values[1]
-        jac[1] = -jac[1]
-        jac2[1] = -jac2[1]
-    return SurfaceGrid(grid, values, "real", jac, jac2, _meta(data, part == "im"))
-
-
-def _meta(data: WEData, conjugate: bool) -> dict:
-    return {"surface": data.R.id, "base": data.base, "conjugate": conjugate}
-
-
-def generate(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE) -> SurfaceGrid:
-    """Sample the W-E surface of `data` on `grid` (real minimal surface)."""
-    return _assemble(data, grid, *_holomorphic_triple(data, grid, rule), "re")
-
-
-def generate_pair_members(data: WEData, grid: ParamGrid,
-                          rule: str = DEFAULT_RULE) -> tuple[SurfaceGrid, SurfaceGrid]:
-    """(X, Y) as two real surfaces, Y the harmonic conjugate (R -> -i R).
-
-    Both come from one holomorphic triple, so Re -> X and Im -> Y;
-    generate(conjugate(R)) produces the same Y up to reassociation round-off
-    (Re(-i z) = Im z).  Their imaginary parts are signed zeros (-0 in t
-    after flip_t), which the `generate` command's writers print.
-    """
-    triple = _holomorphic_triple(data, grid, rule)
-    return (_assemble(data, grid, *triple, "re"),
-            _assemble(data, grid, *triple, "im"))
-
-
 def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE,
                             y_scale: float = 1.0) -> SolitonFamily:
     """The family of X = Re Phi and its harmonic conjugate Y = Im Phi.
@@ -160,14 +111,17 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_R
     so the family builds the other slots by Cauchy-Riemann when it makes a
     member: d/dr2 and d12 are i Phi', i Phi'', and d22 is -Phi''.  Each of
     their parts is a copy or a sign change of a stored one, so the family
-    equals SolitonFamily(*generate_pair_members(...)) bit for bit in `at`
-    and in the unpacked (X, Y), and holds a quarter of their bytes.
+    equals packing X and Y assembled as Re and Im of the triple bit for bit,
+    in `at` and in the unpacked (X, Y), and holds a quarter of their bytes.
+    The unpacked members have +0 imaginary parts; `flip_t_signs` gives a
+    flipped t the -0 of negating it.
     y_scale != 1 multiplies Y by y_scale: a test hook for a pair that is not
     conjugate.  It equals scaling Y then packing, except that an exact zero
     of a flipped t keeps the sign of its real product, where Y's complex
     product (with a -0 imaginary part) would give +0.
     """
-    phi = _antiderivative(data, grid, rule)
+    phi = antiderivative_on_grid(_integrand(data.R), data.base, grid,
+                                 singularities=singularity_points(data.R), rule=rule)
     values = np.empty((3,) + grid.shape, dtype=complex)
     offsets = np.array(data.offsets)[:, None, None]
     np.add(phi.real, offsets, out=values.real)
@@ -179,8 +133,29 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_R
     if data.flip_t:
         for z in (values, jac, jac2):
             np.negative(z[1], out=z[1])
-    return SolitonFamily.packed(grid, values, jac, jac2,
-                                (_meta(data, False), _meta(data, True)), y_scale)
+    metas = tuple({"surface": data.R.id, "base": data.base, "conjugate": conjugate}
+                  for conjugate in (False, True))
+    return SolitonFamily.packed(grid, values, jac, jac2, metas, y_scale)
+
+
+def flip_t_signs(s: SurfaceGrid, data: WEData) -> SurfaceGrid:
+    """Member s of `generate_conjugate_pair(data, ...)` with the signs of
+    zero of a negated t: under flip_t, t's imaginary parts in values, jac
+    and jac2 are -0, the sign -(t + 0j) gives them, which the writers print
+    (the t_im column); otherwise s itself.
+    """
+    if not data.flip_t:
+        return s
+    values, jac, jac2 = (z.copy() for z in (s.values, s.jac, s.jac2))
+    for z in (values, jac, jac2):
+        z[1].imag = -0.0
+    return s.with_values(values, jac=jac, jac2=jac2)
+
+
+def generate(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE) -> SurfaceGrid:
+    """Sample the W-E surface of `data` on `grid` (real minimal surface): X
+    of `generate_conjugate_pair`, with `flip_t_signs`."""
+    return flip_t_signs(generate_conjugate_pair(data, grid, rule).X, data)
 
 
 def gamma_chart_sector(g1_min: float, g1_max: float, g2_min: float,
@@ -203,123 +178,7 @@ def gamma_chart_sector(g1_min: float, g1_max: float, g2_min: float,
                      allow_unit_circle=allow)
 
 
-# ---------------------------------------------------------------------------
-# rigid-motion calibration for oracle comparisons
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RigidAlignment:
-    rotation: np.ndarray            # orthogonal 3x3 (may include reflections)
-    shift: np.ndarray               # length-3 translation
-    aligned: np.ndarray             # rotation @ target + shift, shape (3,n1,n2)
-    max_deviation: float            # max |aligned - reference| over the grid
-    base_index: tuple[int, int] = field(default=(0, 0))
-
-
-def _frame_at(surface: SurfaceGrid, idx) -> tuple[np.ndarray, np.ndarray]:
-    jac = surface_jacobian(surface, "auto")
-    d = jac[:, :, idx[0], idx[1]].real
-    n = np.cross(d[:, 0], d[:, 1])
-    norm = float(np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]))
-    if norm < 1e-14:
-        raise GenerateError("degenerate tangent frame at the calibration node")
-    return d, n / norm
-
-
-def nearest_node(grid: ParamGrid, point: complex) -> tuple[int, int]:
-    d = np.abs(grid.nodes() - complex(point))
-    flat = int(np.argmin(d))
-    return np.unravel_index(flat, grid.shape)
-
-
-# The 3x3 algebra below is spelled out in elementwise numpy ops: `@`, `inv`
-# and `svd` would run through BLAS/LAPACK, whose CPU kernel picks the
-# summation order and with it the last bits of the alignment.
-
-_POLAR_MAX_STEPS = 64
-_POLAR_STEP_TOL = 1e-15  # stop once no entry of Q moves by more than this
-
-
-def _apply3(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v for a 3x3 m and v of shape (3, ...), summed in the order k = 0, 1, 2."""
-    col = (slice(None),) + (None,) * (v.ndim - 1)
-    return m[:, 0][col] * v[0] + m[:, 1][col] * v[1] + m[:, 2][col] * v[2]
-
-
-def _inv3(m: np.ndarray) -> np.ndarray | None:
-    """Inverse of a 3x3 matrix by cofactors; None if it is singular."""
-    cof = np.empty((3, 3))
-    for i in range(3):
-        i1, i2 = (i + 1) % 3, (i + 2) % 3
-        for j in range(3):
-            j1, j2 = (j + 1) % 3, (j + 2) % 3
-            cof[i, j] = m[i1, j1] * m[i2, j2] - m[i1, j2] * m[i2, j1]
-    det = m[0, 0] * cof[0, 0] + m[0, 1] * cof[0, 1] + m[0, 2] * cof[0, 2]
-    if det == 0.0 or not np.isfinite(det):
-        return None
-    return cof.T / det
-
-
-def _polar_factor(q: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor of q (the nearest orthogonal matrix).
-
-    Newton's iteration Q <- (Q + Q^-T) / 2 converges quadratically from any
-    nonsingular start; it stops once a step moves no entry by more than
-    _POLAR_STEP_TOL.
-    """
-    for _ in range(_POLAR_MAX_STEPS):
-        inv = _inv3(q)
-        if inv is None:
-            break
-        step = 0.5 * (q + inv.T)
-        moved = float(np.max(np.abs(step - q)))
-        q = step
-        if moved <= _POLAR_STEP_TOL:
-            return q
-    raise GenerateError("orthogonal polar factor did not converge (singular map)")
-
-
-def align_rigid(target: SurfaceGrid, reference: SurfaceGrid,
-                base_index: tuple[int, int] | None = None) -> RigidAlignment:
-    """Best rigid motion (orthogonal map + shift) taking target to reference.
-
-    The map is pinned by matching position and tangent frame at one node;
-    W-E output is unique only up to such a motion (integration constants and
-    the catalog's orientation conventions).  The tangent frame leaves the
-    normal sign ambiguous, so both candidates are formed and the one with the
-    smaller global deviation wins.  Real surfaces only.
-    """
-    if target.grid != reference.grid:
-        raise GenerateError("alignment requires a shared grid")
-    if base_index is None:
-        base = target.meta.get("base")
-        base_index = nearest_node(target.grid, base) if base is not None else (0, 0)
-    dt, nt = _frame_at(target, base_index)
-    dr, nr = _frame_at(reference, base_index)
-    st = target.values.real
-    sr = reference.values.real
-    p_t = st[:, base_index[0], base_index[1]]
-    p_r = sr[:, base_index[0], base_index[1]]
-    best = None
-    for sign in (1.0, -1.0):
-        m_t = np.column_stack([dt[:, 0], dt[:, 1], sign * nt])
-        m_r = np.column_stack([dr[:, 0], dr[:, 1], nr])
-        inv_t = _inv3(m_t)
-        if inv_t is None:
-            continue
-        q = _polar_factor(_apply3(m_r, inv_t))
-        shift = p_r - _apply3(q, p_t)
-        aligned = _apply3(q, st) + shift[:, None, None]
-        dev = float(np.max(np.abs(aligned - sr)))
-        if best is None or dev < best.max_deviation:
-            best = RigidAlignment(q, shift, aligned, dev, tuple(base_index))
-    if best is None:
-        raise GenerateError("could not build a rigid alignment (singular frames)")
-    return best
-
-
 __all__ = [
-    "GenerateError", "RigidAlignment", "WEData", "align_rigid",
-    "gamma_chart_sector", "generate", "generate_conjugate_pair",
-    "generate_pair_members", "nearest_node", "we_data",
+    "GenerateError", "WEData", "flip_t_signs", "gamma_chart_sector", "generate",
+    "generate_conjugate_pair", "we_data",
 ]

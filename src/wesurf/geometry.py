@@ -187,7 +187,6 @@ def change_of_variables_action(patch, grid: ParamGrid) -> float:
 
 
 __all__ = [
-    "DISCRIMINANT_CLAMP", "FundamentalForm", "GeometryError",
-    "ThetaInvarianceReport", "action", "change_of_variables_action",
-    "fundamental_form", "theta_sweep_invariance",
+    "FundamentalForm", "GeometryError", "ThetaInvarianceReport", "action",
+    "change_of_variables_action", "fundamental_form", "theta_sweep_invariance",
 ]

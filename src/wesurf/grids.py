@@ -24,7 +24,6 @@ from .stencils import axis_derivative, interior_mask, min_samples
 
 TWO_PI = 2.0 * np.pi
 
-COMPONENTS = ("x", "t", "phi")
 _COMPONENT_INDEX = {"x": 0, "t": 1, "phi": 2}
 
 GridKind = Literal["rectangle", "annulus"]
@@ -232,14 +231,6 @@ class SurfaceGrid:
                            jac, jac2, dict(self.meta) if meta is None else meta)
 
 
-def surface_from_components(grid: ParamGrid, x, t, phi, reality: Reality = "real",
-                            jac=None, jac2=None, meta=None) -> SurfaceGrid:
-    values = np.stack([np.asarray(x, dtype=complex),
-                       np.asarray(t, dtype=complex),
-                       np.asarray(phi, dtype=complex)])
-    return SurfaceGrid(grid, values, reality, jac, jac2, meta or {})
-
-
 def _by_row_blocks(kernel, *arrays) -> tuple[np.ndarray, ...]:
     """Run a nodewise kernel on blocks of whole grid rows; stitch its outputs.
 
@@ -251,7 +242,7 @@ def _by_row_blocks(kernel, *arrays) -> tuple[np.ndarray, ...]:
     as for each band of the theta sweep, its outputs are returned as they
     are, with no stitch copy.
     """
-    if arrays[0].ndim < 2:  # ungridded samples, e.g. from boost_graph_fns
+    if arrays[0].ndim < 2:  # ungridded samples, e.g. a patch of 1-D points
         return kernel(*arrays)
     n1, n2 = arrays[0].shape[-2:]
     step = max(1, _ROW_BLOCK_NODES // n2)
@@ -321,18 +312,6 @@ def _check_size(grid: ParamGrid, order: int, accuracy: int) -> None:
         raise GridError(
             f"grid {grid.shape} too small for order={order}, accuracy={accuracy} "
             f"stencils (need >= {need} per axis)")
-
-
-def central_diff(surface: SurfaceGrid, component: str, axis: Axis,
-                 order: int = 1, accuracy: int = 2) -> np.ndarray:
-    """Finite-difference derivative of one surface component.
-
-    Second-order accurate by default (centered interior, one-sided edges);
-    accuracy 4 or 6 is available where the default truncation error is too
-    coarse for a check's tolerance.
-    """
-    return array_derivative(surface.grid, surface.component(component), axis,
-                            order, accuracy)
 
 
 def laplacian(surface: SurfaceGrid, component: str, accuracy: int = 2) -> np.ndarray:
@@ -417,8 +396,6 @@ def conjugacy_violation(X: SurfaceGrid, Y: SurfaceGrid, source: str = "auto",
 
 
 __all__ = [
-    "COMPONENTS", "GridError", "ParamGrid", "SurfaceGrid", "array_derivative",
-    "cauchy_riemann_jacs", "central_diff", "conjugacy_violation", "default_annulus",
-    "laplacian",
-    "surface_from_components", "surface_jacobian",
+    "GridError", "ParamGrid", "SurfaceGrid", "array_derivative", "cauchy_riemann_jacs",
+    "conjugacy_violation", "default_annulus", "laplacian", "surface_jacobian",
 ]

@@ -1,4 +1,4 @@
-"""The F/G representation of minimal surfaces and its hodograph coordinates.
+"""The F/G representation of minimal surfaces.
 
 A minimal surface (x, t, phi) in isothermal coordinates r = r1 + i r2 can be
 written with a holomorphic F and antiholomorphic G = conj . F . conj as
@@ -10,12 +10,6 @@ written with a holomorphic F and antiholomorphic G = conj . F . conj as
 The helicoid has F(r) = i/(2r), the catenoid F(r) = 1/(2r), the Enneper
 surface F(r) = r; those closed forms double as oracles for the quadrature
 generator and as the ingredients of the theta-family of solitons.
-
-The hodograph side: with u = phi_zbar and v = phi_z (z = x + i t), the
-coordinate change r = (sqrt(1 + 4 u v) - 1) / (2 v) satisfies
-u = r/(1 - |r|^2), v = rbar/(1 - |r|^2) and is the inverse used to go from
-a nonparametric graph phi(x, t) to the isothermal parametrization.  The
-closed-form maps are implemented for the helicoid and catenoid only.
 """
 
 from __future__ import annotations
@@ -207,76 +201,8 @@ def catenoid_closed(grid: ParamGrid) -> SurfaceGrid:
                        jac, jac2, meta)
 
 
-# ---------------------------------------------------------------------------
-# hodograph maps
-# ---------------------------------------------------------------------------
-
-def hodograph_uv(surface_id: str, z):
-    """(u, v) = (phi_zbar, phi_z) of the named nonparametric surface at z.
-
-    helicoid: u = i/(2 zbar), v = -i/(2 z), any z != 0.
-    catenoid: u = z / (2 sqrt(|z|^2 - 1) |z|), v = conj(u), needs |z| > 1.
-    """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z == 0):
-        raise HodographError("hodograph maps are singular at z = 0")
-    if surface_id == "helicoid":
-        return 0.5j / np.conj(z), -0.5j / z
-    if surface_id == "catenoid":
-        q = np.abs(z) ** 2
-        if np.any(q <= 1.0):
-            raise HodographError("catenoid hodograph requires |z| > 1")
-        u = z / (2.0 * np.sqrt(q - 1.0) * np.abs(z))
-        return u, np.conj(u)
-    raise HodographError(f"no closed-form hodograph for {surface_id!r}")
-
-
-_SERIES_CUTOFF = 1e-8
-
-
-def r_from_uv(u, v):
-    """r = (sqrt(1 + 4 u v) - 1) / (2 v), principal square root.
-
-    The v -> 0 limit is removable (r -> u); below |uv| ~ 1e-8 the series
-    u (1 - uv + 2 (uv)^2) is used, accurate to O(|u| |uv|^3).  With
-    u = r/(1-|r|^2), v = rbar/(1-|r|^2) this inverts to r for |r| < 1 (the
-    positive-root convention matches the nonparametric graphs used here).
-    """
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=complex)),
-                               np.atleast_1d(np.asarray(v, dtype=complex)))
-    p = u * v
-    small = np.abs(p) < _SERIES_CUTOFF
-    out = np.empty(u.shape, dtype=complex)
-    out[small] = u[small] * (1.0 - p[small] + 2.0 * p[small] ** 2)
-    big = ~small
-    out[big] = (np.sqrt(1.0 + 4.0 * p[big]) - 1.0) / (2.0 * v[big])
-    return complex(out[0]) if scalar else out
-
-
-def umbilic_diagnostic(surface_id: str, z):
-    """phi_zz * phi_zbzb - phi_zzb^2 for the two closed-form graphs.
-
-    The F/G representation degenerates where this vanishes; neither closed
-    form has such points on its domain (helicoid: 1/(4|z|^4), catenoid:
-    1/(4(|z|^2-1)^2)).
-    """
-    z = np.asarray(z, dtype=complex)
-    if surface_id == "helicoid":
-        if np.any(z == 0):
-            raise HodographError("helicoid diagnostic singular at z = 0")
-        return 1.0 / (4.0 * np.abs(z) ** 4)
-    if surface_id == "catenoid":
-        q = np.abs(z) ** 2
-        if np.any(q <= 1.0):
-            raise HodographError("catenoid diagnostic requires |z| > 1")
-        return 1.0 / (4.0 * (q - 1.0) ** 2)
-    raise HodographError(f"no umbilic diagnostic for {surface_id!r}")
-
-
 __all__ = [
     "FGPair", "HodographError", "catenoid_closed", "catenoid_fg",
     "enneper_conjugate_fg", "enneper_fg", "helicoid_closed", "helicoid_fg",
-    "fg_integrals", "hodograph_uv", "r_from_uv", "surface_from_fg",
-    "umbilic_diagnostic",
+    "fg_integrals", "surface_from_fg",
 ]

@@ -72,15 +72,11 @@ def mesh_vertices(s: SurfaceGrid) -> np.ndarray:
 
 
 def _faces(n1: int, n2: int) -> np.ndarray:
-    """quad_triangles as a (2*(n1-1)*(n2-1), 3) integer array."""
+    """Two triangles per grid quad, vertices in row-major order, 0-based:
+    a (2*(n1-1)*(n2-1), 3) integer array."""
     v00 = (np.arange(0, (n1 - 1) * n2, n2)[:, None] + np.arange(n2 - 1)).ravel()
     v10 = v00 + n2
     return np.stack([v00, v10, v10 + 1, v10 + 1, v00 + 1, v00], axis=1).reshape(-1, 3)
-
-
-def quad_triangles(n1: int, n2: int) -> list[tuple[int, int, int]]:
-    """Two triangles per grid quad, vertices in row-major order, 0-based."""
-    return list(map(tuple, _faces(n1, n2).tolist()))
 
 
 def export_mesh(s: SurfaceGrid, path) -> Path:
@@ -135,5 +131,5 @@ def write_report_csv(path, header: list[str], rows: list[list]) -> Path:
     return _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
-__all__ = ["SCHEMA", "export_mesh", "mesh_vertices", "quad_triangles",
-           "write_report_csv", "write_surface_csv", "write_surface_table"]
+__all__ = ["SCHEMA", "export_mesh", "write_report_csv", "write_surface_csv",
+           "write_surface_table"]

@@ -194,24 +194,6 @@ def graph_patch(x: np.ndarray, t: np.ndarray, fns: dict) -> NonparametricPatch:
                               valid_mask=mask, **data)
 
 
-def catenoid_graph_fns() -> dict:
-    """phi = arccosh sqrt(x^2 + t^2), valid on x^2 + t^2 > 1."""
-    def q(x, t):
-        return x ** 2 + t ** 2
-
-    def D(x, t):
-        return np.sqrt(q(x, t) ** 2 - q(x, t))
-
-    return {
-        "phi": lambda x, t: np.arccosh(np.sqrt(np.real(q(x, t)))),
-        "phi_x": lambda x, t: x / D(x, t),
-        "phi_t": lambda x, t: t / D(x, t),
-        "phi_xx": lambda x, t: 1 / D(x, t) - x ** 2 * (2 * q(x, t) - 1) / D(x, t) ** 3,
-        "phi_xt": lambda x, t: -x * t * (2 * q(x, t) - 1) / D(x, t) ** 3,
-        "phi_tt": lambda x, t: 1 / D(x, t) - t ** 2 * (2 * q(x, t) - 1) / D(x, t) ** 3,
-    }
-
-
 def wick_catenoid_graph_fns() -> dict:
     """phi = arccosh sqrt(x^2 - t^2): the Wick-rotated catenoid, a real
     Born-Infeld solution on x^2 - t^2 > 1."""
@@ -277,24 +259,6 @@ def boost(p: NonparametricPatch, lb: LorentzBoost) -> NonparametricPatch:
                               valid_mask=p.valid_mask, jacobian_det=p.jacobian_det)
 
 
-def boost_graph_fns(fns: dict, lb: LorentzBoost) -> dict:
-    """Boost closed-form callables: phi'(x', t') = phi(a x' - b t', -b x' + a t').
-
-    Each callable samples `fns` at the pulled-back points and applies
-    `boost` to the resulting patch, so its fields are complex arrays and
-    non-finite samples raise PDEError as in `graph_patch`.
-    """
-    a, b = lb.a, lb.b
-
-    def field(name):
-        def g(x, t):
-            patch = graph_patch(a * x - b * t, -b * x + a * t, fns)
-            return getattr(boost(patch, lb), name)
-        return g
-
-    return {name: field(name) for name in _GRAPH_FIELDS}
-
-
 def wick_substitute(p: NonparametricPatch) -> NonparametricPatch:
     """t -> i t on derivative data: phi_t -> -i phi_t, phi_tt -> -phi_tt,
     phi_xt -> -i phi_xt.  x, phi, phi_x, phi_xx and valid_mask, which the
@@ -314,18 +278,8 @@ def wick_equivalence_check(minimal: NonparametricPatch) -> ResidualReport:
     return born_infeld_residual(wick_substitute(minimal))
 
 
-def t_reflect(p: NonparametricPatch) -> NonparametricPatch:
-    """t -> -t, under which the Born-Infeld equation is invariant."""
-    return NonparametricPatch(x=p.x.copy(), t=-p.t, phi=p.phi.copy(),
-                              phi_x=p.phi_x.copy(), phi_t=-p.phi_t,
-                              phi_xx=p.phi_xx.copy(), phi_xt=-p.phi_xt,
-                              phi_tt=p.phi_tt.copy(), valid_mask=p.valid_mask.copy())
-
-
 __all__ = [
-    "LorentzBoost", "NonparametricPatch", "PDEError", "boost",
-    "boost_graph_fns", "born_infeld_residual", "catenoid_graph_fns",
+    "LorentzBoost", "NonparametricPatch", "PDEError", "boost", "born_infeld_residual",
     "chain_rule_partials", "graph_patch", "minimal_surface_residual",
-    "t_reflect", "wick_catenoid_graph_fns", "wick_equivalence_check",
-    "wick_substitute",
+    "wick_catenoid_graph_fns", "wick_equivalence_check", "wick_substitute",
 ]

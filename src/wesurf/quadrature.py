@@ -188,15 +188,6 @@ def integrate_path(f, path: PathSpec, rule: str = DEFAULT_RULE,
     return total
 
 
-def integrate_path_with_error(f, path: PathSpec, rule: str = DEFAULT_RULE,
-                              singularities=(), exclusion_radius: float | None = None):
-    """(value, error_estimate) via panel doubling; value uses doubled panels."""
-    coarse = integrate_path(f, path, rule, singularities, exclusion_radius)
-    fine = integrate_path(f, PathSpec(path.waypoints, 2 * path.panels), rule,
-                          singularities, exclusion_radius)
-    return fine, float(np.max(np.abs(np.asarray(fine) - np.asarray(coarse))))
-
-
 # ---------------------------------------------------------------------------
 # grid antiderivatives via cumulative chains
 # ---------------------------------------------------------------------------
@@ -339,5 +330,5 @@ def antiderivative_on_grid(f, base: complex, grid: ParamGrid, singularities=(),
 
 __all__ = [
     "DEFAULT_RULE", "PathNearSingularity", "PathSpec", "QuadratureError",
-    "antiderivative_on_grid", "integrate_path", "integrate_path_with_error",
+    "antiderivative_on_grid", "integrate_path",
 ]

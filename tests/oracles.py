@@ -1,0 +1,208 @@
+"""Oracles and fixtures that only the tests use.
+
+The program never calls these: they build test inputs, or give a
+reference that a test compares the program's output with.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from wesurf.catalog import singularity_points
+from wesurf.generate import GenerateError, WEData, _integrand, _node_derivatives
+from wesurf.grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_jacobian
+from wesurf.io_export import _faces
+from wesurf.pde import NonparametricPatch
+from wesurf.quadrature import DEFAULT_RULE, antiderivative_on_grid
+
+
+def surface_from_components(grid: ParamGrid, x, t, phi, reality="real",
+                            jac=None, jac2=None, meta=None) -> SurfaceGrid:
+    values = np.stack([np.asarray(x, dtype=complex),
+                       np.asarray(t, dtype=complex),
+                       np.asarray(phi, dtype=complex)])
+    return SurfaceGrid(grid, values, reality, jac, jac2, meta or {})
+
+
+def quad_triangles(n1: int, n2: int) -> list[tuple[int, int, int]]:
+    """Two triangles per grid quad, vertices in row-major order, 0-based."""
+    return list(map(tuple, _faces(n1, n2).tolist()))
+
+
+def catenoid_graph_fns() -> dict:
+    """phi = arccosh sqrt(x^2 + t^2), valid on x^2 + t^2 > 1."""
+    def q(x, t):
+        return x ** 2 + t ** 2
+
+    def D(x, t):
+        return np.sqrt(q(x, t) ** 2 - q(x, t))
+
+    return {
+        "phi": lambda x, t: np.arccosh(np.sqrt(np.real(q(x, t)))),
+        "phi_x": lambda x, t: x / D(x, t),
+        "phi_t": lambda x, t: t / D(x, t),
+        "phi_xx": lambda x, t: 1 / D(x, t) - x ** 2 * (2 * q(x, t) - 1) / D(x, t) ** 3,
+        "phi_xt": lambda x, t: -x * t * (2 * q(x, t) - 1) / D(x, t) ** 3,
+        "phi_tt": lambda x, t: 1 / D(x, t) - t ** 2 * (2 * q(x, t) - 1) / D(x, t) ** 3,
+    }
+
+
+def t_reflect(p: NonparametricPatch) -> NonparametricPatch:
+    """t -> -t, under which the Born-Infeld equation is invariant."""
+    return NonparametricPatch(x=p.x.copy(), t=-p.t, phi=p.phi.copy(),
+                              phi_x=p.phi_x.copy(), phi_t=-p.phi_t,
+                              phi_xx=p.phi_xx.copy(), phi_xt=-p.phi_xt,
+                              phi_tt=p.phi_tt.copy(), valid_mask=p.valid_mask.copy())
+
+
+# ---------------------------------------------------------------------------
+# the conjugate pair assembled as two surfaces
+# ---------------------------------------------------------------------------
+
+def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> SurfaceGrid:
+    """The surface Re(Phi) (part "re") or its conjugate Im(Phi) (part "im")."""
+    jac, jac2 = cauchy_riemann_jacs(dphi, ddphi, (part,) * 3)
+    values = (phi.real if part == "re" else phi.imag).astype(complex)
+    values[0] += data.offsets[0]
+    values[1] += data.offsets[1]
+    values[2] += data.offsets[2]
+    if data.flip_t:
+        values[1] = -values[1]
+        jac[1] = -jac[1]
+        jac2[1] = -jac2[1]
+    meta = {"surface": data.R.id, "base": data.base, "conjugate": part == "im"}
+    return SurfaceGrid(grid, values, "real", jac, jac2, meta)
+
+
+def pair_members(data: WEData, grid: ParamGrid,
+                 rule: str = DEFAULT_RULE) -> tuple[SurfaceGrid, SurfaceGrid]:
+    """(X, Y) = (Re Phi, Im Phi) as two real surfaces, every derivative slot
+    by `cauchy_riemann_jacs`: the reference for the packed family of
+    `generate_conjugate_pair`, which builds its slots by `_SLOT_PARTS`.
+
+    Their imaginary parts are signed zeros (-0 in t after flip_t).
+    """
+    phi = antiderivative_on_grid(_integrand(data.R), data.base, grid,
+                                 singularities=singularity_points(data.R), rule=rule)
+    dphi = np.empty((3,) + grid.shape, dtype=complex)
+    ddphi = np.empty_like(dphi)
+    _node_derivatives(data.R, grid, dphi, ddphi)
+    return (_assemble(data, grid, phi, dphi, ddphi, "re"),
+            _assemble(data, grid, phi, dphi, ddphi, "im"))
+
+
+# ---------------------------------------------------------------------------
+# rigid-motion calibration for oracle comparisons
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RigidAlignment:
+    rotation: np.ndarray            # orthogonal 3x3 (may include reflections)
+    shift: np.ndarray               # length-3 translation
+    aligned: np.ndarray             # rotation @ target + shift, shape (3,n1,n2)
+    max_deviation: float            # max |aligned - reference| over the grid
+    base_index: tuple[int, int] = field(default=(0, 0))
+
+
+def _frame_at(surface: SurfaceGrid, idx) -> tuple[np.ndarray, np.ndarray]:
+    jac = surface_jacobian(surface, "auto")
+    d = jac[:, :, idx[0], idx[1]].real
+    n = np.cross(d[:, 0], d[:, 1])
+    norm = float(np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2]))
+    if norm < 1e-14:
+        raise GenerateError("degenerate tangent frame at the calibration node")
+    return d, n / norm
+
+
+def nearest_node(grid: ParamGrid, point: complex) -> tuple[int, int]:
+    d = np.abs(grid.nodes() - complex(point))
+    flat = int(np.argmin(d))
+    return np.unravel_index(flat, grid.shape)
+
+
+# The 3x3 algebra below is spelled out in elementwise numpy ops: `@`, `inv`
+# and `svd` would run through BLAS/LAPACK, whose CPU kernel picks the
+# summation order and with it the last bits of the alignment.
+
+_POLAR_MAX_STEPS = 64
+_POLAR_STEP_TOL = 1e-15  # stop once no entry of Q moves by more than this
+
+
+def _apply3(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for a 3x3 m and v of shape (3, ...), summed in the order k = 0, 1, 2."""
+    col = (slice(None),) + (None,) * (v.ndim - 1)
+    return m[:, 0][col] * v[0] + m[:, 1][col] * v[1] + m[:, 2][col] * v[2]
+
+
+def _inv3(m: np.ndarray) -> np.ndarray | None:
+    """Inverse of a 3x3 matrix by cofactors; None if it is singular."""
+    cof = np.empty((3, 3))
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            cof[i, j] = m[i1, j1] * m[i2, j2] - m[i1, j2] * m[i2, j1]
+    det = m[0, 0] * cof[0, 0] + m[0, 1] * cof[0, 1] + m[0, 2] * cof[0, 2]
+    if det == 0.0 or not np.isfinite(det):
+        return None
+    return cof.T / det
+
+
+def _polar_factor(q: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor of q (the nearest orthogonal matrix).
+
+    Newton's iteration Q <- (Q + Q^-T) / 2 converges quadratically from any
+    nonsingular start; it stops once a step moves no entry by more than
+    _POLAR_STEP_TOL.
+    """
+    for _ in range(_POLAR_MAX_STEPS):
+        inv = _inv3(q)
+        if inv is None:
+            break
+        step = 0.5 * (q + inv.T)
+        moved = float(np.max(np.abs(step - q)))
+        q = step
+        if moved <= _POLAR_STEP_TOL:
+            return q
+    raise GenerateError("orthogonal polar factor did not converge (singular map)")
+
+
+def align_rigid(target: SurfaceGrid, reference: SurfaceGrid,
+                base_index: tuple[int, int] | None = None) -> RigidAlignment:
+    """Best rigid motion (orthogonal map + shift) taking target to reference.
+
+    The map is pinned by matching position and tangent frame at one node;
+    W-E output is unique only up to such a motion (integration constants and
+    the catalog's orientation conventions).  The tangent frame leaves the
+    normal sign ambiguous, so both candidates are formed and the one with the
+    smaller global deviation wins.  Real surfaces only.
+    """
+    if target.grid != reference.grid:
+        raise GenerateError("alignment requires a shared grid")
+    if base_index is None:
+        base = target.meta.get("base")
+        base_index = nearest_node(target.grid, base) if base is not None else (0, 0)
+    dt, nt = _frame_at(target, base_index)
+    dr, nr = _frame_at(reference, base_index)
+    st = target.values.real
+    sr = reference.values.real
+    p_t = st[:, base_index[0], base_index[1]]
+    p_r = sr[:, base_index[0], base_index[1]]
+    best = None
+    for sign in (1.0, -1.0):
+        m_t = np.column_stack([dt[:, 0], dt[:, 1], sign * nt])
+        m_r = np.column_stack([dr[:, 0], dr[:, 1], nr])
+        inv_t = _inv3(m_t)
+        if inv_t is None:
+            continue
+        q = _polar_factor(_apply3(m_r, inv_t))
+        shift = p_r - _apply3(q, p_t)
+        aligned = _apply3(q, st) + shift[:, None, None]
+        dev = float(np.max(np.abs(aligned - sr)))
+        if best is None or dev < best.max_deviation:
+            best = RigidAlignment(q, shift, aligned, dev, tuple(base_index))
+    if best is None:
+        raise GenerateError("could not build a rigid alignment (singular frames)")
+    return best

@@ -16,6 +16,8 @@ import pytest
 
 import wesurf as ws
 
+from oracles import align_rigid
+
 ALL_IDS = [i for i in ws.CATALOG_IDS if i != "custom"]
 THETAS_25 = (0.0, 0.3, 0.7, 1.1, math.pi / 2)
 THETAS_41 = (0.0, 0.4, 0.8, 1.2, math.pi / 2)
@@ -79,13 +81,13 @@ def test_criterion_2_conjugate_pair_cauchy_riemann(sid):
 
 def test_criterion_3_quadrature_matches_closed_forms(annulus_grid):
     X, Y = ws.generate_conjugate_pair(ws.we_data("catenoid", base=1.0), annulus_grid)
-    dev_cat = ws.align_rigid(X, ws.catenoid_closed(annulus_grid)).max_deviation
+    dev_cat = align_rigid(X, ws.catenoid_closed(annulus_grid)).max_deviation
     record("C3 catenoid vs closed form", dev_cat, 1e-9)
-    dev_hel = ws.align_rigid(Y, ws.helicoid_closed(annulus_grid)).max_deviation
+    dev_hel = align_rigid(Y, ws.helicoid_closed(annulus_grid)).max_deviation
     record("C3 helicoid (conjugate) vs closed form", dev_hel, 1e-9)
     H, _ = ws.generate_conjugate_pair(ws.we_data("right_helicoid", base=1.0),
                                       annulus_grid)
-    dev_h2 = ws.align_rigid(H, ws.helicoid_closed(annulus_grid)).max_deviation
+    dev_h2 = align_rigid(H, ws.helicoid_closed(annulus_grid)).max_deviation
     record("C3 right_helicoid vs closed form", dev_h2, 1e-9)
 
 

@@ -10,13 +10,14 @@ import wesurf as ws
 from wesurf.family import FamilyError, _cos_sin
 
 from conftest import rng_points
+from oracles import surface_from_components
 
 
 # ------------------------------------------------------------- wick rotation
 
 def test_wick_leaves_zero_t_unchanged(annulus_grid):
     r = annulus_grid.nodes()
-    s = ws.surface_from_components(annulus_grid, r.real, np.zeros(r.shape), r.imag)
+    s = surface_from_components(annulus_grid, r.real, np.zeros(r.shape), r.imag)
     w = ws.wick_rotate(s)
     assert w.reality == "wick_rotated"
     assert np.array_equal(w.x, s.x) and np.array_equal(w.phi, s.phi)
@@ -341,7 +342,7 @@ def test_soliton_relations_detect_corrupted_F(hc_family):
 
 def test_soliton_relations_zero_surface(annulus_grid):
     z = np.zeros(annulus_grid.shape)
-    s = ws.surface_from_components(annulus_grid, z, z, z, reality="wick_rotated")
+    s = surface_from_components(annulus_grid, z, z, z, reality="wick_rotated")
     zero = ws.FGPair(F=lambda r: np.zeros_like(r), G=lambda s_: np.zeros_like(s_),
                      Fp=lambda r: np.zeros_like(r), Gp=lambda s_: np.zeros_like(s_),
                      reality_constraint=True, label="zero")

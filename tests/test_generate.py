@@ -7,6 +7,8 @@ import pytest
 import wesurf as ws
 from wesurf.generate import GenerateError
 
+from oracles import align_rigid, pair_members
+
 ALL_IDS = [i for i in ws.CATALOG_IDS if i != "custom"]
 
 
@@ -39,7 +41,7 @@ def test_zero_length_path_returns_offsets():
 def test_catenoid_matches_closed_form_after_rigid_alignment(catenoid_pair, annulus_grid):
     X, _ = catenoid_pair
     oracle = ws.catenoid_closed(annulus_grid)
-    al = ws.align_rigid(X, oracle)
+    al = align_rigid(X, oracle)
     assert al.max_deviation < 1e-9
     # kappa=+1 generates the point reflection of the closed form
     assert np.allclose(al.rotation, -np.eye(3), atol=1e-12)
@@ -47,7 +49,7 @@ def test_catenoid_matches_closed_form_after_rigid_alignment(catenoid_pair, annul
 
 def test_conjugate_member_matches_helicoid_closed_form(catenoid_pair, annulus_grid):
     _, Y = catenoid_pair
-    al = ws.align_rigid(Y, ws.helicoid_closed(annulus_grid))
+    al = align_rigid(Y, ws.helicoid_closed(annulus_grid))
     assert al.max_deviation < 1e-9
 
 
@@ -117,7 +119,7 @@ def test_packed_pair_equals_packed_members(sid, offsets):
     # copies, and the ones it builds by Cauchy-Riemann are swaps and signs
     data = ws.we_data(sid, offsets=offsets)
     grid = ws.verification_grid(sid)
-    X, Y = ws.generate_pair_members(data, grid)
+    X, Y = pair_members(data, grid)
     fam = ws.generate_conjugate_pair(data, grid)
     ref = ws.SolitonFamily(X, Y, validate=False)
     for theta in PACKED_THETAS:
@@ -153,11 +155,26 @@ def test_generated_family_holds_one_slot_per_derivative():
 def test_packed_pair_unpacks_to_the_members():
     data = ws.we_data("henneberg", offsets=(0.3, -1.2, 2.0))
     grid = ws.verification_grid("henneberg")
-    members = ws.generate_pair_members(data, grid)
+    members = pair_members(data, grid)
     for got, want in zip(ws.generate_conjugate_pair(data, grid), members):
         assert got.meta == want.meta
         for name in ("values", "jac", "jac2"):  # equal up to signs of zero
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("sid", ["henneberg", "catenoid"])
+def test_generated_members_equal_assembled_members(sid):
+    # generate's X, and X and Y of the pair as `flip_t_signs` gives them to
+    # the writers, are the assembled members bit for bit: a flipped t
+    # (henneberg) has -0 imaginary parts
+    data = ws.we_data(sid, offsets=(0.3, -1.2, 2.0))
+    grid = ws.verification_grid(sid)
+    X, Y = pair_members(data, grid)
+    assert np.signbit(X.t.imag).all() == data.flip_t
+    _assert_same_surface(ws.generate(data, grid), X, "generate")
+    written = (ws.flip_t_signs(s, data) for s in ws.generate_conjugate_pair(data, grid))
+    for got, want in zip(written, (X, Y)):
+        _assert_same_surface(got, want, "flip_t_signs")
 
 
 @pytest.mark.parametrize("sid", ALL_IDS)
@@ -200,7 +217,7 @@ def test_alignment_requires_matching_grids(annulus_grid):
     other = ws.verification_grid("catenoid")
     Y = ws.generate(ws.we_data("catenoid"), other)
     with pytest.raises(GenerateError):
-        ws.align_rigid(X, Y)
+        align_rigid(X, Y)
 
 
 def test_gamma_chart_sector_covers_expected_annulus():

@@ -9,11 +9,13 @@ from wesurf import grids
 from wesurf.geometry import GeometryError
 from wesurf.stencils import interior_mask
 
+from oracles import surface_from_components
+
 
 def flat_patch(n=11):
     g = ws.ParamGrid("rectangle", n, n, (0.0, 1.0, 0.0, 1.0))
     r = g.nodes()
-    return g, ws.surface_from_components(g, r.real, np.zeros(g.shape), r.imag)
+    return g, surface_from_components(g, r.real, np.zeros(g.shape), r.imag)
 
 
 def test_plane_form_is_identity():

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
 from wesurf.hodograph import HodographError
 
 from conftest import rng_points
+from oracles import nearest_node
 
 
 # ------------------------------------------------------------- closed forms
@@ -71,7 +71,7 @@ def test_surface_from_helicoid_fg_matches_closed_form(annulus_grid):
                              singularities=[0.0])
     oracle = ws.helicoid_closed(annulus_grid)
     # integration constants are pinned at the base node
-    idx = ws.nearest_node(annulus_grid, 1.0)
+    idx = nearest_node(annulus_grid, 1.0)
     shift = oracle.values[:, idx[0], idx[1]] - got.values[:, idx[0], idx[1]]
     assert np.max(np.abs(got.values + shift[:, None, None] - oracle.values)) < 1e-9
 
@@ -80,7 +80,7 @@ def test_surface_from_catenoid_fg_matches_closed_form(annulus_grid):
     got = ws.surface_from_fg(ws.catenoid_fg(), annulus_grid, base=1.0,
                              singularities=[0.0])
     oracle = ws.catenoid_closed(annulus_grid)
-    idx = ws.nearest_node(annulus_grid, 1.0)
+    idx = nearest_node(annulus_grid, 1.0)
     shift = oracle.values[:, idx[0], idx[1]] - got.values[:, idx[0], idx[1]]
     assert np.max(np.abs(got.values + shift[:, None, None] - oracle.values)) < 1e-9
 
@@ -115,100 +115,3 @@ def test_fg_roundtrip_recovers_F(annulus_grid):
     expected = pair.F(r)
     shift = (expected - recovered)[0, 0]
     assert np.max(np.abs(recovered + shift - expected)) < 1e-10
-
-
-# ------------------------------------------------------------ hodograph maps
-
-def test_helicoid_uv_at_one():
-    u, v = ws.hodograph_uv("helicoid", 1.0)
-    assert abs(complex(u) - 0.5j) < 1e-15
-    assert abs(complex(v) + 0.5j) < 1e-15
-
-
-def test_helicoid_uv_at_two_i():
-    u, _ = ws.hodograph_uv("helicoid", 2.0j)
-    assert abs(complex(u) + 0.25) < 1e-15
-
-
-def test_helicoid_uv_consistent_with_r_map():
-    r = rng_points(128, 0.4, 0.9, seed=3)
-    z = 0.5j * (r - 1.0 / np.conj(r))
-    u_from_z, v_from_z = ws.hodograph_uv("helicoid", z)
-    u_from_r = r / (1.0 - np.abs(r) ** 2)
-    assert np.max(np.abs(u_from_z - u_from_r)) < 1e-10
-    assert np.max(np.abs(v_from_z - np.conj(u_from_r))) < 1e-10
-
-
-def test_catenoid_uv_consistent_with_r_map():
-    r = rng_points(128, 0.4, 0.9, seed=4)
-    z = 0.5 * (r + 1.0 / np.conj(r))
-    u_from_z, _ = ws.hodograph_uv("catenoid", z)
-    assert np.max(np.abs(u_from_z - r / (1.0 - np.abs(r) ** 2))) < 1e-10
-
-
-def test_catenoid_uv_requires_exterior_of_unit_disk():
-    with pytest.raises(HodographError):
-        ws.hodograph_uv("catenoid", 0.5)
-
-
-def test_r_from_uv_helicoid_sample():
-    r = ws.r_from_uv(0.5j, -0.5j)
-    assert abs(r - 1j * (math.sqrt(2.0) - 1.0)) < 1e-14
-    # cross-check the inverse relation u = r/(1-|r|^2)
-    assert abs(r / (1.0 - abs(r) ** 2) - 0.5j) < 1e-14
-
-
-def test_r_from_uv_flat_point_limit():
-    assert ws.r_from_uv(0.0, 0.0) == 0.0
-
-
-def test_r_from_uv_series_branch_is_continuous():
-    u = 0.3 + 0.1j
-    lo = ws.r_from_uv(u, 1e-9)    # series branch
-    hi = ws.r_from_uv(u, 1e-7)    # direct formula
-    assert abs(lo - u) < 1e-9
-    assert abs(hi - u) < 1e-7
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.floats(0.4, 0.9), st.floats(0.0, 2 * math.pi))
-def test_r_from_uv_round_trip(rho, psi):
-    r = rho * np.exp(1j * psi)
-    u = r / (1.0 - rho ** 2)
-    v = np.conj(r) / (1.0 - rho ** 2)
-    assert abs(ws.r_from_uv(u, v) - r) < 1e-12
-
-
-# --------------------------------------------------------- umbilic diagnostic
-
-def _wirtinger_second(phi, z, h=1e-4):
-    # numerical phi_zz, phi_zbzb, phi_zzb via Wirtinger stencils
-    def d_z(f):
-        return lambda w: ((f(w + h) - f(w - h)) / (2 * h)
-                          - 1j * (f(w + 1j * h) - f(w - 1j * h)) / (2 * h)) / 2.0
-
-    def d_zb(f):
-        return lambda w: ((f(w + h) - f(w - h)) / (2 * h)
-                          + 1j * (f(w + 1j * h) - f(w - 1j * h)) / (2 * h)) / 2.0
-
-    return d_z(d_z(phi))(z), d_zb(d_zb(phi))(z), d_zb(d_z(phi))(z)
-
-
-def test_umbilic_diagnostic_against_numerical_wirtinger():
-    z = 1.7 + 0.9j
-
-    def phi_h(w):
-        return np.arctan2(w.imag, w.real)
-
-    def phi_c(w):
-        return np.arccosh(np.sqrt(np.abs(w) ** 2))
-
-    for sid, phi in (("helicoid", phi_h), ("catenoid", phi_c)):
-        zz, zbzb, zzb = _wirtinger_second(phi, z)
-        numeric = zz * zbzb - zzb ** 2
-        assert abs(numeric - ws.umbilic_diagnostic(sid, z)) < 1e-6
-
-
-def test_umbilic_diagnostic_closed_values():
-    assert abs(ws.umbilic_diagnostic("helicoid", 2.0) - 1.0 / 64.0) < 1e-15
-    assert abs(ws.umbilic_diagnostic("catenoid", 2.0) - 1.0 / 36.0) < 1e-15

@@ -9,6 +9,8 @@ from wesurf import geometry, grids, pde
 from wesurf.family import real_member
 from wesurf.pde import PDEError, wick_substitute
 
+from oracles import catenoid_graph_fns, surface_from_components, t_reflect
+
 
 def xt_mesh(x0, x1, t0, t1, n=41):
     xs = np.linspace(x0, x1, n)[:, None] + np.zeros((1, n))
@@ -21,7 +23,7 @@ def xt_mesh(x0, x1, t0, t1, n=41):
 def test_identity_chart_parabola():
     g = ws.ParamGrid("rectangle", 31, 31, (-1.0, 1.0, -1.0, 1.0))
     r = g.nodes()
-    s = ws.surface_from_components(g, r.real, r.imag, r.real ** 2)
+    s = surface_from_components(g, r.real, r.imag, r.real ** 2)
     p = ws.chain_rule_partials(s, accuracy=2)
     assert np.max(np.abs(p.phi_x - 2.0 * s.x)[p.valid_mask]) < 1e-6
     assert np.max(np.abs(p.phi_xx - 2.0)[p.valid_mask]) < 1e-6
@@ -112,7 +114,7 @@ def test_row_block_kernels_return_fresh_arrays(s_theta_annulus, monkeypatch, row
 def test_plane_solves_both_equations():
     g = ws.ParamGrid("rectangle", 21, 21, (-1.0, 1.0, -1.0, 1.0))
     r = g.nodes()
-    s = ws.surface_from_components(g, r.real, r.imag, 0.7 * r.real - 0.2 * r.imag)
+    s = surface_from_components(g, r.real, r.imag, 0.7 * r.real - 0.2 * r.imag)
     p = ws.chain_rule_partials(s)
     assert ws.minimal_surface_residual(p).max_abs < 1e-10
     assert ws.born_infeld_residual(p).max_abs < 1e-10
@@ -203,18 +205,15 @@ def test_boost_composition_law(a, b):
     assert np.max(np.abs(once.t - twice.t)) < 1e-12
 
 
-def test_boost_graph_fns_match_patch_boost():
+def test_boost_of_ungridded_samples_matches_grid_rows():
+    # ungridded (1-D) sample points boost in one piece, to the grid row's bits
     xs, ts = xt_mesh(2.2, 2.8, -0.2, 0.2, 9)
     lb = ws.LorentzBoost(0.6)
     fns = ws.wick_catenoid_graph_fns()
-    boosted_fns = ws.boost_graph_fns(fns, lb)
-    # pull the boosted callables back at the boosted coordinates
-    p = ws.graph_patch(xs, ts, fns)
-    pb = ws.boost(p, lb)
-    direct = boosted_fns["phi_x"](pb.x, pb.t)
-    assert np.max(np.abs(direct - pb.phi_x)) < 1e-10
-    # ungridded (1-D) sample points boost in one piece
-    assert np.max(np.abs(boosted_fns["phi_x"](pb.x[0], pb.t[0]) - pb.phi_x[0])) < 1e-10
+    on_grid = ws.boost(ws.graph_patch(xs, ts, fns), lb)
+    on_row = ws.boost(ws.graph_patch(xs[0], ts[0], fns), lb)
+    for name in ("x", "t", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt"):
+        assert np.array_equal(getattr(on_row, name), getattr(on_grid, name)[0]), name
 
 
 def test_boost_hyperbolic_identity_invariant():
@@ -234,7 +233,7 @@ def test_wick_equivalence_helicoid_and_catenoid(annulus_grid):
 def test_wick_equivalence_plane_is_zero():
     g = ws.ParamGrid("rectangle", 11, 11, (-1.0, 1.0, -1.0, 1.0))
     r = g.nodes()
-    s = ws.surface_from_components(g, r.real, r.imag, 0.3 * r.real + 0.1 * r.imag)
+    s = surface_from_components(g, r.real, r.imag, 0.3 * r.real + 0.1 * r.imag)
     p = ws.chain_rule_partials(s)
     assert ws.wick_equivalence_check(p).max_abs < 1e-10
 
@@ -301,7 +300,7 @@ def test_real_member_route_gives_s_theta_bits(generated_family, monkeypatch, row
 
 def test_wick_substitution_transforms_derivative_data():
     xs, ts = xt_mesh(2.0, 3.0, -0.3, 0.3, 9)
-    p = ws.graph_patch(xs, ts, ws.catenoid_graph_fns())
+    p = ws.graph_patch(xs, ts, catenoid_graph_fns())
     w = wick_substitute(p)
     assert np.array_equal(w.phi_t, -1j * p.phi_t)
     assert np.array_equal(w.phi_tt, -p.phi_tt)
@@ -312,7 +311,7 @@ def test_t_reflection_preserves_born_infeld():
     xs, ts = xt_mesh(2.0, 3.0, -0.45, 0.45)
     p = ws.graph_patch(xs, ts, ws.wick_catenoid_graph_fns())
     before = ws.born_infeld_residual(p)
-    after = ws.born_infeld_residual(ws.t_reflect(p))
+    after = ws.born_infeld_residual(t_reflect(p))
     assert abs(before.max_abs - after.max_abs) < 1e-14
 
 
