@@ -29,6 +29,8 @@ RUNS = (
     ["generate"],
     ["generate", "--surface", "henneberg"],
     ["generate", "--surface", "henneberg", "--formats", "table"],   # flip_t: t_im column
+    ["generate", "--surface", "henneberg", "--rect", "0.3", "0.8", "0.2", "0.7",  # flip_t on
+     "--n", "40", "--formats", "csv,table"],                       # the rectangle laplacian
     ["generate", "--surface", "general_scherk", "--alpha", "0.5"],
     ["generate", "--surface", "catenoid", "--annulus", "0.4", "0.9", "--n", "64"],
     ["generate", "--surface", "general_enneper",
@@ -57,6 +59,7 @@ RUNS = (
     ["residuals", "--surface", "schwarz_riemann"],
     ["residuals", "--surface", "catenoid", "--n", "131", "257"],   # fd route, 3 row blocks
     ["residuals", "--surface", "henneberg"],   # flip_t through generate
+    ["residuals", "--surface", "general_enneper"],
     ["boost-check"],
     ["boost-check", "--rapidity", "0.2", "0.8", "1.5"],
     ["export"],

@@ -9,8 +9,8 @@ from .catalog import (BranchRegionError, CATALOG_IDS, CatalogError,
 from .family import (FamilyError, SolitonFamily, SolitonRelationsReport,
                      family_fg, theta_derivative, verify_soliton_relations,
                      wick_rotate)
-from .generate import (GenerateError, WEData, flip_t_signs, gamma_chart_sector,
-                       generate, generate_conjugate_pair, we_data)
+from .generate import (GenerateError, WEData, gamma_chart_sector, generate,
+                       generate_conjugate_pair, we_data)
 from .geometry import (FundamentalForm, GeometryError, ThetaInvarianceReport,
                        action, change_of_variables_action, fundamental_form,
                        theta_sweep_invariance)

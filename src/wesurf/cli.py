@@ -33,8 +33,8 @@ import numpy as np
 from . import __version__
 from .catalog import CATALOG_IDS, CatalogError, verification_grid
 from .family import FamilyError
-from .generate import (GenerateError, WEData, flip_t_signs, gamma_chart_sector,
-                       generate, generate_conjugate_pair, we_data)
+from .generate import (GenerateError, WEData, gamma_chart_sector, generate,
+                       generate_conjugate_pair, we_data)
 from .geometry import GeometryError, fundamental_form, theta_sweep_invariance
 from .grids import GridError, ParamGrid, SurfaceGrid, conjugacy_violation, laplacian
 from .hodograph import HodographError
@@ -229,7 +229,7 @@ def _export_surface(s: SurfaceGrid, stem: str, cfg: RunConfig) -> list[Path]:
 def cmd_generate(cfg: RunConfig) -> int:
     cfg.validate()
     data, grid = _inputs(cfg)
-    X, Y = (flip_t_signs(s, data) for s in generate_conjugate_pair(data, grid))
+    X, Y = generate_conjugate_pair(data, grid)
     files = _export_surface(X, cfg.surface, cfg)
     files += _export_surface(Y, f"{cfg.surface}_conjugate", cfg)
     rows = []

@@ -8,13 +8,14 @@ Born-Infeld equation, and every combination
 
 is again a solution: Wick rotation is linear, so S_theta is the rotated
 member at angle theta of X's associate (Bonnet) family, and `SolitonFamily.at`
-builds it that way.  The family stores the pair packed as Z = X + i Y, one
-complex array each for the values and the first and second derivatives
-(a generated family keeps only the d/dr1 slots Phi', Phi'' of the latter
-and builds the rest by Cauchy-Riemann):
-X and Y are real, so Z holds both exactly, and the member at angle theta is
+builds it that way.  X and Y are real surfaces, float64; only S_theta is
+complex.  The family stores the pair packed as Z = X + i Y, one complex
+array each for the values and the first and second derivatives (a
+generated family keeps only the d/dr1 slots Phi', Phi'' of the latter and
+builds the rest by Cauchy-Riemann), and the member at angle theta is
 Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on float views
-into one fresh array per field, which `wick_rotate` then rotates in place.
+into one fresh complex array per field, which `wick_rotate` then rotates in
+place.
 The family's F/G data is the same combination of the
 members' handles, F_theta = cos(theta) F_1 + sin(theta) F_2, which for the
 helicoid/catenoid pair collapses to (i/2) e^{-i theta} / r.
@@ -70,10 +71,9 @@ def _cos_sin(theta: float) -> tuple[float, float]:
 
 
 class _RealMember(NamedTuple):
-    """The arrays of a real member X, not validated: either fresh, writeable
-    complex arrays with +0 imaginary parts, which `SolitonFamily.at` hands to
-    `wick_rotate` to rotate in place, or the float64 arrays of `real_member`,
-    which the nodewise kernels read as they read a SurfaceGrid."""
+    """The arrays of a real member X, not validated: fresh, writeable complex
+    arrays with +0 imaginary parts, which `SolitonFamily.at` hands to
+    `wick_rotate` to rotate in place."""
 
     grid: ParamGrid
     values: np.ndarray
@@ -81,25 +81,14 @@ class _RealMember(NamedTuple):
     jac2: np.ndarray | None
     meta: dict
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.values[0]
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.values[1]
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.values[2]
-
 
 def wick_rotate(s: SurfaceGrid | _RealMember) -> SurfaceGrid:
     """t -> i t; x and phi unchanged.  Applying it twice negates t, up to
     the signs of exact zeros.
 
-    A SurfaceGrid is copied, never mutated.  The fresh arrays of a real
-    member (from `SolitonFamily.at`) are rotated in place instead, with the
+    A SurfaceGrid is copied into complex arrays, never mutated.  The fresh
+    arrays of a real member (from `SolitonFamily.at`) are rotated in place
+    instead, with the
     bits of 1j * (m + 0j): imag <- m + 0, then real <- m * 0, a zero with
     the sign of m; the result is validated once, as the rotated surface.
     """
@@ -113,7 +102,7 @@ def wick_rotate(s: SurfaceGrid | _RealMember) -> SurfaceGrid:
             np.add(t.real, 0.0, out=t.imag)
             np.multiply(t.real, 0.0, out=t.real)
             return a
-        out = np.empty_like(a)
+        out = np.empty(a.shape, complex)
         out[0], out[2] = a[0], a[2]
         np.multiply(1j, a[1], out=out[1])  # 1j first: SIMD complex * is not commutative
         return out
@@ -122,9 +111,9 @@ def wick_rotate(s: SurfaceGrid | _RealMember) -> SurfaceGrid:
                        rotate(s.jac2), dict(s.meta))
 
 
-def real_member(s: SurfaceGrid) -> _RealMember:
-    """X of S = X^s: Re x, Im t and Re phi of the values, jac and jac2 of
-    S, copied into contiguous float64 arrays.
+def real_member(s: SurfaceGrid) -> SurfaceGrid:
+    """X of S = X^s, a real surface: Re x, Im t and Re phi of the values,
+    jac and jac2 of S, copied into float64 arrays.
 
     The parts of S that are read are exactly X's when S comes from
     `SolitonFamily.at`, which writes X into them and zeros into the other
@@ -138,18 +127,19 @@ def real_member(s: SurfaceGrid) -> _RealMember:
         out[0], out[1], out[2] = z[0].real, z[1].imag, z[2].real
         return out
 
-    return _RealMember(s.grid, parts(s.values), parts(s.jac), parts(s.jac2), dict(s.meta))
+    return SurfaceGrid(s.grid, parts(s.values), "real", parts(s.jac), parts(s.jac2),
+                       dict(s.meta))
 
 
 def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """Re a + i Re b in one complex array; None when either array is missing."""
+    """a + i b in one complex array, from the float arrays of two real
+    members; None when either array is missing."""
     if a is None or b is None:
         return None
-    if np.any(a.imag) or np.any(b.imag):
-        raise FamilyError("family members must be real: a component has a "
-                          "non-zero imaginary part")
-    z = np.empty_like(a)
-    z.real, z.imag = a.real, b.real
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        raise FamilyError("family members must be real surfaces: a member is complex")
+    z = np.empty(a.shape, complex)
+    z.real, z.imag = a, b
     z.flags.writeable = False
     return z
 
@@ -166,17 +156,17 @@ _SLOT_PARTS = (((1.0, 0), (1.0, 1)),     # z:    Re z,  Im z
 class SolitonFamily:
     """A conjugate minimal-surface pair X, Y; `at` builds S_theta from it.
 
-    The pair is stored packed: values, jac and jac2 each hold Re X + i Re Y
-    in one complex array, half the bytes of two all-complex surfaces.  The
-    packing is exact for any real pair, conjugate or not, so `at` gives the
-    values of combining the members themselves, with +0 imaginary parts in
-    the member.  A member with a non-zero imaginary part raises FamilyError;
-    jac/jac2 are None when either member lacks them.  X and Y are rebuilt on
-    demand, and iterating the family gives (X, Y); the family keeps no
-    reference to the surfaces it was built from.  `packed` takes arrays
-    already packed, as `generate_conjugate_pair` writes them: there jac and
-    jac2 hold one slot each, Phi' and Phi'', and every other slot follows
-    by Cauchy-Riemann (`_SLOT_PARTS`), a quarter of the bytes of X and Y.
+    The pair is stored packed: values, jac and jac2 each hold X + i Y in one
+    complex array, the bytes of the two float64 members.  The packing is
+    exact for any real pair, conjugate or not, so `at` gives the values of
+    combining the members themselves.  A member that is not real raises
+    FamilyError; jac/jac2 are None when either member lacks them.  X and Y
+    are rebuilt on demand, as float64 surfaces, and iterating the family
+    gives (X, Y); the family keeps no reference to the surfaces it was
+    built from.  `packed` takes arrays already packed, as
+    `generate_conjugate_pair` writes them: there jac and jac2 hold one slot
+    each, Phi' and Phi'', and every other slot follows by Cauchy-Riemann
+    (`_SLOT_PARTS`), half the bytes of X and Y.
 
     The pair must pass the Cauchy-Riemann conjugacy check before a family is
     accepted; corruption tests can bypass with validate=False.
@@ -203,7 +193,7 @@ class SolitonFamily:
     def packed(cls, grid: ParamGrid, values: np.ndarray, jac: np.ndarray,
                jac2: np.ndarray, metas: tuple[dict, dict],
                y_scale: float = 1.0) -> "SolitonFamily":
-        """The family whose packed arrays Re X + i Re Y are given (taken
+        """The family whose packed arrays X + i Y are given (taken
         over, not copied, and made read-only); metas are X's and Y's.
 
         jac and jac2 may hold the d/dr1 slot alone, shape (3, 1, n1, n2),
@@ -219,9 +209,9 @@ class SolitonFamily:
         fam._y_scale = float(y_scale)
         return fam
 
-    def _real_arrays(self, part) -> list[np.ndarray | None]:
-        """Fresh real arrays of part(sx, x, sy, y) for values, jac and jac2,
-        imaginary parts +0; None stays None.
+    def _real_arrays(self, part, dtype) -> list[np.ndarray | None]:
+        """Fresh arrays of dtype holding part(sx, x, sy, y) for values, jac
+        and jac2, imaginary parts +0 when dtype is complex; None stays None.
 
         x and y are float arrays of one component and slot of X and of Y up
         to the signs sx and sy: views of the packed arrays, y times the
@@ -232,7 +222,7 @@ class SolitonFamily:
             if z is None:
                 return None
             compact = z.shape[1] == 1
-            out = np.empty((len(z), n_slots) + z.shape[2:], dtype=complex)
+            out = np.empty((len(z), n_slots) + z.shape[2:], dtype=dtype)
             for k, j in np.ndindex(out.shape[:2]):  # small temporaries: one grid each
                 src = z[k, 0 if compact else j]
                 re_im = (src.real, src.imag)
@@ -240,15 +230,15 @@ class SolitonFamily:
                 x, y = re_im[px], re_im[py]
                 if self._y_scale != 1.0:
                     y = self._y_scale * y
-                out[k, j] = part(sx, x, sy, y)  # imaginary parts set to +0
+                out[k, j] = part(sx, x, sy, y)  # complex: imaginary parts set to +0
             return out
 
         values = real(self.values[:, None], 1)[:, 0]  # values: one slot, as z
         return [values, real(self.jac, 2), real(self.jac2, 3)]
 
     def _real_surface(self, part, meta: dict) -> SurfaceGrid:
-        """The real surface of `_real_arrays(part)`."""
-        values, jac, jac2 = self._real_arrays(part)
+        """The real surface of `_real_arrays(part)`, float64."""
+        values, jac, jac2 = self._real_arrays(part, np.float64)
         return SurfaceGrid(self.grid, values, "real", jac, jac2, meta)
 
     def rows(self, i: int, j: int) -> "SolitonFamily":
@@ -290,7 +280,7 @@ class SolitonFamily:
         meta = {"surface": self._metas[0].get("surface"), "theta": theta,
                 "base": self._metas[0].get("base")}
         # the signs go on the weights: c * (-x) and (-c) * x are the same bits
-        member = self._real_arrays(lambda sx, x, sy, y: (sx * c) * x + (sy * s) * y)
+        member = self._real_arrays(lambda sx, x, sy, y: (sx * c) * x + (sy * s) * y, complex)
         return wick_rotate(_RealMember(self.grid, *member, meta))
 
 

@@ -7,12 +7,12 @@ The three coordinate functions are real parts of one holomorphic triple
 so the harmonic conjugate surface (R -> -i R) is simply the imaginary parts
 of the same triple.  `generate_conjugate_pair` therefore integrates once and
 writes the pair straight into the packed arrays of a `SolitonFamily`
-(Re X + i Re Y is Phi itself, up to offsets, and its derivative arrays hold
-Phi' and Phi'' alone), which unpacks to (X, Y); the
+(X + i Y is Phi itself, up to offsets, and its derivative arrays hold
+Phi' and Phi'' alone), which unpacks to the float64 surfaces (X, Y); the
 pair satisfies the Cauchy-Riemann relations componentwise by construction,
 which is what the soliton-family machinery relies on.  It is the one
 construction: `generate` is its X, and the `generate` command writes its
-X and Y, each through `flip_t_signs`.
+X and Y.
 
 Generated surfaces carry their exact first derivatives: d(Re Phi_k)/dr1 is
 the integrand Phi_k'(r) evaluated at the node, no quadrature or finite
@@ -100,7 +100,7 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_R
                             y_scale: float = 1.0) -> SolitonFamily:
     """The family of X = Re Phi and its harmonic conjugate Y = Im Phi.
 
-    The packed arrays Re X + i Re Y are written straight from the triple
+    The packed arrays X + i Y are written straight from the triple
     (Phi, Phi', Phi''), so X and Y are never built:
 
         values[k] = (Re Phi_k + o_k) + i (Im Phi_k + o_k)    (o: offsets)
@@ -112,13 +112,11 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_R
     member: d/dr2 and d12 are i Phi', i Phi'', and d22 is -Phi''.  Each of
     their parts is a copy or a sign change of a stored one, so the family
     equals packing X and Y assembled as Re and Im of the triple bit for bit,
-    in `at` and in the unpacked (X, Y), and holds a quarter of their bytes.
-    The unpacked members have +0 imaginary parts; `flip_t_signs` gives a
-    flipped t the -0 of negating it.
+    in `at` and in the unpacked (X, Y), and holds half their bytes.
+    The members' meta records flip_t, so that the writers print the -0
+    imaginary part of a negated t (io_export).
     y_scale != 1 multiplies Y by y_scale: a test hook for a pair that is not
-    conjugate.  It equals scaling Y then packing, except that an exact zero
-    of a flipped t keeps the sign of its real product, where Y's complex
-    product (with a -0 imaginary part) would give +0.
+    conjugate.  It equals scaling the float64 Y, then packing, bit for bit.
     """
     phi = antiderivative_on_grid(_integrand(data.R), data.base, grid,
                                  singularities=singularity_points(data.R), rule=rule)
@@ -133,29 +131,15 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_R
     if data.flip_t:
         for z in (values, jac, jac2):
             np.negative(z[1], out=z[1])
-    metas = tuple({"surface": data.R.id, "base": data.base, "conjugate": conjugate}
-                  for conjugate in (False, True))
+    metas = tuple({"surface": data.R.id, "base": data.base, "conjugate": conjugate,
+                   "flip_t": data.flip_t} for conjugate in (False, True))
     return SolitonFamily.packed(grid, values, jac, jac2, metas, y_scale)
 
 
-def flip_t_signs(s: SurfaceGrid, data: WEData) -> SurfaceGrid:
-    """Member s of `generate_conjugate_pair(data, ...)` with the signs of
-    zero of a negated t: under flip_t, t's imaginary parts in values, jac
-    and jac2 are -0, the sign -(t + 0j) gives them, which the writers print
-    (the t_im column); otherwise s itself.
-    """
-    if not data.flip_t:
-        return s
-    values, jac, jac2 = (z.copy() for z in (s.values, s.jac, s.jac2))
-    for z in (values, jac, jac2):
-        z[1].imag = -0.0
-    return s.with_values(values, jac=jac, jac2=jac2)
-
-
 def generate(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE) -> SurfaceGrid:
-    """Sample the W-E surface of `data` on `grid` (real minimal surface): X
-    of `generate_conjugate_pair`, with `flip_t_signs`."""
-    return flip_t_signs(generate_conjugate_pair(data, grid, rule).X, data)
+    """Sample the W-E surface of `data` on `grid` (real minimal surface,
+    float64): X of `generate_conjugate_pair`."""
+    return generate_conjugate_pair(data, grid, rule).X
 
 
 def gamma_chart_sector(g1_min: float, g1_max: float, g2_min: float,
@@ -179,6 +163,6 @@ def gamma_chart_sector(g1_min: float, g1_max: float, g2_min: float,
 
 
 __all__ = [
-    "GenerateError", "WEData", "flip_t_signs", "gamma_chart_sector", "generate",
+    "GenerateError", "WEData", "gamma_chart_sector", "generate",
     "generate_conjugate_pair", "we_data",
 ]

@@ -30,7 +30,6 @@ GridKind = Literal["rectangle", "annulus"]
 Axis = Literal["r1", "r2"]
 Reality = Literal["real", "wick_rotated"]
 
-REAL_IMAG_TOL = 1e-12
 _ROW_BLOCK_NODES = 1 << 14  # 256 KiB of complex per array: a kernel's block stays in L2
 
 
@@ -39,8 +38,8 @@ class GridError(ValueError):
 
 
 def _all_finite(z: np.ndarray) -> bool:
-    """True when every entry of a contiguous complex array is finite; the
-    float view's check is the complex one's, at about half the cost."""
+    """True when every entry of a contiguous float or complex array is
+    finite; a complex array's float view is checked, at about half the cost."""
     return bool(np.isfinite(z.view(np.float64)).all())
 
 
@@ -159,11 +158,13 @@ def default_annulus(rho_min: float = 0.4, rho_max: float = 0.9,
 class SurfaceGrid:
     """Sampled parametric surface (x, t, phi) over a ParamGrid.
 
-    values has shape (3, n1, n2), complex; components may be genuinely complex
-    only when reality == "wick_rotated".  jac, when present, holds the
-    analytic first derivatives d(component)/d(r1) and /d(r2), shape
-    (3, 2, n1, n2); it is propagated through conjugation, Wick rotation and
-    family combinations.
+    values has shape (3, n1, n2): float64 when reality == "real", complex
+    when reality == "wick_rotated".  jac, when present, holds the analytic
+    first derivatives d(component)/d(r1) and /d(r2), shape (3, 2, n1, n2),
+    and jac2 the second ones (d11, d12, d22), shape (3, 3, n1, n2), of the
+    same dtype; they are propagated through conjugation, Wick rotation and
+    family combinations.  A real surface takes complex input only when
+    every imaginary part is zero, and drops the parts.
     """
 
     grid: ParamGrid
@@ -174,36 +175,28 @@ class SurfaceGrid:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=complex))
-        if vals.shape != (3, self.grid.n1, self.grid.n2):
-            raise GridError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
-        if not _all_finite(vals):
-            raise GridError("surface components must be finite")
         if self.reality not in ("real", "wick_rotated"):
             raise GridError(f"unknown reality flag {self.reality!r}")
-        # most real grids hold only +-0 imaginary parts: skip the tolerance arithmetic
-        if self.reality == "real" and np.any(vals.imag) and np.any(
-                np.abs(vals.imag) > REAL_IMAG_TOL * (1.0 + np.abs(vals.real))):
-            raise GridError("reality=real but components have imaginary parts")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        if self.jac is not None:
-            jac = np.ascontiguousarray(np.asarray(self.jac, dtype=complex))
-            if jac.shape != (3, 2, self.grid.n1, self.grid.n2):
-                raise GridError(f"jac shape {jac.shape} invalid")
-            if not _all_finite(jac):
-                raise GridError("analytic derivatives must be finite")
-            jac.flags.writeable = False
-            object.__setattr__(self, "jac", jac)
-        if self.jac2 is not None:
-            # second derivatives per component, ordered (d11, d12, d22)
-            jac2 = np.ascontiguousarray(np.asarray(self.jac2, dtype=complex))
-            if jac2.shape != (3, 3, self.grid.n1, self.grid.n2):
-                raise GridError(f"jac2 shape {jac2.shape} invalid")
-            if not _all_finite(jac2):
-                raise GridError("analytic second derivatives must be finite")
-            jac2.flags.writeable = False
-            object.__setattr__(self, "jac2", jac2)
+        n1, n2 = self.grid.shape
+        for name, slots, what in (("values", (), "surface components"),
+                                  ("jac", (2,), "analytic derivatives"),
+                                  ("jac2", (3,), "analytic second derivatives")):
+            a = getattr(self, name)
+            if a is None:
+                continue
+            complex_in = np.iscomplexobj(a)
+            a = np.ascontiguousarray(a, dtype=complex if complex_in or self.reality
+                                     == "wick_rotated" else np.float64)
+            if a.shape != (3, *slots, n1, n2):
+                raise GridError(f"{name} shape {a.shape} does not match grid {self.grid.shape}")
+            if not _all_finite(a):
+                raise GridError(f"{what} must be finite")
+            if self.reality == "real" and complex_in:
+                if np.any(a.imag):
+                    raise GridError(f"reality=real but {what} have an imaginary part")
+                a = np.ascontiguousarray(a.real)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def x(self) -> np.ndarray:
@@ -330,7 +323,9 @@ def laplacian(surface: SurfaceGrid, component: str, accuracy: int = 2) -> np.nda
     f_rr = axis_derivative(arr, grid.h1, 0, 2, accuracy)
     f_r = axis_derivative(arr, grid.h1, 0, 1, accuracy)
     f_pp = axis_derivative(arr, grid.h2, 1, 2, accuracy)
-    return f_rr + f_r / rho + f_pp / rho ** 2
+    # reciprocals, not divisions: a float surface then gets a complex one's
+    # bits (README, Numerical notes)
+    return f_rr + f_r * (1.0 / rho) + f_pp * (1.0 / rho ** 2)
 
 
 def cauchy_riemann_jacs(d1, d2, parts) -> tuple[np.ndarray, np.ndarray]:
@@ -342,8 +337,8 @@ def cauchy_riemann_jacs(d1, d2, parts) -> tuple[np.ndarray, np.ndarray]:
     (Re f'', -Im f'', -Re f''); for Im f swap Re and Im with the sign rules.
     """
     shape = np.shape(d1[0])
-    jac = np.empty((3, 2) + shape, dtype=complex)
-    jac2 = np.empty((3, 3) + shape, dtype=complex)
+    jac = np.empty((3, 2) + shape)
+    jac2 = np.empty((3, 3) + shape)
     for k, (f1, f2, part) in enumerate(zip(d1, d2, parts)):
         if part == "re":
             jac[k, 0], jac[k, 1] = f1.real, -f1.imag

@@ -19,8 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import REAL_IMAG_TOL, ParamGrid, SurfaceGrid, cauchy_riemann_jacs
+from .grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs
 from .quadrature import DEFAULT_RULE, antiderivative_on_grid
+
+
+REAL_IMAG_TOL = 1e-12  # relative imaginary part of a reconstruction accepted as real
 
 
 class HodographError(ValueError):
@@ -113,9 +116,11 @@ def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
 
     The four indefinite integrals are taken from `base` (so they vanish
     there); comparisons against other parametrizations should calibrate
-    offsets at the base node.  Output is real exactly when the reality
-    constraint holds; otherwise the components are complex and the grid is
-    flagged wick_rotated.
+    offsets at the base node.  Output is real when every imaginary part is
+    within REAL_IMAG_TOL of its real part's scale, as the reality constraint
+    makes it: the real parts of values and jac are then kept, float64.
+    Otherwise the components are complex and the grid is flagged
+    wick_rotated.
     """
     base = complex(base)
     r = grid.nodes()
@@ -138,9 +143,10 @@ def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
     if pair.reality_constraint and not imag_ok:
         raise HodographError(
             "FG pair claims the reality constraint but produced complex output")
-    reality = "real" if imag_ok else "wick_rotated"
     meta = {"surface": f"fg:{pair.label}", "base": base}
-    return SurfaceGrid(grid, values, reality, jac, None, meta)
+    if imag_ok:
+        return SurfaceGrid(grid, values.real, "real", jac.real, None, meta)
+    return SurfaceGrid(grid, values, "wick_rotated", jac, None, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +184,7 @@ def helicoid_closed(grid: ParamGrid) -> SurfaceGrid:
                                     [-(1.0 / r ** 3), -(1.0 / r ** 3), -(1.0 / r ** 2)],
                                     ["im", "re", "im"])
     meta = {"surface": "helicoid_closed", "base": None}
-    return SurfaceGrid(grid, np.stack([x, t, phi]).astype(complex), "real",
-                       jac, jac2, meta)
+    return SurfaceGrid(grid, np.stack([x, t, phi]), "real", jac, jac2, meta)
 
 
 def catenoid_closed(grid: ParamGrid) -> SurfaceGrid:
@@ -197,8 +202,7 @@ def catenoid_closed(grid: ParamGrid) -> SurfaceGrid:
                                     [1.0 / r ** 3, -(1.0 / r ** 3), 1.0 / r ** 2],
                                     ["re", "im", "re"])
     meta = {"surface": "catenoid_closed", "base": None}
-    return SurfaceGrid(grid, np.stack([x, t, phi]).astype(complex), "real",
-                       jac, jac2, meta)
+    return SurfaceGrid(grid, np.stack([x, t, phi]), "real", jac, jac2, meta)
 
 
 __all__ = [

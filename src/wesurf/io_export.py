@@ -4,8 +4,9 @@ All writers are byte-deterministic for fixed input (fixed float formatting,
 no timestamps) and atomic (temp file + rename), so repeated runs with the
 same configuration produce identical files.
 
-Complex values are serialized as adjacent <name>_re, <name>_im columns.
-CSV and table files carry a schema comment line as their first row.
+Complex values are serialized as adjacent <name>_re, <name>_im columns; a
+real surface's imaginary columns are constants.  CSV and table files carry
+a schema comment line as their first row.
 """
 
 from __future__ import annotations
@@ -51,11 +52,23 @@ def _lines(template: str, columns) -> str:
     return "".join(map(f"{template}\n".__mod__, zip(*[c.tolist() for c in columns])))
 
 
-def _grid_rows(s: SurfaceGrid):
-    """Per grid row, the _NODE_COLUMNS as an (n2, 8) float array."""
+def _node_rows(s: SurfaceGrid, sep: str):
+    """(format, rows): `format` fills one node's _NODE_COLUMNS, joined by
+    `sep`, from the float columns that `rows` yields per grid row.
+
+    A real surface has no imaginary parts: its x_im and phi_im print as 0,
+    and its t_im as -0 under meta["flip_t"], the sign of zero that negating
+    t + 0j gives, else as 0.  Only the five real columns are formatted.
+    """
     r = s.grid.nodes()
-    for i in range(s.grid.n1):
-        yield np.stack([r[i], s.x[i], s.t[i], s.phi[i]], axis=-1).view(np.float64)
+    if s.reality == "real":
+        t_im = "-0" if s.meta.get("flip_t") else "0"
+        fmt = sep.join(["%.17g"] * 3 + ["0", "%.17g", t_im, "%.17g", "0"])
+        cols = (r.real, r.imag, s.x, s.t, s.phi)
+    else:
+        fmt = sep.join(["%.17g"] * 8)
+        cols = [a for z in (r, s.x, s.t, s.phi) for a in (z.real, z.imag)]
+    return fmt, ([c[i] for c in cols] for i in range(s.grid.n1))
 
 
 def mesh_vertices(s: SurfaceGrid) -> np.ndarray:
@@ -65,7 +78,7 @@ def mesh_vertices(s: SurfaceGrid) -> np.ndarray:
     (Re x, |Im t|, Re phi) with the full complex data kept for the sidecar.
     """
     if s.reality == "real":
-        coords = np.stack([s.x.real, s.t.real, s.phi.real])
+        coords = s.values
     else:
         coords = np.stack([s.x.real, np.abs(s.t.imag), s.phi.real])
     return coords.reshape(3, -1).T
@@ -101,18 +114,20 @@ def export_mesh(s: SurfaceGrid, path) -> Path:
 def write_surface_csv(s: SurfaceGrid, path) -> Path:
     """Node table: grid indices, parameter-plane position, complex components."""
     j = np.arange(s.grid.n2)
+    fmt, rows = _node_rows(s, ",")
     return _atomic_write(path, chain(
         [f"# schema: {SCHEMA}\ni,j,{','.join(_NODE_COLUMNS)}\n"],
-        (_lines("%d,%d" + ",%.17g" * 8, [np.full_like(j, i), j, *row.T])
-         for i, row in enumerate(_grid_rows(s)))))
+        (_lines("%d,%d," + fmt, [np.full_like(j, i), j, *row])
+         for i, row in enumerate(rows))))
 
 
 def write_surface_table(s: SurfaceGrid, path) -> Path:
     """Gnuplot-ready table: whitespace columns, blank line between grid rows
     (splot/pm3d block format)."""
+    fmt, rows = _node_rows(s, " ")
     return _atomic_write(path, chain(
         [f"# schema: {SCHEMA}\n# columns: {' '.join(_NODE_COLUMNS)}\n"],
-        (_lines(" ".join(["%.17g"] * 8), row.T) + "\n" for row in _grid_rows(s))))
+        (_lines(fmt, row) + "\n" for row in rows)))
 
 
 def write_report_csv(path, header: list[str], rows: list[list]) -> Path:

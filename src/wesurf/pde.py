@@ -6,10 +6,11 @@
 The two equations exchange under the Wick substitution t -> i t.  Parametric
 grids are converted to nonparametric derivative data by inverting the 2x2
 Jacobian d(x, t)/d(r1, r2) nodewise (complex-valued for Wick-rotated grids,
-float64 for the real member of `family.real_member`, whose Wick substitution
-has the rotated grid's bits); second partials differentiate the (phi_x, phi_t)
-fields on the grid and apply the inverse Jacobian again, so they inherit the
-finite-difference step dependence even when the first derivatives are analytic.
+float64 for real ones; the Wick substitution of `family.real_member`'s patch
+has the rotated grid's bits); second partials differentiate the (phi_x,
+phi_t) fields on the grid and apply the inverse Jacobian again, so they
+inherit the finite-difference step dependence even when the first
+derivatives are analytic.
 
 Also here: the Lorentz boost (cosh, sinh matrix) under which the Born-Infeld
 equation is invariant, applied to patches by transforming coordinates and
@@ -100,11 +101,10 @@ def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
 
 def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
                         accuracy: int = 2, second_source: str = "fd",
-                        cond_cutoff: float = DEFAULT_COND_CUTOFF,
-                        det_floor: float = DET_FLOOR) -> NonparametricPatch:
+                        cond_cutoff: float = DEFAULT_COND_CUTOFF) -> NonparametricPatch:
     """Nonparametric derivative data of phi over the (x, t) chart of `s`.
 
-    Nodes where |det J| < det_floor or the infinity-norm condition number
+    Nodes where |det J| < DET_FLOOR or the infinity-norm condition number
     exceeds cond_cutoff are dropped (and, on the finite-difference route,
     their stencil neighbors with them, since garbage values would leak
     through).
@@ -131,7 +131,7 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
     def first_stage(j):
         (x1, x2), (t1, t2), (p1, p2) = j
         det = x1 * t2 - x2 * t1
-        bad = np.abs(det) < det_floor
+        bad = np.abs(det) < DET_FLOOR
         det_safe = np.where(bad, 1.0, det)
         norm_j = np.maximum(np.abs(x1) + np.abs(x2), np.abs(t1) + np.abs(t2))
         norm_inv = np.maximum(np.abs(t2) + np.abs(x2), np.abs(t1) + np.abs(x1)) / np.abs(det_safe)

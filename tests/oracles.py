@@ -16,6 +16,7 @@ from wesurf.grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_ja
 from wesurf.io_export import _faces
 from wesurf.pde import NonparametricPatch
 from wesurf.quadrature import DEFAULT_RULE, antiderivative_on_grid
+from wesurf.stencils import axis_derivative
 
 
 def surface_from_components(grid: ParamGrid, x, t, phi, reality="real",
@@ -61,19 +62,42 @@ def t_reflect(p: NonparametricPatch) -> NonparametricPatch:
 # the conjugate pair assembled as two surfaces
 # ---------------------------------------------------------------------------
 
-def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> SurfaceGrid:
-    """The surface Re(Phi) (part "re") or its conjugate Im(Phi) (part "im")."""
-    jac, jac2 = cauchy_riemann_jacs(dphi, ddphi, (part,) * 3)
+def _phi(data: WEData, grid: ParamGrid, rule: str) -> np.ndarray:
+    return antiderivative_on_grid(_integrand(data.R), data.base, grid,
+                                  singularities=singularity_points(data.R), rule=rule)
+
+
+def _complex_values(data: WEData, phi: np.ndarray, part: str) -> np.ndarray:
+    """Re(Phi) (part "re") or Im(Phi) (part "im") plus the offsets, t negated
+    under flip_t, assembled in complex arithmetic: the imaginary parts are
+    signed zeros, -0 in a flipped t."""
     values = (phi.real if part == "re" else phi.imag).astype(complex)
     values[0] += data.offsets[0]
     values[1] += data.offsets[1]
     values[2] += data.offsets[2]
     if data.flip_t:
         values[1] = -values[1]
+    return values
+
+
+def pair_values(data: WEData, grid: ParamGrid,
+                rule: str = DEFAULT_RULE) -> tuple[np.ndarray, np.ndarray]:
+    """The values of (X, Y) = (Re Phi, Im Phi) as complex arrays, the layout
+    a real surface had before it was stored as float64: the reference for
+    the writers' columns, imaginary ones included."""
+    phi = _phi(data, grid, rule)
+    return _complex_values(data, phi, "re"), _complex_values(data, phi, "im")
+
+
+def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> SurfaceGrid:
+    """The surface Re(Phi) (part "re") or its conjugate Im(Phi) (part "im")."""
+    jac, jac2 = cauchy_riemann_jacs(dphi, ddphi, (part,) * 3)
+    if data.flip_t:
         jac[1] = -jac[1]
         jac2[1] = -jac2[1]
-    meta = {"surface": data.R.id, "base": data.base, "conjugate": part == "im"}
-    return SurfaceGrid(grid, values, "real", jac, jac2, meta)
+    meta = {"surface": data.R.id, "base": data.base, "conjugate": part == "im",
+            "flip_t": data.flip_t}
+    return SurfaceGrid(grid, _complex_values(data, phi, part), "real", jac, jac2, meta)
 
 
 def pair_members(data: WEData, grid: ParamGrid,
@@ -81,16 +105,26 @@ def pair_members(data: WEData, grid: ParamGrid,
     """(X, Y) = (Re Phi, Im Phi) as two real surfaces, every derivative slot
     by `cauchy_riemann_jacs`: the reference for the packed family of
     `generate_conjugate_pair`, which builds its slots by `_SLOT_PARTS`.
-
-    Their imaginary parts are signed zeros (-0 in t after flip_t).
     """
-    phi = antiderivative_on_grid(_integrand(data.R), data.base, grid,
-                                 singularities=singularity_points(data.R), rule=rule)
+    phi = _phi(data, grid, rule)
     dphi = np.empty((3,) + grid.shape, dtype=complex)
     ddphi = np.empty_like(dphi)
     _node_derivatives(data.R, grid, dphi, ddphi)
     return (_assemble(data, grid, phi, dphi, ddphi, "re"),
             _assemble(data, grid, phi, dphi, ddphi, "im"))
+
+
+def complex_laplacian(grid: ParamGrid, z: np.ndarray, accuracy: int) -> np.ndarray:
+    """The laplacian of a component in complex arithmetic, dividing by rho
+    and rho**2 on polar grids: the route that real surfaces took when they
+    were stored as complex arrays."""
+    z = np.asarray(z, dtype=complex)
+    f_11 = axis_derivative(z, grid.h1, 0, 2, accuracy)
+    f_22 = axis_derivative(z, grid.h2, 1, 2, accuracy)
+    if grid.kind == "rectangle":
+        return f_11 + f_22
+    rho, _, _ = grid.polar_factors()
+    return f_11 + axis_derivative(z, grid.h1, 0, 1, accuracy) / rho + f_22 / rho ** 2
 
 
 # ---------------------------------------------------------------------------

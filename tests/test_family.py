@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
 from wesurf.family import FamilyError, _cos_sin
+from wesurf.grids import GridError
 
 from conftest import rng_points
 from oracles import surface_from_components
@@ -118,7 +119,7 @@ def test_family_is_combination_of_wick_rotated_members(family, theta, request):
 def test_family_packs_pair_and_keeps_no_member():
     grid = ws.default_annulus(0.4, 0.9, 64, 64)
     X, Y = ws.helicoid_closed(grid), ws.catenoid_closed(grid)
-    member_bytes = X.values.nbytes + X.jac.nbytes + X.jac2.nbytes
+    pair_bytes = sum(a.nbytes for s in (X, Y) for a in (s.values, s.jac, s.jac2))
     refs = (weakref.ref(X), weakref.ref(Y))
     tracemalloc.start()
     try:
@@ -131,8 +132,8 @@ def test_family_packs_pair_and_keeps_no_member():
         tracemalloc.stop()
     assert refs[0]() is None and refs[1]() is None, "the family keeps a member alive"
     held_bytes = sum(trace.size for trace in held.traces)
-    assert held_bytes <= member_bytes, f"family holds {held_bytes} bytes"
-    assert fam.values.nbytes + fam.jac.nbytes + fam.jac2.nbytes == member_bytes
+    assert held_bytes <= pair_bytes, f"family holds {held_bytes} bytes"
+    assert fam.values.nbytes + fam.jac.nbytes + fam.jac2.nbytes == pair_bytes
 
 
 # each maker returns (family, (X, Y)): generated families unpack to their
@@ -221,11 +222,13 @@ def test_packed_family_matches_combined_members(make_family):
 def test_family_rejects_member_with_imaginary_part(annulus_grid):
     X = ws.helicoid_closed(annulus_grid)
     Y = ws.catenoid_closed(annulus_grid)
-    # within SurfaceGrid's reality tolerance, but not exactly real
-    tainted = Y.with_values(Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
-    assert tainted.reality == "real"
-    for pair in ((X, tainted), (tainted, X)):
-        with pytest.raises(FamilyError, match="imaginary"):
+    # a real surface holds no imaginary part, so a tainted member is refused
+    # as it is built, before a family sees it
+    with pytest.raises(GridError, match="imaginary part"):
+        Y.with_values(Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
+    complex_member = ws.wick_rotate(Y)
+    for pair in ((X, complex_member), (complex_member, X)):
+        with pytest.raises(FamilyError, match="must be real"):
             ws.SolitonFamily(*pair, validate=False)
 
 

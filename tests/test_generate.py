@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import wesurf as ws
+from wesurf.family import real_member
 from wesurf.generate import GenerateError
 
-from oracles import align_rigid, pair_members
+from oracles import align_rigid, complex_laplacian, pair_members, pair_values
 
 ALL_IDS = [i for i in ws.CATALOG_IDS if i != "custom"]
 
@@ -162,19 +163,72 @@ def test_packed_pair_unpacks_to_the_members():
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def _node_text(grid, values, sep):
+    """Per grid row, the lines of %.17g of every node's position and
+    complex components, each part its own column."""
+    nodes = np.stack([grid.nodes(), *values], axis=-1).view(np.float64)
+    return [[sep.join("%.17g" % v for v in node) for node in row] for row in nodes]
+
+
+def _assert_file_text(path, want):
+    """The file holds `want`; a failure names the first line that differs
+    (a diff of the whole files would take about a minute)."""
+    got, want = path.read_text().split("\n"), want.split("\n")
+    first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None and len(got) == len(want), (
+        path.name, first, first is not None and (got[first], want[first]))
+
+
 @pytest.mark.parametrize("sid", ["henneberg", "catenoid"])
-def test_generated_members_equal_assembled_members(sid):
-    # generate's X, and X and Y of the pair as `flip_t_signs` gives them to
-    # the writers, are the assembled members bit for bit: a flipped t
-    # (henneberg) has -0 imaginary parts
+def test_generated_members_equal_assembled_members(sid, tmp_path):
+    # generate's X, and X and Y of the pair, are the assembled members bit
+    # for bit, and the CSV and table writers print them as the members
+    # assembled in complex arithmetic: a flipped t (henneberg) prints its
+    # -0 imaginary parts
     data = ws.we_data(sid, offsets=(0.3, -1.2, 2.0))
     grid = ws.verification_grid(sid)
-    X, Y = pair_members(data, grid)
-    assert np.signbit(X.t.imag).all() == data.flip_t
-    _assert_same_surface(ws.generate(data, grid), X, "generate")
-    written = (ws.flip_t_signs(s, data) for s in ws.generate_conjugate_pair(data, grid))
-    for got, want in zip(written, (X, Y)):
-        _assert_same_surface(got, want, "flip_t_signs")
+    X, Y = ws.generate_conjugate_pair(data, grid)
+    members = pair_members(data, grid)
+    _assert_same_surface(ws.generate(data, grid), members[0], "generate")
+    complex_values = pair_values(data, grid)
+    assert np.signbit(complex_values[0][1].imag).all() == data.flip_t
+    columns = "r1 r2 x_re x_im t_re t_im phi_re phi_im"
+    for got, want, z in zip((X, Y), members, complex_values):
+        _assert_same_surface(got, want, "pair")
+        csv = "".join(f"{i},{j},{line}\n" for i, row in enumerate(_node_text(grid, z, ","))
+                      for j, line in enumerate(row))
+        _assert_file_text(ws.write_surface_csv(got, tmp_path / "s.csv"),
+                          f"# schema: wesurf/1\ni,j,{columns.replace(' ', ',')}\n{csv}")
+        table = "".join("".join(f"{line}\n" for line in row) + "\n"
+                        for row in _node_text(grid, z, " "))
+        _assert_file_text(ws.write_surface_table(got, tmp_path / "s.dat"),
+                          f"# schema: wesurf/1\n# columns: {columns}\n{table}")
+
+
+def test_real_surfaces_are_float64(annulus_grid):
+    fam = ws.generate_conjugate_pair(ws.we_data("henneberg"), annulus_grid)
+    real = [ws.generate(ws.we_data("henneberg"), annulus_grid), *fam,
+            ws.helicoid_closed(annulus_grid), ws.catenoid_closed(annulus_grid),
+            real_member(fam.at(0.3))]
+    for s in real:
+        assert s.reality == "real", s.meta
+        assert s.values.dtype == s.jac.dtype == s.jac2.dtype == np.float64, s.meta
+    assert fam.at(0.3).values.dtype == complex
+
+
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_float_laplacian_equals_complex_route(sid):
+    # multiplying by 1 / rho and 1 / rho**2, the float laplacian of a real
+    # surface has the bits of the complex route's real part; a float
+    # division by rho differs in the last bit at some nodes
+    grid = ws.verification_grid(sid)
+    X = ws.generate(ws.we_data(sid), grid)
+    for accuracy in (2, 6):
+        for comp in ("x", "t", "phi"):
+            got = ws.laplacian(X, comp, accuracy)
+            want = complex_laplacian(grid, X.component(comp), accuracy).real
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (accuracy, comp)
 
 
 @pytest.mark.parametrize("sid", ALL_IDS)

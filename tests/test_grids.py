@@ -65,23 +65,28 @@ def test_surface_values_immutable_and_validated():
                                  complex(-np.inf, 1.0)])
 def test_surface_rejects_one_non_finite_part(field, bad):
     s = ws.helicoid_closed(ws.default_annulus(0.4, 0.9, 5, 7))
-    arrays = {"values": s.values.copy(), "jac": s.jac.copy(), "jac2": s.jac2.copy()}
+    arrays = {name: getattr(s, name).astype(complex) for name in ("values", "jac", "jac2")}
     arrays[field].flat[7] = bad
     with pytest.raises(GridError, match="finite"):
         ws.SurfaceGrid(s.grid, arrays["values"], "wick_rotated", arrays["jac"],
                        arrays["jac2"])
 
 
-def test_real_surface_imaginary_part_tolerance_edge():
-    # at |value| = 1 the bound is REAL_IMAG_TOL * (1 + 1) = 2e-12, at one node
-    g = ws.ParamGrid("rectangle", 3, 4, (0.0, 1.0, 0.0, 1.0))
-    ones = np.ones(g.shape)
-    x = ones.astype(complex)
-    x[1, 2] = 1 + 1e-13j
-    surface_from_components(g, x, ones, ones, reality="real")
-    x[1, 2] = 1 + 1e-11j
-    with pytest.raises(GridError):
-        surface_from_components(g, x, ones, ones, reality="real")
+@pytest.mark.parametrize("field", ["values", "jac", "jac2"])
+def test_real_surface_is_float64(field):
+    # complex input is taken when every imaginary part is a zero of either
+    # sign, and stored as its real parts; any other imaginary part is refused
+    s = ws.catenoid_closed(ws.default_annulus(0.4, 0.9, 5, 7))
+    arrays = {name: getattr(s, name) for name in ("values", "jac", "jac2")}
+    z = arrays[field].astype(complex)
+    z.imag = -0.0
+    z.flat[3] = complex(z.flat[3].real, 0.0)
+    kept = ws.SurfaceGrid(s.grid, **{**arrays, field: z})
+    assert getattr(kept, field).dtype == np.float64
+    assert np.array_equal(getattr(kept, field), arrays[field])
+    z.flat[3] = complex(z.flat[3].real, 5e-324)
+    with pytest.raises(GridError, match="imaginary part"):
+        ws.SurfaceGrid(s.grid, **{**arrays, field: z})
 
 
 def test_with_values_drops_omitted_derivatives():

@@ -93,6 +93,26 @@ def test_degenerate_fg_gives_constant_surface(annulus_grid):
     assert np.max(np.abs(s.values)) == 0.0
 
 
+def test_real_surface_imaginary_part_tolerance_edge():
+    # F = 0 and G = delta give t = 1 - 0.5j delta with offset 1, where the
+    # bound is REAL_IMAG_TOL * (1 + 1) = 2e-12: inside it the surface is
+    # real, float64 with the real parts; beyond it, complex
+    g = ws.ParamGrid("rectangle", 3, 4, (0.5, 1.0, 0.0, 1.0))
+
+    def pair(delta, claims_reality):
+        zero = np.zeros_like
+        return ws.FGPair(F=zero, G=lambda s: np.full_like(s, delta), Fp=zero, Gp=zero,
+                         reality_constraint=claims_reality, label="shifted")
+
+    s = ws.surface_from_fg(pair(3e-12, True), g, base=0.5, offsets=(0.0, 1.0, 0.0))
+    assert s.reality == "real" and s.values.dtype == s.jac.dtype == np.float64
+    assert np.all(s.t == 1.0) and np.all(s.x == 1.5e-12)
+    with pytest.raises(HodographError):
+        ws.surface_from_fg(pair(5e-12, True), g, base=0.5, offsets=(0.0, 1.0, 0.0))
+    s = ws.surface_from_fg(pair(5e-12, False), g, base=0.5, offsets=(0.0, 1.0, 0.0))
+    assert s.reality == "wick_rotated" and np.all(s.t.imag == -2.5e-12)
+
+
 def test_fg_surface_is_harmonic_and_isothermal(annulus_grid):
     s = ws.surface_from_fg(ws.helicoid_fg(), annulus_grid, base=1.0,
                            singularities=[0.0])
