@@ -5,7 +5,7 @@ rotation, with numerical verification of the family's invariants."""
 from .catalog import (BranchRegionError, CATALOG_IDS, CatalogError,
                       SingularEvaluation, WEFunction, catalog_function,
                       conjugate, default_base, default_flip_t, eval_R,
-                      singularities, singularity_points, verification_grid)
+                      singularity_points, verification_grid)
 from .family import (FamilyError, SolitonFamily, SolitonRelationsReport,
                      family_fg, theta_derivative, verify_soliton_relations,
                      wick_rotate)

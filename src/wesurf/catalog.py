@@ -236,21 +236,6 @@ def singularity_points(f: WEFunction) -> list[complex]:
     return _ENTRIES[f.id].poles(f)
 
 
-def singularities(f: WEFunction, region: ParamGrid) -> list[complex]:
-    """Singularities inside the region's bounding box (with a hair of slack)."""
-    if region.kind == "rectangle":
-        x0, x1, y0, y1 = region.bounds
-    else:
-        rmax = region.bounds[1]
-        x0, x1, y0, y1 = -rmax, rmax, -rmax, rmax
-    eps = 1e-12 * (1.0 + abs(x1 - x0) + abs(y1 - y0))
-    out = []
-    for s in singularity_points(f):
-        if x0 - eps <= s.real <= x1 + eps and y0 - eps <= s.imag <= y1 + eps:
-            out.append(s)
-    return out
-
-
 def _defaults(surface_id: str) -> SurfaceEntry:
     entry = _ENTRIES.get(surface_id)
     if entry is None or entry.domain is None:
@@ -284,6 +269,6 @@ def catalog_function(surface_id: str, **params) -> WEFunction:
 __all__ = [
     "BranchRegionError", "CATALOG_IDS", "CatalogError", "SingularEvaluation",
     "WEFunction", "catalog_function", "conjugate", "default_base",
-    "default_flip_t", "eval_R", "singularities", "singularity_points",
+    "default_flip_t", "eval_R", "singularity_points",
     "verification_grid",
 ]

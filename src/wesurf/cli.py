@@ -368,9 +368,9 @@ def cmd_boost_check(cfg: RunConfig) -> int:
     status = 0
     for rap in cfg.rapidities:
         lb = LorentzBoost(rap)
-        after = born_infeld_residual(boost(patch, lb))
-        half = LorentzBoost(0.5 * rap)
         once = boost(patch, lb)
+        after = born_infeld_residual(once)
+        half = LorentzBoost(0.5 * rap)
         twice = boost(boost(patch, half), half)
         comp = float(np.max([np.max(np.abs(once.x - twice.x)),
                              np.max(np.abs(once.t - twice.t)),

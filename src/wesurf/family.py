@@ -27,9 +27,9 @@ data by checking the three defining relations
     x + t  = G(rbar) - int r^2    F'(r)    dr
     phi    = int r F'(r) dr + int rbar G'(rbar) drbar
 
-nodewise (integration constants calibrated at a base node).  Note the
-left-hand sides combine x and t directly: for Wick-rotated components
-x^s -+ t^s equals the minimal surface's x -+ i t.
+nodewise, with the integration constants calibrated at the grid node
+(0, 0).  Note the left-hand sides combine x and t directly: for
+Wick-rotated components x^s -+ t^s equals the minimal surface's x -+ i t.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 
 from .grids import ParamGrid, SurfaceGrid, conjugacy_violation
 from .hodograph import FGPair, fg_integrals
-from .quadrature import DEFAULT_RULE
 from .reports import ResidualReport, residual_report
 
 HALF_PI = 0.5 * math.pi
@@ -327,20 +326,17 @@ class SolitonRelationsReport:
 
 
 def verify_soliton_relations(s: SurfaceGrid, p: FGPair,
-                             base_index: tuple[int, int] = (0, 0),
-                             singularities=(),
-                             rule: str = DEFAULT_RULE) -> SolitonRelationsReport:
+                             singularities=()) -> SolitonRelationsReport:
     """Check a Wick-rotated grid against its F/G data, nodewise.
 
-    All four integrals run from the grid node at base_index along the fixed
-    path family; each relation's constant is calibrated at that node.
+    All four integrals run from the grid node (0, 0) along the fixed path
+    family; each relation's constant is calibrated at that node.
     """
-    rhs = fg_integrals(p, s.grid, complex(s.grid.nodes()[base_index]),
-                       singularities, rule)
+    rhs = fg_integrals(p, s.grid, complex(s.grid.nodes()[0, 0]), singularities)
     lhs = (s.x - s.t, s.x + s.t, s.phi)
     reports = []
     for left, right in zip(lhs, rhs):
-        shift = left[base_index] - right[base_index]
+        shift = left[0, 0] - right[0, 0]
         reports.append(residual_report(np.abs(left - right - shift)))
     return SolitonRelationsReport(*reports)
 

@@ -18,8 +18,8 @@ Generated surfaces carry their exact first derivatives: d(Re Phi_k)/dr1 is
 the integrand Phi_k'(r) evaluated at the node, no quadrature or finite
 differences involved.  The values come from `antiderivative_on_grid` with
 R's declared poles as singularities, so each quadrature chain runs the
-lowest Gauss-Legendre order their distance allows; `rule` caps that order,
-and an R without poles (Enneper) runs it on every chain.
+lowest Gauss-Legendre order their distance allows, and an R without poles
+(Enneper) runs the 32-point rule on every chain.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import catalog
 from .catalog import WEFunction, eval_R, eval_R_deriv, singularity_points
 from .family import SolitonFamily
 from .grids import ParamGrid, SurfaceGrid
-from .quadrature import DEFAULT_RULE, antiderivative_on_grid
+from .quadrature import antiderivative_on_grid
 
 
 class GenerateError(ValueError):
@@ -96,7 +96,7 @@ def _node_derivatives(R: WEFunction, grid: ParamGrid, dphi, ddphi) -> None:
     ddphi[2] = 2.0 * rv + 2.0 * r * dv
 
 
-def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE,
+def generate_conjugate_pair(data: WEData, grid: ParamGrid,
                             y_scale: float = 1.0) -> SolitonFamily:
     """The family of X = Re Phi and its harmonic conjugate Y = Im Phi.
 
@@ -119,7 +119,7 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_R
     conjugate.  It equals scaling the float64 Y, then packing, bit for bit.
     """
     phi = antiderivative_on_grid(_integrand(data.R), data.base, grid,
-                                 singularities=singularity_points(data.R), rule=rule)
+                                 singularities=singularity_points(data.R))
     values = np.empty((3,) + grid.shape, dtype=complex)
     offsets = np.array(data.offsets)[:, None, None]
     np.add(phi.real, offsets, out=values.real)
@@ -136,10 +136,10 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid, rule: str = DEFAULT_R
     return SolitonFamily.packed(grid, values, jac, jac2, metas, y_scale)
 
 
-def generate(data: WEData, grid: ParamGrid, rule: str = DEFAULT_RULE) -> SurfaceGrid:
+def generate(data: WEData, grid: ParamGrid) -> SurfaceGrid:
     """Sample the W-E surface of `data` on `grid` (real minimal surface,
     float64): X of `generate_conjugate_pair`."""
-    return generate_conjugate_pair(data, grid, rule).X
+    return generate_conjugate_pair(data, grid).X
 
 
 def gamma_chart_sector(g1_min: float, g1_max: float, g2_min: float,

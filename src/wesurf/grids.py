@@ -213,15 +213,13 @@ class SurfaceGrid:
     def component(self, name: str) -> np.ndarray:
         return self.values[_COMPONENT_INDEX[name]]
 
-    def with_values(self, values, reality=None, jac=None, jac2=None, meta=None) -> "SurfaceGrid":
-        """The same grid with new arrays.
+    def with_values(self, values, jac=None, jac2=None) -> "SurfaceGrid":
+        """The same grid, reality and meta with new arrays.
 
-        Omitted reality and meta keep the receiver's; omitted jac and jac2
-        mean none, since the receiver's derivatives belong to its old values.
+        Omitted jac and jac2 mean none, since the receiver's derivatives
+        belong to its old values.
         """
-        return SurfaceGrid(self.grid, values,
-                           self.reality if reality is None else reality,
-                           jac, jac2, dict(self.meta) if meta is None else meta)
+        return SurfaceGrid(self.grid, values, self.reality, jac, jac2, dict(self.meta))
 
 
 def _by_row_blocks(kernel, *arrays) -> tuple[np.ndarray, ...]:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs
-from .quadrature import DEFAULT_RULE, antiderivative_on_grid
+from .quadrature import antiderivative_on_grid
 
 
 REAL_IMAG_TOL = 1e-12  # relative imaginary part of a reconstruction accepted as real
@@ -82,14 +82,14 @@ def enneper_conjugate_fg() -> FGPair:
                   reality_constraint=True, label="enneper-conjugate")
 
 
-def fg_integrals(pair: FGPair, grid: ParamGrid, base: complex, singularities=(),
-                 rule: str = DEFAULT_RULE) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fg_integrals(pair: FGPair, grid: ParamGrid, base: complex,
+                 singularities=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Right-hand sides of the module's three F/G relations at the nodes.
 
     Returns the values of (x - i t, x + i t, phi), with all four indefinite
     integrals taken from `base` (so they vanish there).  `singularities`
     are the poles of F' and G'; the quadrature picks each chain's order
-    from them, and with none declared every chain runs the `rule`'s order.
+    from them, and with none declared every chain runs 32 points.
     """
     r = grid.nodes()
 
@@ -103,15 +103,13 @@ def fg_integrals(pair: FGPair, grid: ParamGrid, base: complex, singularities=(),
         gp = pair.Gp(s)
         return np.stack([s ** 2 * gp, s * gp])
 
-    A, P = antiderivative_on_grid(holo, base, grid, singularities, rule)
-    B, Q = antiderivative_on_grid(anti, base, grid, singularities, rule,
-                                  conjugate_plane=True)
+    A, P = antiderivative_on_grid(holo, base, grid, singularities)
+    B, Q = antiderivative_on_grid(anti, base, grid, singularities, conjugate_plane=True)
     return pair.F(r) - B, pair.G(np.conj(r)) - A, P + Q
 
 
 def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
-                    offsets=(0.0, 0.0, 0.0), singularities=(),
-                    rule: str = DEFAULT_RULE) -> SurfaceGrid:
+                    offsets=(0.0, 0.0, 0.0), singularities=()) -> SurfaceGrid:
     """Reconstruct the surface of an FG pair on `grid`.
 
     The four indefinite integrals are taken from `base` (so they vanish
@@ -125,7 +123,7 @@ def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
     base = complex(base)
     r = grid.nodes()
     rb = np.conj(r)
-    M, N, phi = fg_integrals(pair, grid, base, singularities, rule)  # x -+ i t, phi
+    M, N, phi = fg_integrals(pair, grid, base, singularities)  # x -+ i t, phi
     x = 0.5 * (M + N) + offsets[0]
     t = 0.5j * (M - N) + offsets[1]
     phi = phi + offsets[2]

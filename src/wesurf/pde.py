@@ -214,15 +214,19 @@ def wick_catenoid_graph_fns() -> dict:
 
 
 def _residual(p: NonparametricPatch, born_infeld: bool) -> ResidualReport:
-    """Minimal-surface or Born-Infeld residual report, scaled by the minimal terms."""
+    """Minimal-surface or Born-Infeld residual report, scaled by the sum of
+    the moduli of the equation's own three terms, so that Wick-substituted
+    data has the minimal residual's relative statistic too."""
     def kernel(phi_x, phi_t, phi_xx, phi_xt, phi_tt):
-        qt, qx = phi_t ** 2, 1 + phi_x ** 2
+        qx = 1 + phi_x ** 2
         mixed = 2 * phi_x * phi_t * phi_xt
         if born_infeld:
-            res = (1 - qt) * phi_xx + mixed - qx * phi_tt
+            qt = 1 - phi_t ** 2
+            res = qt * phi_xx + mixed - qx * phi_tt
         else:
-            res = (1 + qt) * phi_xx - mixed + qx * phi_tt
-        scale = (np.abs(1 + qt) * np.abs(phi_xx) + 2 * np.abs(phi_x * phi_t * phi_xt)
+            qt = 1 + phi_t ** 2
+            res = qt * phi_xx - mixed + qx * phi_tt
+        scale = (np.abs(qt) * np.abs(phi_xx) + 2 * np.abs(phi_x * phi_t * phi_xt)
                  + np.abs(qx) * np.abs(phi_tt))
         return res, scale
 

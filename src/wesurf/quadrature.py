@@ -18,18 +18,17 @@ such a product in place in the temporary, with the operands swapped, once
 the block is large (256 KiB or more), and its SIMD complex multiply is not
 bitwise commutative.  Bind the factor to a name first.
 
-`integrate_path` runs the `rule`'s order on every panel.
+`integrate_path` runs the 32-point rule on every panel.
 `antiderivative_on_grid` evaluates F(r) = int_{base}^{r} f(w) dw at every
 grid node using a fixed path family (horizontal-then-vertical segments for
 rectangles, radial-then-angular sweeps for annuli) with cumulative chaining
-along each axis.  Each chain runs the smallest order in _CHAIN_ORDERS,
-capped by the `rule`'s order, whose Gauss error bound on the Bernstein
-ellipse through the nearest declared singularity is negligible (see
-`_chain_order`); a chain with no declared singularity runs the `rule`'s
-order.  For holomorphic f the values are path independent on simply
-connected domains; on annuli the fixed family makes multivalued
-antiderivatives (log, fractional powers) pick a consistent branch, because
-path integration continues the branch automatically.
+along each axis.  Each chain runs the smallest order in _CHAIN_ORDERS whose
+Gauss error bound on the Bernstein ellipse through the nearest declared
+singularity is negligible (see `_chain_order`); a chain with no declared
+singularity runs the largest.  For holomorphic f the values are path
+independent on simply connected domains; on annuli the fixed family makes
+multivalued antiderivatives (log, fractional powers) pick a consistent
+branch, because path integration continues the branch automatically.
 """
 
 from __future__ import annotations
@@ -42,9 +41,7 @@ import numpy as np
 from .grids import ParamGrid
 from .stencils import fixed_order_dot
 
-RULES = {"gauss_legendre_16": 16, "gauss_legendre_32": 32}
-DEFAULT_RULE = "gauss_legendre_32"
-EXCLUSION_FRACTION = 1e-3  # default exclusion radius = fraction * path length
+EXCLUSION_FRACTION = 1e-3  # exclusion radius = fraction * path length
 _ARC_MAX_STEP = 0.2        # max angular chord (radians) on annulus sweeps
 _BLOCK_NODES = 1 << 17     # quadrature nodes evaluated per integrand call
 _CHAIN_ORDERS = (8, 16, 32)  # Gauss-Legendre orders a grid chain may run
@@ -106,13 +103,6 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     raise QuadratureError(f"cannot normalise the {order}-point rule")  # pragma: no cover
 
 
-def _rule_order(rule: str) -> int:
-    try:
-        return RULES[rule]
-    except KeyError:
-        raise QuadratureError(f"unknown rule {rule!r}; choose from {sorted(RULES)}") from None
-
-
 def _segment_singularity_distance(z0: np.ndarray, z1: np.ndarray,
                                   sing: complex) -> np.ndarray:
     delta = z1 - z0
@@ -124,8 +114,6 @@ def _segment_singularity_distance(z0: np.ndarray, z1: np.ndarray,
 
 def check_clearance(z0: np.ndarray, z1: np.ndarray, singularities,
                     radius: float) -> None:
-    if radius <= 0 or not len(singularities):
-        return
     for s in singularities:
         d = _segment_singularity_distance(np.asarray(z0), np.asarray(z1), complex(s))
         if np.any(d < radius):
@@ -171,17 +159,14 @@ def _segment_integrals(f, z0: np.ndarray, z1: np.ndarray, order: int) -> np.ndar
     return out.reshape(out.shape[:-1] + shape)
 
 
-def integrate_path(f, path: PathSpec, rule: str = DEFAULT_RULE,
-                   singularities=(), exclusion_radius: float | None = None):
+def integrate_path(f, path: PathSpec, singularities=()):
     """Integral of f along the path; deterministic for fixed configuration."""
-    order = _rule_order(rule)
-    if exclusion_radius is None:
-        exclusion_radius = EXCLUSION_FRACTION * path.length
+    radius = EXCLUSION_FRACTION * path.length
     total = None
     for a, b in zip(path.waypoints, path.waypoints[1:]):
-        check_clearance(np.asarray([a]), np.asarray([b]), singularities, exclusion_radius)
+        check_clearance(np.asarray([a]), np.asarray([b]), singularities, radius)
         cuts = np.linspace(a, b, path.panels + 1)
-        seg = _segment_integrals(f, cuts[:-1], cuts[1:], order).sum(axis=-1)
+        seg = _segment_integrals(f, cuts[:-1], cuts[1:], _CHAIN_ORDERS[-1]).sum(axis=-1)
         total = seg if total is None else total + seg
     if np.ndim(total) == 0:
         return complex(total)
@@ -192,8 +177,8 @@ def integrate_path(f, path: PathSpec, rule: str = DEFAULT_RULE,
 # grid antiderivatives via cumulative chains
 # ---------------------------------------------------------------------------
 
-def _chain_order(z0: np.ndarray, z1: np.ndarray, singularities, cap: int) -> int:
-    """Smallest order in _CHAIN_ORDERS, at most `cap`, that the chain needs.
+def _chain_order(z0: np.ndarray, z1: np.ndarray, singularities) -> int:
+    """Smallest order in _CHAIN_ORDERS that the chain needs.
 
     For a segment with midpoint m and half-length h, a singularity s lies on
     the Bernstein ellipse of parameter rho = |u + sqrt(u-1) sqrt(u+1)|,
@@ -201,27 +186,25 @@ def _chain_order(z0: np.ndarray, z1: np.ndarray, singularities, cap: int) -> int
     (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen, ATAP Thm 19.3), so the
     smallest rho over the chain's segments and the declared singularities
     picks the order.  With no declared singularity the analyticity radius
-    is unknown and the chain keeps `cap`.
+    is unknown and the chain runs the largest order.
     """
     half = 0.5 * (z1 - z0)
     nonzero = half != 0
     if not len(singularities) or not np.any(nonzero):
-        return cap
+        return _CHAIN_ORDERS[-1]
     mid, half = 0.5 * (z0 + z1)[nonzero], half[nonzero]
     rho = np.inf
     for s in singularities:
         u = (complex(s) - mid) / half
         rho = min(rho, float(np.min(np.abs(u + np.sqrt(u - 1) * np.sqrt(u + 1)))))
-    for n in _CHAIN_ORDERS:
-        if n >= cap:
-            break
+    for n in _CHAIN_ORDERS[:-1]:
         if rho > 1 and 64 / 15 * rho ** -(2 * n) / (rho * rho - 1) < _CHAIN_TOL:
             return n
-    return cap
+    return _CHAIN_ORDERS[-1]
 
 
-def _cumulative_chain(f, points: np.ndarray, base_index: int, order: int,
-                      singularities, radius: float) -> np.ndarray:
+def _cumulative_chain(f, points: np.ndarray, base_index: int, singularities,
+                      radius: float) -> np.ndarray:
     """Integral from points[base_index] to points[k], for every k.
 
     points: (m,) or (m, B) waypoints traversed in order (column-wise chains
@@ -234,7 +217,7 @@ def _cumulative_chain(f, points: np.ndarray, base_index: int, order: int,
     else:
         keep = np.any(np.abs(z1 - z0) > 0, axis=tuple(range(1, points.ndim)))
     check_clearance(z0[keep], z1[keep], singularities, radius)
-    order = _chain_order(z0[keep], z1[keep], singularities, order)
+    order = _chain_order(z0[keep], z1[keep], singularities)
     ax = -points.ndim  # chain axis, counted from the end
     if np.any(keep):
         vals = _segment_integrals(f, z0[keep], z1[keep], order)
@@ -271,20 +254,17 @@ def _subdivide(values: np.ndarray, max_step: float) -> np.ndarray:
 
 
 def antiderivative_on_grid(f, base: complex, grid: ParamGrid, singularities=(),
-                           rule: str = DEFAULT_RULE,
-                           exclusion_radius: float | None = None,
                            conjugate_plane: bool = False) -> np.ndarray:
     """int_{base}^{node} f(w) dw for every node of `grid`.
 
     Paths run axis-by-axis from the base point: horizontal then vertical for
-    rectangles, radial then angular for annuli.  `rule` caps the
-    Gauss-Legendre order of each chain, which `_chain_order` picks from the
-    declared singularities.  With conjugate_plane=True the
-    whole construction (base, nodes, paths) is conjugated, which evaluates
+    rectangles, radial then angular for annuli.  `_chain_order` picks each
+    chain's Gauss-Legendre order from the declared singularities.  With
+    conjugate_plane=True the whole construction (base, nodes, paths) is
+    conjugated, which evaluates
     int_{conj(base)}^{conj(node)} f(s) ds for integrands of the conjugate
     variable.
     """
-    order = _rule_order(rule)
     base = complex(base)
 
     if grid.kind == "rectangle":
@@ -292,17 +272,15 @@ def antiderivative_on_grid(f, base: complex, grid: ParamGrid, singularities=(),
         b1, b2 = base.real, base.imag
         r1v, i1 = _insert_sorted(a1, b1)
         r2v, i2 = _insert_sorted(a2, b2)
-        if exclusion_radius is None:
-            length = (r1v[-1] - r1v[0]) + (r2v[-1] - r2v[0])
-            exclusion_radius = EXCLUSION_FRACTION * length
+        radius = EXCLUSION_FRACTION * ((r1v[-1] - r1v[0]) + (r2v[-1] - r2v[0]))
         conj_sign = -1.0 if conjugate_plane else 1.0
         # horizontal chain at height b2
         hpts = r1v + 1j * conj_sign * b2
-        hcum = _cumulative_chain(f, hpts, i1, order, singularities, exclusion_radius)
+        hcum = _cumulative_chain(f, hpts, i1, singularities, radius)
         hsel = hcum[..., np.searchsorted(r1v, a1)]
         # vertical chains over every column simultaneously
         vpts = a1[None, :] + 1j * conj_sign * r2v[:, None]
-        vcum = _cumulative_chain(f, vpts, i2, order, singularities, exclusion_radius)
+        vcum = _cumulative_chain(f, vpts, i2, singularities, radius)
         vsel = vcum[..., np.searchsorted(r2v, a2), :]
         return hsel[..., :, None] + np.moveaxis(vsel, -2, -1)
 
@@ -313,22 +291,20 @@ def antiderivative_on_grid(f, base: complex, grid: ParamGrid, singularities=(),
     psis_raw, _ = _insert_sorted(grid.axis2, psi_b)
     psis = _subdivide(psis_raw, _ARC_MAX_STEP)
     ip = int(np.searchsorted(psis, psi_b))
-    if exclusion_radius is None:
-        length = (rhos[-1] - rhos[0]) + rhos[-1] * (psis[-1] - psis[0])
-        exclusion_radius = EXCLUSION_FRACTION * length
+    radius = EXCLUSION_FRACTION * ((rhos[-1] - rhos[0]) + rhos[-1] * (psis[-1] - psis[0]))
     conj_sign = -1.0 if conjugate_plane else 1.0
     # radial chain at angle psi_b
     rpts = rhos * np.exp(1j * conj_sign * psi_b)
-    rcum = _cumulative_chain(f, rpts, ir, order, singularities, exclusion_radius)
+    rcum = _cumulative_chain(f, rpts, ir, singularities, radius)
     rsel = rcum[..., np.searchsorted(rhos, grid.axis1)]
     # angular chains (polyline chords along each circle), one per grid radius
     apts = grid.axis1[None, :] * np.exp(1j * conj_sign * psis[:, None])
-    acum = _cumulative_chain(f, apts, ip, order, singularities, exclusion_radius)
+    acum = _cumulative_chain(f, apts, ip, singularities, radius)
     asel = acum[..., np.searchsorted(psis, grid.axis2), :]
     return rsel[..., :, None] + np.moveaxis(asel, -2, -1)
 
 
 __all__ = [
-    "DEFAULT_RULE", "PathNearSingularity", "PathSpec", "QuadratureError",
+    "PathNearSingularity", "PathSpec", "QuadratureError",
     "antiderivative_on_grid", "integrate_path",
 ]

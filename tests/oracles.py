@@ -15,7 +15,7 @@ from wesurf.generate import GenerateError, WEData, _integrand, _node_derivatives
 from wesurf.grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_jacobian
 from wesurf.io_export import _faces
 from wesurf.pde import NonparametricPatch
-from wesurf.quadrature import DEFAULT_RULE, antiderivative_on_grid
+from wesurf.quadrature import antiderivative_on_grid
 from wesurf.stencils import axis_derivative
 
 
@@ -62,9 +62,9 @@ def t_reflect(p: NonparametricPatch) -> NonparametricPatch:
 # the conjugate pair assembled as two surfaces
 # ---------------------------------------------------------------------------
 
-def _phi(data: WEData, grid: ParamGrid, rule: str) -> np.ndarray:
+def _phi(data: WEData, grid: ParamGrid) -> np.ndarray:
     return antiderivative_on_grid(_integrand(data.R), data.base, grid,
-                                  singularities=singularity_points(data.R), rule=rule)
+                                  singularities=singularity_points(data.R))
 
 
 def _complex_values(data: WEData, phi: np.ndarray, part: str) -> np.ndarray:
@@ -80,12 +80,11 @@ def _complex_values(data: WEData, phi: np.ndarray, part: str) -> np.ndarray:
     return values
 
 
-def pair_values(data: WEData, grid: ParamGrid,
-                rule: str = DEFAULT_RULE) -> tuple[np.ndarray, np.ndarray]:
+def pair_values(data: WEData, grid: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
     """The values of (X, Y) = (Re Phi, Im Phi) as complex arrays, the layout
     a real surface had before it was stored as float64: the reference for
     the writers' columns, imaginary ones included."""
-    phi = _phi(data, grid, rule)
+    phi = _phi(data, grid)
     return _complex_values(data, phi, "re"), _complex_values(data, phi, "im")
 
 
@@ -100,13 +99,12 @@ def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> Sur
     return SurfaceGrid(grid, _complex_values(data, phi, part), "real", jac, jac2, meta)
 
 
-def pair_members(data: WEData, grid: ParamGrid,
-                 rule: str = DEFAULT_RULE) -> tuple[SurfaceGrid, SurfaceGrid]:
+def pair_members(data: WEData, grid: ParamGrid) -> tuple[SurfaceGrid, SurfaceGrid]:
     """(X, Y) = (Re Phi, Im Phi) as two real surfaces, every derivative slot
     by `cauchy_riemann_jacs`: the reference for the packed family of
     `generate_conjugate_pair`, which builds its slots by `_SLOT_PARTS`.
     """
-    phi = _phi(data, grid, rule)
+    phi = _phi(data, grid)
     dphi = np.empty((3,) + grid.shape, dtype=complex)
     ddphi = np.empty_like(dphi)
     _node_derivatives(data.R, grid, dphi, ddphi)

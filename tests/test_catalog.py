@@ -99,21 +99,6 @@ def test_conjugation_is_exactly_minus_i_times_R(sid, rho, psi):
 
 # ------------------------------------------------------------ singularities
 
-def test_enneper_has_no_singularities(annulus_grid):
-    assert ws.singularities(ws.catalog_function("enneper"), annulus_grid) == []
-
-
-def test_catenoid_singularity_in_region(annulus_grid):
-    assert ws.singularities(ws.catalog_function("catenoid"), annulus_grid) == [0.0]
-
-
-def test_scherk_singularities_in_box():
-    box = ws.ParamGrid("rectangle", 5, 5, (-2.0, 2.0, -2.0, 2.0))
-    pts = ws.singularities(ws.catalog_function("scherk"), box)
-    assert sorted((round(p.real, 9), round(p.imag, 9)) for p in pts) == \
-        [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
-
-
 def test_schwarz_riemann_branch_point_radii():
     pts = singularity_points(ws.catalog_function("schwarz_riemann"))
     radii = sorted({round(abs(p), 6) for p in pts})

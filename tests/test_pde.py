@@ -238,6 +238,18 @@ def test_wick_equivalence_plane_is_zero():
     assert ws.wick_equivalence_check(p).max_abs < 1e-10
 
 
+@pytest.mark.parametrize("second_source", ["analytic", "fd"])
+@pytest.mark.parametrize("sid", [i for i in ws.CATALOG_IDS if i != "custom"])
+def test_wick_substituted_residual_has_the_minimal_statistics(sid, second_source):
+    # the Born-Infeld residual scales by its own coefficient 1 - phi_t^2,
+    # which is 1 + phi_t^2 on Wick-substituted data: max_rel agrees too
+    X = ws.generate(ws.we_data(sid), ws.verification_grid(sid))
+    p = ws.chain_rule_partials(X, accuracy=6, second_source=second_source)
+    minimal = ws.minimal_surface_residual(p)
+    bi = ws.born_infeld_residual(wick_substitute(p))
+    assert (bi.max_abs, bi.max_rel) == (minimal.max_abs, minimal.max_rel)
+
+
 def test_non_minimal_graph_fails_both_residuals():
     xs, ts = xt_mesh(2.0, 3.0, -0.5, 0.5, 21)
     fns = {

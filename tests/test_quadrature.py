@@ -13,7 +13,7 @@ import wesurf as ws
 from wesurf import quadrature
 from wesurf.catalog import BranchRegionError, singularity_points
 from wesurf.generate import _integrand
-from wesurf.quadrature import RULES, PathNearSingularity, QuadratureError, _segment_integrals
+from wesurf.quadrature import PathNearSingularity, QuadratureError, _segment_integrals
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=2,
                               allow_nan=False, allow_infinity=False)
@@ -34,15 +34,14 @@ def test_constant_integrand_gives_endpoint_difference():
 
 
 def test_constant_integrand_exact_with_16_point_rule():
-    val = ws.integrate_path(lambda w: np.ones_like(w), ws.PathSpec((0.0, 1.0 + 1.0j)),
-                            rule="gauss_legendre_16")
-    assert val == 1.0 + 1.0j
+    val = _segment_integrals(lambda w: np.ones_like(w), np.array([0.0]),
+                             np.array([1.0 + 1.0j]), 16)
+    assert val[0] == 1.0 + 1.0j
 
 
-@pytest.mark.parametrize("rule", sorted(RULES))
-def test_segment_integrals_independent_of_batch(rule):
+@pytest.mark.parametrize("order", [16, 32], ids=lambda n: f"gauss_legendre_{n}")
+def test_segment_integrals_independent_of_batch(order):
     # one call over seven segments gives the same bits as seven calls
-    order = RULES[rule]
     f = lambda w: np.exp(w) * np.cos(3 * w) + 1.0 / (w - 2.5j)
     cuts = np.linspace(-0.3 + 0.1j, 0.9 + 0.6j, 8)
     batch = _segment_integrals(f, cuts[:-1], cuts[1:], order)
@@ -51,7 +50,7 @@ def test_segment_integrals_independent_of_batch(rule):
     assert np.array_equal(batch, single)
 
 
-@pytest.mark.parametrize("order", sorted(set(quadrature._CHAIN_ORDERS) | set(RULES.values())))
+@pytest.mark.parametrize("order", quadrature._CHAIN_ORDERS)
 def test_constant_integrand_exact_for_every_order(order):
     z0 = np.array([0.0, 0.3 + 0.1j, -1.0, 0.9 - 0.7j])
     z1 = np.array([1.0 + 1.0j, 0.55 - 0.2j, 2.5j, 0.9 - 0.6j])
@@ -116,14 +115,11 @@ def test_chain_orders_match_32_point_oracle_near_the_pole(monkeypatch, sid):
 def test_chain_order_from_bernstein_bound():
     z = np.linspace(0.0, 1.0, 11)  # ten segments of length h = 0.1
     z0, z1 = z[:-1], z[1:]
-    order = lambda sing, cap=32: quadrature._chain_order(z0, z1, sing, cap)
+    order = lambda sing: quadrature._chain_order(z0, z1, sing)
     assert order([0.55 + 0.05j]) == 32  # half a segment length off the chain
     assert order([0.55 + 0.3j]) == 16   # three segment lengths
     assert order([0.55 + 2.0j]) == 8
-    assert order([0.55 + 0.05j], cap=16) == 16
-    assert order([0.55 + 2.0j], cap=16) == 8
-    for cap in RULES.values():  # no declared singularity: the rule's order
-        assert order([], cap) == cap
+    assert order([]) == 32  # no declared singularity: the largest order
 
 
 @pytest.mark.filterwarnings("error")
@@ -140,7 +136,7 @@ def test_zero_length_segments_do_not_enter_the_order(monkeypatch):
     radii = np.concatenate([radii[:4], radii[3:]])  # one repeated row
     # a moving chain next to one that stays at 0.5 (all segments zero length)
     pts = np.stack([radii, np.full_like(radii, 0.5)], axis=1).astype(complex)
-    cum = quadrature._cumulative_chain(lambda w: 1.0 / w, pts, 0, 32, [0.0], 1e-3)
+    cum = quadrature._cumulative_chain(lambda w: 1.0 / w, pts, 0, [0.0], 1e-3)
     assert used == [8]
     assert np.max(np.abs(cum[:, 0] - np.log(radii / 0.4))) < 1e-14
     assert np.all(cum[:, 1] == 0)
@@ -212,11 +208,13 @@ def test_nonfinite_integrand_rejected():
 
 def test_panel_doubling_estimate_and_spectral_gain():
     f = lambda w: 1.0 / (w - (0.5 + 0.35j))
-    path = ws.PathSpec((0.0, 1.0), panels=1)
     exact = np.log(1.0 - (0.5 + 0.35j)) - np.log(-(0.5 + 0.35j))
-    val1 = ws.integrate_path(f, path, rule="gauss_legendre_16")
-    val16 = ws.integrate_path(f, ws.PathSpec(path.waypoints, 2 * path.panels),
-                              rule="gauss_legendre_16")
+
+    def panels(n):  # n 16-point panels over [0, 1]
+        cuts = np.linspace(0.0, 1.0, n + 1).astype(complex)
+        return _segment_integrals(f, cuts[:-1], cuts[1:], 16).sum()
+
+    val1, val16 = panels(1), panels(2)
     est = abs(val16 - val1)
     err1 = abs(val1 - exact)
     err2 = abs(val16 - exact)
