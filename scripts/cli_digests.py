@@ -33,6 +33,10 @@ RUNS = (
      "--n", "40", "--formats", "csv,table"],                       # the rectangle laplacian
     ["generate", "--surface", "general_scherk", "--alpha", "0.5"],
     ["generate", "--surface", "catenoid", "--annulus", "0.4", "0.9", "--n", "64"],
+    ["generate", "--surface", "catenoid", "--annulus", "0.4", "0.9",   # psi step above
+     "--n", "24", "9", "--formats", "csv"],                          # _ARC_MAX_STEP
+    ["generate", "--surface", "scherk", "--base", "0.013", "-0.021",   # base off the
+     "--formats", "csv"],                                            # grid lines
     ["generate", "--surface", "general_enneper",
      "--gamma-chart", "0.4", "2.0", "-0.8", "-0.2", "--n", "21"],
     ["family-verify"],

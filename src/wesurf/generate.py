@@ -78,7 +78,12 @@ def we_data(surface_id: str, base=None, offsets=(0.0, 0.0, 0.0),
 def _integrand(R: WEFunction):
     def f(w):
         rv = eval_R(R, w)
-        return np.stack([(1.0 - w ** 2) * rv, 1j * (1.0 + w ** 2) * rv, 2.0 * w * rv])
+        w2 = w ** 2
+        out = np.empty((3,) + w.shape, dtype=complex)
+        np.multiply(1.0 - w2, rv, out=out[0])
+        np.multiply(1j * (1.0 + w2), rv, out=out[1])
+        np.multiply(2.0 * w, rv, out=out[2])
+        return out
     return f
 
 
@@ -88,12 +93,20 @@ def _node_derivatives(R: WEFunction, grid: ParamGrid, dphi, ddphi) -> None:
     r = grid.nodes()
     rv = eval_R(R, r)
     dv = eval_R_deriv(R, r)
-    dphi[0] = (1.0 - r ** 2) * rv
-    dphi[1] = 1j * (1.0 + r ** 2) * rv
-    dphi[2] = 2.0 * r * rv
-    ddphi[0] = -2.0 * r * rv + (1.0 - r ** 2) * dv
-    ddphi[1] = 1j * (2.0 * r * rv + (1.0 + r ** 2) * dv)
-    ddphi[2] = 2.0 * rv + 2.0 * r * dv
+    r2 = r ** 2
+    np.multiply(1.0 - r2, rv, out=dphi[0])
+    np.multiply(1j * (1.0 + r2), rv, out=dphi[1])
+    np.multiply(2.0 * r, rv, out=dphi[2])
+    # each sum is formed in its output slot (complex addition commutes
+    # bitwise), so at most two grid-sized temporaries are alive at a time
+    np.multiply(1.0 - r2, dv, out=ddphi[0])
+    ddphi[0] += -2.0 * r * rv
+    np.multiply(1.0 + r2, dv, out=ddphi[1])
+    del r2
+    ddphi[1] += dphi[2]
+    ddphi[1] *= 1j
+    np.multiply(2.0 * r, dv, out=ddphi[2])
+    ddphi[2] += 2.0 * rv
 
 
 def generate_conjugate_pair(data: WEData, grid: ParamGrid,

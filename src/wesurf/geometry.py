@@ -92,10 +92,6 @@ class ThetaInvarianceReport:
     f_abs: tuple[float, ...] = ()
     actions: tuple[float, ...] = ()
 
-    @property
-    def max_deviation(self) -> float:
-        return float(np.maximum(self.e_deviation.max_abs, self.g_deviation.max_abs))
-
 
 def _fold_abs(running: np.ndarray, diff: np.ndarray) -> float:
     """Fold |diff| into the running nodewise maximum; return max |diff|."""

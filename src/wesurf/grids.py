@@ -213,14 +213,6 @@ class SurfaceGrid:
     def component(self, name: str) -> np.ndarray:
         return self.values[_COMPONENT_INDEX[name]]
 
-    def with_values(self, values, jac=None, jac2=None) -> "SurfaceGrid":
-        """The same grid, reality and meta with new arrays.
-
-        Omitted jac and jac2 mean none, since the receiver's derivatives
-        belong to its old values.
-        """
-        return SurfaceGrid(self.grid, values, self.reality, jac, jac2, dict(self.meta))
-
 
 def _by_row_blocks(kernel, *arrays) -> tuple[np.ndarray, ...]:
     """Run a nodewise kernel on blocks of whole grid rows; stitch its outputs.

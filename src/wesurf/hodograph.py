@@ -45,16 +45,6 @@ class FGPair:
     reality_constraint: bool = True
     label: str = ""
 
-    def check_reality(self, samples, tol: float = 1e-12) -> float:
-        """Max defect of F(r) = conj(G(conj r)) on a sample cloud; raises
-        if the constraint is claimed but violated."""
-        s = np.asarray(samples, dtype=complex)
-        defect = float(np.max(np.abs(self.F(s) - np.conj(self.G(np.conj(s))))))
-        if self.reality_constraint and defect > tol:
-            raise HodographError(
-                f"FG pair {self.label or '?'} claims reality but defect is {defect:.3g}")
-        return defect
-
 
 def helicoid_fg() -> FGPair:
     return FGPair(F=lambda r: 0.5j / r, G=lambda s: -0.5j / s,
@@ -93,18 +83,19 @@ def fg_integrals(pair: FGPair, grid: ParamGrid, base: complex,
     """
     r = grid.nodes()
 
-    # Fp/Gp bound to a name: a temporary right operand (`s * pair.Fp(s)`)
-    # makes the bits depend on the block size (see the quadrature module)
-    def holo(s):
-        fp = pair.Fp(s)
-        return np.stack([s ** 2 * fp, s * fp])
+    # (s^2 d, s d) for d = F'(s) or G'(s), written into one array
+    def weighted(deriv):
+        def f(s):
+            d = deriv(s)
+            out = np.empty((2,) + s.shape, dtype=complex)
+            np.multiply(s ** 2, d, out=out[0])
+            np.multiply(s, d, out=out[1])
+            return out
+        return f
 
-    def anti(s):
-        gp = pair.Gp(s)
-        return np.stack([s ** 2 * gp, s * gp])
-
-    A, P = antiderivative_on_grid(holo, base, grid, singularities)
-    B, Q = antiderivative_on_grid(anti, base, grid, singularities, conjugate_plane=True)
+    A, P = antiderivative_on_grid(weighted(pair.Fp), base, grid, singularities)
+    B, Q = antiderivative_on_grid(weighted(pair.Gp), base, grid, singularities,
+                                  conjugate_plane=True)
     return pair.F(r) - B, pair.G(np.conj(r)) - A, P + Q
 
 

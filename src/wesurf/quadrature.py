@@ -11,12 +11,17 @@ same bits whichever BLAS kernel is loaded and however many segments share
 the call.  Each rule's weights are normalised once so that their sum in
 that order is exactly 2: constant integrands integrate exactly.
 
-Nodes are evaluated in blocks of at most _BLOCK_NODES.  The block size is
-invisible in the bits only if the integrand is elementwise in w and never
-multiplies by a temporary right operand (`s * g(s)`): numpy may evaluate
-such a product in place in the temporary, with the operands swapped, once
-the block is large (256 KiB or more), and its SIMD complex multiply is not
-bitwise commutative.  Bind the factor to a name first.
+An integrand takes an array w of nodes and returns one array of shape
+(components...) + w.shape; wesurf's integrands allocate it once and write
+each component with `np.multiply(..., out=)`.  Nodes are evaluated in
+blocks of at most _BLOCK_NODES, one block's integrand values alive at a
+time, and each component is reduced on its own contiguous slab.  The block
+size is invisible in the bits only if the integrand is elementwise in w and
+never multiplies by a temporary right operand (`s * g(s)`): numpy may
+evaluate such a product in place in the temporary, with the operands
+swapped, once the block is large (256 KiB or more), and its SIMD complex
+multiply is not bitwise commutative.  Bind the factor to a name first, or
+write the product with `out=`, which keeps the operand order.
 
 `integrate_path` runs the 32-point rule on every panel.
 `antiderivative_on_grid` evaluates F(r) = int_{base}^{r} f(w) dw at every
@@ -24,8 +29,10 @@ grid node using a fixed path family (horizontal-then-vertical segments for
 rectangles, radial-then-angular sweeps for annuli) with cumulative chaining
 along each axis.  Each chain runs the smallest order in _CHAIN_ORDERS whose
 Gauss error bound on the Bernstein ellipse through the nearest declared
-singularity is negligible (see `_chain_order`); a chain with no declared
-singularity runs the largest.  For holomorphic f the values are path
+singularity is negligible; a chain with no declared singularity runs the
+largest.  One pass over the distances from each singularity to the
+segments' ends checks the exclusion radius and picks the order (see
+`_chain_order`).  For holomorphic f the values are path
 independent on simply connected domains; on annuli the fixed family makes
 multivalued antiderivatives (log, fractional powers) pick a consistent
 branch, because path integration continues the branch automatically.
@@ -33,6 +40,7 @@ branch, because path integration continues the branch automatically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,6 +57,9 @@ _CHAIN_ORDERS = (8, 16, 32)  # Gauss-Legendre orders a grid chain may run
 # ellipse; that maximum is unknown, and six decades below round-off keep
 # poles up to order 6 at the 32-point rule's accuracy
 _CHAIN_TOL = 1e-22
+# relative margin on the exclusion radius and on rho within which the fused
+# distance pass defers to the exact projection distance and Joukowski rho
+_BOUND_SLACK = 1e-9
 
 
 class QuadratureError(ValueError):
@@ -112,15 +123,6 @@ def _segment_singularity_distance(z0: np.ndarray, z1: np.ndarray,
     return np.abs(z0 + tau * delta - sing)
 
 
-def check_clearance(z0: np.ndarray, z1: np.ndarray, singularities,
-                    radius: float) -> None:
-    for s in singularities:
-        d = _segment_singularity_distance(np.asarray(z0), np.asarray(z1), complex(s))
-        if np.any(d < radius):
-            raise PathNearSingularity(
-                f"integration path passes within {radius:.3g} of singularity {s}")
-
-
 def _eval_checked(f, z: np.ndarray) -> np.ndarray:
     fz = np.asarray(f(z), dtype=complex)
     if fz.shape[-z.ndim:] != z.shape:
@@ -139,8 +141,10 @@ def _segment_integrals(f, z0: np.ndarray, z1: np.ndarray, order: int) -> np.ndar
 
     Segments are evaluated in blocks of at most _BLOCK_NODES quadrature
     nodes, each written into one preallocated result, so memory stays
-    bounded whatever the grid.  The module docstring gives the conditions
-    on f that keep the block size invisible in the result's bits.
+    bounded whatever the grid: a block's integrand values are released
+    before the next block is evaluated, and each component is reduced on
+    its own contiguous (order, block) slab.  The module docstring gives the
+    conditions on f that keep the block size invisible in the result's bits.
     """
     xi, w = _gl_rule(order)
     t = 0.5 * (xi + 1.0)
@@ -148,15 +152,20 @@ def _segment_integrals(f, z0: np.ndarray, z1: np.ndarray, order: int) -> np.ndar
     z0 = np.asarray(z0, dtype=complex).reshape(-1)
     delta = np.asarray(z1, dtype=complex).reshape(-1) - z0
     step = max(1, _BLOCK_NODES // order)
-    out = None
+    out = lead = None
     for lo in range(0, max(z0.size, 1), step):  # one pass even with no segments
         d = delta[lo:lo + step]
         nodes = z0[None, lo:lo + step] + np.multiply.outer(t, d)
-        acc = fixed_order_dot(w, np.moveaxis(_eval_checked(f, nodes), -2, 0))
+        fz = _eval_checked(f, nodes)
         if out is None:
-            out = np.empty(acc.shape[:-1] + z0.shape, dtype=complex)
-        np.multiply(acc, 0.5 * d, out=out[..., lo:lo + step])
-    return out.reshape(out.shape[:-1] + shape)
+            lead = fz.shape[:-2]
+            out = np.empty((math.prod(lead), z0.size), dtype=complex)
+        fz = fz.reshape((len(out),) + nodes.shape)
+        half = 0.5 * d
+        for k in range(len(out)):
+            np.multiply(fixed_order_dot(w, fz[k]), half, out=out[k, lo:lo + step])
+        del nodes, fz
+    return out.reshape(lead + shape)
 
 
 def integrate_path(f, path: PathSpec, singularities=()):
@@ -164,7 +173,7 @@ def integrate_path(f, path: PathSpec, singularities=()):
     radius = EXCLUSION_FRACTION * path.length
     total = None
     for a, b in zip(path.waypoints, path.waypoints[1:]):
-        check_clearance(np.asarray([a]), np.asarray([b]), singularities, radius)
+        _chain_order(np.asarray([a]), np.asarray([b]), singularities, radius)  # clearance
         cuts = np.linspace(a, b, path.panels + 1)
         seg = _segment_integrals(f, cuts[:-1], cuts[1:], _CHAIN_ORDERS[-1]).sum(axis=-1)
         total = seg if total is None else total + seg
@@ -177,30 +186,73 @@ def integrate_path(f, path: PathSpec, singularities=()):
 # grid antiderivatives via cumulative chains
 # ---------------------------------------------------------------------------
 
-def _chain_order(z0: np.ndarray, z1: np.ndarray, singularities) -> int:
-    """Smallest order in _CHAIN_ORDERS that the chain needs.
+def _order_for(rho: float) -> int:
+    """Smallest order in _CHAIN_ORDERS whose Gauss error bound at Bernstein
+    parameter rho is below _CHAIN_TOL: (64/15) rho^(-2n) / (rho^2 - 1)
+    (Trefethen, ATAP Thm 19.3).  Non-increasing in rho."""
+    for n in _CHAIN_ORDERS[:-1]:
+        if rho > 1 and 64 / 15 * rho ** -(2 * n) / (rho * rho - 1) < _CHAIN_TOL:
+            return n
+    return _CHAIN_ORDERS[-1]
 
-    For a segment with midpoint m and half-length h, a singularity s lies on
-    the Bernstein ellipse of parameter rho = |u + sqrt(u-1) sqrt(u+1)|,
-    u = (s - m) / h.  The n-point Gauss error is at most
-    (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen, ATAP Thm 19.3), so the
-    smallest rho over the chain's segments and the declared singularities
-    picks the order.  With no declared singularity the analyticity radius
-    is unknown and the chain runs the largest order.
-    """
+
+def _joukowski_rho(z0: np.ndarray, z1: np.ndarray, singularities) -> float:
+    """Smallest rho = |u + sqrt(u-1) sqrt(u+1)|, u = (s - m) / h, over the
+    moving segments (midpoint m, half-length h) and the singularities."""
     half = 0.5 * (z1 - z0)
     nonzero = half != 0
-    if not len(singularities) or not np.any(nonzero):
-        return _CHAIN_ORDERS[-1]
     mid, half = 0.5 * (z0 + z1)[nonzero], half[nonzero]
     rho = np.inf
     for s in singularities:
         u = (complex(s) - mid) / half
         rho = min(rho, float(np.min(np.abs(u + np.sqrt(u - 1) * np.sqrt(u + 1)))))
-    for n in _CHAIN_ORDERS[:-1]:
-        if rho > 1 and 64 / 15 * rho ** -(2 * n) / (rho * rho - 1) < _CHAIN_TOL:
-            return n
-    return _CHAIN_ORDERS[-1]
+    return rho
+
+
+def _chain_order(z0: np.ndarray, z1: np.ndarray, singularities, radius: float) -> int:
+    """Smallest order in _CHAIN_ORDERS that the chain needs; raises
+    PathNearSingularity if a segment passes within `radius` of a declared
+    singularity.
+
+    One distance pass per singularity s serves both.  With A0, A1 the
+    distances from s to a segment's ends and L its length:
+
+    - (A0 + A1 - L) / 2 is a lower bound on the distance from s to the
+      segment, so the exact projection distance runs only on segments
+      where that bound is within radius (1 + _BOUND_SLACK);
+    - s lies on the ellipse with foci z0, z1 and semi-major axis
+      (A0 + A1) / 2, which is the Bernstein ellipse of parameter
+      rho = a + sqrt(a^2 - 1), a = (A0 + A1) / L.  The Gauss error bound
+      (`_order_for`) falls as rho grows, so the chain's smallest a over its
+      moving segments and the singularities picks the order.
+
+    When rho (1 -+ _BOUND_SLACK) straddles an order threshold, rounding could
+    tip the choice, and the order comes from the Joukowski form of rho
+    (`_joukowski_rho`), as it always did.  With no declared singularity the
+    analyticity radius is unknown and the chain runs the largest order.
+    """
+    if not len(singularities):
+        return _CHAIN_ORDERS[-1]
+    length = np.abs(z1 - z0)
+    moving = z1 != z0
+    a = np.inf
+    for s in singularities:
+        ends = np.abs(complex(s) - z0)
+        ends += np.abs(complex(s) - z1)  # A0 + A1
+        near = ends - length <= 2 * radius * (1 + _BOUND_SLACK)
+        if np.any(near) and np.any(
+                _segment_singularity_distance(z0[near], z1[near], complex(s)) < radius):
+            raise PathNearSingularity(
+                f"integration path passes within {radius:.3g} of singularity {s}")
+        ratio = np.divide(ends, length, out=np.full_like(ends, np.inf), where=moving)
+        a = min(a, float(np.min(ratio, initial=np.inf)))
+    if a == np.inf:  # no segment moves
+        return _CHAIN_ORDERS[-1]
+    rho = a + math.sqrt(max(a - 1, 0.0) * (a + 1))
+    order = _order_for(rho * (1 - _BOUND_SLACK))
+    if order != _order_for(rho * (1 + _BOUND_SLACK)):
+        order = _order_for(_joukowski_rho(z0, z1, singularities))
+    return order
 
 
 def _cumulative_chain(f, points: np.ndarray, base_index: int, singularities,
@@ -210,27 +262,30 @@ def _cumulative_chain(f, points: np.ndarray, base_index: int, singularities,
     points: (m,) or (m, B) waypoints traversed in order (column-wise chains
     for the 2-D case).  The chain axis stays at position -points.ndim of the
     result, preceded by any leading axes a vector-valued integrand returns.
+    A row of segments that no chain moves along is not integrated.
     """
     z0, z1 = points[:-1], points[1:]
-    if points.ndim == 1:
-        keep = np.abs(z1 - z0) > 0
-    else:
-        keep = np.any(np.abs(z1 - z0) > 0, axis=tuple(range(1, points.ndim)))
-    check_clearance(z0[keep], z1[keep], singularities, radius)
-    order = _chain_order(z0[keep], z1[keep], singularities)
+    keep = z1 != z0
+    if points.ndim > 1:
+        keep = np.any(keep, axis=tuple(range(1, points.ndim)))
+    every = bool(np.all(keep))
+    if not every:
+        z0, z1 = z0[keep], z1[keep]
+    order = _chain_order(z0, z1, singularities, radius)
+    if not len(z0):
+        return np.zeros(points.shape, dtype=complex)
     ax = -points.ndim  # chain axis, counted from the end
-    if np.any(keep):
-        vals = _segment_integrals(f, z0[keep], z1[keep], order)
-        lead = vals.shape[:vals.ndim + ax]
-    else:
-        vals, lead = None, ()
-    segs = np.zeros(lead + z0.shape, dtype=complex)
-    if vals is not None:
-        np.moveaxis(segs, ax, 0)[keep] = np.moveaxis(vals, ax, 0)
-    cums = np.zeros(lead + points.shape, dtype=complex)
-    np.moveaxis(cums, ax, 0)[1:] = np.cumsum(np.moveaxis(segs, ax, 0), axis=0)
-    shifted = np.moveaxis(cums, ax, 0) - np.moveaxis(cums, ax, 0)[base_index]
-    return np.moveaxis(shifted, 0, ax)
+    vals = _segment_integrals(f, z0, z1, order)
+    out = np.empty(vals.shape[:vals.ndim + ax] + points.shape, dtype=complex)
+    segs = np.moveaxis(vals, ax, 0)
+    if not every:
+        segs = np.zeros((len(keep),) + segs.shape[1:], dtype=complex)
+        segs[keep] = np.moveaxis(vals, ax, 0)
+    cums = np.moveaxis(out, ax, 0)
+    cums[0] = 0
+    np.cumsum(segs, axis=0, out=cums[1:])
+    cums -= cums[base_index].copy()
+    return out
 
 
 def _insert_sorted(values: np.ndarray, extra: float) -> tuple[np.ndarray, int]:

@@ -5,6 +5,8 @@ import pytest
 
 import wesurf as ws
 
+from oracles import with_values
+
 
 @pytest.fixture(scope="session")
 def annulus_grid():
@@ -52,7 +54,7 @@ def s_theta_annulus(request):
     grid = ws.ParamGrid("annulus", n1, n2, (0.4, 0.9, 0.0, 2 * math.pi))
     s = ws.SolitonFamily(ws.helicoid_closed(grid), ws.catenoid_closed(grid)).at(0.7)
     c = np.exp(1j * np.array([0.3, -0.5, 1.1]))[:, None, None]
-    return s.with_values(c * s.values, jac=c[:, None] * s.jac, jac2=c[:, None] * s.jac2)
+    return with_values(s, c * s.values, jac=c[:, None] * s.jac, jac2=c[:, None] * s.jac2)
 
 
 @pytest.fixture(scope="session")

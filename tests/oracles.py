@@ -12,10 +12,13 @@ import numpy as np
 
 from wesurf.catalog import singularity_points
 from wesurf.generate import GenerateError, WEData, _integrand, _node_derivatives
+from wesurf.geometry import ThetaInvarianceReport
 from wesurf.grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_jacobian
+from wesurf.hodograph import FGPair, HodographError
 from wesurf.io_export import _faces
 from wesurf.pde import NonparametricPatch
-from wesurf.quadrature import antiderivative_on_grid
+from wesurf.quadrature import (_CHAIN_ORDERS, PathNearSingularity, _joukowski_rho, _order_for,
+                               _segment_singularity_distance, antiderivative_on_grid)
 from wesurf.stencils import axis_derivative
 
 
@@ -25,6 +28,31 @@ def surface_from_components(grid: ParamGrid, x, t, phi, reality="real",
                        np.asarray(t, dtype=complex),
                        np.asarray(phi, dtype=complex)])
     return SurfaceGrid(grid, values, reality, jac, jac2, meta or {})
+
+
+def with_values(surface: SurfaceGrid, values, jac=None, jac2=None) -> SurfaceGrid:
+    """The same grid, reality and meta with new arrays.
+
+    Omitted jac and jac2 mean none, since the surface's derivatives belong
+    to its old values.
+    """
+    return SurfaceGrid(surface.grid, values, surface.reality, jac, jac2, dict(surface.meta))
+
+
+def check_reality(pair: FGPair, samples, tol: float = 1e-12) -> float:
+    """Max defect of F(r) = conj(G(conj r)) on a sample cloud; raises if the
+    pair claims the constraint but violates it."""
+    s = np.asarray(samples, dtype=complex)
+    defect = float(np.max(np.abs(pair.F(s) - np.conj(pair.G(np.conj(s))))))
+    if pair.reality_constraint and defect > tol:
+        raise HodographError(
+            f"FG pair {pair.label or '?'} claims reality but defect is {defect:.3g}")
+    return defect
+
+
+def max_deviation(report: ThetaInvarianceReport) -> float:
+    """The larger of a theta sweep's E and G deviations (NaN if either is)."""
+    return float(np.maximum(report.e_deviation.max_abs, report.g_deviation.max_abs))
 
 
 def quad_triangles(n1: int, n2: int) -> list[tuple[int, int, int]]:
@@ -110,6 +138,21 @@ def pair_members(data: WEData, grid: ParamGrid) -> tuple[SurfaceGrid, SurfaceGri
     _node_derivatives(data.R, grid, dphi, ddphi)
     return (_assemble(data, grid, phi, dphi, ddphi, "re"),
             _assemble(data, grid, phi, dphi, ddphi, "im"))
+
+
+def chain_order_direct(z0: np.ndarray, z1: np.ndarray, singularities,
+                       radius: float) -> int:
+    """The grid quadrature's clearance check and chain order in their direct
+    forms: the projection distance from every segment to every singularity,
+    then the Joukowski rho of every moving segment.  The reference for the
+    fused distance pass of `quadrature._chain_order`."""
+    for s in singularities:
+        if np.any(_segment_singularity_distance(z0, z1, complex(s)) < radius):
+            raise PathNearSingularity(
+                f"integration path passes within {radius:.3g} of singularity {s}")
+    if not len(singularities) or not np.any(z1 != z0):
+        return _CHAIN_ORDERS[-1]
+    return _order_for(_joukowski_rho(z0, z1, singularities))
 
 
 def complex_laplacian(grid: ParamGrid, z: np.ndarray, accuracy: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from wesurf.family import FamilyError, _cos_sin
 from wesurf.grids import GridError
 
 from conftest import rng_points
-from oracles import surface_from_components
+from oracles import check_reality, surface_from_components, with_values
 
 
 # ------------------------------------------------------------- wick rotation
@@ -87,7 +87,7 @@ def _same_surface(a, b):
 def test_family_rejects_non_conjugate_pair(annulus_grid):
     X = ws.helicoid_closed(annulus_grid)
     Y = ws.catenoid_closed(annulus_grid)
-    bad = Y.with_values(2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)
+    bad = with_values(Y, 2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)
     with pytest.raises(FamilyError):
         ws.SolitonFamily(X, bad)
     fam = ws.SolitonFamily(X, bad, validate=False)  # corruption injection
@@ -161,7 +161,7 @@ def _closed_form_pair():
 def _scaled_y_pair():
     grid = ws.default_annulus(0.4, 0.9, 24, 40)
     X, Y = ws.helicoid_closed(grid), ws.catenoid_closed(grid)
-    Y = Y.with_values(2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)
+    Y = with_values(Y, 2.0 * Y.values, jac=2.0 * Y.jac, jac2=2.0 * Y.jac2)
     return ws.SolitonFamily(X, Y, validate=False), (X, Y)
 
 
@@ -225,7 +225,7 @@ def test_family_rejects_member_with_imaginary_part(annulus_grid):
     # a real surface holds no imaginary part, so a tainted member is refused
     # as it is built, before a family sees it
     with pytest.raises(GridError, match="imaginary part"):
-        Y.with_values(Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
+        with_values(Y, Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
     complex_member = ws.wick_rotate(Y)
     for pair in ((X, complex_member), (complex_member, X)):
         with pytest.raises(FamilyError, match="must be real"):
@@ -319,7 +319,7 @@ def test_family_fg_at_zero_unchanged():
 def test_family_fg_keeps_reality_constraint():
     fg = ws.family_fg(ws.helicoid_fg(), ws.catenoid_fg(), 0.8)
     assert fg.reality_constraint
-    assert fg.check_reality(rng_points(32)) < 1e-14
+    assert check_reality(fg, rng_points(32)) < 1e-14
 
 
 # ------------------------------------------------------- soliton relations

@@ -8,7 +8,7 @@ import wesurf as ws
 from wesurf.family import real_member
 from wesurf.generate import GenerateError
 
-from oracles import align_rigid, complex_laplacian, pair_members, pair_values
+from oracles import align_rigid, complex_laplacian, pair_members, pair_values, with_values
 
 ALL_IDS = [i for i in ws.CATALOG_IDS if i != "custom"]
 
@@ -128,7 +128,7 @@ def test_packed_pair_equals_packed_members(sid, offsets):
     for got, want in zip(fam, ref):
         _assert_same_surface(got, want, "unpacked")
     for k in (1.5, -0.5):  # --corrupt-y-scale: scale Y in the family, or Y then pack
-        scaled = Y.with_values(Y.values * k, jac=Y.jac * k, jac2=Y.jac2 * k)
+        scaled = with_values(Y, Y.values * k, jac=Y.jac * k, jac2=Y.jac2 * k)
         fam_k = ws.generate_conjugate_pair(data, grid, y_scale=k)
         ref_k = ws.SolitonFamily(X, scaled, validate=False)
         for theta in (0.3, 2.0, math.pi / 2):

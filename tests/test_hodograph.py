@@ -7,7 +7,7 @@ import wesurf as ws
 from wesurf.hodograph import HodographError
 
 from conftest import rng_points
-from oracles import nearest_node
+from oracles import check_reality, nearest_node
 
 
 # ------------------------------------------------------------- closed forms
@@ -54,7 +54,7 @@ def test_fg_reality_constraints_hold():
     pts = rng_points(64)
     for pair in (ws.helicoid_fg(), ws.catenoid_fg(), ws.enneper_fg(),
                  ws.enneper_conjugate_fg()):
-        assert pair.check_reality(pts, tol=1e-12) < 1e-12
+        assert check_reality(pair, pts, tol=1e-12) < 1e-12
 
 
 def test_fg_reality_violation_detected():
@@ -63,7 +63,7 @@ def test_fg_reality_violation_detected():
                     Gp=lambda s: 1j * np.ones_like(s),
                     reality_constraint=True, label="bad")
     with pytest.raises(HodographError):
-        bad.check_reality(rng_points(8))
+        check_reality(bad, rng_points(8))
 
 
 def test_surface_from_helicoid_fg_matches_closed_form(annulus_grid):

@@ -19,7 +19,7 @@ from wesurf import cli, grids, pde
 from wesurf.cli import main
 from wesurf.io_export import SCHEMA, export_mesh, write_surface_csv, write_surface_table
 
-from oracles import quad_triangles, surface_from_components
+from oracles import quad_triangles, surface_from_components, with_values
 
 
 def flat_surface(n1=3, n2=3):
@@ -178,7 +178,7 @@ def test_cli_family_verify_member_with_imaginary_part_exits_2(tmp_path, capsys,
                                                               monkeypatch):
     def tainted_pair(data, grid, **kwargs):
         X, Y = ws.generate_conjugate_pair(data, grid, **kwargs)
-        tainted = Y.with_values(Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
+        tainted = with_values(Y, Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
         return ws.SolitonFamily(X, tainted, validate=False)
 
     monkeypatch.setattr(cli, "generate_conjugate_pair", tainted_pair)

@@ -15,6 +15,8 @@ from wesurf.catalog import BranchRegionError, singularity_points
 from wesurf.generate import _integrand
 from wesurf.quadrature import PathNearSingularity, QuadratureError, _segment_integrals
 
+from oracles import chain_order_direct
+
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=2,
                               allow_nan=False, allow_infinity=False)
 
@@ -115,7 +117,7 @@ def test_chain_orders_match_32_point_oracle_near_the_pole(monkeypatch, sid):
 def test_chain_order_from_bernstein_bound():
     z = np.linspace(0.0, 1.0, 11)  # ten segments of length h = 0.1
     z0, z1 = z[:-1], z[1:]
-    order = lambda sing: quadrature._chain_order(z0, z1, sing)
+    order = lambda sing: quadrature._chain_order(z0, z1, sing, 1e-3)
     assert order([0.55 + 0.05j]) == 32  # half a segment length off the chain
     assert order([0.55 + 0.3j]) == 16   # three segment lengths
     assert order([0.55 + 2.0j]) == 8
@@ -140,6 +142,145 @@ def test_zero_length_segments_do_not_enter_the_order(monkeypatch):
     assert used == [8]
     assert np.max(np.abs(cum[:, 0] - np.log(radii / 0.4))) < 1e-14
     assert np.all(cum[:, 1] == 0)
+
+
+def test_fused_pass_picks_the_direct_order_on_the_benchmark_sweeps(monkeypatch):
+    # the nine catalog sweeps at refine 2 and the helicoid/catenoid F/G
+    # sweeps at 256^2: every chain gets the order of the direct forms
+    checked, sing = [], []
+    segment_integrals = quadrature._segment_integrals
+
+    def spy(f, z0, z1, order):
+        checked.append((order, chain_order_direct(z0, z1, sing, 0.0)))
+        return segment_integrals(f, z0, z1, order)
+
+    monkeypatch.setattr(quadrature, "_segment_integrals", spy)
+    for sid in CATALOG:
+        data = ws.we_data(sid)
+        sing[:] = singularity_points(data.R)
+        ws.generate_conjugate_pair(data, ws.verification_grid(sid, refine=2))
+    sing[:] = [0.0]
+    annulus = ws.ParamGrid("annulus", 256, 256, (0.4, 0.9, 0.0, 2 * np.pi))
+    pair = ws.family_fg(ws.helicoid_fg(), ws.catenoid_fg(), 0.7)
+    ws.fg_integrals(pair, annulus, complex(annulus.nodes()[0, 0]), [0.0])
+    assert len(checked) == 2 * (len(CATALOG) + 2)
+    assert all(got == want for got, want in checked), checked
+    assert {got for got, _ in checked} == {8, 16, 32}
+
+
+def _outcome(order_fn, z0, z1, sing, radius):
+    try:
+        return order_fn(z0, z1, sing, radius)
+    except PathNearSingularity as exc:
+        return str(exc)
+
+
+def test_fused_pass_matches_the_direct_forms_on_random_chains():
+    rng = np.random.default_rng(20180)
+    seen = set()
+    for _ in range(400):
+        shape = (int(rng.integers(1, 24)),) + ((int(rng.integers(1, 4)),) if rng.random() < 0.4 else ())
+        steps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 10.0 ** rng.uniform(-3, 0)
+        steps[rng.random(shape) < 0.15] = 0  # some segments do not move
+        pts = rng.normal() + 1j * rng.normal() + np.concatenate(
+            [np.zeros((1,) + shape[1:]), np.cumsum(steps, axis=0)])
+        z0, z1 = pts[:-1], pts[1:]
+        radius = 1e-3 * float(np.sum(np.abs(steps))) + 1e-9
+        sing = []
+        for _ in range(int(rng.integers(0, 4))):
+            k = tuple(int(rng.integers(0, n)) for n in shape)
+            on = z0[k] + rng.random() * (z1[k] - z0[k])
+            off = radius * rng.choice([0.5, 1 - 1e-12, 1 + 1e-12, 2.0, 1e2, 1e4])
+            sing.append(complex(on + off * np.exp(2j * np.pi * rng.random())))
+        got = _outcome(quadrature._chain_order, z0, z1, sing, radius)
+        assert got == _outcome(chain_order_direct, z0, z1, sing, radius)
+        seen.add(got if isinstance(got, int) else "raise")
+    assert seen == {8, 16, 32, "raise"}
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-12, 1 + 1e-12])
+@pytest.mark.parametrize("where", ["side", "end", "ahead"])
+@pytest.mark.parametrize("angle", [0.0, 0.7, np.pi / 2, 2.9])
+def test_fused_clearance_at_the_exclusion_radius(factor, where, angle):
+    step = 0.05 * np.exp(1j * angle)
+    pts = 0.31 + 0.17j + step * np.arange(6)
+    radius = 1e-3
+    unit = step / abs(step)
+    if where == "side":  # abeam the third segment
+        s = pts[2] + 0.4 * step + 1j * unit * radius * factor
+    elif where == "end":  # past the chain's last waypoint, off its line
+        s = pts[-1] + unit * np.exp(0.3j) * radius * factor
+    else:  # on the chain's line, where the lower bound is the distance
+        s = pts[-1] + unit * radius * factor
+    z0, z1 = pts[:-1], pts[1:]
+    assert _outcome(quadrature._chain_order, z0, z1, [s], radius) == \
+        _outcome(chain_order_direct, z0, z1, [s], radius)
+
+
+def _threshold(order):
+    """Smallest float rho at which the Gauss bound admits `order` points."""
+    lo, hi = 1.0, 1e3
+    while np.nextafter(lo, np.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if quadrature._order_for(mid) <= order else (mid, hi)
+    return hi
+
+
+def _ulps_around(x, n):
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+@pytest.mark.parametrize("segment", [(-1.0, 1.0), (0.3 + 0.1j, 0.45 + 0.23j),
+                                     (0.55 + 0.3j, 0.6 + 0.3j)])
+@pytest.mark.parametrize("order,larger", [(8, 16), (16, 32)])
+def test_fused_order_at_the_order_thresholds(monkeypatch, order, larger, segment):
+    # singularities on Bernstein ellipses a few ulps either side of a
+    # threshold defer to the Joukowski form; those 3e-9 away do not
+    deferred = []
+    joukowski_rho = quadrature._joukowski_rho
+
+    def spy(*args):
+        deferred.append(args)
+        return joukowski_rho(*args)
+
+    monkeypatch.setattr(quadrature, "_joukowski_rho", spy)
+    a, b = segment
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    z0, z1 = np.array([a]), np.array([b])
+    picked = set()
+    for rho, near in ([(r, True) for r in _ulps_around(_threshold(order), 6)]
+                      + [(_threshold(order) * (1 + e), False) for e in (-3e-9, 3e-9)]):
+        s = mid + half * 1j * 0.5 * (rho - 1 / rho)  # on the ellipse of parameter rho
+        deferred.clear()
+        got = quadrature._chain_order(z0, z1, [s], 1e-3)
+        assert bool(deferred) == near
+        assert got == chain_order_direct(z0, z1, [s], 1e-3)
+        picked.add(got)
+    assert picked == {order, larger}
+
+
+def test_grid_quadrature_holds_one_block_of_integrand_values():
+    # Enneper declares no singularity, so every chain runs 32 points, and
+    # the refine-2 rectangle's vertical chains span eight blocks.  The peak
+    # is output-sized arrays (the chain's segment integrals, its cumulative
+    # sums, the result) plus one block's nodes, integrand values,
+    # temporaries and reduction: holding a second block's values breaks it
+    data = ws.we_data("enneper")
+    grid = ws.verification_grid("enneper", refine=2)
+    tracemalloc.start()
+    try:
+        out = ws.antiderivative_on_grid(_integrand(data.R), data.base, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = quadrature._BLOCK_NODES * np.dtype(complex).itemsize
+    assert out.size * 32 > 6 * quadrature._BLOCK_NODES
+    assert peak <= 3 * out.nbytes + 8 * block, \
+        f"peak {peak / 2**20:.2f} MiB, output {out.nbytes / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("block", [1, WHOLE_GRID])
