@@ -50,7 +50,7 @@ RUNS = (
     ["family-verify", "--surface", "henneberg", "--corrupt-y-scale", "1.5",  # flip_t x y_scale,
      "--theta", "0", "1.5707963267948966", "3.141592653589793", "-1.0"],      # OBJ signs of zero
     ["family-verify", "--surface", "henneberg", "--corrupt-y-scale", "-0.5", "--formats", "csv"],
-    ["family-verify", "--annulus", "0.4", "0.9", "--n", "97", "200",   # partial row block
+    ["family-verify", "--annulus", "0.4", "0.9", "--n", "97", "200",   # short last band
      "--theta", "0", "0.3", "2.2", "4.1", "--rapidity", "1.1"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "83", "200",   # 81-row band + 2 rows
      "--formats", "csv"],
@@ -61,7 +61,7 @@ RUNS = (
     ["residuals", "--surface", "catenoid"],
     ["residuals", "--surface", "scherk"],
     ["residuals", "--surface", "schwarz_riemann"],
-    ["residuals", "--surface", "catenoid", "--n", "131", "257"],   # fd route, 3 row blocks
+    ["residuals", "--surface", "catenoid", "--n", "131", "257"],   # fd route, > 256 KiB
     ["residuals", "--surface", "henneberg"],   # flip_t through generate
     ["residuals", "--surface", "general_enneper"],
     ["boost-check"],

@@ -167,7 +167,9 @@ CATALOG_IDS = tuple(_ENTRIES)
 class WEFunction:
     """A catalog R(w) with its parameters and conjugation phase.
 
-    Parameters not used by an entry are ignored.  `custom` entries evaluate
+    Parameters not used by an entry are ignored, but every entry requires
+    kappa, alpha, a and b finite, kappa nonzero and a, b not both zero, the
+    values at which R vanishes identically.  `custom` entries evaluate
     the rational function numerator(w)/denominator(w) with coefficients in
     descending powers (numpy.polyval convention).
     """
@@ -187,6 +189,13 @@ class WEFunction:
                 f"unknown surface id {self.id!r}; valid ids: {', '.join(CATALOG_IDS)}")
         if abs(abs(self.conjugation_phase) - 1.0) > PHASE_UNIT_TOL:
             raise CatalogError("conjugation phase must have unit modulus")
+        for name in ("kappa", "alpha", "a", "b"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise CatalogError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.kappa == 0:
+            raise CatalogError("kappa must be nonzero")
+        if self.a == 0 and self.b == 0:
+            raise CatalogError("a and b must not both be zero")
         if self.id == "general_scherk":
             if not (0.0 < self.alpha < math.pi / 2):
                 raise CatalogError("general_scherk requires 0 < alpha < pi/2")

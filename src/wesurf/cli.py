@@ -161,10 +161,10 @@ def _config_values(cp: configparser.ConfigParser) -> dict:
 
 def _build_config(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if getattr(args, "config", None) is not None:
         for key, val in _read_config_file(args.config).items():
             setattr(cfg, key, val)
-    if getattr(args, "surface", None):
+    if getattr(args, "surface", None) is not None:
         cfg.surface = args.surface
     for key in ("kappa", "alpha", "a", "b"):
         val = getattr(args, key, None)
@@ -203,7 +203,7 @@ def _build_config(args) -> RunConfig:
         cfg.out_dir = Path(args.out)
     if os.environ.get("WESURF_OUT"):
         cfg.out_dir = Path(os.environ["WESURF_OUT"])
-    if getattr(args, "formats", None):
+    if getattr(args, "formats", None) is not None:
         cfg.formats = tuple(v.strip() for v in args.formats.split(",") if v.strip())
     if getattr(args, "corrupt_y_scale", None) is not None:
         cfg.corrupt_y_scale = args.corrupt_y_scale

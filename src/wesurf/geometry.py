@@ -29,7 +29,7 @@ import numpy as np
 
 from . import grids
 from .family import real_member
-from .grids import ParamGrid, SurfaceGrid, _by_row_blocks, surface_jacobian
+from .grids import ParamGrid, SurfaceGrid, surface_jacobian
 from .reports import ResidualReport, residual_report
 
 Signature = Literal["euclidean", "wick_signed"]
@@ -66,12 +66,8 @@ def fundamental_form(s: SurfaceGrid, signature: Signature = "euclidean",
         raise GeometryError(f"unknown signature {signature!r}")
     jac = surface_jacobian(s, source, accuracy)
     sign = np.array([1.0, -1.0 if signature == "wick_signed" else 1.0, 1.0])
-
-    def kernel(j):
-        d1, d2 = j[:, 0], j[:, 1]
-        return [np.einsum("k,kij->ij", sign, u * v) for u, v in ((d1, d1), (d1, d2), (d2, d2))]
-
-    E, F, G = _by_row_blocks(kernel, jac)
+    d1, d2 = jac[:, 0], jac[:, 1]
+    E, F, G = (np.einsum("k,kij->ij", sign, u * v) for u, v in ((d1, d1), (d1, d2), (d2, d2)))
     return FundamentalForm(E, F, G, signature, s.grid)
 
 

@@ -30,8 +30,6 @@ GridKind = Literal["rectangle", "annulus"]
 Axis = Literal["r1", "r2"]
 Reality = Literal["real", "wick_rotated"]
 
-_ROW_BLOCK_NODES = 1 << 14  # 256 KiB of complex per array: a kernel's block stays in L2
-
 
 class GridError(ValueError):
     pass
@@ -214,41 +212,16 @@ class SurfaceGrid:
         return self.values[_COMPONENT_INDEX[name]]
 
 
-def _by_row_blocks(kernel, *arrays) -> tuple[np.ndarray, ...]:
-    """Run a nodewise kernel on blocks of whole grid rows; stitch its outputs.
-
-    The last two axes of every array are the grid's (n1, n2); `kernel` gets
-    the same rows of each and returns a sequence of block-shaped arrays.  It must
-    never multiply by a temporary right operand, or its bits would depend on
-    the block size (README, Numerical notes).  It must return fresh arrays,
-    no view of an input and no array twice: when one block covers every row,
-    as for each band of the theta sweep, its outputs are returned as they
-    are, with no stitch copy.
-    """
-    if arrays[0].ndim < 2:  # ungridded samples, e.g. a patch of 1-D points
-        return kernel(*arrays)
-    n1, n2 = arrays[0].shape[-2:]
-    step = max(1, _ROW_BLOCK_NODES // n2)
-    if step >= n1:
-        return tuple(kernel(*arrays))
-    outs = None
-    for i in range(0, n1, step):
-        rows = np.s_[..., i:i + step, :]
-        block = kernel(*(a[rows] for a in arrays))
-        if outs is None:
-            outs = tuple(np.empty(b.shape[:-2] + (n1, n2), b.dtype) for b in block)
-        for out, b in zip(outs, block):
-            out[rows] = b
-    return outs
+_BAND_NODES = 1 << 14  # 256 KiB of complex per array: a band's kernel operands stay in L2
 
 
 def _row_bands(n1: int, n2: int) -> list[tuple[int, int]]:
     """(start, stop) of the bands of whole rows a banded sweep visits in turn.
 
-    Bands hold max(3, _ROW_BLOCK_NODES // n2) rows, so each is a valid
+    Bands hold max(3, _BAND_NODES // n2) rows, so each is a valid
     ParamGrid; a remainder of fewer than 3 rows joins the last band.
     """
-    step = max(3, _ROW_BLOCK_NODES // n2)
+    step = max(3, _BAND_NODES // n2)
     starts = list(range(0, n1, step))
     if len(starts) > 1 and n1 - starts[-1] < 3:
         starts.pop()

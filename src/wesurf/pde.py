@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import SurfaceGrid, _by_row_blocks, array_derivative, surface_jacobian
+from .grids import SurfaceGrid, array_derivative, surface_jacobian
 from .reports import ResidualReport, residual_report
 
 RAPIDITY_UNIT_TOL = 1e-12
@@ -76,7 +76,7 @@ class NonparametricPatch:
     phi_tt: np.ndarray
     valid_mask: np.ndarray
     jacobian_det: np.ndarray | None = None
-    dropped_count: int = 0
+    dropped_count: int = field(init=False)
 
     def __post_init__(self):
         fields = (self.x, self.t, self.phi, self.phi_x, self.phi_t,
@@ -122,33 +122,23 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
     if analytic and s.jac2 is None:
         raise PDEError("surface carries no analytic second derivatives")
 
-    # nodewise stages, run by _by_row_blocks on rows of jac (3, 2, n1, n2);
     # every quotient is a product with inv = 1 / det_safe (README, Numerical notes)
-    def solve(j, inv, f1, f2):
-        (x1, x2), (t1, t2), _ = j
+    (x1, x2), (t1, t2), (p1, p2) = jac
+    det = x1 * t2 - x2 * t1
+    bad = np.abs(det) < DET_FLOOR
+    det_safe = np.where(bad, 1.0, det)
+    norm_j = np.maximum(np.abs(x1) + np.abs(x2), np.abs(t1) + np.abs(t2))
+    norm_inv = np.maximum(np.abs(t2) + np.abs(x2), np.abs(t1) + np.abs(x1)) / np.abs(det_safe)
+    bad |= norm_j * norm_inv > cond_cutoff
+    inv = 1.0 / det_safe
+
+    def solve(f1, f2):
         return (t2 * f1 - t1 * f2) * inv, (x1 * f2 - x2 * f1) * inv
 
-    def first_stage(j):
-        (x1, x2), (t1, t2), (p1, p2) = j
-        det = x1 * t2 - x2 * t1
-        bad = np.abs(det) < DET_FLOOR
-        det_safe = np.where(bad, 1.0, det)
-        norm_j = np.maximum(np.abs(x1) + np.abs(x2), np.abs(t1) + np.abs(t2))
-        norm_inv = np.maximum(np.abs(t2) + np.abs(x2), np.abs(t1) + np.abs(x1)) / np.abs(det_safe)
-        bad |= norm_j * norm_inv > cond_cutoff
-        inv = 1.0 / det_safe
-        return (det, bad, inv, *solve(j, inv, p1, p2))
-
-    def final_solves(j, inv, a1, a2, b1, b2):
-        phi_xx, phi_xt_a = solve(j, inv, a1, a2)
-        phi_tx_b, phi_tt = solve(j, inv, b1, b2)
-        return phi_xx, 0.5 * (phi_xt_a + phi_tx_b), phi_tt
-
-    def analytic_stages(j, j2):
-        det, bad, inv, phi_x, phi_t = first_stage(j)
-        (x1, x2), (t1, t2), (p1, p2) = j
+    phi_x, phi_t = solve(p1, p2)
+    if analytic:
         # d_i of the solved gradient fields, by quotient rule on exact data
-        (x11, x12, x22), (t11, t12, t22), (p11, p12, p22) = j2
+        (x11, x12, x22), (t11, t12, t22), (p11, p12, p22) = s.jac2
         partials = []
         for dx1, dx2, dt1, dt2, dp1, dp2 in ((x11, x12, t11, t12, p11, p12),
                                              (x12, x22, t12, t22, p12, p22)):
@@ -158,24 +148,19 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
             partials.append(((dnum_x - phi_x * ddet) * inv,
                              (dnum_t - phi_t * ddet) * inv))
         (a1, b1), (a2, b2) = partials
-        return (det, bad, phi_x, phi_t, *final_solves(j, inv, a1, a2, b1, b2))
-
-    if analytic:
-        det, bad, phi_x, phi_t, phi_xx, phi_xt, phi_tt = _by_row_blocks(
-            analytic_stages, jac, s.jac2)
         valid = ~bad
     else:
-        det, bad, inv, phi_x, phi_t = _by_row_blocks(first_stage, jac)
         a1 = array_derivative(s.grid, phi_x, "r1", 1, accuracy)
         a2 = array_derivative(s.grid, phi_x, "r2", 1, accuracy)
         b1 = array_derivative(s.grid, phi_t, "r1", 1, accuracy)
         b2 = array_derivative(s.grid, phi_t, "r2", 1, accuracy)
-        phi_xx, phi_xt, phi_tt = _by_row_blocks(final_solves, jac, inv, a1, a2, b1, b2)
         valid = ~_dilate(bad, accuracy + 1)  # stencil window reach, incl. one-sided edges
+    phi_xx, phi_xt_a = solve(a1, a2)
+    phi_tx_b, phi_tt = solve(b1, b2)
     return NonparametricPatch(
         x=s.x, t=s.t, phi=s.phi,  # read-only views of the surface
-        phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=phi_xt, phi_tt=phi_tt,
-        valid_mask=valid, jacobian_det=det)
+        phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=0.5 * (phi_xt_a + phi_tx_b),
+        phi_tt=phi_tt, valid_mask=valid, jacobian_det=det)
 
 
 _GRAPH_FIELDS = ("phi", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt")
@@ -217,20 +202,17 @@ def _residual(p: NonparametricPatch, born_infeld: bool) -> ResidualReport:
     """Minimal-surface or Born-Infeld residual report, scaled by the sum of
     the moduli of the equation's own three terms, so that Wick-substituted
     data has the minimal residual's relative statistic too."""
-    def kernel(phi_x, phi_t, phi_xx, phi_xt, phi_tt):
-        qx = 1 + phi_x ** 2
-        mixed = 2 * phi_x * phi_t * phi_xt
-        if born_infeld:
-            qt = 1 - phi_t ** 2
-            res = qt * phi_xx + mixed - qx * phi_tt
-        else:
-            qt = 1 + phi_t ** 2
-            res = qt * phi_xx - mixed + qx * phi_tt
-        scale = (np.abs(qt) * np.abs(phi_xx) + 2 * np.abs(phi_x * phi_t * phi_xt)
-                 + np.abs(qx) * np.abs(phi_tt))
-        return res, scale
-
-    res, scale = _by_row_blocks(kernel, p.phi_x, p.phi_t, p.phi_xx, p.phi_xt, p.phi_tt)
+    phi_x, phi_t, phi_xx, phi_xt, phi_tt = p.phi_x, p.phi_t, p.phi_xx, p.phi_xt, p.phi_tt
+    qx = 1 + phi_x ** 2
+    mixed = 2 * phi_x * phi_t * phi_xt
+    if born_infeld:
+        qt = 1 - phi_t ** 2
+        res = qt * phi_xx + mixed - qx * phi_tt
+    else:
+        qt = 1 + phi_t ** 2
+        res = qt * phi_xx - mixed + qx * phi_tt
+    scale = (np.abs(qt) * np.abs(phi_xx) + 2 * np.abs(phi_x * phi_t * phi_xt)
+             + np.abs(qx) * np.abs(phi_tt))
     return residual_report(res, p.valid_mask, scale)
 
 
@@ -249,18 +231,15 @@ def boost(p: NonparametricPatch, lb: LorentzBoost) -> NonparametricPatch:
     jacobian_det are shared with `p`, not copied."""
     a, b = lb.a, lb.b
 
-    def kernel(x, t, phi_x, phi_t, phi_xx, phi_xt, phi_tt):
-        return (a * x + b * t, b * x + a * t,
-                a * phi_x - b * phi_t, -b * phi_x + a * phi_t,
-                a * a * phi_xx - 2 * a * b * phi_xt + b * b * phi_tt,
-                -a * b * (phi_xx + phi_tt) + (a * a + b * b) * phi_xt,
-                b * b * phi_xx - 2 * a * b * phi_xt + a * a * phi_tt)
-
-    x, t, px, pt, pxx, pxt, ptt = _by_row_blocks(
-        kernel, p.x, p.t, p.phi_x, p.phi_t, p.phi_xx, p.phi_xt, p.phi_tt)
-    return NonparametricPatch(x=x, t=t, phi=p.phi, phi_x=px, phi_t=pt,
-                              phi_xx=pxx, phi_xt=pxt, phi_tt=ptt,
-                              valid_mask=p.valid_mask, jacobian_det=p.jacobian_det)
+    x, t, phi_x, phi_t = p.x, p.t, p.phi_x, p.phi_t
+    phi_xx, phi_xt, phi_tt = p.phi_xx, p.phi_xt, p.phi_tt
+    return NonparametricPatch(
+        x=a * x + b * t, t=b * x + a * t, phi=p.phi,
+        phi_x=a * phi_x - b * phi_t, phi_t=-b * phi_x + a * phi_t,
+        phi_xx=a * a * phi_xx - 2 * a * b * phi_xt + b * b * phi_tt,
+        phi_xt=-a * b * (phi_xx + phi_tt) + (a * a + b * b) * phi_xt,
+        phi_tt=b * b * phi_xx - 2 * a * b * phi_xt + a * a * phi_tt,
+        valid_mask=p.valid_mask, jacobian_det=p.jacobian_det)
 
 
 def wick_substitute(p: NonparametricPatch) -> NonparametricPatch:

@@ -46,8 +46,8 @@ def s_theta_annulus(request):
 
     The phases give every product non-zero real and imaginary parts: a real
     times an imaginary array would commute bit for bit and hide a swapped
-    complex multiply.  At 131x257 a whole-grid row block holds 526 KiB per
-    complex array and a block of 1 or 7 rows less than 256 KiB, numpy's
+    complex multiply.  At 131x257 the whole grid holds 526 KiB per complex
+    array and a band of 3 or 7 rows less than 256 KiB, numpy's
     temporary-elision size.
     """
     n1, n2 = request.param

@@ -39,6 +39,14 @@ def with_values(surface: SurfaceGrid, values, jac=None, jac2=None) -> SurfaceGri
     return SurfaceGrid(surface.grid, values, surface.reality, jac, jac2, dict(surface.meta))
 
 
+def surface_rows(surface: SurfaceGrid, i: int, j: int) -> SurfaceGrid:
+    """Rows i..j-1 of a surface and of its derivatives (`ParamGrid.rows`)."""
+    band = np.s_[..., i:j, :]
+    jac, jac2 = (None if z is None else z[band] for z in (surface.jac, surface.jac2))
+    return SurfaceGrid(surface.grid.rows(i, j), surface.values[band], surface.reality,
+                       jac, jac2, dict(surface.meta))
+
+
 def check_reality(pair: FGPair, samples, tol: float = 1e-12) -> float:
     """Max defect of F(r) = conj(G(conj r)) on a sample cloud; raises if the
     pair claims the constraint but violates it."""

@@ -67,6 +67,21 @@ def test_parameter_constraints():
         ws.catalog_function("bogus_surface")
 
 
+@pytest.mark.parametrize("surface, params, message", [
+    ("catenoid", {"kappa": 0.0}, "kappa must be nonzero"),
+    ("enneper", {"kappa": -0.0}, "kappa must be nonzero"),
+    ("catenoid", {"kappa": math.nan}, "kappa must be finite"),
+    ("scherk", {"alpha": math.inf}, "alpha must be finite"),
+    ("general_scherk", {"a": -math.inf}, "a must be finite"),
+    ("custom", {"b": math.nan}, "b must be finite"),
+    ("general_enneper", {"a": 0.0, "b": 0.0}, "a and b must not both be zero"),
+    ("catenoid", {"a": 0.0, "b": -0.0}, "a and b must not both be zero"),
+])
+def test_vanishing_or_non_finite_parameters_are_named(surface, params, message):
+    with pytest.raises(CatalogError, match=f"^{message}"):
+        ws.catalog_function(surface, **params)
+
+
 # -------------------------------------------------------------- conjugation
 
 def test_conjugate_multiplies_phase_by_minus_i():

@@ -9,7 +9,7 @@ from wesurf import grids
 from wesurf.geometry import GeometryError
 from wesurf.stencils import interior_mask
 
-from oracles import max_deviation, surface_from_components, with_values
+from oracles import max_deviation, surface_from_components, surface_rows, with_values
 
 
 def flat_patch(n=11):
@@ -26,21 +26,22 @@ def test_plane_form_is_identity():
     assert np.max(np.abs(form.F)) < 1e-12
 
 
-def _form_bytes(s):
-    out = []
-    for signature in ("euclidean", "wick_signed"):
-        for source in ("analytic", "fd"):
-            form = ws.fundamental_form(s, signature, source)
-            out += [a.tobytes() for a in (form.E, form.F, form.G)]
-    return out
-
-
 @pytest.mark.parametrize("rows", [1, 7, "all"])
 def test_fundamental_form_independent_of_row_block(s_theta_annulus, monkeypatch, rows):
-    reference = _form_bytes(s_theta_annulus)
-    n1, n2 = s_theta_annulus.grid.shape
-    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
-    assert _form_bytes(s_theta_annulus) == reference
+    """Each band's E, F, G are rows i:j of the whole grid's, byte for byte.
+    rows=1 asks for one-row bands, which `_row_bands` widens to 3 rows."""
+    grid = s_theta_annulus.grid
+    _band_rows(monkeypatch, grid, rows)
+    bands = grids._row_bands(*grid.shape)
+    assert bands[0] == (0, grid.n1 if rows == "all" else max(3, rows))
+    for signature in ("euclidean", "wick_signed"):
+        whole = ws.fundamental_form(s_theta_annulus, signature, "analytic")
+        for i, j in bands:
+            form = ws.fundamental_form(surface_rows(s_theta_annulus, i, j), signature,
+                                       "analytic")
+            for name in ("E", "F", "G"):
+                a, b = getattr(form, name), getattr(whole, name)
+                assert a.dtype == b.dtype and a.tobytes() == b[i:j].tobytes(), (i, j, name)
 
 
 def test_helicoid_isothermal_and_conformal_factor(annulus_grid):
@@ -101,7 +102,7 @@ def _scaled_y_family(grid):
 
 def _band_rows(monkeypatch, grid, rows):
     """Set the sweep's band height to `rows` whole rows (or the whole grid)."""
-    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES",
+    monkeypatch.setattr(grids, "_BAND_NODES",
                         grid.n2 * (grid.n1 if rows == "all" else rows))
 
 
@@ -176,11 +177,11 @@ def test_theta_sweep_bands_are_rows_of_the_whole_surface(banded_family, monkeypa
 
 
 def test_row_bands_fold_a_short_remainder_into_the_last_band(monkeypatch):
-    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", 200 * 81)
+    monkeypatch.setattr(grids, "_BAND_NODES", 200 * 81)
     assert grids._row_bands(83, 200) == [(0, 83)]
     assert grids._row_bands(84, 200) == [(0, 81), (81, 84)]
     assert grids._row_bands(164, 200) == [(0, 81), (81, 164)]
-    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", 1)
+    monkeypatch.setattr(grids, "_BAND_NODES", 1)
     assert grids._row_bands(8, 200) == [(0, 3), (3, 8)]  # never fewer than 3 rows
 
 

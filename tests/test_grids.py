@@ -98,30 +98,6 @@ def test_with_values_drops_omitted_derivatives():
     assert np.array_equal(kept.jac, 2.0 * s.jac) and kept.jac2 is None
 
 
-# ------------------------------------------------------------- row blocks
-
-def test_row_blocks_one_block_returns_the_kernels_arrays(monkeypatch):
-    rng = np.random.default_rng(5)
-    a, b = (rng.standard_normal((2, 11, 13)) + 1j * rng.standard_normal((2, 11, 13))
-            for _ in range(2))
-    made = []
-
-    def kernel(u, v):
-        out = (u * v, np.abs(u) < np.abs(v))
-        made.append(out)
-        return out
-
-    monkeypatch.setattr(ws.grids, "_ROW_BLOCK_NODES", 3 * 13)   # 4 blocks
-    stitched = ws.grids._by_row_blocks(kernel, a, b)
-    monkeypatch.setattr(ws.grids, "_ROW_BLOCK_NODES", 11 * 13)  # one block
-    made.clear()
-    whole = ws.grids._by_row_blocks(kernel, a, b)
-    assert [w is m for w, m in zip(whole, made[0])] == [True, True]
-    for w, s in zip(whole, stitched):
-        assert w.dtype == s.dtype and w.tobytes() == s.tobytes()
-        assert not any(np.shares_memory(out, x) for out in (w, s) for x in (a, b))
-
-
 # --------------------------------------------------------- array_derivative
 
 def test_derivative_of_constant_is_zero():

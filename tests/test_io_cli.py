@@ -305,7 +305,7 @@ def test_cli_family_verify_independent_of_band_height(tmp_path, capsys, monkeypa
     ref, banded = tmp_path / "ref", tmp_path / "banded"
     rc = _family_verify(ref, n1, n2)
     ref_out = capsys.readouterr().out.replace(str(ref), "<OUT>")
-    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
+    monkeypatch.setattr(grids, "_BAND_NODES", n2 * (n1 if rows == "all" else rows))
     assert _family_verify(banded, n1, n2) == rc
     assert capsys.readouterr().out.replace(str(banded), "<OUT>") == ref_out
     assert ((banded / "family_verify.csv").read_bytes()
@@ -315,7 +315,7 @@ def test_cli_family_verify_independent_of_band_height(tmp_path, capsys, monkeypa
 def _seven_row_bands(monkeypatch, poison):
     """family-verify on a 37x53 annulus in bands of 7 rows; poison(patch,
     theta_index, band_index) edits each band's chain-rule patch in place."""
-    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", 7 * 53)
+    monkeypatch.setattr(grids, "_BAND_NODES", 7 * 53)
     bands = grids._row_bands(37, 53)
     calls = [0]
     partials = cli.chain_rule_partials
@@ -414,6 +414,14 @@ def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
     ["residuals", "--n", "30", "40", "50"],
     ["generate", "--formats", ",", "--n", "8"],   # empty format list
     ["family-verify", "--rapidity", "0.8", "9.0"],   # boost_delta has one rapidity
+    ["generate", "--surface", "", "--n", "8"],   # unknown surface id
+    ["generate", "--formats", "", "--n", "8"],   # empty format list
+    ["generate", "--config", "", "--n", "8"],   # cannot read config file
+    ["generate", "--kappa", "0"],   # R vanishes: a point surface
+    ["family-verify", "--kappa", "0", "--formats", "csv"],
+    ["residuals", "--kappa", "0"],
+    ["generate", "--surface", "general_enneper", "--a", "0", "--b", "0"],
+    ["generate", "--a", "inf"],   # not finite, though the catenoid ignores a
 ])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
-from wesurf import geometry, grids, pde
+from wesurf import grids, pde
 from wesurf.family import real_member
 from wesurf.pde import PDEError, wick_substitute
 
-from oracles import catenoid_graph_fns, surface_from_components, t_reflect
+from oracles import catenoid_graph_fns, surface_from_components, surface_rows, t_reflect
 
 
 def xt_mesh(x0, x1, t0, t1, n=41):
@@ -59,54 +60,31 @@ def test_degenerate_chart_nodes_are_dropped_and_counted():
     assert rep.node_count == p.valid_mask.sum()
 
 
-# ----------------------------------------------------------------- row blocks
+# ---------------------------------------------------------------------- bands
 
-def _nodewise_bytes(s):
-    """Bytes of every blocked kernel's output on surface `s`, both routes."""
-    lb = ws.LorentzBoost(0.8)
-    out = []
-    for second_source in ("analytic", "fd"):
-        p = ws.chain_rule_partials(s, second_source=second_source)
-        pb = ws.boost(p, lb)
-        for patch in (p, pb):
-            out += [a.tobytes() for a in (patch.x, patch.t, patch.phi, patch.phi_x,
-                                          patch.phi_t, patch.phi_xx, patch.phi_xt,
-                                          patch.phi_tt, patch.valid_mask, patch.jacobian_det)]
-        out += [repr(ws.born_infeld_residual(p)), repr(ws.minimal_surface_residual(p)),
-                repr(ws.born_infeld_residual(pb))]
-    return out
+def _band_outputs(s):
+    """The nodewise outputs a band of the theta sweep computes on `s`: the
+    analytic chain rule and its boost (the fd route is never banded)."""
+    p = ws.chain_rule_partials(s, second_source="analytic")
+    pb = ws.boost(p, ws.LorentzBoost(0.8))
+    return [getattr(q, name) for q in (p, pb)
+            for name in ("x", "t", "phi", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt",
+                         "valid_mask", "jacobian_det")]
 
 
 @pytest.mark.parametrize("rows", [1, 7, "all"])
 def test_nodewise_kernels_independent_of_row_block(s_theta_annulus, monkeypatch, rows):
-    reference = _nodewise_bytes(s_theta_annulus)
+    """Each band's outputs are rows i:j of the whole grid's, byte for byte.
+    rows=1 asks for one-row bands, which `_row_bands` widens to 3 rows."""
     n1, n2 = s_theta_annulus.grid.shape
-    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
-    assert _nodewise_bytes(s_theta_annulus) == reference
-
-
-@pytest.mark.parametrize("rows", [1, 7, "all"])
-def test_row_block_kernels_return_fresh_arrays(s_theta_annulus, monkeypatch, rows):
-    """Every blocked kernel's outputs share no memory with its inputs or with
-    each other: one block hands them back as they are, with no stitch copy."""
-    calls = []
-
-    def checked(kernel, *arrays):
-        outs = grids._by_row_blocks(kernel, *arrays)
-        for k, out in enumerate(outs):
-            assert not any(np.shares_memory(out, a) for a in arrays)
-            assert not any(np.shares_memory(out, o) for o in outs[k + 1:])
-        calls.append(kernel.__qualname__)
-        return outs
-
-    for module in (pde, geometry):
-        monkeypatch.setattr(module, "_by_row_blocks", checked)
-    n1, n2 = s_theta_annulus.grid.shape
-    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
-    _nodewise_bytes(s_theta_annulus)
-    ws.fundamental_form(s_theta_annulus, "wick_signed")
-    assert {name.split(".")[0] for name in calls} == {
-        "chain_rule_partials", "boost", "_residual", "fundamental_form"}
+    monkeypatch.setattr(grids, "_BAND_NODES", n2 * (n1 if rows == "all" else rows))
+    bands = grids._row_bands(n1, n2)
+    assert bands[0] == (0, n1 if rows == "all" else max(3, rows))
+    whole = _band_outputs(s_theta_annulus)
+    for i, j in bands:
+        for band, a in zip(_band_outputs(surface_rows(s_theta_annulus, i, j)), whole,
+                           strict=True):
+            assert band.dtype == a.dtype and band.tobytes() == a[i:j].tobytes(), (i, j)
 
 
 # ------------------------------------------------------------------ residuals
@@ -286,11 +264,13 @@ def generated_family(request):
 def test_real_member_route_gives_s_theta_bits(generated_family, monkeypatch, rows):
     """The chain rule on S_theta's real member X in float, Wick-substituted,
     is the chain rule on S_theta; X's minimal residual is S_theta's
-    Born-Infeld residual (the node sets are the same)."""
+    Born-Infeld residual (the node sets are the same).  Both run on each
+    band of the theta sweep, as `family-verify` runs them."""
     n1, n2 = generated_family.grid.shape
-    monkeypatch.setattr(grids, "_ROW_BLOCK_NODES", n2 * (n1 if rows == "all" else rows))
-    for theta in (0.0, 0.3, math.pi / 2, math.pi, 4.5):
-        S = generated_family.at(theta)
+    monkeypatch.setattr(grids, "_BAND_NODES", n2 * (n1 if rows == "all" else rows))
+    for theta, (i, j) in itertools.product((0.0, 0.3, math.pi / 2, math.pi, 4.5),
+                                           grids._row_bands(n1, n2)):
+        S = generated_family.rows(i, j).at(theta)
         for z in (S.values, S.jac, S.jac2):  # real_member reads the other parts
             assert not (np.any(z[0].imag) or np.any(z[1].real) or np.any(z[2].imag))
         X = real_member(S)
@@ -303,11 +283,11 @@ def test_real_member_route_gives_s_theta_bits(generated_family, monkeypatch, row
         substituted = wick_substitute(float_route)
         for name in ("phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt"):
             assert _same_nonzero_bits(getattr(complex_route, name)[keep],
-                                      getattr(substituted, name)[keep]), (theta, name)
+                                      getattr(substituted, name)[keep]), (theta, i, name)
         bi = ws.born_infeld_residual(complex_route)
         minimal = ws.minimal_surface_residual(float_route)
         assert (minimal.max_abs, minimal.mean_abs, minimal.rms) == (bi.max_abs, bi.mean_abs,
-                                                                    bi.rms), theta
+                                                                    bi.rms), (theta, i)
 
 
 def test_wick_substitution_transforms_derivative_data():
