@@ -55,6 +55,7 @@ RUNS = (
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "83", "200",   # 81-row band + 2 rows
      "--formats", "csv"],
     ["family-verify", "--rapidity", "6", "--formats", "csv"],   # boost_delta breach, exit 1
+    ["family-verify", "--theta", "0.7", "--formats", "csv"],   # one theta: all-zero series
     ["family-verify", "--surface", "scherk", "--formats", "csv"],
     ["family-verify", "--surface", "schwarz_riemann", "--rapidity", "1.2",
      "--theta", "0", "0.4", "2.5", "--formats", "csv"],
@@ -64,6 +65,8 @@ RUNS = (
     ["residuals", "--surface", "catenoid", "--n", "131", "257"],   # fd route, > 256 KiB
     ["residuals", "--surface", "henneberg"],   # flip_t through generate
     ["residuals", "--surface", "general_enneper"],
+    ["residuals", "--surface", "enneper", "--rect", "-1", "1", "-1", "1",   # dropped nodes,
+     "--n", "41"],                                                          # exit 1
     ["boost-check"],
     ["boost-check", "--rapidity", "0.2", "0.8", "1.5"],
     ["export"],

@@ -153,10 +153,16 @@ def _config_values(cp: configparser.ConfigParser) -> dict:
     if cp.has_section("output"):
         o = cp["output"]
         if "dir" in o:
-            out["out_dir"] = Path(o["dir"])
+            out["out_dir"] = _out_dir(o["dir"])
         if "formats" in o:
             out["formats"] = tuple(v.strip() for v in o["formats"].split(",") if v.strip())
     return out
+
+
+def _out_dir(value: str) -> Path:
+    if not value:  # Path("") is the working directory
+        raise ConfigError("output directory must not be empty")
+    return Path(value)
 
 
 def _build_config(args) -> RunConfig:
@@ -199,8 +205,8 @@ def _build_config(args) -> RunConfig:
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
-    if getattr(args, "out", None):
-        cfg.out_dir = Path(args.out)
+    if getattr(args, "out", None) is not None:
+        cfg.out_dir = _out_dir(args.out)
     if os.environ.get("WESURF_OUT"):
         cfg.out_dir = Path(os.environ["WESURF_OUT"])
     if getattr(args, "formats", None) is not None:
@@ -305,9 +311,9 @@ def cmd_family_verify(cfg: RunConfig) -> int:
     spread = (np.max(actions) - np.min(actions)) / max(abs(np.median(actions)), 1e-300)
     checks = [
         ("max_bi_residual", np.max(column["max_bi_residual"]), cfg.resid_tol),
-        ("e_deviation", sweep.e_deviation.max_abs, cfg.dev_tol),
-        ("g_deviation", sweep.g_deviation.max_abs, cfg.dev_tol),
-        ("max_f_abs", sweep.f_max, cfg.f_tol),
+        ("e_deviation", np.max(column["e_deviation"]), cfg.dev_tol),
+        ("g_deviation", np.max(column["g_deviation"]), cfg.dev_tol),
+        ("max_f_abs", np.max(column["max_f_abs"]), cfg.f_tol),
         ("action_rel_spread", spread, cfg.action_rel_tol),
         ("boost_delta", np.max(column["boost_delta"]), cfg.boost_tol),
     ]
@@ -333,18 +339,16 @@ def cmd_residuals(cfg: RunConfig) -> int:
     # tolerance for the pole-adjacent entries
     patch = chain_rule_partials(X, first_source="auto", accuracy=6, second_source="fd")
     mres = minimal_surface_residual(patch)
-    wres = wick_equivalence_check(patch)
-    rows = [["minimal", mres.max_abs, mres.mean_abs, mres.rms, mres.node_count,
-             patch.dropped_count],
-            ["born_infeld_wick", wres.max_abs, wres.mean_abs, wres.rms,
-             wres.node_count, patch.dropped_count]]
+    reports = (("minimal", mres), ("born_infeld_wick", wick_equivalence_check(patch)))
+    rows = [[kind, rep.max_abs, rep.mean_abs, rep.rms, rep.node_count, rep.dropped_count]
+            for kind, rep in reports]
     out = write_report_csv(cfg.out_dir / f"{cfg.surface}_residuals.csv",
                            ["kind", "max_abs", "mean_abs", "rms", "nodes", "dropped"],
                            rows)
     print(out)
     print(f"minimal residual max {mres.max_abs:.3e} (tol {cfg.resid_tol:.1e})")
     status = 0
-    for kind, report in (("minimal", mres), ("born_infeld_wick", wres)):
+    for kind, report in reports:
         if not report.max_abs <= cfg.resid_tol:  # NaN fails
             print(f"tolerance breach: {kind} {report.max_abs:.3e} (tol {cfg.resid_tol:.1e})",
                   file=sys.stderr)

@@ -30,7 +30,6 @@ import numpy as np
 from . import grids
 from .family import real_member
 from .grids import ParamGrid, SurfaceGrid, surface_jacobian
-from .reports import ResidualReport, residual_report
 
 Signature = Literal["euclidean", "wick_signed"]
 
@@ -73,27 +72,15 @@ def fundamental_form(s: SurfaceGrid, signature: Signature = "euclidean",
 
 @dataclass(frozen=True)
 class ThetaInvarianceReport:
-    """Deviation of E^s, G^s from the first theta's arrays, and max |F^s|.
+    """Per-theta series of a sweep, in the order of `thetas`: max |E - E_0|,
+    max |G - G_0| and max |F| at each theta, and the action of each theta's
+    form (E_0, G_0 are the first theta's arrays)."""
 
-    The per-theta series follow `thetas`: max |E - E_0|, max |G - G_0| and
-    max |F| at each theta, and the action of each theta's form.
-    """
-
-    e_deviation: ResidualReport
-    g_deviation: ResidualReport
-    f_max: float
     thetas: tuple[float, ...]
-    e_devs: tuple[float, ...] = ()
-    g_devs: tuple[float, ...] = ()
-    f_abs: tuple[float, ...] = ()
-    actions: tuple[float, ...] = ()
-
-
-def _fold_abs(running: np.ndarray, diff: np.ndarray) -> float:
-    """Fold |diff| into the running nodewise maximum; return max |diff|."""
-    mag = np.abs(diff)
-    np.maximum(running, mag, out=running)
-    return float(np.max(mag))
+    e_devs: tuple[float, ...]
+    g_devs: tuple[float, ...]
+    f_abs: tuple[float, ...]
+    actions: tuple[float, ...]
 
 
 def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
@@ -120,7 +107,6 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
     grid = fam.grid
     bands = grids._row_bands(*grid.shape) if fam.jac is not None else [(0, grid.n1)]
     E, F, G, E0, G0 = (np.empty(grid.shape) for _ in range(5))
-    e_dev, g_dev = np.zeros(grid.shape), np.zeros(grid.shape)
     series = []
     for t in thetas:
         e_abs = g_abs = f_abs = 0.0
@@ -131,8 +117,8 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
             if not series:
                 E0[rows], G0[rows] = form.E, form.G
             # np.maximum, not max(): a NaN in any band must reach the series
-            e_abs = np.maximum(e_abs, _fold_abs(e_dev[rows], form.E - E0[rows]))
-            g_abs = np.maximum(g_abs, _fold_abs(g_dev[rows], form.G - G0[rows]))
+            e_abs = np.maximum(e_abs, np.max(np.abs(form.E - E0[rows])))
+            g_abs = np.maximum(g_abs, np.max(np.abs(form.G - G0[rows])))
             f_abs = np.maximum(f_abs, np.max(np.abs(form.F)))
             E[rows], F[rows], G[rows] = form.E, form.F, form.G
             del form
@@ -141,10 +127,7 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
             del member  # free this band before the next is built
         a = action(FundamentalForm(E, F, G, "wick_signed", grid), grid)
         series.append((float(e_abs), float(g_abs), float(f_abs), a))
-    e_devs, g_devs, f_abs, actions = zip(*series)
-    return ThetaInvarianceReport(residual_report(e_dev), residual_report(g_dev),
-                                 float(np.max(f_abs)), thetas,
-                                 e_devs, g_devs, f_abs, actions)
+    return ThetaInvarianceReport(thetas, *zip(*series))
 
 
 def action(form: FundamentalForm, grid: ParamGrid) -> float:

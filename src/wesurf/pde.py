@@ -62,8 +62,8 @@ class NonparametricPatch:
     """Samples of phi(x, t) with first and second partials.
 
     valid_mask marks nodes whose Jacobian inversion was well conditioned;
-    statistics ignore the rest (dropped_count of them).  jacobian_det is
-    kept for change-of-variables quadrature.
+    statistics ignore the rest (a ResidualReport counts them).  jacobian_det
+    is kept for change-of-variables quadrature.
     """
 
     x: np.ndarray
@@ -76,14 +76,12 @@ class NonparametricPatch:
     phi_tt: np.ndarray
     valid_mask: np.ndarray
     jacobian_det: np.ndarray | None = None
-    dropped_count: int = field(init=False)
 
     def __post_init__(self):
         fields = (self.x, self.t, self.phi, self.phi_x, self.phi_t,
                   self.phi_xx, self.phi_xt, self.phi_tt)
         if not all(np.all(np.isfinite(a), where=self.valid_mask) for a in fields):
             raise PDEError("non-finite derivative data at retained nodes")
-        self.dropped_count = int(self.valid_mask.size - self.valid_mask.sum())
 
 
 def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
@@ -199,9 +197,8 @@ def wick_catenoid_graph_fns() -> dict:
 
 
 def _residual(p: NonparametricPatch, born_infeld: bool) -> ResidualReport:
-    """Minimal-surface or Born-Infeld residual report, scaled by the sum of
-    the moduli of the equation's own three terms, so that Wick-substituted
-    data has the minimal residual's relative statistic too."""
+    """Minimal-surface or Born-Infeld residual report over the patch's
+    valid nodes."""
     phi_x, phi_t, phi_xx, phi_xt, phi_tt = p.phi_x, p.phi_t, p.phi_xx, p.phi_xt, p.phi_tt
     qx = 1 + phi_x ** 2
     mixed = 2 * phi_x * phi_t * phi_xt
@@ -211,9 +208,7 @@ def _residual(p: NonparametricPatch, born_infeld: bool) -> ResidualReport:
     else:
         qt = 1 + phi_t ** 2
         res = qt * phi_xx - mixed + qx * phi_tt
-    scale = (np.abs(qt) * np.abs(phi_xx) + 2 * np.abs(phi_x * phi_t * phi_xt)
-             + np.abs(qx) * np.abs(phi_tt))
-    return residual_report(res, p.valid_mask, scale)
+    return residual_report(res, p.valid_mask)
 
 
 def minimal_surface_residual(p: NonparametricPatch) -> ResidualReport:

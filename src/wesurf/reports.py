@@ -11,18 +11,14 @@ _RMS_SLACK = 1.0 + 4 * np.finfo(float).eps  # max_abs * _RMS_SLACK: 4 to 8 ulps 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """max/mean/RMS of |residual| over the retained nodes of a grid check.
-
-    max_rel, when present, is the largest residual normalized by the local
-    magnitude of the equation's terms (useful where derivatives blow up).
-    """
+    """max/mean/RMS of |residual| over the retained nodes of a grid check,
+    and the count of nodes the mask dropped."""
 
     max_abs: float
     mean_abs: float
     rms: float
     node_count: int
     worst_node: tuple[int, int]
-    max_rel: float | None = None
     dropped_count: int = 0
 
     def __post_init__(self):
@@ -32,28 +28,17 @@ class ResidualReport:
             raise ValueError("inconsistent residual statistics (need max >= rms >= 0)")
 
 
-def residual_report(residual: np.ndarray, mask: np.ndarray | None = None,
-                    scale: np.ndarray | None = None) -> ResidualReport:
-    """Build a ResidualReport from a 2-D residual array.
-
-    mask selects retained nodes (True = keep); scale, if given, is the local
-    term-magnitude array used for the relative statistic.
-    """
+def residual_report(residual: np.ndarray, mask: np.ndarray | None = None) -> ResidualReport:
+    """Build a ResidualReport from a 2-D residual array; mask selects the
+    retained nodes (True = keep)."""
     mag = np.abs(residual).astype(float, copy=False)  # a fresh float array: written below
     if mask is None:
         mask = np.ones(mag.shape, dtype=bool)
     kept = int(np.count_nonzero(mask))
     dropped = int(mask.size - kept)
     if not kept:
-        return ResidualReport(np.nan, np.nan, np.nan, 0, (-1, -1), None, dropped)
+        return ResidualReport(np.nan, np.nan, np.nan, 0, (-1, -1), dropped)
     sel = mag[mask]
-    max_rel = None
-    if scale is not None:
-        rel = np.abs(scale).astype(float, copy=False)
-        rel += 1.0
-        np.divide(mag, rel, out=rel)
-        max_rel = float(np.max(rel, where=mask, initial=-np.inf))
-        del rel
     mag[~mask] = -np.inf  # dropped nodes never win the argmax; the first NaN does
     worst = np.unravel_index(int(np.argmax(mag)), mag.shape)
     max_abs, mean_abs = float(sel.max()), float(sel.mean())
@@ -64,7 +49,6 @@ def residual_report(residual: np.ndarray, mask: np.ndarray | None = None,
         rms=float(np.sqrt(np.mean(sel))),
         node_count=kept,
         worst_node=(int(worst[0]), int(worst[1])),
-        max_rel=max_rel,
         dropped_count=dropped,
     )
 

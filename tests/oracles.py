@@ -59,8 +59,8 @@ def check_reality(pair: FGPair, samples, tol: float = 1e-12) -> float:
 
 
 def max_deviation(report: ThetaInvarianceReport) -> float:
-    """The larger of a theta sweep's E and G deviations (NaN if either is)."""
-    return float(np.maximum(report.e_deviation.max_abs, report.g_deviation.max_abs))
+    """The largest E or G deviation of a theta sweep (NaN if any is)."""
+    return float(np.max([report.e_devs, report.g_devs]))
 
 
 def quad_triangles(n1: int, n2: int) -> list[tuple[int, int, int]]:

@@ -367,11 +367,11 @@ def test_cli_family_verify_nan_in_a_later_band_fails(tmp_path, capsys, monkeypat
     calls = [0]
     report = pde.residual_report
 
-    def wrapped(res, mask, scale):
+    def wrapped(res, mask):
         if calls[0] == poisoned_call:
             res[np.unravel_index(np.argmax(mask), mask.shape)] = math.nan
         calls[0] += 1
-        return report(res, mask, scale)
+        return report(res, mask)
     monkeypatch.setattr(pde, "residual_report", wrapped)
     assert _family_verify(tmp_path, 37, 53) == 1
     out, err = capsys.readouterr()
@@ -422,9 +422,11 @@ def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
     ["residuals", "--kappa", "0"],
     ["generate", "--surface", "general_enneper", "--a", "0", "--b", "0"],
     ["generate", "--a", "inf"],   # not finite, though the catenoid ignores a
+    ["generate", "--n", "8", "--formats", "csv", "--out", ""],   # Path("") is the cwd
 ])
-def test_cli_invalid_input_exits_2(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # a run that writes into the cwd shows up too
+    assert main(argv if "--out" in argv else argv + ["--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not any(tmp_path.iterdir())
 
@@ -585,6 +587,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
     "[grid]\nn1 = x\n",
     "[tolerances]\nresid_tol = nope\n",
     "kappa = 1.0\n",   # no section header
+    "[output]\ndir =\n",   # Path("") is the cwd
 ])
 def test_cli_malformed_config_file_exits_2(tmp_path, capsys, text):
     cfgfile = tmp_path / "bad.ini"
@@ -600,6 +603,12 @@ def test_cli_empty_format_list_in_config_file_exits_2(tmp_path, capsys):
     assert main(["generate", "--config", str(cfgfile), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_empty_output_dir_env_var_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("WESURF_OUT", "")
+    assert main(["export", "--format", "csv", "--n", "8", "--out", str(tmp_path)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["catenoid.csv"]
 
 
 def test_cli_env_var_overrides_output_dir(tmp_path, monkeypatch):
