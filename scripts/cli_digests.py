@@ -4,8 +4,11 @@
 Each run calls `wesurf.cli.main` in-process with `--out` pointing at a fresh
 temporary directory, then records the exit code, the digest of every file
 written there, and the digests of stdout and stderr (with the output
-directory replaced by `<OUT>`).  The result is printed as one JSON object
-keyed by the run's argv.
+directory replaced by `<OUT>`).  No CLI run reaches the library's F/G
+certificate, so `scripts/verify_all.py` is run the same way: its
+`family_checks.csv` holds the certificate (`relations_mismatch`).  The
+result is printed as one JSON object keyed by the run's argv (the script's
+name for verify_all.py).
 
 Compare two checkouts by running the script against each source tree and
 diffing the output:
@@ -23,6 +26,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import verify_all
 from wesurf.cli import main
 
 RUNS = (
@@ -81,12 +85,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_run(argv: list[str]) -> dict:
+def digest_run(argv: list[str], entry=main) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main([*argv, "--out", tmp])
+                code = entry([*argv, "--out", tmp])
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
         root = Path(tmp)
@@ -99,4 +103,5 @@ def digest_run(argv: list[str]) -> dict:
 if __name__ == "__main__":
     os.environ.pop("WESURF_OUT", None)  # it would override --out
     digests = {" ".join(run): digest_run(run) for run in RUNS}
+    digests["scripts/verify_all.py"] = digest_run([], verify_all.main)
     print(json.dumps(digests, indent=1, sort_keys=True))

@@ -10,6 +10,12 @@ written with a holomorphic F and antiholomorphic G = conj . F . conj as
 The helicoid has F(r) = i/(2r), the catenoid F(r) = 1/(2r), the Enneper
 surface F(r) = r; those closed forms double as oracles for the quadrature
 generator and as the ingredients of the theta-family of solitons.
+
+For a pair with the reality condition G = conj . F . conj, the two integrals
+of G' over the conjugate plane are the complex conjugates of those of F':
+`fg_integrals` takes them as such, bit for bit the values a conjugate-plane
+sweep would give, after checking the condition at every grid node.  A pair
+that claims it falsely raises HodographError there.
 """
 
 from __future__ import annotations
@@ -80,8 +86,26 @@ def fg_integrals(pair: FGPair, grid: ParamGrid, base: complex,
     integrals taken from `base` (so they vanish there).  `singularities`
     are the poles of F' and G'; the quadrature picks each chain's order
     from them, and with none declared every chain runs 32 points.
+
+    When the pair claims the reality constraint, only F' is integrated: the
+    conjugate-plane sweep mirrors every path and node of the first (the
+    weights are real), so its integrals of G' = conj . F' . conj are the
+    conjugates of those of F'.  They are taken as such, bit for bit the
+    mirrored sweep's values: an exactly zero imaginary part, which a sweep
+    gives as +0 and np.conj turns into -0, is set back to +0.  The claim is
+    checked first at every grid node: if any |G'(conj r) - conj F'(r)|
+    exceeds REAL_IMAG_TOL (1 + |F'(r)|), or is NaN, HodographError names
+    the pair.  A pair without the claim runs the conjugate-plane sweep of G'.
     """
     r = grid.nodes()
+    rb = np.conj(r)
+    if pair.reality_constraint:
+        fp = pair.Fp(r)
+        defect = np.abs(pair.Gp(rb) - np.conj(fp))
+        if not np.all(defect <= REAL_IMAG_TOL * (1 + np.abs(fp))):
+            raise HodographError(
+                f"FG pair {pair.label or '?'} claims the reality constraint but "
+                f"G'(conj r) != conj F'(r) at a grid node")
 
     # (s^2 d, s d) for d = F'(s) or G'(s), written into one array
     def weighted(deriv):
@@ -93,10 +117,14 @@ def fg_integrals(pair: FGPair, grid: ParamGrid, base: complex,
             return out
         return f
 
-    A, P = antiderivative_on_grid(weighted(pair.Fp), base, grid, singularities)
-    B, Q = antiderivative_on_grid(weighted(pair.Gp), base, grid, singularities,
-                                  conjugate_plane=True)
-    return pair.F(r) - B, pair.G(np.conj(r)) - A, P + Q
+    A, P = AP = antiderivative_on_grid(weighted(pair.Fp), base, grid, singularities)
+    if pair.reality_constraint:
+        B, Q = BQ = np.conj(AP)
+        BQ.imag += 0.0  # a sweep's exact zeros are +0; conj made them -0
+    else:
+        B, Q = antiderivative_on_grid(weighted(pair.Gp), base, grid, singularities,
+                                      conjugate_plane=True)
+    return pair.F(r) - B, pair.G(rb) - A, P + Q
 
 
 def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,

@@ -58,6 +58,27 @@ def check_reality(pair: FGPair, samples, tol: float = 1e-12) -> float:
     return defect
 
 
+def fg_integrals_two_sweeps(pair: FGPair, grid: ParamGrid, base: complex,
+                            singularities=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`hodograph.fg_integrals` with both grid sweeps run explicitly: F' on
+    the plane and G' on the conjugate plane, whatever the pair claims."""
+    r = grid.nodes()
+
+    def weighted(deriv):
+        def f(s):
+            d = deriv(s)
+            out = np.empty((2,) + s.shape, dtype=complex)
+            np.multiply(s ** 2, d, out=out[0])
+            np.multiply(s, d, out=out[1])
+            return out
+        return f
+
+    A, P = antiderivative_on_grid(weighted(pair.Fp), base, grid, singularities)
+    B, Q = antiderivative_on_grid(weighted(pair.Gp), base, grid, singularities,
+                                  conjugate_plane=True)
+    return pair.F(r) - B, pair.G(np.conj(r)) - A, P + Q
+
+
 def max_deviation(report: ThetaInvarianceReport) -> float:
     """The largest E or G deviation of a theta sweep (NaN if any is)."""
     return float(np.max([report.e_devs, report.g_devs]))

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import wesurf as ws
+from wesurf import hodograph
 from wesurf.hodograph import HodographError
 
 from conftest import rng_points
-from oracles import check_reality, nearest_node
+from oracles import check_reality, fg_integrals_two_sweeps, nearest_node
 
 
 # ------------------------------------------------------------- closed forms
@@ -135,3 +137,77 @@ def test_fg_roundtrip_recovers_F(annulus_grid):
     expected = pair.F(r)
     shift = (expected - recovered)[0, 0]
     assert np.max(np.abs(recovered + shift - expected)) < 1e-10
+
+
+# ------------------------------------------ one sweep for a real pair
+
+FG_GRIDS = [  # (grid, base)
+    (ws.ParamGrid("annulus", 24, 40, (0.4, 0.9, 0.0, 2 * math.pi)), 0.65),
+    (ws.ParamGrid("annulus", 21, 33, (0.3, 0.95, -1.0, 2.0)), 0.8 + 0.3j),
+    (ws.ParamGrid("rectangle", 25, 31, (0.2, 1.0, -0.7, 0.9)), 0.5 + 0.1j),
+]
+# base 0 puts chains on both axes, where integrals have exactly zero
+# imaginary parts whose signs a plain conj of the first sweep would flip
+ENNEPER_GRID = (ws.ParamGrid("rectangle", 23, 29, (-1.0, 1.0, -1.0, 1.0)), 0.0)
+FG_THETAS = (0.0, 0.3, 0.7, math.pi / 2, 2.5, 4.0)
+
+
+def _real_pairs():
+    hc = (ws.helicoid_fg(), ws.catenoid_fg())
+    en = (ws.enneper_fg(), ws.enneper_conjugate_fg())
+    cases = [(p, [0.0]) for p in hc] + [(p, []) for p in en]
+    cases += [(ws.family_fg(*hc, th), [0.0]) for th in FG_THETAS]
+    cases += [(ws.family_fg(*en, th), []) for th in FG_THETAS]
+    return cases
+
+
+def _spy_sweeps(monkeypatch) -> list[bool]:
+    """The conjugate_plane flag of every grid sweep fg_integrals runs."""
+    calls = []
+    sweep = hodograph.antiderivative_on_grid
+
+    def spy(*args, conjugate_plane=False, **kwargs):
+        calls.append(conjugate_plane)
+        return sweep(*args, conjugate_plane=conjugate_plane, **kwargs)
+
+    monkeypatch.setattr(hodograph, "antiderivative_on_grid", spy)
+    return calls
+
+
+@pytest.mark.parametrize("pair, sing", _real_pairs(),
+                         ids=[p.label for p, _ in _real_pairs()])
+def test_real_pair_integrates_once_with_the_bits_of_two_sweeps(monkeypatch, pair, sing):
+    calls = _spy_sweeps(monkeypatch)
+    grids = FG_GRIDS + ([] if sing else [ENNEPER_GRID])
+    for grid, base in grids:
+        got = ws.fg_integrals(pair, grid, base, sing)
+        want = fg_integrals_two_sweeps(pair, grid, base, sing)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()  # signs of zero included
+    assert calls == [False] * len(grids)
+
+
+def test_false_reality_claim_fails_closed(monkeypatch):
+    grid, base = FG_GRIDS[0]
+    theta = 0.3
+    S = ws.SolitonFamily(ws.helicoid_closed(grid), ws.catenoid_closed(grid)).at(theta)
+    pair = ws.family_fg(ws.helicoid_fg(), ws.catenoid_fg(), theta)
+    nudged = dataclasses.replace(pair, Gp=lambda s: pair.Gp(s) * (1 + 1e-6),
+                                 label="nudged")
+    with pytest.raises(HodographError, match="nudged"):
+        ws.verify_soliton_relations(S, nudged, singularities=[0.0])
+    with pytest.raises(HodographError, match="nudged"):
+        ws.surface_from_fg(nudged, grid, base, singularities=[0.0])
+
+    node = np.conj(grid.nodes()[5, 7])
+    holed = dataclasses.replace(
+        pair, Gp=lambda s: np.where(s == node, np.nan, pair.Gp(s)), label="holed")
+    with pytest.raises(HodographError, match="holed"):
+        ws.verify_soliton_relations(S, holed, singularities=[0.0])
+
+    # without the claim, both sweeps run and the certificate sees the nudge
+    calls = _spy_sweeps(monkeypatch)
+    unclaimed = dataclasses.replace(nudged, reality_constraint=False)
+    assert ws.verify_soliton_relations(S, unclaimed, singularities=[0.0]).max_mismatch > 1e-8
+    assert calls == [False, True]
