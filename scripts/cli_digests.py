@@ -43,6 +43,8 @@ RUNS = (
      "--formats", "csv"],                                            # grid lines
     ["generate", "--surface", "general_enneper",
      "--gamma-chart", "0.4", "2.0", "-0.8", "-0.2", "--n", "21"],
+    ["generate", "--surface", "enneper", "--n", "201",   # no declared singularity: the
+     "--formats", "csv"],                                # 32-point rule, ~40 chain groups
     ["family-verify"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "512", "--formats", "csv"],
     ["family-verify", "--surface", "right_helicoid", "--rapidity", "1.3"],

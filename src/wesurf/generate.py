@@ -55,6 +55,8 @@ class WEData:
 
     def __post_init__(self):
         object.__setattr__(self, "base", complex(self.base))
+        if not np.isfinite(self.base):
+            raise GenerateError(f"base point {self.base} is not finite")
         offs = tuple(float(v) for v in self.offsets)
         if len(offs) != 3 or not all(np.isfinite(offs)):
             raise GenerateError("offsets must be a finite real triple")

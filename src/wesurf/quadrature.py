@@ -27,12 +27,18 @@ write the product with `out=`, which keeps the operand order.
 `antiderivative_on_grid` evaluates F(r) = int_{base}^{r} f(w) dw at every
 grid node using a fixed path family (horizontal-then-vertical segments for
 rectangles, radial-then-angular sweeps for annuli) with cumulative chaining
-along each axis.  Each chain runs the smallest order in _CHAIN_ORDERS whose
-Gauss error bound on the Bernstein ellipse through the nearest declared
-singularity is negligible; a chain with no declared singularity runs the
-largest.  One pass over the distances from each singularity to the
-segments' ends checks the exclusion radius and picks the order (see
-`_chain_order`).  For holomorphic f the values are path
+along each axis.  Each chain is a row of waypoints, so the chain axis is
+the output's last axis.  A chain family (the one radial or horizontal
+chain, then all angular or vertical chains) streams in groups of whole
+chains, about _BLOCK_NODES nodes each: a group is integrated, cumulated
+and written straight into its rows of the output.  Besides the waypoints
+and the order pass's transient distances, the output is the only
+grid-sized array.  Each chain family runs the smallest order in
+_CHAIN_ORDERS whose Gauss error bound on the Bernstein ellipse through the
+nearest declared singularity is negligible; a family with no declared
+singularity runs the largest.  One pass over the distances from each
+singularity to the segments' ends checks the exclusion radius and picks
+the order (see `_chain_order`).  For holomorphic f the values are path
 independent on simply connected domains; on annuli the fixed family makes
 multivalued antiderivatives (log, fractional powers) pick a consistent
 branch, because path integration continues the branch automatically.
@@ -51,7 +57,7 @@ from .stencils import fixed_order_dot
 
 EXCLUSION_FRACTION = 1e-3  # exclusion radius = fraction * path length
 _ARC_MAX_STEP = 0.2        # max angular chord (radians) on annulus sweeps
-_BLOCK_NODES = 1 << 17     # quadrature nodes evaluated per integrand call
+_BLOCK_NODES = 1 << 15     # quadrature nodes evaluated per integrand call
 _CHAIN_ORDERS = (8, 16, 32)  # Gauss-Legendre orders a grid chain may run
 # Gauss error bound a chain's order must meet, per unit of max |f| on the
 # ellipse; that maximum is unknown, and six decades below round-off keep
@@ -255,37 +261,44 @@ def _chain_order(z0: np.ndarray, z1: np.ndarray, singularities, radius: float) -
     return order
 
 
-def _cumulative_chain(f, points: np.ndarray, base_index: int, singularities,
-                      radius: float) -> np.ndarray:
-    """Integral from points[base_index] to points[k], for every k.
+def _chains(f, points: np.ndarray, base_index: int, sel: np.ndarray, singularities,
+            radius: float, head=None) -> np.ndarray:
+    """Integral from points[..., base_index] to points[..., k], k in `sel`.
 
-    points: (m,) or (m, B) waypoints traversed in order (column-wise chains
-    for the 2-D case).  The chain axis stays at position -points.ndim of the
-    result, preceded by any leading axes a vector-valued integrand returns.
-    A row of segments that no chain moves along is not integrated.
+    points: (m,) for one chain or (B, m) for B chains, each traversed along
+    its row.  The result is lead + points.shape[:-1] + sel.shape, lead being
+    any leading axes a vector-valued integrand returns; `head` (lead + (B,)),
+    if given, is added to each row, as the first operand.  A step that no
+    chain moves along is not integrated.  Groups of whole chains, about
+    _BLOCK_NODES nodes each, are integrated, cumulated and written into
+    their rows of the result in turn.
     """
-    z0, z1 = points[:-1], points[1:]
-    keep = z1 != z0
-    if points.ndim > 1:
-        keep = np.any(keep, axis=tuple(range(1, points.ndim)))
+    rows = points.reshape(-1, points.shape[-1])
+    z0, z1 = rows[:, :-1], rows[:, 1:]
+    keep = np.any(z1 != z0, axis=0)
     every = bool(np.all(keep))
     if not every:
-        z0, z1 = z0[keep], z1[keep]
+        z0, z1 = z0[:, keep], z1[:, keep]
     order = _chain_order(z0, z1, singularities, radius)
-    if not len(z0):
-        return np.zeros(points.shape, dtype=complex)
-    ax = -points.ndim  # chain axis, counted from the end
-    vals = _segment_integrals(f, z0, z1, order)
-    out = np.empty(vals.shape[:vals.ndim + ax] + points.shape, dtype=complex)
-    segs = np.moveaxis(vals, ax, 0)
-    if not every:
-        segs = np.zeros((len(keep),) + segs.shape[1:], dtype=complex)
-        segs[keep] = np.moveaxis(vals, ax, 0)
-    cums = np.moveaxis(out, ax, 0)
-    cums[0] = 0
-    np.cumsum(segs, axis=0, out=cums[1:])
-    cums -= cums[base_index].copy()
-    return out
+    step = max(1, _BLOCK_NODES // (order * max(z0.shape[1], 1)))  # chains per group
+    out = None
+    for lo in range(0, len(rows), step):
+        group = slice(lo, lo + step)
+        segs = _segment_integrals(f, z0[group], z1[group], order)
+        if not every:
+            segs, vals = np.zeros(segs.shape[:-1] + keep.shape, dtype=complex), segs
+            segs[..., keep] = vals
+        cums = np.empty(segs.shape[:-1] + rows.shape[-1:], dtype=complex)
+        cums[..., 0] = 0
+        np.cumsum(segs, axis=-1, out=cums[..., 1:])
+        cums -= cums[..., base_index, None].copy()
+        if out is None:
+            out = np.empty(cums.shape[:-2] + (len(rows),) + sel.shape, dtype=complex)
+        if head is None:
+            out[..., group, :] = cums[..., sel]
+        else:
+            np.add(head[..., group, None], cums[..., sel], out=out[..., group, :])
+    return out.reshape(out.shape[:-2] + points.shape[:-1] + sel.shape)
 
 
 def _insert_sorted(values: np.ndarray, extra: float) -> tuple[np.ndarray, int]:
@@ -321,42 +334,31 @@ def antiderivative_on_grid(f, base: complex, grid: ParamGrid, singularities=(),
     variable.
     """
     base = complex(base)
-
-    if grid.kind == "rectangle":
-        a1, a2 = grid.axis1, grid.axis2
-        b1, b2 = base.real, base.imag
-        r1v, i1 = _insert_sorted(a1, b1)
-        r2v, i2 = _insert_sorted(a2, b2)
-        radius = EXCLUSION_FRACTION * ((r1v[-1] - r1v[0]) + (r2v[-1] - r2v[0]))
-        conj_sign = -1.0 if conjugate_plane else 1.0
-        # horizontal chain at height b2
-        hpts = r1v + 1j * conj_sign * b2
-        hcum = _cumulative_chain(f, hpts, i1, singularities, radius)
-        hsel = hcum[..., np.searchsorted(r1v, a1)]
-        # vertical chains over every column simultaneously
-        vpts = a1[None, :] + 1j * conj_sign * r2v[:, None]
-        vcum = _cumulative_chain(f, vpts, i2, singularities, radius)
-        vsel = vcum[..., np.searchsorted(r2v, a2), :]
-        return hsel[..., :, None] + np.moveaxis(vsel, -2, -1)
-
-    rho_b, psi_b = abs(base), float(np.angle(base))
-    if rho_b == 0:
-        raise QuadratureError("annulus sweeps need a nonzero base point")
-    rhos, ir = _insert_sorted(grid.axis1, rho_b)
-    psis_raw, _ = _insert_sorted(grid.axis2, psi_b)
-    psis = _subdivide(psis_raw, _ARC_MAX_STEP)
-    ip = int(np.searchsorted(psis, psi_b))
-    radius = EXCLUSION_FRACTION * ((rhos[-1] - rhos[0]) + rhos[-1] * (psis[-1] - psis[0]))
     conj_sign = -1.0 if conjugate_plane else 1.0
-    # radial chain at angle psi_b
-    rpts = rhos * np.exp(1j * conj_sign * psi_b)
-    rcum = _cumulative_chain(f, rpts, ir, singularities, radius)
-    rsel = rcum[..., np.searchsorted(rhos, grid.axis1)]
-    # angular chains (polyline chords along each circle), one per grid radius
-    apts = grid.axis1[None, :] * np.exp(1j * conj_sign * psis[:, None])
-    acum = _cumulative_chain(f, apts, ip, singularities, radius)
-    asel = acum[..., np.searchsorted(psis, grid.axis2), :]
-    return rsel[..., :, None] + np.moveaxis(asel, -2, -1)
+    if grid.kind == "rectangle":
+        r1v, i1 = _insert_sorted(grid.axis1, base.real)
+        r2v, i2 = _insert_sorted(grid.axis2, base.imag)
+        radius = EXCLUSION_FRACTION * ((r1v[-1] - r1v[0]) + (r2v[-1] - r2v[0]))
+        # horizontal chain at height base.imag, then one vertical chain per column
+        first = r1v + 1j * conj_sign * base.imag, i1, np.searchsorted(r1v, grid.axis1)
+        rest = (grid.axis1[:, None] + 1j * conj_sign * r2v[None, :], i2,
+                np.searchsorted(r2v, grid.axis2))
+    else:
+        rho_b, psi_b = abs(base), float(np.angle(base))
+        if rho_b == 0:
+            raise QuadratureError("annulus sweeps need a nonzero base point")
+        rhos, ir = _insert_sorted(grid.axis1, rho_b)
+        psis_raw, _ = _insert_sorted(grid.axis2, psi_b)
+        psis = _subdivide(psis_raw, _ARC_MAX_STEP)
+        ip = int(np.searchsorted(psis, psi_b))
+        radius = EXCLUSION_FRACTION * ((rhos[-1] - rhos[0]) + rhos[-1] * (psis[-1] - psis[0]))
+        # radial chain at angle psi_b, then one angular chain (polyline chords
+        # along the circle) per grid radius
+        first = rhos * np.exp(1j * conj_sign * psi_b), ir, np.searchsorted(rhos, grid.axis1)
+        rest = (grid.axis1[:, None] * np.exp(1j * conj_sign * psis[None, :]), ip,
+                np.searchsorted(psis, grid.axis2))
+    head = _chains(f, *first, singularities, radius)
+    return _chains(f, *rest, singularities, radius, head)
 
 
 __all__ = [

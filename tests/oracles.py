@@ -16,6 +16,7 @@ from wesurf.geometry import ThetaInvarianceReport
 from wesurf.grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_jacobian
 from wesurf.hodograph import FGPair, HodographError
 from wesurf.io_export import _faces
+from wesurf import quadrature
 from wesurf.pde import NonparametricPatch
 from wesurf.quadrature import (_CHAIN_ORDERS, PathNearSingularity, _joukowski_rho, _order_for,
                                _segment_singularity_distance, antiderivative_on_grid)
@@ -182,6 +183,73 @@ def chain_order_direct(z0: np.ndarray, z1: np.ndarray, singularities,
     if not len(singularities) or not np.any(z1 != z0):
         return _CHAIN_ORDERS[-1]
     return _order_for(_joukowski_rho(z0, z1, singularities))
+
+
+def cumulative_chain_columns(f, points: np.ndarray, base_index: int, singularities,
+                              radius: float) -> np.ndarray:
+    """Integral from points[base_index] to points[k] for every k, along axis 0
+    of (m,) or (m, B) points; leading integrand axes come first."""
+    z0, z1 = points[:-1], points[1:]
+    keep = z1 != z0
+    if points.ndim > 1:
+        keep = np.any(keep, axis=tuple(range(1, points.ndim)))
+    every = bool(np.all(keep))
+    if not every:
+        z0, z1 = z0[keep], z1[keep]
+    order = quadrature._chain_order(z0, z1, singularities, radius)
+    if not len(z0):
+        return np.zeros(points.shape, dtype=complex)
+    ax = -points.ndim  # chain axis, counted from the end
+    vals = quadrature._segment_integrals(f, z0, z1, order)
+    out = np.empty(vals.shape[:vals.ndim + ax] + points.shape, dtype=complex)
+    segs = np.moveaxis(vals, ax, 0)
+    if not every:
+        segs = np.zeros((len(keep),) + segs.shape[1:], dtype=complex)
+        segs[keep] = np.moveaxis(vals, ax, 0)
+    cums = np.moveaxis(out, ax, 0)
+    cums[0] = 0
+    np.cumsum(segs, axis=0, out=cums[1:])
+    cums -= cums[base_index].copy()
+    return out
+
+
+def antiderivative_on_grid_columns(f, base: complex, grid: ParamGrid, singularities=(),
+                                   conjugate_plane: bool = False) -> np.ndarray:
+    """`quadrature.antiderivative_on_grid` with the chains as columns of
+    whole-family arrays: every chain family's segment integrals, cumulative
+    sums and selected nodes are grid-sized arrays, and the two families are
+    summed through a transpose.  The byte reference for the streamed
+    route."""
+    base = complex(base)
+    conj_sign = -1.0 if conjugate_plane else 1.0
+    if grid.kind == "rectangle":
+        a1, a2 = grid.axis1, grid.axis2
+        b1, b2 = base.real, base.imag
+        r1v, i1 = quadrature._insert_sorted(a1, b1)
+        r2v, i2 = quadrature._insert_sorted(a2, b2)
+        radius = quadrature.EXCLUSION_FRACTION * ((r1v[-1] - r1v[0]) + (r2v[-1] - r2v[0]))
+        hcum = cumulative_chain_columns(f, r1v + 1j * conj_sign * b2, i1, singularities, radius)
+        hsel = hcum[..., np.searchsorted(r1v, a1)]
+        vpts = a1[None, :] + 1j * conj_sign * r2v[:, None]
+        vcum = cumulative_chain_columns(f, vpts, i2, singularities, radius)
+        vsel = vcum[..., np.searchsorted(r2v, a2), :]
+        return hsel[..., :, None] + np.moveaxis(vsel, -2, -1)
+    rho_b, psi_b = abs(base), float(np.angle(base))
+    if rho_b == 0:
+        raise quadrature.QuadratureError("annulus sweeps need a nonzero base point")
+    rhos, ir = quadrature._insert_sorted(grid.axis1, rho_b)
+    psis_raw, _ = quadrature._insert_sorted(grid.axis2, psi_b)
+    psis = quadrature._subdivide(psis_raw, quadrature._ARC_MAX_STEP)
+    ip = int(np.searchsorted(psis, psi_b))
+    radius = quadrature.EXCLUSION_FRACTION * ((rhos[-1] - rhos[0])
+                                              + rhos[-1] * (psis[-1] - psis[0]))
+    rpts = rhos * np.exp(1j * conj_sign * psi_b)
+    rcum = cumulative_chain_columns(f, rpts, ir, singularities, radius)
+    rsel = rcum[..., np.searchsorted(rhos, grid.axis1)]
+    apts = grid.axis1[None, :] * np.exp(1j * conj_sign * psis[:, None])
+    acum = cumulative_chain_columns(f, apts, ip, singularities, radius)
+    asel = acum[..., np.searchsorted(psis, grid.axis2), :]
+    return rsel[..., :, None] + np.moveaxis(asel, -2, -1)
 
 
 def complex_laplacian(grid: ParamGrid, z: np.ndarray, accuracy: int) -> np.ndarray:

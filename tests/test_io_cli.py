@@ -423,11 +423,19 @@ def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
     ["generate", "--surface", "general_enneper", "--a", "0", "--b", "0"],
     ["generate", "--a", "inf"],   # not finite, though the catenoid ignores a
     ["generate", "--n", "8", "--formats", "csv", "--out", ""],   # Path("") is the cwd
+    ["generate", "--base", "nan", "0"],   # a non-finite base point
+    ["generate", "--base", "0.5", "nan"],
+    ["generate", "--base", "inf", "0"],
+    ["family-verify", "--base", "nan", "0"],
+    ["residuals", "--base", "nan", "0"],
 ])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # a run that writes into the cwd shows up too
     assert main(argv if "--out" in argv else argv + ["--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--base" in argv:
+        assert "base point" in err, err
     assert not any(tmp_path.iterdir())
 
 

@@ -15,7 +15,7 @@ from wesurf.catalog import BranchRegionError, singularity_points
 from wesurf.generate import _integrand
 from wesurf.quadrature import PathNearSingularity, QuadratureError, _segment_integrals
 
-from oracles import chain_order_direct
+from oracles import antiderivative_on_grid_columns, chain_order_direct, cumulative_chain_columns
 
 finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=2,
                               allow_nan=False, allow_infinity=False)
@@ -94,6 +94,65 @@ def test_grid_antiderivative_independent_of_block_size(monkeypatch, sid, block):
         assert np.array_equal(got, want)
 
 
+def _two_components(w):
+    out = np.empty((2,) + w.shape, dtype=complex)
+    np.divide(1.0, w, out=out[0])
+    np.multiply(w, w, out=out[1])
+    return out
+
+
+def _layout_case(case):
+    """(integrand, base, grid, singularities, conjugate_plane) of one case."""
+    if case.startswith("catalog"):
+        _, sid, refine = case.split(":")
+        data = ws.we_data(sid)
+        return (_integrand(data.R), data.base, ws.verification_grid(sid, refine=int(refine)),
+                singularity_points(data.R), False)
+    catenoid = _integrand(ws.we_data("catenoid").R)
+    sector = ws.ParamGrid("annulus", 21, 40, (0.4, 0.9, 2.5, 3.8))  # psi passes pi
+    rect = ws.ParamGrid("rectangle", 37, 29, (-0.3, 0.5, -0.2, 0.6))
+    return {
+        "annulus-256": (catenoid, 1.0, ws.default_annulus(0.4, 0.9, 256, 256), [0.0], False),
+        "sector-base-off-grid": (catenoid, 0.6317 * np.exp(2.9313j), sector, [0.0], False),
+        "rectangle-base-off-grid": (catenoid, 0.0131 - 0.0217j, rect, [0.0], False),
+        "conjugate-plane": (lambda s: s ** 2 / (s - 0.1j), 0.7 + 0.1j, sector, [-0.1j], True),
+        "two-components": (_two_components, 0.3 + 0.05j, rect, [0.0], False),
+    }[case]
+
+
+LAYOUT_CASES = [f"catalog:{sid}:{refine}" for sid in CATALOG for refine in (1, 2)] + [
+    "annulus-256", "sector-base-off-grid", "rectangle-base-off-grid", "conjugate-plane",
+    "two-components"]
+
+
+@pytest.mark.parametrize("block", [None, SMALL_BLOCK], ids=["default_block", "small_block"])
+@pytest.mark.parametrize("case", LAYOUT_CASES)
+def test_grid_antiderivative_has_the_bytes_of_the_column_layout(monkeypatch, case, block):
+    f, base, grid, sing, conj = _layout_case(case)
+    want = antiderivative_on_grid_columns(f, base, grid, sing, conjugate_plane=conj)
+    if block is not None:
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
+    got = ws.antiderivative_on_grid(f, base, grid, sing, conjugate_plane=conj)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 3 * 8])
+def test_zero_length_step_has_the_bytes_of_the_column_layout(monkeypatch, block):
+    # a repeated column is a step that no chain moves along: the keep path
+    radii = np.linspace(0.4, 0.9, 11)
+    radii = np.concatenate([radii[:4], radii[3:]])
+    pts = radii[:, None] * np.exp(1j * np.array([0.1, 0.9, 2.0]))[None, :]
+    sel, f = np.array([0, 3, 4, 11, 7]), _two_components
+    head = np.array([[0.1 - 0.2j, -0.0 + 0.3j, 0.7j], [1.5, -0.0, 0.2 + 0.1j]])
+    cols = cumulative_chain_columns(f, pts, 5, [0.0], 1e-3)[..., sel, :]
+    if block is not None:
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
+    got = quadrature._chains(f, pts.T.copy(), 5, sel, [0.0], 1e-3)
+    assert got.tobytes() == np.moveaxis(cols, -2, -1).tobytes()
+    got = quadrature._chains(f, pts.T.copy(), 5, sel, [0.0], 1e-3, head)
+    assert got.tobytes() == (head[..., :, None] + np.moveaxis(cols, -2, -1)).tobytes()
+
+
 @pytest.mark.parametrize("sid", CATALOG + [FG_FAMILY])
 def test_chain_orders_match_32_point_oracle(monkeypatch, sid):
     shipped = _grid_antiderivatives(sid, n_fg=256)
@@ -135,27 +194,28 @@ def test_zero_length_segments_do_not_enter_the_order(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_segment_integrals", spy)
     radii = np.linspace(0.4, 0.9, 11)
-    radii = np.concatenate([radii[:4], radii[3:]])  # one repeated row
+    radii = np.concatenate([radii[:4], radii[3:]])  # one repeated step
     # a moving chain next to one that stays at 0.5 (all segments zero length)
-    pts = np.stack([radii, np.full_like(radii, 0.5)], axis=1).astype(complex)
-    cum = quadrature._cumulative_chain(lambda w: 1.0 / w, pts, 0, [0.0], 1e-3)
+    pts = np.stack([radii, np.full_like(radii, 0.5)]).astype(complex)
+    cum = quadrature._chains(lambda w: 1.0 / w, pts, 0, np.arange(len(radii)), [0.0], 1e-3)
     assert used == [8]
-    assert np.max(np.abs(cum[:, 0] - np.log(radii / 0.4))) < 1e-14
-    assert np.all(cum[:, 1] == 0)
+    assert np.max(np.abs(cum[0] - np.log(radii / 0.4))) < 1e-14
+    assert np.all(cum[1] == 0)
 
 
 def test_fused_pass_picks_the_direct_order_on_the_benchmark_sweeps(monkeypatch):
     # the nine catalog sweeps at refine 2 and the helicoid/catenoid F/G
-    # sweep at 256^2 (one for a real pair): every chain gets the order of
-    # the direct forms
+    # sweep at 256^2 (one for a real pair): every chain family gets the
+    # order of the direct forms
     checked, sing = [], []
-    segment_integrals = quadrature._segment_integrals
+    chain_order = quadrature._chain_order
 
-    def spy(f, z0, z1, order):
+    def spy(z0, z1, singularities, radius):
+        order = chain_order(z0, z1, singularities, radius)
         checked.append((order, chain_order_direct(z0, z1, sing, 0.0)))
-        return segment_integrals(f, z0, z1, order)
+        return order
 
-    monkeypatch.setattr(quadrature, "_segment_integrals", spy)
+    monkeypatch.setattr(quadrature, "_chain_order", spy)
     for sid in CATALOG:
         data = ws.we_data(sid)
         sing[:] = singularity_points(data.R)
@@ -282,6 +342,26 @@ def test_grid_quadrature_holds_one_block_of_integrand_values():
     assert out.size * 32 > 6 * quadrature._BLOCK_NODES
     assert peak <= 3 * out.nbytes + 8 * block, \
         f"peak {peak / 2**20:.2f} MiB, output {out.nbytes / 2**20:.2f} MiB"
+
+
+def test_grid_antiderivative_holds_one_output_grid():
+    # groups of whole chains are cumulated straight into their rows of the
+    # output: besides it, the peak holds the angular chains' waypoints (a
+    # third of the output for the three-component integrand) and one
+    # group's scratch, with no grid-sized segment integrals, cumulative
+    # sums, selection or transposed sum
+    data = ws.we_data("catenoid")
+    f = _integrand(data.R)
+    # lazy imports and rule tables load before the measurement
+    ws.antiderivative_on_grid(f, data.base, ws.default_annulus(0.4, 0.9, 8, 8), [0.0])
+    grid = ws.default_annulus(0.4, 0.9, 512, 512)
+    tracemalloc.start()
+    try:
+        out = ws.antiderivative_on_grid(f, data.base, grid, [0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
 @pytest.mark.parametrize("block", [1, WHOLE_GRID])
