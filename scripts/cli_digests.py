@@ -45,6 +45,9 @@ RUNS = (
      "--gamma-chart", "0.4", "2.0", "-0.8", "-0.2", "--n", "21"],
     ["generate", "--surface", "enneper", "--n", "201",   # no declared singularity: the
      "--formats", "csv"],                                # 32-point rule, ~40 chain groups
+    ["generate", "--surface", "right_helicoid", "--formats", "csv"],   # R with an imaginary
+    ["generate", "--surface", "general_helicoid", "--formats", "csv"],  # or complex factor:
+    ["generate", "--surface", "schwarz_riemann", "--formats", "csv"],   # signs of zero
     ["family-verify"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "512", "--formats", "csv"],
     ["family-verify", "--surface", "right_helicoid", "--rapidity", "1.3"],

@@ -10,22 +10,21 @@ representation
 together with its singularity set and a default parameter-plane domain on
 which the finite-difference verification suite meets its tolerances (pole
 clearance governs how tight the domain must be).  Harmonic conjugation is
-the substitution R -> -i R, tracked as a unit-modulus phase so repeated
-conjugation stays exact ((-i)^2 = -1, etc.).
+the substitution R -> -i R; wesurf takes the conjugate surface as Im of the
+same integral (`generate.generate_conjugate_pair`), so R itself is never
+rotated.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .grids import ParamGrid
-
-PHASE_UNIT_TOL = 1e-14
 
 
 class CatalogError(ValueError):
@@ -44,11 +43,11 @@ class BranchRegionError(CatalogError):
 class SurfaceEntry:
     """Everything the catalog knows about one surface id.
 
-    R and dR map (WEFunction, complex array w) to R(w) and dR/dw before the
-    conjugation phase; poles lists the finite poles / branch points.  domain
-    is the (kind, bounds) of the default verification grid, None where the
-    entry has no default (custom); base is the default integration base
-    point, and flip_t negates the produced surface's t component.
+    R and dR map (WEFunction, complex array w) to R(w) and dR/dw; poles
+    lists the finite poles / branch points.  domain is the (kind, bounds) of
+    the default verification grid, None where the entry has no default
+    (custom); base is the default integration base point, and flip_t negates
+    the produced surface's t component.
     """
 
     R: Callable
@@ -165,7 +164,7 @@ CATALOG_IDS = tuple(_ENTRIES)
 
 @dataclass(frozen=True)
 class WEFunction:
-    """A catalog R(w) with its parameters and conjugation phase.
+    """A catalog R(w) with its parameters.
 
     Parameters not used by an entry are ignored, but every entry requires
     kappa, alpha, a and b finite, kappa nonzero and a, b not both zero, the
@@ -181,14 +180,11 @@ class WEFunction:
     b: float = 1.0
     numerator: tuple[complex, ...] = (1.0,)
     denominator: tuple[complex, ...] = (1.0,)
-    conjugation_phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if self.id not in CATALOG_IDS:
             raise CatalogError(
                 f"unknown surface id {self.id!r}; valid ids: {', '.join(CATALOG_IDS)}")
-        if abs(abs(self.conjugation_phase) - 1.0) > PHASE_UNIT_TOL:
-            raise CatalogError("conjugation phase must have unit modulus")
         for name in ("kappa", "alpha", "a", "b"):
             if not cmath.isfinite(getattr(self, name)):
                 raise CatalogError(f"{name} must be finite, got {getattr(self, name)}")
@@ -208,25 +204,18 @@ class WEFunction:
             object.__setattr__(self, "denominator", tuple(complex(c) for c in self.denominator))
 
 
-def conjugate(f: WEFunction) -> WEFunction:
-    """Harmonic-conjugate data: multiply the phase by -i, all else unchanged."""
-    return replace(f, conjugation_phase=f.conjugation_phase * -1j)
-
-
 def _evaluate(f: WEFunction, w, rule: Callable, label: str) -> np.ndarray | complex:
     w_arr = np.asarray(w, dtype=complex)
     scalar = w_arr.ndim == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        # named, not a temporary right operand: see the quadrature module
         out = rule(f, w_arr if not scalar else w_arr[None])
-        out = f.conjugation_phase * out
     if not np.all(np.isfinite(out)):
         raise SingularEvaluation(f"{label} evaluated at a singular point")
     return complex(out[0]) if scalar else out
 
 
 def eval_R(f: WEFunction, w) -> np.ndarray | complex:
-    """conjugation_phase * R(w), vectorized over w.
+    """R(w), vectorized over w.
 
     Raises SingularEvaluation if any sample hits a singularity (non-finite
     result); callers keep paths away from poles via quadrature's exclusion
@@ -236,7 +225,7 @@ def eval_R(f: WEFunction, w) -> np.ndarray | complex:
 
 
 def eval_R_deriv(f: WEFunction, w) -> np.ndarray | complex:
-    """conjugation_phase * dR/dw, vectorized (for exact second derivatives)."""
+    """dR/dw, vectorized (for exact second derivatives)."""
     return _evaluate(f, w, _ENTRIES[f.id].dR, f"dR/dw ({f.id})")
 
 
@@ -277,7 +266,7 @@ def catalog_function(surface_id: str, **params) -> WEFunction:
 
 __all__ = [
     "BranchRegionError", "CATALOG_IDS", "CatalogError", "SingularEvaluation",
-    "WEFunction", "catalog_function", "conjugate", "default_base",
+    "WEFunction", "catalog_function", "default_base",
     "default_flip_t", "eval_R", "singularity_points",
     "verification_grid",
 ]

@@ -75,10 +75,10 @@ class RunConfig:
     corrupt_y_scale: float = 1.0
 
     def validate(self, need_thetas: bool = False) -> None:
-        if self.surface not in CATALOG_IDS:
-            raise ConfigError(
-                f"unknown surface id {self.surface!r}; valid ids: "
-                + ", ".join(i for i in CATALOG_IDS if i != "custom"))
+        surfaces = [i for i in CATALOG_IDS if i != "custom"]  # custom: Python API only
+        if self.surface not in surfaces:
+            raise ConfigError(f"unknown surface id {self.surface!r}; valid ids: "
+                              + ", ".join(surfaces))
         if need_thetas and len(self.thetas) == 0:
             raise ConfigError("theta list must not be empty for family commands")
         if not all(math.isfinite(th) for th in self.thetas):
@@ -185,6 +185,11 @@ def _build_config(args) -> RunConfig:
     if counts is not None and len(counts) > 2:
         raise ConfigError(f"--n takes n1 [n2], got {len(counts)} values")
     n = counts or [64]
+    charts = [f"--{name.replace('_', '-')}" for name in ("gamma_chart", "annulus", "rect")
+              if getattr(args, name, None) is not None]
+    if len(charts) > 1:
+        raise ConfigError(f"give at most one of --gamma-chart, --annulus and --rect, "
+                          f"got {' and '.join(charts)}")
     if getattr(args, "gamma_chart", None) is not None:
         g = args.gamma_chart
         cfg.grid = gamma_chart_sector(g[0], g[1], g[2], g[3], n[0], n[-1])

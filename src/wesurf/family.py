@@ -15,7 +15,8 @@ generated family keeps only the d/dr1 slots Phi', Phi'' of the latter and
 builds the rest by Cauchy-Riemann), and the member at angle theta is
 Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on float views
 into one fresh complex array per field, which `wick_rotate` then rotates in
-place.
+place.  Each theta derivative is a member too: d^n S_theta / d theta^n is
+S at theta + n pi/2, and `at` hits the quarter angles exactly (`_cos_sin`).
 The family's F/G data is the same combination of the
 members' handles, F_theta = cos(theta) F_1 + sin(theta) F_2, which for the
 helicoid/catenoid pair collapses to (i/2) e^{-i theta} / r.
@@ -37,7 +38,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .grids import ParamGrid, SurfaceGrid, conjugacy_violation
 from .hodograph import FGPair, fg_integrals
 from .reports import ResidualReport, residual_report
 
-HALF_PI = 0.5 * math.pi
 _TRIG_SNAP = 1e-15
 CR_TOLERANCE = 1e-6  # max Cauchy-Riemann defect of an accepted pair
 
@@ -69,45 +68,22 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return c, s
 
 
-class _RealMember(NamedTuple):
-    """The arrays of a real member X, not validated: fresh, writeable complex
-    arrays with +0 imaginary parts, which `SolitonFamily.at` hands to
-    `wick_rotate` to rotate in place."""
+def wick_rotate(grid: ParamGrid, values: np.ndarray, jac: np.ndarray | None,
+                jac2: np.ndarray | None, meta: dict) -> SurfaceGrid:
+    """t -> i t on the fresh complex arrays of a real member, in place; x and
+    phi unchanged.
 
-    grid: ParamGrid
-    values: np.ndarray
-    jac: np.ndarray | None
-    jac2: np.ndarray | None
-    meta: dict
-
-
-def wick_rotate(s: SurfaceGrid | _RealMember) -> SurfaceGrid:
-    """t -> i t; x and phi unchanged.  Applying it twice negates t, up to
-    the signs of exact zeros.
-
-    A SurfaceGrid is copied into complex arrays, never mutated.  The fresh
-    arrays of a real member (from `SolitonFamily.at`) are rotated in place
-    instead, with the
-    bits of 1j * (m + 0j): imag <- m + 0, then real <- m * 0, a zero with
-    the sign of m; the result is validated once, as the rotated surface.
+    `SolitonFamily.at` writes the member into the arrays with +0 imaginary
+    parts; t is rotated with the bits of 1j * (m + 0j): imag <- m + 0, then
+    real <- m * 0, a zero with the sign of m.  The result is validated
+    once, as the rotated surface.
     """
-    fresh = isinstance(s, _RealMember)
-
-    def rotate(a):
-        if a is None:
-            return None
-        if fresh:
+    for a in (values, jac, jac2):
+        if a is not None:
             t = a[1]
             np.add(t.real, 0.0, out=t.imag)
             np.multiply(t.real, 0.0, out=t.real)
-            return a
-        out = np.empty(a.shape, complex)
-        out[0], out[2] = a[0], a[2]
-        np.multiply(1j, a[1], out=out[1])  # 1j first: SIMD complex * is not commutative
-        return out
-
-    return SurfaceGrid(s.grid, rotate(s.values), "wick_rotated", rotate(s.jac),
-                       rotate(s.jac2), dict(s.meta))
+    return SurfaceGrid(grid, values, "wick_rotated", jac, jac2, meta)
 
 
 def real_member(s: SurfaceGrid) -> SurfaceGrid:
@@ -280,18 +256,7 @@ class SolitonFamily:
                 "base": self._metas[0].get("base")}
         # the signs go on the weights: c * (-x) and (-c) * x are the same bits
         member = self._real_arrays(lambda sx, x, sy, y: (sx * c) * x + (sy * s) * y, complex)
-        return wick_rotate(_RealMember(self.grid, *member, meta))
-
-
-def theta_derivative(fam: SolitonFamily, theta: float, order: int) -> SurfaceGrid:
-    """d^order S_theta / d theta^order = S at theta + order * pi/2.
-
-    The order is reduced mod 4 before the shift, so order 4 reproduces
-    S_theta bit for bit (theta + 2*pi would not round-trip in floats).
-    """
-    if not 1 <= order <= 4:
-        raise FamilyError("derivative order must be in 1..4")
-    return fam.at(theta + (order % 4) * HALF_PI)
+        return wick_rotate(self.grid, *member, meta)
 
 
 def family_fg(pair1: FGPair, pair2: FGPair, theta: float) -> FGPair:
@@ -343,5 +308,5 @@ def verify_soliton_relations(s: SurfaceGrid, p: FGPair,
 
 __all__ = [
     "FamilyError", "SolitonFamily", "SolitonRelationsReport", "family_fg",
-    "real_member", "theta_derivative", "verify_soliton_relations", "wick_rotate",
+    "real_member", "verify_soliton_relations", "wick_rotate",
 ]

@@ -148,20 +148,7 @@ def action(form: FundamentalForm, grid: ParamGrid) -> float:
     return float(np.sum(integrand * grid.area_weights()))
 
 
-def change_of_variables_action(patch, grid: ParamGrid) -> float:
-    """Independent action route: int sqrt(1 + phi_x^2 - phi_t^2) |det J| dr1 dr2.
-
-    `patch` is a NonparametricPatch built from the same grid; J is the
-    (complex) Jacobian d(x, t)/d(r1, r2).  Agrees with `action` of the
-    wick_signed form wherever the (x, t) chart is a diffeomorphism.
-    """
-    integrand = np.sqrt(1.0 + patch.phi_x ** 2 - patch.phi_t ** 2)
-    vals = np.abs(integrand) * np.abs(patch.jacobian_det)
-    vals = np.where(patch.valid_mask, vals, 0.0)
-    return float(np.sum(vals * grid.area_weights()))
-
-
 __all__ = [
     "FundamentalForm", "GeometryError", "ThetaInvarianceReport", "action",
-    "change_of_variables_action", "fundamental_form", "theta_sweep_invariance",
+    "fundamental_form", "theta_sweep_invariance",
 ]

@@ -29,7 +29,7 @@ from .grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs
 from .quadrature import antiderivative_on_grid
 
 
-REAL_IMAG_TOL = 1e-12  # relative imaginary part of a reconstruction accepted as real
+REAL_IMAG_TOL = 1e-12  # relative defect of G'(conj r) = conj F'(r) accepted as zero
 
 
 class HodographError(ValueError):
@@ -127,45 +127,6 @@ def fg_integrals(pair: FGPair, grid: ParamGrid, base: complex,
     return pair.F(r) - B, pair.G(rb) - A, P + Q
 
 
-def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
-                    offsets=(0.0, 0.0, 0.0), singularities=()) -> SurfaceGrid:
-    """Reconstruct the surface of an FG pair on `grid`.
-
-    The four indefinite integrals are taken from `base` (so they vanish
-    there); comparisons against other parametrizations should calibrate
-    offsets at the base node.  Output is real when every imaginary part is
-    within REAL_IMAG_TOL of its real part's scale, as the reality constraint
-    makes it: the real parts of values and jac are then kept, float64.
-    Otherwise the components are complex and the grid is flagged
-    wick_rotated.
-    """
-    base = complex(base)
-    r = grid.nodes()
-    rb = np.conj(r)
-    M, N, phi = fg_integrals(pair, grid, base, singularities)  # x -+ i t, phi
-    x = 0.5 * (M + N) + offsets[0]
-    t = 0.5j * (M - N) + offsets[1]
-    phi = phi + offsets[2]
-
-    fp, gp = pair.Fp(r), pair.Gp(rb)
-    dM = np.stack([fp - rb ** 2 * gp, 1j * (fp + rb ** 2 * gp)])
-    dN = np.stack([gp - r ** 2 * fp, -1j * (gp + r ** 2 * fp)])
-    jac = np.empty((3, 2) + grid.shape, dtype=complex)
-    jac[0] = 0.5 * (dM + dN)
-    jac[1] = 0.5j * (dM - dN)
-    jac[2] = np.stack([r * fp + rb * gp, 1j * (r * fp - rb * gp)])
-
-    values = np.stack([x, t, phi])
-    imag_ok = np.all(np.abs(values.imag) <= REAL_IMAG_TOL * (1 + np.abs(values.real)))
-    if pair.reality_constraint and not imag_ok:
-        raise HodographError(
-            "FG pair claims the reality constraint but produced complex output")
-    meta = {"surface": f"fg:{pair.label}", "base": base}
-    if imag_ok:
-        return SurfaceGrid(grid, values.real, "real", jac.real, None, meta)
-    return SurfaceGrid(grid, values, "wick_rotated", jac, None, meta)
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -225,5 +186,5 @@ def catenoid_closed(grid: ParamGrid) -> SurfaceGrid:
 __all__ = [
     "FGPair", "HodographError", "catenoid_closed", "catenoid_fg",
     "enneper_conjugate_fg", "enneper_fg", "helicoid_closed", "helicoid_fg",
-    "fg_integrals", "surface_from_fg",
+    "fg_integrals",
 ]

@@ -62,8 +62,7 @@ class NonparametricPatch:
     """Samples of phi(x, t) with first and second partials.
 
     valid_mask marks nodes whose Jacobian inversion was well conditioned;
-    statistics ignore the rest (a ResidualReport counts them).  jacobian_det
-    is kept for change-of-variables quadrature.
+    statistics ignore the rest (a ResidualReport counts them).
     """
 
     x: np.ndarray
@@ -75,7 +74,6 @@ class NonparametricPatch:
     phi_xt: np.ndarray
     phi_tt: np.ndarray
     valid_mask: np.ndarray
-    jacobian_det: np.ndarray | None = None
 
     def __post_init__(self):
         fields = (self.x, self.t, self.phi, self.phi_x, self.phi_t,
@@ -158,7 +156,7 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
     return NonparametricPatch(
         x=s.x, t=s.t, phi=s.phi,  # read-only views of the surface
         phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=0.5 * (phi_xt_a + phi_tx_b),
-        phi_tt=phi_tt, valid_mask=valid, jacobian_det=det)
+        phi_tt=phi_tt, valid_mask=valid)
 
 
 _GRAPH_FIELDS = ("phi", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt")
@@ -222,8 +220,8 @@ def born_infeld_residual(p: NonparametricPatch) -> ResidualReport:
 
 def boost(p: NonparametricPatch, lb: LorentzBoost) -> NonparametricPatch:
     """Boosted patch: x' = a x + b t, t' = b x + a t, derivative data pulled
-    back exactly (phi'(x', t') = phi(x, t)).  phi, valid_mask and
-    jacobian_det are shared with `p`, not copied."""
+    back exactly (phi'(x', t') = phi(x, t)).  phi and valid_mask are shared
+    with `p`, not copied."""
     a, b = lb.a, lb.b
 
     x, t, phi_x, phi_t = p.x, p.t, p.phi_x, p.phi_t
@@ -234,7 +232,7 @@ def boost(p: NonparametricPatch, lb: LorentzBoost) -> NonparametricPatch:
         phi_xx=a * a * phi_xx - 2 * a * b * phi_xt + b * b * phi_tt,
         phi_xt=-a * b * (phi_xx + phi_tt) + (a * a + b * b) * phi_xt,
         phi_tt=b * b * phi_xx - 2 * a * b * phi_xt + a * a * phi_tt,
-        valid_mask=p.valid_mask, jacobian_det=p.jacobian_det)
+        valid_mask=p.valid_mask)
 
 
 def wick_substitute(p: NonparametricPatch) -> NonparametricPatch:

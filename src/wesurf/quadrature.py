@@ -1,4 +1,4 @@
-"""Complex-path quadrature with Gauss-Legendre panels.
+"""Grid antiderivatives by complex-path quadrature with Gauss-Legendre panels.
 
 Integrands are assumed analytic away from declared singularities, so the
 panels converge spectrally and results are deterministic for a given
@@ -23,7 +23,6 @@ swapped, once the block is large (256 KiB or more), and its SIMD complex
 multiply is not bitwise commutative.  Bind the factor to a name first, or
 write the product with `out=`, which keeps the operand order.
 
-`integrate_path` runs the 32-point rule on every panel.
 `antiderivative_on_grid` evaluates F(r) = int_{base}^{r} f(w) dw at every
 grid node using a fixed path family (horizontal-then-vertical segments for
 rectangles, radial-then-angular sweeps for annuli) with cumulative chaining
@@ -47,7 +46,6 @@ branch, because path integration continues the branch automatically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -74,31 +72,6 @@ class QuadratureError(ValueError):
 
 class PathNearSingularity(QuadratureError):
     pass
-
-
-@dataclass(frozen=True)
-class PathSpec:
-    """Polyline integration path: waypoints plus a per-segment panel count."""
-
-    waypoints: tuple[complex, ...]
-    panels: int = 1
-
-    def __post_init__(self):
-        wp = tuple(complex(w) for w in self.waypoints)
-        if len(wp) < 2:
-            raise QuadratureError("path needs at least two waypoints")
-        if not all(np.isfinite([w.real for w in wp]) & np.isfinite([w.imag for w in wp])):
-            raise QuadratureError("waypoints must be finite")
-        for a, b in zip(wp, wp[1:]):
-            if a == b:
-                raise QuadratureError("consecutive waypoints must be distinct")
-        if self.panels < 1:
-            raise QuadratureError("panel count must be positive")
-        object.__setattr__(self, "waypoints", wp)
-
-    @property
-    def length(self) -> float:
-        return float(sum(abs(b - a) for a, b in zip(self.waypoints, self.waypoints[1:])))
 
 
 @lru_cache(maxsize=None)
@@ -172,20 +145,6 @@ def _segment_integrals(f, z0: np.ndarray, z1: np.ndarray, order: int) -> np.ndar
             np.multiply(fixed_order_dot(w, fz[k]), half, out=out[k, lo:lo + step])
         del nodes, fz
     return out.reshape(lead + shape)
-
-
-def integrate_path(f, path: PathSpec, singularities=()):
-    """Integral of f along the path; deterministic for fixed configuration."""
-    radius = EXCLUSION_FRACTION * path.length
-    total = None
-    for a, b in zip(path.waypoints, path.waypoints[1:]):
-        _chain_order(np.asarray([a]), np.asarray([b]), singularities, radius)  # clearance
-        cuts = np.linspace(a, b, path.panels + 1)
-        seg = _segment_integrals(f, cuts[:-1], cuts[1:], _CHAIN_ORDERS[-1]).sum(axis=-1)
-        total = seg if total is None else total + seg
-    if np.ndim(total) == 0:
-        return complex(total)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +321,5 @@ def antiderivative_on_grid(f, base: complex, grid: ParamGrid, singularities=(),
 
 
 __all__ = [
-    "PathNearSingularity", "PathSpec", "QuadratureError",
-    "antiderivative_on_grid", "integrate_path",
+    "PathNearSingularity", "QuadratureError", "antiderivative_on_grid",
 ]

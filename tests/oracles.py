@@ -6,6 +6,7 @@ reference that a test compares the program's output with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +15,7 @@ from wesurf.catalog import singularity_points
 from wesurf.generate import GenerateError, WEData, _integrand, _node_derivatives
 from wesurf.geometry import ThetaInvarianceReport
 from wesurf.grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_jacobian
-from wesurf.hodograph import FGPair, HodographError
+from wesurf.hodograph import REAL_IMAG_TOL, FGPair, HodographError, fg_integrals
 from wesurf.io_export import _faces
 from wesurf import quadrature
 from wesurf.pde import NonparametricPatch
@@ -80,6 +81,80 @@ def fg_integrals_two_sweeps(pair: FGPair, grid: ParamGrid, base: complex,
     return pair.F(r) - B, pair.G(np.conj(r)) - A, P + Q
 
 
+def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
+                    offsets=(0.0, 0.0, 0.0), singularities=()) -> SurfaceGrid:
+    """The surface of an FG pair on `grid`, from the three relations of
+    `hodograph.fg_integrals`, with its analytic first derivatives.
+
+    The four indefinite integrals are taken from `base` (so they vanish
+    there); comparisons against other parametrizations should calibrate
+    offsets at the base node.  Output is real when every imaginary part is
+    within REAL_IMAG_TOL of its real part's scale, as the reality constraint
+    makes it: the real parts of values and jac are then kept, float64.
+    Otherwise the components are complex and the grid is flagged
+    wick_rotated.
+    """
+    base = complex(base)
+    r = grid.nodes()
+    rb = np.conj(r)
+    M, N, phi = fg_integrals(pair, grid, base, singularities)  # x -+ i t, phi
+    x = 0.5 * (M + N) + offsets[0]
+    t = 0.5j * (M - N) + offsets[1]
+    phi = phi + offsets[2]
+
+    fp, gp = pair.Fp(r), pair.Gp(rb)
+    dM = np.stack([fp - rb ** 2 * gp, 1j * (fp + rb ** 2 * gp)])
+    dN = np.stack([gp - r ** 2 * fp, -1j * (gp + r ** 2 * fp)])
+    jac = np.empty((3, 2) + grid.shape, dtype=complex)
+    jac[0] = 0.5 * (dM + dN)
+    jac[1] = 0.5j * (dM - dN)
+    jac[2] = np.stack([r * fp + rb * gp, 1j * (r * fp - rb * gp)])
+
+    values = np.stack([x, t, phi])
+    imag_ok = np.all(np.abs(values.imag) <= REAL_IMAG_TOL * (1 + np.abs(values.real)))
+    if pair.reality_constraint and not imag_ok:
+        raise HodographError(
+            "FG pair claims the reality constraint but produced complex output")
+    meta = {"surface": f"fg:{pair.label}", "base": base}
+    if imag_ok:
+        return SurfaceGrid(grid, values.real, "real", jac.real, None, meta)
+    return SurfaceGrid(grid, values, "wick_rotated", jac, None, meta)
+
+
+def wick_rotate(s: SurfaceGrid) -> SurfaceGrid:
+    """t -> i t on a copy of s in complex arrays, x and phi unchanged: the
+    rotation `family.wick_rotate` does in place, for any surface.  Applying
+    it twice negates t, up to the signs of exact zeros."""
+    def rotate(a):
+        if a is None:
+            return None
+        out = np.empty(a.shape, complex)
+        out[0], out[2] = a[0], a[2]
+        np.multiply(1j, a[1], out=out[1])  # 1j first: SIMD complex * is not commutative
+        return out
+
+    return SurfaceGrid(s.grid, rotate(s.values), "wick_rotated", rotate(s.jac),
+                       rotate(s.jac2), dict(s.meta))
+
+
+def theta_derivative(fam, theta: float, order: int) -> SurfaceGrid:
+    """d^order S_theta / d theta^order = S at theta + order * pi/2, the order
+    reduced mod 4 first: order 4 gives S_theta bit for bit."""
+    return fam.at(theta + (order % 4) * (0.5 * math.pi))
+
+
+def change_of_variables_action(patch: NonparametricPatch, s: SurfaceGrid) -> float:
+    """The action in the (x, t) chart: int sqrt(1 + phi_x^2 - phi_t^2) |det J|
+    dr1 dr2 over s's grid, J = d(x, t)/d(r1, r2) from s's analytic jac and
+    `patch` from the same grid.  Agrees with `geometry.action` of the
+    wick_signed form wherever the (x, t) chart is a diffeomorphism."""
+    (x1, x2), (t1, t2) = s.jac[0], s.jac[1]
+    integrand = np.sqrt(1.0 + patch.phi_x ** 2 - patch.phi_t ** 2)
+    vals = np.abs(integrand) * np.abs(x1 * t2 - x2 * t1)
+    vals = np.where(patch.valid_mask, vals, 0.0)
+    return float(np.sum(vals * s.grid.area_weights()))
+
+
 def max_deviation(report: ThetaInvarianceReport) -> float:
     """The largest E or G deviation of a theta sweep (NaN if any is)."""
     return float(np.max([report.e_devs, report.g_devs]))
@@ -133,6 +208,26 @@ def _complex_values(data: WEData, phi: np.ndarray, part: str) -> np.ndarray:
     values[0] += data.offsets[0]
     values[1] += data.offsets[1]
     values[2] += data.offsets[2]
+    if data.flip_t:
+        values[1] = -values[1]
+    return values
+
+
+def rotated_values(data: WEData, grid: ParamGrid, phase: complex) -> np.ndarray:
+    """The values of the W-E surface of phase * R, integrated as its own
+    integrand: Re of the rotated triple plus the offsets, t negated under
+    flip_t.  At phase -i this is the harmonic conjugate R -> -i R, which
+    the program takes as Im of R's own triple instead."""
+    f = _integrand(data.R)
+
+    def rotated(w):
+        out = f(w)
+        out *= phase
+        return out
+
+    phi = antiderivative_on_grid(rotated, data.base, grid,
+                                 singularities=singularity_points(data.R))
+    values = phi.real + np.array(data.offsets)[:, None, None]
     if data.flip_t:
         values[1] = -values[1]
     return values

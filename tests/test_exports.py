@@ -5,9 +5,9 @@ A name in a module's `__all__` is public API; it stays only while code in
 importing it or by attribute access (`ws.name`); a local variable or a
 parameter of the same name is not a read.  The defining module reads it by
 a load outside its own definition.  The package's `__init__` only
-re-exports, and `__all__` entries are strings, so neither counts.  Names
-kept for callers outside the program are listed in READERLESS with the
-reason.
+re-exports, and `__all__` entries are strings, so neither counts.  No
+name is exempt: a name that only the tests read belongs in
+`tests/oracles.py`.
 
 A parameter with a default is a knob; it stays only while some call in the
 program or the tests sets it.
@@ -21,16 +21,6 @@ import wesurf as ws
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(ws.__file__).resolve().parent
 READER_DIRS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
-
-READERLESS = {
-    "theta_derivative": "acceptance criterion 6 takes d^n S_theta / d theta^n with it",
-    "change_of_variables_action": "the action in the (x, t) chart, kept for the "
-                                  "exact-oracle check of the action's value",
-    "integrate_path": "one path integral with the grid antiderivative's panels, kept "
-                      "for exact oracles of the generated values",
-    "surface_from_fg": "the paper's construction of a surface from its F/G data",
-    "conjugate": "test_generate builds the paper's R -> -iR reference with it",
-}
 
 
 def _module_exports() -> dict[str, list[str]]:
@@ -85,17 +75,8 @@ def _readers() -> dict[str, set[str]]:
 def test_every_export_has_a_reader():
     readers = _readers()
     unread = sorted(f"{module}.{name}" for module, names in _module_exports().items()
-                    for name in names if name not in readers and name not in READERLESS)
+                    for name in names if name not in readers)
     assert not unread, f"exported with no reader in src/, scripts/ or perfbench/: {unread}"
-
-
-def test_readerless_names_are_exported_and_unread():
-    # an allow-listed name that gains a reader, or is no longer exported,
-    # leaves the list
-    exported = {name for names in _module_exports().values() for name in names}
-    readers = _readers()
-    assert set(READERLESS) <= exported
-    assert not [name for name in READERLESS if name in readers]
 
 
 def test_package_reexports_only_exported_names():

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
-from wesurf.family import FamilyError, _cos_sin
+from wesurf.family import FamilyError, _cos_sin, wick_rotate as wick_rotate_in_place
 from wesurf.grids import GridError
 
 from conftest import rng_points
-from oracles import check_reality, surface_from_components, with_values
+from oracles import (check_reality, surface_from_components, surface_from_fg, theta_derivative,
+                     wick_rotate, with_values)
 
 
 # ------------------------------------------------------------- wick rotation
@@ -19,7 +20,7 @@ from oracles import check_reality, surface_from_components, with_values
 def test_wick_leaves_zero_t_unchanged(annulus_grid):
     r = annulus_grid.nodes()
     s = surface_from_components(annulus_grid, r.real, np.zeros(r.shape), r.imag)
-    w = ws.wick_rotate(s)
+    w = wick_rotate(s)
     assert w.reality == "wick_rotated"
     assert np.array_equal(w.x, s.x) and np.array_equal(w.phi, s.phi)
     assert np.max(np.abs(w.t)) == 0.0
@@ -27,7 +28,7 @@ def test_wick_leaves_zero_t_unchanged(annulus_grid):
 
 def test_double_wick_negates_t(annulus_grid):
     s = ws.catenoid_closed(annulus_grid)
-    ww = ws.wick_rotate(ws.wick_rotate(s))
+    ww = wick_rotate(wick_rotate(s))
     assert np.array_equal(ww.t, -s.t)
     assert np.array_equal(ww.x, s.x)
 
@@ -39,7 +40,7 @@ def _arrays(s):
 def test_wick_rotate_copies_its_input(hc_family):
     for s in (ws.catenoid_closed(hc_family.grid), hc_family.at(0.7)):
         before = [a.copy() for a in _arrays(s)]
-        w = ws.wick_rotate(s)
+        w = wick_rotate(s)
         for a, b in zip(_arrays(s), before):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         for a, out in zip(_arrays(s), _arrays(w)):
@@ -51,10 +52,25 @@ def test_double_wick_negates_rotated_t_bitwise(hc_family):
     # bitwise where t has no exact zero: 1j * (1j * z) keeps no sign of a zero
     S = hc_family.at(0.7)
     assert np.all(S.t.imag != 0)
-    ww = ws.wick_rotate(ws.wick_rotate(S))
+    ww = wick_rotate(wick_rotate(S))
     for a, b in zip(_arrays(ww), _arrays(S)):
         assert np.array_equal(a[1].view(np.uint64), (-b[1]).view(np.uint64))
         assert np.array_equal(a[::2].view(np.uint64), b[::2].view(np.uint64))
+
+
+def test_in_place_wick_rotate_has_the_bits_of_1j_times_t():
+    # family.wick_rotate, as `at` calls it: fresh complex arrays holding a
+    # real member with +0 imaginary parts, rotated in place
+    grid = ws.ParamGrid("rectangle", 3, 4, (0.0, 1.0, 0.0, 1.0))
+    m = np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -np.pi] * 2).reshape(grid.shape)
+    values = np.zeros((3,) + grid.shape, complex)
+    values[0].real, values[1].real, values[2].real = m + 1, m, m - 1
+    expected = np.multiply(1j, values[1])  # 1j first, as the copying oracle
+    S = wick_rotate_in_place(grid, values, None, None, {"theta": 0.0})
+    assert S.reality == "wick_rotated" and np.shares_memory(S.values, values)
+    assert np.array_equal(S.t.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(S.x, m + 1) and np.array_equal(S.phi, m - 1)
+    assert not np.any(S.x.imag) and not np.any(S.phi.imag)
 
 
 def test_family_at_shares_no_memory_with_the_family(hc_family):
@@ -69,7 +85,7 @@ def test_family_at_shares_no_memory_with_the_family(hc_family):
 
 def test_wick_catenoid_matches_nonparametric_form(annulus_grid):
     # phi = arccosh sqrt(x^2 - t^2) with t the (imaginary) rotated component
-    s = ws.wick_rotate(ws.catenoid_closed(annulus_grid))
+    s = wick_rotate(ws.catenoid_closed(annulus_grid))
     p = s.x ** 2 - s.t ** 2
     assert np.max(np.abs(p.imag)) < 1e-12
     defined = p.real > 1.0 + 1e-9
@@ -91,15 +107,15 @@ def test_family_rejects_non_conjugate_pair(annulus_grid):
     with pytest.raises(FamilyError):
         ws.SolitonFamily(X, bad)
     fam = ws.SolitonFamily(X, bad, validate=False)  # corruption injection
-    assert _same_surface(fam.at(math.pi / 2), ws.wick_rotate(bad))
+    assert _same_surface(fam.at(math.pi / 2), wick_rotate(bad))
 
 
 def test_family_at_zero_is_wick_x(hc_family):
-    assert _same_surface(hc_family.at(0.0), ws.wick_rotate(hc_family.X))
+    assert _same_surface(hc_family.at(0.0), wick_rotate(hc_family.X))
 
 
 def test_family_at_half_pi_is_wick_y(hc_family):
-    assert _same_surface(hc_family.at(math.pi / 2), ws.wick_rotate(hc_family.Y))
+    assert _same_surface(hc_family.at(math.pi / 2), wick_rotate(hc_family.Y))
 
 
 @pytest.mark.parametrize("family", ["hc_family", "enneper_family"])
@@ -107,7 +123,7 @@ def test_family_at_half_pi_is_wick_y(hc_family):
 def test_family_is_combination_of_wick_rotated_members(family, theta, request):
     # (cos X + sin Y)^s == cos X^s + sin Y^s in every quadrant of theta
     fam = request.getfixturevalue(family)
-    Xs, Ys = ws.wick_rotate(fam.X), ws.wick_rotate(fam.Y)
+    Xs, Ys = wick_rotate(fam.X), wick_rotate(fam.Y)
     c, s = math.cos(theta), math.sin(theta)
     S = fam.at(theta)
     assert S.reality == "wick_rotated"
@@ -147,8 +163,8 @@ def _offset_catenoid_pair():
 
 def _fg_pair():
     grid = ws.default_annulus(0.4, 0.9, 24, 40)
-    X = ws.surface_from_fg(ws.helicoid_fg(), grid, base=1.0, singularities=[0.0])
-    Y = ws.surface_from_fg(ws.catenoid_fg(), grid, base=1.0, singularities=[0.0])
+    X = surface_from_fg(ws.helicoid_fg(), grid, base=1.0, singularities=[0.0])
+    Y = surface_from_fg(ws.catenoid_fg(), grid, base=1.0, singularities=[0.0])
     return ws.SolitonFamily(X, Y), (X, Y)
 
 
@@ -205,8 +221,8 @@ def test_packed_family_matches_combined_members(make_family):
         def comb(a, b):
             return None if a is None or b is None else c * a.real + s * b.real
 
-        want = ws.wick_rotate(ws.SurfaceGrid(X.grid, comb(X.values, Y.values), "real",
-                                             comb(X.jac, Y.jac), comb(X.jac2, Y.jac2)))
+        want = wick_rotate(ws.SurfaceGrid(X.grid, comb(X.values, Y.values), "real",
+                                          comb(X.jac, Y.jac), comb(X.jac2, Y.jac2)))
         got = fam.at(theta)
         for g, w in ((got.values, want.values), (got.jac, want.jac), (got.jac2, want.jac2)):
             if w is None:
@@ -226,7 +242,7 @@ def test_family_rejects_member_with_imaginary_part(annulus_grid):
     # as it is built, before a family sees it
     with pytest.raises(GridError, match="imaginary part"):
         with_values(Y, Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
-    complex_member = ws.wick_rotate(Y)
+    complex_member = wick_rotate(Y)
     for pair in ((X, complex_member), (complex_member, X)):
         with pytest.raises(FamilyError, match="must be real"):
             ws.SolitonFamily(*pair, validate=False)
@@ -261,34 +277,27 @@ def test_family_angle_addition_identity(t1, t2):
 
 def test_theta_derivative_order_four_is_identity(hc_family):
     theta = 0.3
-    assert np.array_equal(ws.theta_derivative(hc_family, theta, 4).values,
+    assert np.array_equal(theta_derivative(hc_family, theta, 4).values,
                           hc_family.at(theta).values)
 
 
 def test_theta_derivative_matches_shifted_family(hc_family):
     theta = 0.3
     for order in (1, 2, 3):
-        lhs = ws.theta_derivative(hc_family, theta, order)
+        lhs = theta_derivative(hc_family, theta, order)
         rhs = hc_family.at(theta + order * math.pi / 2)
         assert np.array_equal(lhs.values, rhs.values)
 
 
 def test_theta_derivative_order_two_negates(hc_family):
     theta = 0.3
-    lhs = ws.theta_derivative(hc_family, theta, 2).values
+    lhs = theta_derivative(hc_family, theta, 2).values
     assert np.max(np.abs(lhs + hc_family.at(theta).values)) < 1e-12
 
 
 def test_first_derivative_at_zero_is_wick_y(hc_family):
-    assert _same_surface(ws.theta_derivative(hc_family, 0.0, 1),
-                         ws.wick_rotate(hc_family.Y))
-
-
-def test_theta_derivative_order_range():
-    grid = ws.ParamGrid("annulus", 5, 7, (0.5, 0.8, 0.1, 1.0))
-    fam = ws.SolitonFamily(ws.helicoid_closed(grid), ws.catenoid_closed(grid))
-    with pytest.raises(FamilyError):
-        ws.theta_derivative(fam, 0.0, 5)
+    assert _same_surface(theta_derivative(hc_family, 0.0, 1),
+                         wick_rotate(hc_family.Y))
 
 
 # -------------------------------------------------------------- family F/G

@@ -8,7 +8,8 @@ import wesurf as ws
 from wesurf.family import real_member
 from wesurf.generate import GenerateError
 
-from oracles import align_rigid, complex_laplacian, pair_members, pair_values, with_values
+from oracles import (align_rigid, complex_laplacian, pair_members, pair_values, rotated_values,
+                     with_values)
 
 ALL_IDS = [i for i in ws.CATALOG_IDS if i != "custom"]
 
@@ -57,18 +58,16 @@ def test_conjugate_member_matches_helicoid_closed_form(catenoid_pair, annulus_gr
 def test_generate_of_conjugate_data_equals_pair_member(annulus_grid):
     data = ws.we_data("catenoid", base=1.0)
     _, Y = ws.generate_conjugate_pair(data, annulus_grid)
-    data_conj = ws.WEData(ws.conjugate(data.R), data.base, data.offsets, data.flip_t)
-    Y2 = ws.generate(data_conj, annulus_grid)
+    Y2 = rotated_values(data, annulus_grid, -1j)  # R -> -i R
     # same values up to reassociation round-off of the two evaluation orders
-    assert np.max(np.abs(Y.values - Y2.values)) < 1e-13 * (1 + np.max(np.abs(Y.values)))
+    assert np.max(np.abs(Y.values - Y2)) < 1e-13 * (1 + np.max(np.abs(Y.values)))
 
 
 def test_double_conjugation_negates_surface(annulus_grid):
     data = ws.we_data("catenoid", base=1.0)
     X = ws.generate(data, annulus_grid)
-    twice = ws.WEData(ws.conjugate(ws.conjugate(data.R)), data.base)
-    X2 = ws.generate(twice, annulus_grid)
-    assert np.max(np.abs(X2.values + X.values)) < 1e-13
+    X2 = rotated_values(data, annulus_grid, -1j * -1j)  # R -> -i (-i R)
+    assert np.max(np.abs(X2 + X.values)) < 1e-13
 
 
 def test_henneberg_flip_t_negates_t_only():

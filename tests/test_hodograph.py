@@ -9,7 +9,7 @@ from wesurf import hodograph
 from wesurf.hodograph import HodographError
 
 from conftest import rng_points
-from oracles import check_reality, fg_integrals_two_sweeps, nearest_node
+from oracles import check_reality, fg_integrals_two_sweeps, nearest_node, surface_from_fg
 
 
 # ------------------------------------------------------------- closed forms
@@ -69,8 +69,7 @@ def test_fg_reality_violation_detected():
 
 
 def test_surface_from_helicoid_fg_matches_closed_form(annulus_grid):
-    got = ws.surface_from_fg(ws.helicoid_fg(), annulus_grid, base=1.0,
-                             singularities=[0.0])
+    got = surface_from_fg(ws.helicoid_fg(), annulus_grid, base=1.0, singularities=[0.0])
     oracle = ws.helicoid_closed(annulus_grid)
     # integration constants are pinned at the base node
     idx = nearest_node(annulus_grid, 1.0)
@@ -79,8 +78,7 @@ def test_surface_from_helicoid_fg_matches_closed_form(annulus_grid):
 
 
 def test_surface_from_catenoid_fg_matches_closed_form(annulus_grid):
-    got = ws.surface_from_fg(ws.catenoid_fg(), annulus_grid, base=1.0,
-                             singularities=[0.0])
+    got = surface_from_fg(ws.catenoid_fg(), annulus_grid, base=1.0, singularities=[0.0])
     oracle = ws.catenoid_closed(annulus_grid)
     idx = nearest_node(annulus_grid, 1.0)
     shift = oracle.values[:, idx[0], idx[1]] - got.values[:, idx[0], idx[1]]
@@ -91,33 +89,33 @@ def test_degenerate_fg_gives_constant_surface(annulus_grid):
     zero = ws.FGPair(F=lambda r: np.zeros_like(r), G=lambda s: np.zeros_like(s),
                      Fp=lambda r: np.zeros_like(r), Gp=lambda s: np.zeros_like(s),
                      reality_constraint=True, label="zero")
-    s = ws.surface_from_fg(zero, annulus_grid, base=1.0)
+    s = surface_from_fg(zero, annulus_grid, base=1.0)
     assert np.max(np.abs(s.values)) == 0.0
 
 
 def test_real_surface_imaginary_part_tolerance_edge():
-    # F = 0 and G = delta give t = 1 - 0.5j delta with offset 1, where the
-    # bound is REAL_IMAG_TOL * (1 + 1) = 2e-12: inside it the surface is
-    # real, float64 with the real parts; beyond it, complex
+    # F' = 1 and G' = 1 + delta: the reality defect |G'(conj r) - conj F'(r)|
+    # is delta at every node, and the bound is REAL_IMAG_TOL * (1 + 1) = 2e-12
     g = ws.ParamGrid("rectangle", 3, 4, (0.5, 1.0, 0.0, 1.0))
+    assert hodograph.REAL_IMAG_TOL == 1e-12
 
     def pair(delta, claims_reality):
-        zero = np.zeros_like
-        return ws.FGPair(F=zero, G=lambda s: np.full_like(s, delta), Fp=zero, Gp=zero,
+        one = np.ones_like
+        return ws.FGPair(F=lambda r: r + 0j, G=lambda s: s + 0j, Fp=one,
+                         Gp=lambda s: np.full_like(s, 1 + delta),
                          reality_constraint=claims_reality, label="shifted")
 
-    s = ws.surface_from_fg(pair(3e-12, True), g, base=0.5, offsets=(0.0, 1.0, 0.0))
-    assert s.reality == "real" and s.values.dtype == s.jac.dtype == np.float64
-    assert np.all(s.t == 1.0) and np.all(s.x == 1.5e-12)
-    with pytest.raises(HodographError):
-        ws.surface_from_fg(pair(5e-12, True), g, base=0.5, offsets=(0.0, 1.0, 0.0))
-    s = ws.surface_from_fg(pair(5e-12, False), g, base=0.5, offsets=(0.0, 1.0, 0.0))
-    assert s.reality == "wick_rotated" and np.all(s.t.imag == -2.5e-12)
+    inside = ws.fg_integrals(pair(1.5e-12, True), g, 0.5)
+    assert all(np.all(np.isfinite(z)) for z in inside)
+    with pytest.raises(HodographError, match="shifted"):
+        ws.fg_integrals(pair(2.5e-12, True), g, 0.5)
+    swept = ws.fg_integrals(pair(2.5e-12, False), g, 0.5)
+    r = g.nodes()
+    assert np.max(np.abs(swept[1] - (r.conj() - (r ** 3 - 0.125) / 3))) < 1e-14
 
 
 def test_fg_surface_is_harmonic_and_isothermal(annulus_grid):
-    s = ws.surface_from_fg(ws.helicoid_fg(), annulus_grid, base=1.0,
-                           singularities=[0.0])
+    s = surface_from_fg(ws.helicoid_fg(), annulus_grid, base=1.0, singularities=[0.0])
     form = ws.fundamental_form(s, "euclidean", source="analytic")
     assert form.isothermal_defect < 1e-10
     mask_worst = max(float(np.max(np.abs(ws.laplacian(s, c, accuracy=6))))
@@ -128,7 +126,7 @@ def test_fg_surface_is_harmonic_and_isothermal(annulus_grid):
 def test_fg_roundtrip_recovers_F(annulus_grid):
     # x - i t + int rbar^2 G' = F(r) up to the base-node constant
     pair = ws.catenoid_fg()
-    s = ws.surface_from_fg(pair, annulus_grid, base=1.0, singularities=[0.0])
+    s = surface_from_fg(pair, annulus_grid, base=1.0, singularities=[0.0])
     r = annulus_grid.nodes()
     B = ws.antiderivative_on_grid(lambda w: w ** 2 * pair.Gp(w), 1.0,
                                   annulus_grid, singularities=[0.0],
@@ -198,7 +196,7 @@ def test_false_reality_claim_fails_closed(monkeypatch):
     with pytest.raises(HodographError, match="nudged"):
         ws.verify_soliton_relations(S, nudged, singularities=[0.0])
     with pytest.raises(HodographError, match="nudged"):
-        ws.surface_from_fg(nudged, grid, base, singularities=[0.0])
+        surface_from_fg(nudged, grid, base, singularities=[0.0])
 
     node = np.conj(grid.nodes()[5, 7])
     holed = dataclasses.replace(

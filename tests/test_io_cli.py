@@ -19,7 +19,7 @@ from wesurf import cli, grids, pde
 from wesurf.cli import main
 from wesurf.io_export import SCHEMA, export_mesh, write_surface_csv, write_surface_table
 
-from oracles import quad_triangles, surface_from_components, with_values
+from oracles import quad_triangles, surface_from_components, wick_rotate, with_values
 
 
 def flat_surface(n1=3, n2=3):
@@ -57,7 +57,7 @@ def test_obj_rerun_is_byte_identical(tmp_path):
 
 def test_wick_mesh_writes_complex_sidecar(tmp_path):
     g = ws.default_annulus(0.4, 0.9, 5, 8)
-    s = ws.wick_rotate(ws.catenoid_closed(g))
+    s = wick_rotate(ws.catenoid_closed(g))
     export_mesh(s, tmp_path / "wick.obj")
     sidecar = tmp_path / "wick_complex.csv"
     assert sidecar.exists()
@@ -96,7 +96,7 @@ def test_writers_format_every_float_as_17g(tmp_path):
     real = surface_from_components(g, *(np.resize(np.roll(vals, k), g.shape)
                                         for k in range(3)))
     r = g.nodes()
-    for name, s in (("real", real), ("wick", ws.wick_rotate(real))):
+    for name, s in (("real", real), ("wick", wick_rotate(real))):
         t_mesh = s.t.real if s.reality == "real" else np.abs(s.t.imag)
         nodes = {(i, j): [ref(f(z[i, j])) for z in (r, s.x, s.t, s.phi)
                           for f in (np.real, np.imag)]
@@ -428,6 +428,13 @@ def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
     ["generate", "--base", "inf", "0"],
     ["family-verify", "--base", "nan", "0"],
     ["residuals", "--base", "nan", "0"],
+    ["generate", "--annulus", "0.4", "0.9", "--rect", "-0.4", "0.4", "-0.4", "0.4",
+     "--n", "20"],   # two grids
+    ["generate", "--gamma-chart", "0.4", "2.0", "-0.8", "-0.2", "--annulus", "0.4", "0.9"],
+    ["family-verify", "--gamma-chart", "0.4", "2.0", "-0.8", "-0.2",
+     "--rect", "-0.4", "0.4", "-0.4", "0.4", "--formats", "csv"],
+    ["generate", "--surface", "custom", "--rect", "-0.4", "0.4", "-0.4", "0.4",
+     "--n", "20"],   # custom's coefficients are API-only
 ])
 def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # a run that writes into the cwd shows up too
@@ -436,7 +443,25 @@ def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error: ")
     if "--base" in argv:
         assert "base point" in err, err
+    if sum(flag in argv for flag in ("--annulus", "--rect", "--gamma-chart")) > 1:
+        assert "at most one of --gamma-chart, --annulus and --rect" in err, err
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_custom_surface_is_unknown(tmp_path, capsys):
+    # a grid is given, so the error is the surface id's, listing the ids the
+    # CLI takes; custom's coefficients have no flags
+    ids = ", ".join(i for i in ws.CATALOG_IDS if i != "custom")
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[surface]\nid = custom\n[grid]\nkind = rectangle\nn1 = 20\n")
+    out = tmp_path / "out"
+    for argv in (["generate", "--surface", "custom", "--rect", "-0.4", "0.4", "-0.4", "0.4",
+                  "--n", "20"],
+                 ["generate", "--config", str(cfgfile)],
+                 ["residuals", "--config", str(cfgfile)]):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown surface id 'custom'; valid ids: {ids}\n"
+        assert not any(out.iterdir())
 
 
 def test_cli_family_verify_takes_one_rapidity(tmp_path, capsys):

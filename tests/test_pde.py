@@ -69,7 +69,7 @@ def _band_outputs(s):
     pb = ws.boost(p, ws.LorentzBoost(0.8))
     return [getattr(q, name) for q in (p, pb)
             for name in ("x", "t", "phi", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt",
-                         "valid_mask", "jacobian_det")]
+                         "valid_mask")]
 
 
 @pytest.mark.parametrize("rows", [1, 7, "all"])
@@ -279,7 +279,6 @@ def test_real_member_route_gives_s_theta_bits(generated_family, monkeypatch, row
         assert float_route.phi_xx.dtype == np.float64
         keep = complex_route.valid_mask
         assert np.array_equal(float_route.valid_mask, keep)
-        assert _same_nonzero_bits(complex_route.jacobian_det, 1j * float_route.jacobian_det)
         substituted = wick_substitute(float_route)
         for name in ("phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt"):
             assert _same_nonzero_bits(getattr(complex_route, name)[keep],

@@ -21,17 +21,9 @@ finite_c = st.complex_numbers(min_magnitude=0, max_magnitude=2,
                               allow_nan=False, allow_infinity=False)
 
 
-def test_pathspec_validation():
-    with pytest.raises(QuadratureError):
-        ws.PathSpec((1.0,))
-    with pytest.raises(QuadratureError):
-        ws.PathSpec((1.0, 1.0))
-    with pytest.raises(QuadratureError):
-        ws.PathSpec((0.0, 1.0), panels=0)
-
-
 def test_constant_integrand_gives_endpoint_difference():
-    val = ws.integrate_path(lambda w: np.ones_like(w), ws.PathSpec((0.0, 1.0 + 1.0j)))
+    val = _segment_integrals(lambda w: np.ones_like(w), np.array([0.0]),
+                             np.array([1.0 + 1.0j]), 32)[0]
     assert val == 1.0 + 1.0j
 
 
@@ -66,6 +58,7 @@ SMALL_BLOCK, WHOLE_GRID = 7 * 32, 1 << 40
 CATALOG = [i for i in ws.CATALOG_IDS if i != "custom"]
 FG_FAMILY = "helicoid+catenoid@0.7"
 PHASED = "catenoid*exp(0.3i)"
+PHASE = complex(np.exp(0.3j))  # a unit factor with nonzero real and imaginary parts
 
 
 def _grid_antiderivatives(sid, n_fg=128):
@@ -74,9 +67,15 @@ def _grid_antiderivatives(sid, n_fg=128):
         annulus = ws.default_annulus(0.4, 0.9, n_fg, n_fg)
         return list(ws.fg_integrals(pair, annulus, 0.65, singularities=[0.0]))
     if sid == PHASED:
-        R = ws.catalog_function("catenoid", conjugation_phase=complex(np.exp(0.3j)))
+        f = _integrand(ws.catalog_function("catenoid"))
+
+        def phased(w):
+            out = f(w)
+            out *= PHASE
+            return out
+
         annulus = ws.default_annulus(0.4, 0.9, 128, 128)
-        return [ws.antiderivative_on_grid(_integrand(R), 1.0, annulus, [0.0])]
+        return [ws.antiderivative_on_grid(phased, 1.0, annulus, [0.0])]
     data = ws.we_data(sid)
     f, sing = _integrand(data.R), singularity_points(data.R)
     # inside every entry's region, schwarz_riemann's principal branch included
@@ -367,17 +366,20 @@ def test_grid_antiderivative_holds_one_output_grid():
 @pytest.mark.parametrize("block", [1, WHOLE_GRID])
 def test_path_integral_independent_of_block_size(monkeypatch, block):
     f = lambda w: np.stack([np.exp(w) / (w - 2.5j), w ** 2])
-    path = ws.PathSpec((-0.3 + 0.1j, 0.9 + 0.6j, 0.2 - 0.4j), panels=9)
-    default = ws.integrate_path(f, path)
+    # nine panels on each leg of the polyline -0.3 + 0.1i -> 0.9 + 0.6i -> 0.2 - 0.4i
+    cuts = np.concatenate([np.linspace(-0.3 + 0.1j, 0.9 + 0.6j, 10)[:-1],
+                           np.linspace(0.9 + 0.6j, 0.2 - 0.4j, 10)])
+    default = _segment_integrals(f, cuts[:-1], cuts[1:], 32)
     monkeypatch.setattr(quadrature, "_BLOCK_NODES", block)
-    assert np.array_equal(ws.integrate_path(f, path), default)
+    assert np.array_equal(_segment_integrals(f, cuts[:-1], cuts[1:], 32), default)
 
 
 def test_nonfinite_integrand_in_a_later_block_rejected(monkeypatch):
     monkeypatch.setattr(quadrature, "_BLOCK_NODES", SMALL_BLOCK)
-    path = ws.PathSpec((0.0, 1.0), panels=40)
+    cuts = np.linspace(0.0, 1.0, 41).astype(complex)  # 40 panels
     with pytest.raises(QuadratureError, match="non-finite"):
-        ws.integrate_path(lambda w: np.where(w.real > 0.9, np.nan, 1.0), path)
+        _segment_integrals(lambda w: np.where(w.real > 0.9, np.nan, 1.0),
+                           cuts[:-1], cuts[1:], 32)
 
 
 def test_branch_region_error_in_a_later_block(monkeypatch):
@@ -405,27 +407,29 @@ def test_pair_generation_memory_bounded_by_output():
 
 def test_polynomial_exact():
     r = 0.3 + 0.7j
-    val = ws.integrate_path(lambda w: 2.0 * w, ws.PathSpec((1.0, r)))
+    val = _segment_integrals(lambda w: 2.0 * w, np.array([1.0 + 0j]), np.array([r]), 32)[0]
     assert abs(val - (r ** 2 - 1.0)) < 1e-12
 
 
 def test_reciprocal_along_unit_arc_fixes_branch():
-    # counterclockwise quarter turn: int dw/w = i pi/2 on the continued branch
-    arc = ws.PathSpec(tuple(np.exp(1j * np.linspace(0.0, np.pi / 2, 12))))
-    val = ws.integrate_path(lambda w: 1.0 / w, arc, singularities=[0.0])
+    # counterclockwise quarter turn along 11 chords of the unit circle:
+    # int dw/w = i pi/2 on the continued branch
+    arc = np.exp(1j * np.linspace(0.0, np.pi / 2, 12))
+    val = _segment_integrals(lambda w: 1.0 / w, arc[:-1], arc[1:], 32).sum()
     assert abs(val - 0.5j * np.pi) < 1e-10
 
 
 def test_singularity_exclusion_raises():
-    path = ws.PathSpec((-1.0, 1.0))
+    # the chain from the base -0.8 along the real axis runs through the pole
+    grid = ws.ParamGrid("rectangle", 4, 4, (-0.8, 0.8, -0.4, 0.4))
     with pytest.raises(PathNearSingularity):
-        ws.integrate_path(lambda w: 1.0 / w, path, singularities=[0.0])
+        ws.antiderivative_on_grid(lambda w: 1.0 / w, -0.8, grid, singularities=[0.0])
 
 
 def test_nonfinite_integrand_rejected():
     with pytest.raises(QuadratureError):
-        ws.integrate_path(lambda w: np.where(np.abs(w) < 2, np.inf, 1.0),
-                          ws.PathSpec((0.0, 1.0)))
+        _segment_integrals(lambda w: np.where(np.abs(w) < 2, np.inf, 1.0),
+                           np.array([0.0 + 0j]), np.array([1.0 + 0j]), 32)
 
 
 def test_panel_doubling_estimate_and_spectral_gain():
@@ -446,11 +450,13 @@ def test_panel_doubling_estimate_and_spectral_gain():
 
 
 def test_additivity_of_consecutive_segments():
+    # the grid's path from a to the node c runs along the axes, through b
     f = lambda w: np.exp(w) * w
-    a, b, c = 0.0, 0.4 + 0.2j, 1.0 - 0.5j
-    whole = ws.integrate_path(f, ws.PathSpec((a, c)))
-    parts = ws.integrate_path(f, ws.PathSpec((a, b))) + ws.integrate_path(f, ws.PathSpec((b, c)))
-    direct = ws.integrate_path(f, ws.PathSpec((a, b, c)))
+    a, b, c = 0.0, 1.0 + 0.0j, 1.0 - 0.5j
+    seg = _segment_integrals(f, np.array([a, a, b]), np.array([c, b, c]), 32)
+    whole, parts = seg[0], seg[1] + seg[2]
+    grid = ws.ParamGrid("rectangle", 3, 3, (0.0, 1.0, -0.5, 0.0))
+    direct = ws.antiderivative_on_grid(f, a, grid)[2, 0]
     assert abs(parts - direct) < 1e-14
     # path independence for entire f
     assert abs(whole - direct) < 1e-11
@@ -463,9 +469,12 @@ def test_path_independence_for_entire_integrand(mid):
     if mid in (a, c):
         mid = mid + 0.1
     f = lambda w: np.cos(w) + w ** 3
-    direct = ws.integrate_path(f, ws.PathSpec((a, c)))
-    detour = ws.integrate_path(f, ws.PathSpec((a, mid, c)))
+    seg = _segment_integrals(f, np.array([a, a, mid]), np.array([c, mid, c]), 32)
+    direct, detour = seg[0], seg[1] + seg[2]
     assert abs(direct - detour) < 1e-11
+    # the grid's axis-aligned path from a to the corner node c
+    grid = ws.ParamGrid("rectangle", 3, 3, (a.real, c.real, a.imag, c.imag))
+    assert abs(direct - ws.antiderivative_on_grid(f, a, grid)[2, 2]) < 1e-11
 
 
 # ------------------------------------------------------- antiderivative grid
