@@ -4,11 +4,12 @@
 Each run calls `wesurf.cli.main` in-process with `--out` pointing at a fresh
 temporary directory, then records the exit code, the digest of every file
 written there, and the digests of stdout and stderr (with the output
-directory replaced by `<OUT>`).  No CLI run reaches the library's F/G
-certificate, so `scripts/verify_all.py` is run the same way: its
-`family_checks.csv` holds the certificate (`relations_mismatch`).  The
-result is printed as one JSON object keyed by the run's argv (the script's
-name for verify_all.py).
+directory replaced by `<OUT>`, and each warning printed as its category and
+message only: its source line moves with any refactor).  No CLI run reaches
+the library's F/G certificate, so `scripts/verify_all.py` is run the same
+way: its `family_checks.csv` holds the certificate (`relations_mismatch`).
+The result is printed as one JSON object keyed by the run's argv (the
+script's name for verify_all.py).
 
 Compare two checkouts by running the script against each source tree and
 diffing the output:
@@ -24,6 +25,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import verify_all
@@ -64,6 +66,8 @@ RUNS = (
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "83", "200",   # 81-row band + 2 rows
      "--formats", "csv"],
     ["family-verify", "--rapidity", "6", "--formats", "csv"],   # boost_delta breach, exit 1
+    ["family-verify", "--rapidity", "354", "--formats", "csv"],   # the boosted patch's scan
+                                                                  # catches overflow: exit 2
     ["family-verify", "--theta", "0.7", "--formats", "csv"],   # one theta: all-zero series
     ["family-verify", "--surface", "scherk", "--formats", "csv"],
     ["family-verify", "--surface", "schwarz_riemann", "--rapidity", "1.2",
@@ -107,6 +111,7 @@ def digest_run(argv: list[str], entry=main) -> dict:
 
 if __name__ == "__main__":
     os.environ.pop("WESURF_OUT", None)  # it would override --out
+    warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     digests = {" ".join(run): digest_run(run) for run in RUNS}
     digests["scripts/verify_all.py"] = digest_run([], verify_all.main)
     print(json.dumps(digests, indent=1, sort_keys=True))

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import ParamGrid
+from .stencils import all_finite
 
 
 class CatalogError(ValueError):
@@ -209,7 +210,7 @@ def _evaluate(f: WEFunction, w, rule: Callable, label: str) -> np.ndarray | comp
     scalar = w_arr.ndim == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         out = rule(f, w_arr if not scalar else w_arr[None])
-    if not np.all(np.isfinite(out)):
+    if not all_finite(out):
         raise SingularEvaluation(f"{label} evaluated at a singular point")
     return complex(out[0]) if scalar else out
 

@@ -75,10 +75,7 @@ class RunConfig:
     corrupt_y_scale: float = 1.0
 
     def validate(self, need_thetas: bool = False) -> None:
-        surfaces = [i for i in CATALOG_IDS if i != "custom"]  # custom: Python API only
-        if self.surface not in surfaces:
-            raise ConfigError(f"unknown surface id {self.surface!r}; valid ids: "
-                              + ", ".join(surfaces))
+        _surface_id(self.surface)
         if need_thetas and len(self.thetas) == 0:
             raise ConfigError("theta list must not be empty for family commands")
         if not all(math.isfinite(th) for th in self.thetas):
@@ -97,6 +94,13 @@ class RunConfig:
         bad = [f for f in self.formats if f not in VALID_FORMATS]
         if bad:
             raise ConfigError(f"unknown export formats {bad}; valid: {VALID_FORMATS}")
+
+
+def _surface_id(surface: str) -> str:
+    """`surface`, if the CLI serves it (custom: Python API only)."""
+    if surface not in (ids := [i for i in CATALOG_IDS if i != "custom"]):
+        raise ConfigError(f"unknown surface id {surface!r}; valid ids: " + ", ".join(ids))
+    return surface
 
 
 # every check tolerance: validated, read from [tolerances] and set by --<name>
@@ -199,7 +203,7 @@ def _build_config(args) -> RunConfig:
     elif getattr(args, "rect", None) is not None:
         cfg.grid = ParamGrid("rectangle", n[0], n[-1], tuple(args.rect))
     elif counts:
-        base_grid = cfg.grid or verification_grid(cfg.surface)
+        base_grid = cfg.grid or verification_grid(_surface_id(cfg.surface))
         cfg.grid = ParamGrid(base_grid.kind, n[0], n[-1], base_grid.bounds,
                              base_grid.allow_unit_circle)
     if getattr(args, "theta", None) is not None:

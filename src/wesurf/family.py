@@ -92,18 +92,22 @@ def real_member(s: SurfaceGrid) -> SurfaceGrid:
 
     The parts of S that are read are exactly X's when S comes from
     `SolitonFamily.at`, which writes X into them and zeros into the other
-    parts; nothing checks that here.  The nodewise kernels then run in
-    float arithmetic on X and give S's bits (README, Numerical notes).
+    parts; nothing checks that here, and X, parts of a validated S, is not
+    scanned again.  The nodewise kernels then run in float arithmetic on X
+    and give S's bits (README, Numerical notes).
     """
     def parts(z):
         if z is None:
             return None
         out = np.empty(z.shape)
         out[0], out[1], out[2] = z[0].real, z[1].imag, z[2].real
+        out.flags.writeable = False
         return out
 
-    return SurfaceGrid(s.grid, parts(s.values), "real", parts(s.jac), parts(s.jac2),
-                       dict(s.meta))
+    member = copy.copy(s)
+    vars(member).update(values=parts(s.values), reality="real", jac=parts(s.jac),
+                        jac2=parts(s.jac2), meta=dict(s.meta))
+    return member
 
 
 def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:

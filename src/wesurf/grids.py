@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .stencils import axis_derivative, interior_mask, min_samples
+from .stencils import all_finite, axis_derivative, interior_mask, min_samples
 
 TWO_PI = 2.0 * np.pi
 
@@ -33,12 +33,6 @@ Reality = Literal["real", "wick_rotated"]
 
 class GridError(ValueError):
     pass
-
-
-def _all_finite(z: np.ndarray) -> bool:
-    """True when every entry of a contiguous float or complex array is
-    finite; a complex array's float view is checked, at about half the cost."""
-    return bool(np.isfinite(z.view(np.float64)).all())
 
 
 @dataclass(frozen=True)
@@ -187,7 +181,7 @@ class SurfaceGrid:
                                      == "wick_rotated" else np.float64)
             if a.shape != (3, *slots, n1, n2):
                 raise GridError(f"{name} shape {a.shape} does not match grid {self.grid.shape}")
-            if not _all_finite(a):
+            if not all_finite(a):
                 raise GridError(f"{what} must be finite")
             if self.reality == "real" and complex_in:
                 if np.any(a.imag):

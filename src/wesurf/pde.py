@@ -19,6 +19,7 @@ derivative data exactly.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .grids import SurfaceGrid, array_derivative, surface_jacobian
 from .reports import ResidualReport, residual_report
+from .stencils import all_finite
 
 RAPIDITY_UNIT_TOL = 1e-12
 DEFAULT_COND_CUTOFF = 1e8
@@ -62,7 +64,8 @@ class NonparametricPatch:
     """Samples of phi(x, t) with first and second partials.
 
     valid_mask marks nodes whose Jacobian inversion was well conditioned;
-    statistics ignore the rest (a ResidualReport counts them).
+    statistics ignore the rest (a ResidualReport counts them) and may hold
+    non-finite data: only a field whose whole scan fails is scanned on them.
     """
 
     x: np.ndarray
@@ -78,7 +81,8 @@ class NonparametricPatch:
     def __post_init__(self):
         fields = (self.x, self.t, self.phi, self.phi_x, self.phi_t,
                   self.phi_xx, self.phi_xt, self.phi_tt)
-        if not all(np.all(np.isfinite(a), where=self.valid_mask) for a in fields):
+        if not all(all_finite(a) or np.all(np.isfinite(a), where=self.valid_mask)
+                   for a in fields):
             raise PDEError("non-finite derivative data at retained nodes")
 
 
@@ -238,11 +242,11 @@ def boost(p: NonparametricPatch, lb: LorentzBoost) -> NonparametricPatch:
 def wick_substitute(p: NonparametricPatch) -> NonparametricPatch:
     """t -> i t on derivative data: phi_t -> -i phi_t, phi_tt -> -phi_tt,
     phi_xt -> -i phi_xt.  x, phi, phi_x, phi_xx and valid_mask, which the
-    substitution leaves unchanged, are shared with `p`, not copied."""
-    return NonparametricPatch(x=p.x, t=1j * p.t, phi=p.phi,
-                              phi_x=p.phi_x, phi_t=-1j * p.phi_t,
-                              phi_xx=p.phi_xx, phi_xt=-1j * p.phi_xt,
-                              phi_tt=-p.phi_tt, valid_mask=p.valid_mask)
+    substitution leaves unchanged, are shared with `p`, not copied.  Factors
+    of +-1 and +-i keep finite data finite: no second scan (README)."""
+    q = copy.copy(p)
+    q.t, q.phi_t, q.phi_xt, q.phi_tt = 1j * p.t, -1j * p.phi_t, -1j * p.phi_xt, -p.phi_tt
+    return q
 
 
 def wick_equivalence_check(minimal: NonparametricPatch) -> ResidualReport:

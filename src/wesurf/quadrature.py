@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .grids import ParamGrid
-from .stencils import fixed_order_dot
+from .stencils import all_finite, fixed_order_dot
 
 EXCLUSION_FRACTION = 1e-3  # exclusion radius = fraction * path length
 _ARC_MAX_STEP = 0.2        # max angular chord (radians) on annulus sweeps
@@ -107,7 +107,7 @@ def _eval_checked(f, z: np.ndarray) -> np.ndarray:
     if fz.shape[-z.ndim:] != z.shape:
         fz = np.broadcast_to(fz, fz.shape[:-z.ndim] + z.shape) if fz.ndim >= z.ndim \
             else np.broadcast_to(fz, z.shape)
-    if not np.all(np.isfinite(fz)):
+    if not all_finite(fz):
         raise QuadratureError("integrand returned non-finite values on the path")
     return fz
 

@@ -183,6 +183,19 @@ def catenoid_graph_fns() -> dict:
     }
 
 
+def finite_everywhere(a) -> bool:
+    """The test every array gate applied before they shared
+    `stencils.all_finite`: np.isfinite on each entry, real and imaginary
+    parts alike."""
+    return bool(np.all(np.isfinite(a)))
+
+
+def finite_where_retained(fields, valid_mask) -> bool:
+    """`NonparametricPatch`'s former test: every field finite at the nodes
+    valid_mask retains, anything at the dropped ones."""
+    return all(np.all(np.isfinite(a), where=valid_mask) for a in fields)
+
+
 def t_reflect(p: NonparametricPatch) -> NonparametricPatch:
     """t -> -t, under which the Born-Infeld equation is invariant."""
     return NonparametricPatch(x=p.x.copy(), t=-p.t, phi=p.phi.copy(),

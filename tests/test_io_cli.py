@@ -155,6 +155,18 @@ def test_cli_unknown_surface_exits_2(tmp_path, capsys):
     assert "valid ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("surface", ["bogus", "custom"])
+def test_cli_unknown_surface_error_precedes_default_grid(tmp_path, capsys, surface):
+    # --n alone resizes the entry's default grid, which an unknown id has not
+    errs = []
+    for counts in ([], ["--n", "8"]):
+        assert main(["generate", "--surface", surface, *counts, "--out", str(tmp_path)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"error: unknown surface id {surface!r}; valid ids: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_family_verify_passes(tmp_path, capsys):
     rc = main(["family-verify", "--surface", "catenoid", "--out", str(tmp_path)])
     assert rc == 0
