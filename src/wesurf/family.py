@@ -13,10 +13,13 @@ complex.  The family stores the pair packed as Z = X + i Y, one complex
 array each for the values and the first and second derivatives (a
 generated family keeps only the d/dr1 slots Phi', Phi'' of the latter and
 builds the rest by Cauchy-Riemann), and the member at angle theta is
-Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on float views
-into one fresh complex array per field, which `wick_rotate` then rotates in
-place.  Each theta derivative is a member too: d^n S_theta / d theta^n is
-S at theta + n pi/2, and `at` hits the quarter angles exactly (`_cos_sin`).
+X_theta = Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on
+float views into fresh float64 arrays and validated once.  S_theta is stored
+as X_theta: `wick_rotate` builds each of its complex arrays (values, jac,
+jac2) only when it is first read, and `real_member` hands X_theta itself to
+the theta sweep's float checks, which build none.  Each theta derivative is
+a member too: d^n S_theta / d theta^n is S at theta + n pi/2, and `at` hits
+the quarter angles exactly (`_cos_sin`).
 The family's F/G data is the same combination of the
 members' handles, F_theta = cos(theta) F_1 + sin(theta) F_2, which for the
 helicoid/catenoid pair collapses to (i/2) e^{-i theta} / r.
@@ -38,6 +41,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -68,46 +72,48 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return c, s
 
 
-def wick_rotate(grid: ParamGrid, values: np.ndarray, jac: np.ndarray | None,
-                jac2: np.ndarray | None, meta: dict) -> SurfaceGrid:
-    """t -> i t on the fresh complex arrays of a real member, in place; x and
-    phi unchanged.
+class _WickRotated(SurfaceGrid):
+    """S = X^s for a validated real member X (`wick_rotate`).  Each complex
+    array, values, jac or jac2, is built on its first read and then kept;
+    it is derived exactly from X's finite data, so it is not scanned."""
 
-    `SolitonFamily.at` writes the member into the arrays with +0 imaginary
-    parts; t is rotated with the bits of 1j * (m + 0j): imag <- m + 0, then
-    real <- m * 0, a zero with the sign of m.  The result is validated
-    once, as the rotated surface.
-    """
-    for a in (values, jac, jac2):
-        if a is not None:
-            t = a[1]
-            np.add(t.real, 0.0, out=t.imag)
-            np.multiply(t.real, 0.0, out=t.real)
-    return SurfaceGrid(grid, values, "wick_rotated", jac, jac2, meta)
+    def __init__(self, member: SurfaceGrid, raw):
+        vars(self).update(grid=member.grid, reality="wick_rotated", meta=dict(member.meta),
+                          _member=member, _raw=raw)
+
+    def _rotated(self, name: str) -> np.ndarray | None:
+        """raw(name) as a complex array, t -> i t with the bits of
+        1j * (m + 0j): imag <- m + 0, then real <- m * 0, a zero with the
+        sign of m; x and phi keep m, imaginary parts +0."""
+        m = self._raw(name)
+        if m is None:
+            return None
+        z = m.astype(complex)
+        t = z[1]
+        np.add(t.real, 0.0, out=t.imag)
+        np.multiply(t.real, 0.0, out=t.real)
+        z.flags.writeable = False
+        return z
+
+    values = cached_property(lambda self: self._rotated("values"))
+    jac = cached_property(lambda self: self._rotated("jac"))
+    jac2 = cached_property(lambda self: self._rotated("jac2"))
+
+
+def wick_rotate(member: SurfaceGrid, raw) -> SurfaceGrid:
+    """S = member^s, t -> i t, for a validated real member: its values, jac
+    and jac2 are each built the first time they are read, from raw(name),
+    the member's array before its t took + 0 (`_WickRotated`)."""
+    return _WickRotated(member, raw)
 
 
 def real_member(s: SurfaceGrid) -> SurfaceGrid:
-    """X of S = X^s, a real surface: Re x, Im t and Re phi of the values,
-    jac and jac2 of S, copied into float64 arrays.
-
-    The parts of S that are read are exactly X's when S comes from
-    `SolitonFamily.at`, which writes X into them and zeros into the other
-    parts; nothing checks that here, and X, parts of a validated S, is not
-    scanned again.  The nodewise kernels then run in float arithmetic on X
-    and give S's bits (README, Numerical notes).
+    """X of S = X^s, for S from `SolitonFamily.at`: the real member that `at`
+    built and validated, float64, not copied.  Its parts are S's Re x, Im t
+    and Re phi, bit for bit, and the nodewise kernels run in float
+    arithmetic on it and give S's bits (README, Numerical notes).
     """
-    def parts(z):
-        if z is None:
-            return None
-        out = np.empty(z.shape)
-        out[0], out[1], out[2] = z[0].real, z[1].imag, z[2].real
-        out.flags.writeable = False
-        return out
-
-    member = copy.copy(s)
-    vars(member).update(values=parts(s.values), reality="real", jac=parts(s.jac),
-                        jac2=parts(s.jac2), meta=dict(s.meta))
-    return member
+    return s._member
 
 
 def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
@@ -130,6 +136,7 @@ def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
 _SLOT_PARTS = (((1.0, 0), (1.0, 1)),     # z:    Re z,  Im z
                ((-1.0, 1), (1.0, 0)),    # i z: -Im z,  Re z
                ((-1.0, 0), (-1.0, 1)))   # -z:  -Re z, -Im z
+_SLOTS = {"values": 1, "jac": 2, "jac2": 3}  # derivative slots of each array
 
 
 class SolitonFamily:
@@ -188,36 +195,36 @@ class SolitonFamily:
         fam._y_scale = float(y_scale)
         return fam
 
-    def _real_arrays(self, part, dtype) -> list[np.ndarray | None]:
-        """Fresh arrays of dtype holding part(sx, x, sy, y) for values, jac
-        and jac2, imaginary parts +0 when dtype is complex; None stays None.
+    def _real_array(self, name: str, part) -> np.ndarray | None:
+        """A fresh float64 array for the family's values, jac or jac2
+        (`name`), each grid of it written by part(sx, x, sy, y, out); None
+        when the family has none.
 
         x and y are float arrays of one component and slot of X and of Y up
         to the signs sx and sy: views of the packed arrays, y times the
         family's y_scale, and a one-slot jac or jac2 is spread over its slots
         by `_SLOT_PARTS`.  This is the one place that rule is applied.
         """
-        def real(z, n_slots):
-            if z is None:
-                return None
-            compact = z.shape[1] == 1
-            out = np.empty((len(z), n_slots) + z.shape[2:], dtype=dtype)
-            for k, j in np.ndindex(out.shape[:2]):  # small temporaries: one grid each
-                src = z[k, 0 if compact else j]
-                re_im = (src.real, src.imag)
-                (sx, px), (sy, py) = _SLOT_PARTS[j if compact else 0]
-                x, y = re_im[px], re_im[py]
-                if self._y_scale != 1.0:
-                    y = self._y_scale * y
-                out[k, j] = part(sx, x, sy, y)  # complex: imaginary parts set to +0
-            return out
-
-        values = real(self.values[:, None], 1)[:, 0]  # values: one slot, as z
-        return [values, real(self.jac, 2), real(self.jac2, 3)]
+        z = getattr(self, name)
+        if z is None:
+            return None
+        if name == "values":
+            z = z[:, None]  # one slot, as z
+        compact = z.shape[1] == 1
+        out = np.empty((len(z), _SLOTS[name]) + z.shape[2:])
+        for k, j in np.ndindex(out.shape[:2]):  # small temporaries: one grid each
+            src = z[k, 0 if compact else j]
+            re_im = (src.real, src.imag)
+            (sx, px), (sy, py) = _SLOT_PARTS[j if compact else 0]
+            x, y = re_im[px], re_im[py]
+            if self._y_scale != 1.0:
+                y = self._y_scale * y
+            part(sx, x, sy, y, out[k, j])
+        return out[:, 0] if name == "values" else out
 
     def _real_surface(self, part, meta: dict) -> SurfaceGrid:
-        """The real surface of `_real_arrays(part)`, float64."""
-        values, jac, jac2 = self._real_arrays(part, np.float64)
+        """The real surface of part (`_real_array`), float64."""
+        values, jac, jac2 = (self._real_array(name, part) for name in _SLOTS)
         return SurfaceGrid(self.grid, values, "real", jac, jac2, meta)
 
     def rows(self, i: int, j: int) -> "SolitonFamily":
@@ -233,12 +240,12 @@ class SolitonFamily:
 
     @property
     def X(self) -> SurfaceGrid:
-        return self._real_surface(lambda sx, x, sy, y: x if sx > 0 else -x,
+        return self._real_surface(lambda sx, x, sy, y, out: np.multiply(sx, x, out=out),
                                   dict(self._metas[0]))
 
     @property
     def Y(self) -> SurfaceGrid:
-        return self._real_surface(lambda sx, x, sy, y: y if sy > 0 else -y,
+        return self._real_surface(lambda sx, x, sy, y, out: np.multiply(sy, y, out=out),
                                   dict(self._metas[1]))
 
     def __iter__(self):
@@ -249,18 +256,28 @@ class SolitonFamily:
     def at(self, theta: float) -> SurfaceGrid:
         """S_theta = (cos(theta) X + sin(theta) Y)^s, componentwise.
 
-        The member is real, so its combination is taken on float views:
-        real products, unlike numpy's SIMD complex ones, are commutative
-        bit for bit.  It is written into fresh arrays, which `wick_rotate`
-        rotates in place, and validated once, as S_theta.  The result's
-        arrays are read-only and share no memory with the family's.
+        The real member X_theta is combined on float views into fresh
+        float64 arrays (real products, unlike numpy's SIMD complex ones, are
+        commutative bit for bit), its t takes + 0, which is Im t of S_theta,
+        and it is validated once; `wick_rotate` builds S_theta's complex
+        arrays from it only when read.  No array shares memory with the
+        family's.
         """
         c, s = _cos_sin(theta)
         meta = {"surface": self._metas[0].get("surface"), "theta": theta,
                 "base": self._metas[0].get("base")}
-        # the signs go on the weights: c * (-x) and (-c) * x are the same bits
-        member = self._real_arrays(lambda sx, x, sy, y: (sx * c) * x + (sy * s) * y, complex)
-        return wick_rotate(self.grid, *member, meta)
+
+        def combine(sx, x, sy, y, out):
+            # the signs go on the weights: c * (-x) and (-c) * x are the same bits
+            np.add(np.multiply(sx * c, x, out=out), (sy * s) * y, out=out)
+
+        raw = partial(self._real_array, part=combine)
+        arrays = [raw(name) for name in _SLOTS]
+        for a in arrays:
+            if a is not None:
+                np.add(a[1], 0.0, out=a[1])  # -0 -> +0, as Im of 1j * (m + 0j)
+        values, jac, jac2 = arrays
+        return wick_rotate(SurfaceGrid(self.grid, values, "real", jac, jac2, meta), raw)
 
 
 def family_fg(pair1: FGPair, pair2: FGPair, theta: float) -> FGPair:

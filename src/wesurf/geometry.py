@@ -139,7 +139,8 @@ def action(form: FundamentalForm, grid: ParamGrid) -> float:
     """
     disc = form.E * form.G - form.F ** 2
     scale = 1.0 + np.max(np.abs(disc))
-    if np.max(np.abs(disc.imag)) > DISCRIMINANT_CLAMP * scale:
+    # a float64 form has no imaginary part: its .imag would be a fresh zero grid
+    if np.iscomplexobj(disc) and np.max(np.abs(disc.imag)) > DISCRIMINANT_CLAMP * scale:
         raise GeometryError("EG - F^2 has a non-negligible imaginary part")
     re = disc.real
     if np.min(re) < -DISCRIMINANT_CLAMP * scale:

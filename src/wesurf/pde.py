@@ -79,11 +79,24 @@ class NonparametricPatch:
     valid_mask: np.ndarray
 
     def __post_init__(self):
-        fields = (self.x, self.t, self.phi, self.phi_x, self.phi_t,
-                  self.phi_xx, self.phi_xt, self.phi_tt)
-        if not all(all_finite(a) or np.all(np.isfinite(a), where=self.valid_mask)
-                   for a in fields):
-            raise PDEError("non-finite derivative data at retained nodes")
+        _check_retained(self.valid_mask, self.x, self.t, self.phi, self.phi_x, self.phi_t,
+                        self.phi_xx, self.phi_xt, self.phi_tt)
+
+
+def _check_retained(valid_mask: np.ndarray, *fields: np.ndarray) -> None:
+    """Raise unless each field is finite at the retained nodes: a whole-field
+    scan first, the masked one only where that fails."""
+    if not all(all_finite(a) or np.all(np.isfinite(a), where=valid_mask) for a in fields):
+        raise PDEError("non-finite derivative data at retained nodes")
+
+
+def _derived_patch(valid_mask: np.ndarray, shared: dict, **derived) -> NonparametricPatch:
+    """The patch of `shared` fields, views of data already checked finite,
+    and `derived` ones; only the derived fields are scanned."""
+    _check_retained(valid_mask, *derived.values())
+    patch = object.__new__(NonparametricPatch)
+    vars(patch).update(shared, valid_mask=valid_mask, **derived)
+    return patch
 
 
 def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
@@ -157,10 +170,10 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
         valid = ~_dilate(bad, accuracy + 1)  # stencil window reach, incl. one-sided edges
     phi_xx, phi_xt_a = solve(a1, a2)
     phi_tx_b, phi_tt = solve(b1, b2)
-    return NonparametricPatch(
-        x=s.x, t=s.t, phi=s.phi,  # read-only views of the surface
+    return _derived_patch(
+        valid, dict(x=s.x, t=s.t, phi=s.phi),  # read-only views of the validated surface
         phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=0.5 * (phi_xt_a + phi_tx_b),
-        phi_tt=phi_tt, valid_mask=valid)
+        phi_tt=phi_tt)
 
 
 _GRAPH_FIELDS = ("phi", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt")
@@ -225,18 +238,19 @@ def born_infeld_residual(p: NonparametricPatch) -> ResidualReport:
 def boost(p: NonparametricPatch, lb: LorentzBoost) -> NonparametricPatch:
     """Boosted patch: x' = a x + b t, t' = b x + a t, derivative data pulled
     back exactly (phi'(x', t') = phi(x, t)).  phi and valid_mask are shared
-    with `p`, not copied."""
+    with `p`, not copied, nor scanned again; the boosted products are
+    scanned, since they can overflow."""
     a, b = lb.a, lb.b
 
     x, t, phi_x, phi_t = p.x, p.t, p.phi_x, p.phi_t
     phi_xx, phi_xt, phi_tt = p.phi_xx, p.phi_xt, p.phi_tt
-    return NonparametricPatch(
-        x=a * x + b * t, t=b * x + a * t, phi=p.phi,
+    return _derived_patch(
+        p.valid_mask, dict(phi=p.phi),
+        x=a * x + b * t, t=b * x + a * t,
         phi_x=a * phi_x - b * phi_t, phi_t=-b * phi_x + a * phi_t,
         phi_xx=a * a * phi_xx - 2 * a * b * phi_xt + b * b * phi_tt,
         phi_xt=-a * b * (phi_xx + phi_tt) + (a * a + b * b) * phi_xt,
-        phi_tt=b * b * phi_xx - 2 * a * b * phi_xt + a * a * phi_tt,
-        valid_mask=p.valid_mask)
+        phi_tt=b * b * phi_xx - 2 * a * b * phi_xt + a * a * phi_tt)
 
 
 def wick_substitute(p: NonparametricPatch) -> NonparametricPatch:

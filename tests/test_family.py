@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
-from wesurf.family import FamilyError, _cos_sin, wick_rotate as wick_rotate_in_place
+from wesurf import family, grids
+from wesurf.cli import main
+from wesurf.family import FamilyError, _cos_sin, real_member
 from wesurf.grids import GridError
 
 from conftest import rng_points
@@ -58,19 +60,39 @@ def test_double_wick_negates_rotated_t_bitwise(hc_family):
         assert np.array_equal(a[::2].view(np.uint64), b[::2].view(np.uint64))
 
 
-def test_in_place_wick_rotate_has_the_bits_of_1j_times_t():
-    # family.wick_rotate, as `at` calls it: fresh complex arrays holding a
-    # real member with +0 imaginary parts, rotated in place
+@pytest.fixture
+def builds(monkeypatch):
+    """The names of the complex arrays of S_theta built, in order."""
+    built, rotated = [], family._WickRotated._rotated
+
+    def spy(self, name):
+        built.append(name)
+        return rotated(self, name)
+
+    monkeypatch.setattr(family._WickRotated, "_rotated", spy)
+    return built
+
+
+def test_wick_rotate_builds_the_bits_of_1j_times_t_on_read(builds):
+    # `at` at theta 0 combines m = 1 * m + 0 * (-1), which keeps m's signs of
+    # zero; S's arrays, built when read, hold 1j * (m + 0j) in t, and the
+    # real member's t is m + 0
     grid = ws.ParamGrid("rectangle", 3, 4, (0.0, 1.0, 0.0, 1.0))
     m = np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -np.pi] * 2).reshape(grid.shape)
-    values = np.zeros((3,) + grid.shape, complex)
-    values[0].real, values[1].real, values[2].real = m + 1, m, m - 1
-    expected = np.multiply(1j, values[1])  # 1j first, as the copying oracle
-    S = wick_rotate_in_place(grid, values, None, None, {"theta": 0.0})
-    assert S.reality == "wick_rotated" and np.shares_memory(S.values, values)
+    z = np.empty((3,) + grid.shape, complex)
+    z.real, z.imag = (m + 1, m, m - 1), -1.0
+    fam = ws.SolitonFamily.packed(grid, z, z[:, None].copy(), z[:, None].copy(), ({}, {}))
+    S = fam.at(0.0)
+    X = real_member(S)
+    assert builds == []
+    assert np.array_equal(X.t.view(np.uint64), (m + 0.0).view(np.uint64))
+    assert np.array_equal(X.x, m + 1) and np.array_equal(X.phi, m - 1)
+    expected = np.multiply(1j, m.astype(complex))  # 1j first, as the copying oracle
+    assert S.reality == "wick_rotated" and not S.values.flags.writeable
     assert np.array_equal(S.t.view(np.uint64), expected.view(np.uint64))
     assert np.array_equal(S.x, m + 1) and np.array_equal(S.phi, m - 1)
     assert not np.any(S.x.imag) and not np.any(S.phi.imag)
+    assert builds == ["values"] and S.values is S.values
 
 
 def test_family_at_shares_no_memory_with_the_family(hc_family):
@@ -91,6 +113,39 @@ def test_wick_catenoid_matches_nonparametric_form(annulus_grid):
     defined = p.real > 1.0 + 1e-9
     expected = np.arccosh(np.sqrt(p.real[defined]))
     assert np.max(np.abs(np.abs(s.phi.real[defined]) - expected)) < 1e-12
+
+
+def test_theta_sweep_builds_no_complex_array(tmp_path, builds, monkeypatch):
+    # family-verify's checks read each band as its real member only
+    bands = []
+    n1, n2 = ws.verification_grid("enneper").shape
+    monkeypatch.setattr(grids, "_BAND_NODES", 7 * n2)
+    at = ws.SolitonFamily.at
+    monkeypatch.setattr(ws.SolitonFamily, "at",
+                        lambda fam, theta: bands.append(theta) or at(fam, theta))
+    assert main(["family-verify", "--surface", "enneper", "--theta", "0", "0.7",
+                 "--formats", "csv", "--out", str(tmp_path)]) == 0
+    assert len(bands) == 2 * len(grids._row_bands(n1, n2)) == 26
+    assert builds == []
+
+
+def test_obj_export_and_relations_build_only_values(tmp_path, builds, hc_family):
+    assert main(["family-verify", "--surface", "enneper", "--theta", "0", "0.7",
+                 "--formats", "obj", "--out", str(tmp_path)]) == 0
+    assert builds == ["values", "values"]
+    builds.clear()
+    ws.verify_soliton_relations(hc_family.at(0.7),
+                                ws.family_fg(ws.helicoid_fg(), ws.catenoid_fg(), 0.7),
+                                singularities=[0.0])
+    assert builds == ["values"]
+
+
+def test_at_raises_on_an_overflowing_member():
+    fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.verification_grid("catenoid"),
+                                     y_scale=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GridError, match="must be finite"):
+            fam.at(0.7)
 
 
 # ------------------------------------------------------------------- family

@@ -154,18 +154,19 @@ def test_real_member_and_wick_substitute_keep_bits_without_a_scan(enneper_family
     S = enneper_family.rows(3, 40).at(0.7)
     scans.clear()
     X = real_member(S)
-    assert scans == []
+    assert scans == [] and X is real_member(S)
     patch = ws.chain_rule_partials(X, second_source="analytic")
     assert scans  # the spy sees the gates that do scan
     scans.clear()
     w = wick_substitute(patch)
+    complex_arrays = S.values, S.jac, S.jac2  # built from the validated member
     assert scans == []
 
     def parts(z):
         return np.stack([z[0].real, z[1].imag, z[2].real])
 
-    validated = ws.SurfaceGrid(S.grid, parts(S.values), "real", parts(S.jac),
-                               parts(S.jac2), dict(S.meta))
+    values, jac, jac2 = (parts(z) for z in complex_arrays)
+    validated = ws.SurfaceGrid(S.grid, values, "real", jac, jac2, dict(S.meta))
     assert (X.grid, X.reality, X.meta) == (validated.grid, "real", validated.meta)
     assert X.meta is not S.meta
     for name in ("values", "jac", "jac2"):
@@ -179,6 +180,28 @@ def test_real_member_and_wick_substitute_keep_bits_without_a_scan(enneper_family
             assert _same_bytes(got, derived[f.name]), f.name
         else:
             assert got is getattr(patch, f.name), f.name
+
+
+def test_each_band_scans_each_array_once(monkeypatch, scans):
+    # per band of family-verify's sweep: the member's values, jac and jac2
+    # when `at` validates it, the five partials the chain rule derives, and
+    # the seven boosted fields; the shared x, t and phi are not scanned again
+    fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.verification_grid("catenoid"))
+    monkeypatch.setattr(grids, "_BAND_NODES", 7 * fam.grid.n2)
+    per_band = []
+
+    def visit(theta, rows, X):
+        at_scans = len(scans)
+        patch = ws.chain_rule_partials(X, second_source="analytic")
+        chain_scans = len(scans) - at_scans
+        boost(wick_substitute(patch), LorentzBoost(0.8))
+        per_band.append((at_scans, chain_scans, len(scans) - at_scans - chain_scans))
+        scans.clear()
+
+    scans.clear()
+    ws.theta_sweep_invariance(fam, (0.0, 0.7), visit)
+    assert len(per_band) == 2 * len(grids._row_bands(*fam.grid.shape)) > 2
+    assert set(per_band) == {(3, 5, 7)}
 
 
 def test_boost_that_overflows_still_raises():

@@ -280,6 +280,16 @@ def test_action_rejects_negative_discriminant():
         ws.action(bad, g)
 
 
+def test_action_rejects_complex_discriminant():
+    g, s = flat_patch()
+    form = ws.fundamental_form(s, "euclidean", source="fd")
+    bad = ws.FundamentalForm(form.E + 0.5j, form.F, form.G, form.signature, g)
+    with pytest.raises(GeometryError, match="imaginary part"):
+        ws.action(bad, g)
+    tiny = ws.FundamentalForm(form.E + 1e-20j, form.F, form.G, form.signature, g)
+    assert ws.action(tiny, g) == ws.action(form, g)
+
+
 def test_area_weights_include_polar_jacobian():
     g = ws.ParamGrid("annulus", 41, 81, (0.3, 0.8, 0.0, 2 * math.pi))
     area = float(np.sum(g.area_weights()))

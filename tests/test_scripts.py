@@ -1,6 +1,9 @@
-"""Smoke runs of the scripts in scripts/: each exits 0 and writes its files."""
+"""Smoke runs of the scripts in scripts/: each exits 0 and writes its files;
+and the functions the benchmark's tracer wraps exist under their names."""
 
 import csv
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -9,7 +12,8 @@ from pathlib import Path
 
 import wesurf as ws
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 CATALOG = [i for i in ws.CATALOG_IDS if i != "custom"]
 
 
@@ -54,3 +58,18 @@ def test_verify_all_writes_both_reports(tmp_path):
     for row in catalog + family:
         assert all(math.isfinite(float(v)) for k, v in row.items()
                    if k not in ("surface", "grid", "family"))
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py rebinds each (module, attribute path) of TRACED by
+    # name; a renamed function would break `run.py --trace 1`
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module, attr in tracing.TRACED:
+        obj = importlib.import_module(f"{tracing.MODULE_PREFIX}.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), (module, attr)
