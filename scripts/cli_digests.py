@@ -82,6 +82,8 @@ RUNS = (
      "--n", "41"],                                                          # exit 1
     ["boost-check"],
     ["boost-check", "--rapidity", "0.2", "0.8", "1.5"],
+    ["boost-check", "--surface", "scherk"],   # the run's own surface, not a fixed patch
+    ["boost-check", "--surface", "henneberg", "--rapidity", "0.8", "3"],   # flip_t
     ["export"],
     ["export", "--surface", "enneper", "--format", "table"],
     ["export", "--surface", "catenoid", "--format", "table"],   # n1 != n2

@@ -20,9 +20,8 @@ from .hodograph import (FGPair, HodographError, catenoid_closed, catenoid_fg,
 from .io_export import (export_mesh, write_report_csv, write_surface_csv,
                         write_surface_table)
 from .pde import (LorentzBoost, NonparametricPatch, PDEError, boost,
-                  born_infeld_residual, chain_rule_partials, graph_patch,
-                  minimal_surface_residual, wick_catenoid_graph_fns,
-                  wick_equivalence_check, wick_substitute)
+                  born_infeld_residual, chain_rule_partials,
+                  minimal_surface_residual, wick_substitute)
 from .quadrature import (PathNearSingularity, QuadratureError,
                          antiderivative_on_grid)
 from .reports import ResidualReport, residual_report

@@ -14,7 +14,10 @@ derivatives are analytic.
 
 Also here: the Lorentz boost (cosh, sinh matrix) under which the Born-Infeld
 equation is invariant, applied to patches by transforming coordinates and
-derivative data exactly.
+derivative data exactly.  The CLI boosts one patch route: a generated
+surface's `chain_rule_partials`, then `wick_substitute`, then `boost`.  The
+Born-Infeld residual of a real patch's Wick substitution is its minimal
+residual bit for bit, so no check compares those two.
 """
 
 from __future__ import annotations
@@ -176,41 +179,6 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
         phi_tt=phi_tt)
 
 
-_GRAPH_FIELDS = ("phi", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt")
-
-
-def graph_patch(x: np.ndarray, t: np.ndarray, fns: dict) -> NonparametricPatch:
-    """Patch from closed-form callables phi, phi_x, ..., sampled on (x, t).
-
-    `fns` maps the field names to callables of (x, t); all six derivative
-    entries are required.
-    """
-    data = {k: np.asarray(fns[k](x, t), dtype=complex) for k in _GRAPH_FIELDS}
-    mask = np.ones(np.shape(data["phi"]), dtype=bool)
-    return NonparametricPatch(x=np.asarray(x, dtype=complex),
-                              t=np.asarray(t, dtype=complex),
-                              valid_mask=mask, **data)
-
-
-def wick_catenoid_graph_fns() -> dict:
-    """phi = arccosh sqrt(x^2 - t^2): the Wick-rotated catenoid, a real
-    Born-Infeld solution on x^2 - t^2 > 1."""
-    def p(x, t):
-        return x ** 2 - t ** 2
-
-    def D(x, t):
-        return np.sqrt(p(x, t) ** 2 - p(x, t))
-
-    return {
-        "phi": lambda x, t: np.arccosh(np.sqrt(np.real(p(x, t)))),
-        "phi_x": lambda x, t: x / D(x, t),
-        "phi_t": lambda x, t: -t / D(x, t),
-        "phi_xx": lambda x, t: 1 / D(x, t) - x ** 2 * (2 * p(x, t) - 1) / D(x, t) ** 3,
-        "phi_xt": lambda x, t: x * t * (2 * p(x, t) - 1) / D(x, t) ** 3,
-        "phi_tt": lambda x, t: -1 / D(x, t) - t ** 2 * (2 * p(x, t) - 1) / D(x, t) ** 3,
-    }
-
-
 def _residual(p: NonparametricPatch, born_infeld: bool) -> ResidualReport:
     """Minimal-surface or Born-Infeld residual report over the patch's
     valid nodes."""
@@ -263,17 +231,7 @@ def wick_substitute(p: NonparametricPatch) -> NonparametricPatch:
     return q
 
 
-def wick_equivalence_check(minimal: NonparametricPatch) -> ResidualReport:
-    """Born-Infeld residual of the Wick-substituted patch.
-
-    Algebraically identical to the minimal-surface residual of the input, so
-    it vanishes exactly when the input was a minimal surface.
-    """
-    return born_infeld_residual(wick_substitute(minimal))
-
-
 __all__ = [
     "LorentzBoost", "NonparametricPatch", "PDEError", "boost", "born_infeld_residual",
-    "chain_rule_partials", "graph_patch", "minimal_surface_residual",
-    "wick_catenoid_graph_fns", "wick_equivalence_check", "wick_substitute",
+    "chain_rule_partials", "minimal_surface_residual", "wick_substitute",
 ]

@@ -165,6 +165,41 @@ def quad_triangles(n1: int, n2: int) -> list[tuple[int, int, int]]:
     return list(map(tuple, _faces(n1, n2).tolist()))
 
 
+_GRAPH_FIELDS = ("phi", "phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt")
+
+
+def graph_patch(x: np.ndarray, t: np.ndarray, fns: dict) -> NonparametricPatch:
+    """Patch from closed-form callables phi, phi_x, ..., sampled on (x, t).
+
+    `fns` maps the field names to callables of (x, t); all six derivative
+    entries are required.
+    """
+    data = {k: np.asarray(fns[k](x, t), dtype=complex) for k in _GRAPH_FIELDS}
+    mask = np.ones(np.shape(data["phi"]), dtype=bool)
+    return NonparametricPatch(x=np.asarray(x, dtype=complex),
+                              t=np.asarray(t, dtype=complex),
+                              valid_mask=mask, **data)
+
+
+def wick_catenoid_graph_fns() -> dict:
+    """phi = arccosh sqrt(x^2 - t^2): the Wick-rotated catenoid, a real
+    Born-Infeld solution on x^2 - t^2 > 1."""
+    def p(x, t):
+        return x ** 2 - t ** 2
+
+    def D(x, t):
+        return np.sqrt(p(x, t) ** 2 - p(x, t))
+
+    return {
+        "phi": lambda x, t: np.arccosh(np.sqrt(np.real(p(x, t)))),
+        "phi_x": lambda x, t: x / D(x, t),
+        "phi_t": lambda x, t: -t / D(x, t),
+        "phi_xx": lambda x, t: 1 / D(x, t) - x ** 2 * (2 * p(x, t) - 1) / D(x, t) ** 3,
+        "phi_xt": lambda x, t: x * t * (2 * p(x, t) - 1) / D(x, t) ** 3,
+        "phi_tt": lambda x, t: -1 / D(x, t) - t ** 2 * (2 * p(x, t) - 1) / D(x, t) ** 3,
+    }
+
+
 def catenoid_graph_fns() -> dict:
     """phi = arccosh sqrt(x^2 + t^2), valid on x^2 + t^2 > 1."""
     def q(x, t):

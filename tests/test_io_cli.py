@@ -527,9 +527,7 @@ def test_cli_generate_nan_cr_defect_fails(tmp_path, capsys, monkeypatch):
 def test_cli_residuals_breach_names_the_residual(tmp_path, capsys):
     assert main(["residuals", "--surface", "catenoid", "--n", "8",
                  "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "tolerance breach: minimal" in err
-    assert "tolerance breach: born_infeld_wick" in err
+    assert capsys.readouterr().err.startswith("tolerance breach: minimal ")
 
 
 _BREACH = re.compile(r"^tolerance breach(?: at rapidity \S+)?: \w+", re.MULTILINE)
@@ -568,6 +566,19 @@ def test_cli_exit_codes_property(command, surface, n, thetas, rapidities, kappa,
         assert text.startswith("error: "), text
 
 
+def test_cli_internal_error_exits_3_without_traceback(tmp_path):
+    # a fault of the program is neither a breach (1) nor an input error (2)
+    script = ("import sys\n"
+              "from wesurf import cli\n"
+              "def fail(*args, **kwargs):\n"
+              "    raise RuntimeError('injected fault')\n"
+              "cli.chain_rule_partials = fail\n"
+              f"sys.exit(cli.main(['family-verify', '--out', {str(tmp_path)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr == "internal error: RuntimeError: injected fault\n"
+
+
 def test_cli_overflowing_rapidity_exits_2_without_traceback(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "wesurf.cli", "family-verify",
                            "--rapidity", "1000", "--out", str(tmp_path)],
@@ -588,8 +599,9 @@ def test_cli_family_verify_deterministic(tmp_path):
 def test_cli_residuals(tmp_path):
     rc = main(["residuals", "--surface", "right_helicoid", "--out", str(tmp_path)])
     assert rc == 0
-    text = (tmp_path / "right_helicoid_residuals.csv").read_text()
-    assert "minimal" in text and "born_infeld_wick" in text
+    lines = (tmp_path / "right_helicoid_residuals.csv").read_text().splitlines()
+    assert lines[1] == "kind,max_abs,mean_abs,rms,nodes,dropped"
+    assert [line.split(",")[0] for line in lines[2:]] == ["minimal"]
 
 
 def test_cli_boost_check(tmp_path):
@@ -598,6 +610,57 @@ def test_cli_boost_check(tmp_path):
     assert rc == 0
     lines = (tmp_path / "boost_check.csv").read_text().splitlines()
     assert len(lines) == 2 + 3
+
+
+@pytest.mark.parametrize("surface", [i for i in ws.CATALOG_IDS if i != "custom"])
+def test_cli_boost_check_passes_on_each_surface(tmp_path, surface):
+    assert main(["boost-check", "--surface", surface, "--rapidity", "0.8",
+                 "--out", str(tmp_path)]) == 0
+
+
+def test_cli_boost_check_boosts_the_given_surface(tmp_path):
+    reports = []
+    for argv in ([], ["--surface", "scherk"]):
+        out = tmp_path / str(len(reports))
+        assert main(["boost-check", *argv, "--out", str(out)]) == 0
+        reports.append((out / "boost_check.csv").read_bytes())
+    assert reports[0] != reports[1]
+
+
+def test_cli_boost_check_catches_a_non_invariant_boost(tmp_path, capsys, monkeypatch):
+    exact = cli.boost
+
+    def skewed(p, lb):
+        q = exact(p, lb)
+        return dataclasses.replace(q, phi_xt=q.phi_xt * (1 + 1e-6))
+    monkeypatch.setattr(cli, "boost", skewed)
+    assert main(["boost-check", "--rapidity", "0.8", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "tolerance breach at rapidity 0.8: delta\n"
+
+
+def test_cli_boost_check_catches_a_broken_composition(tmp_path, capsys, monkeypatch):
+    exact = cli.boost
+
+    def off(p, lb):  # the half-rapidity boost, off by a relative 1e-9
+        return exact(p, ws.LorentzBoost(0.4 * (1 + 1e-9)) if lb.rapidity == 0.4 else lb)
+    monkeypatch.setattr(cli, "boost", off)
+    assert main(["boost-check", "--rapidity", "0.8", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "tolerance breach at rapidity 0.8: composition_error\n"
+
+
+def test_cli_boost_check_ignores_dropped_nodes(tmp_path, monkeypatch):
+    # a node that chain_rule_partials dropped holds data that mean nothing
+    exact = cli.chain_rule_partials
+
+    def with_garbage(*args, **kwargs):
+        p = exact(*args, **kwargs)
+        p.valid_mask = p.valid_mask.copy()
+        p.valid_mask[0, 0] = False
+        p.x = p.x.copy()
+        p.x[0, 0] = 1e30
+        return p
+    monkeypatch.setattr(cli, "chain_rule_partials", with_garbage)
+    assert main(["boost-check", "--rapidity", "0.8", "--out", str(tmp_path)]) == 0
 
 
 def test_cli_export_table(tmp_path):
