@@ -47,6 +47,9 @@ RUNS = (
      "--gamma-chart", "0.4", "2.0", "-0.8", "-0.2", "--n", "21"],
     ["generate", "--surface", "enneper", "--n", "201",   # no declared singularity: the
      "--formats", "csv"],                                # 32-point rule, ~40 chain groups
+    ["generate", "--annulus", "0.4", "0.9", "--n", "301",   # node derivatives in 54-row
+     "--formats", "csv"],                                  # bands below numpy's elision
+                                                           # size, a 31-row last band
     ["generate", "--surface", "right_helicoid", "--formats", "csv"],   # R with an imaginary
     ["generate", "--surface", "general_helicoid", "--formats", "csv"],  # or complex factor:
     ["generate", "--surface", "schwarz_riemann", "--formats", "csv"],   # signs of zero
@@ -65,6 +68,8 @@ RUNS = (
      "--theta", "0", "0.3", "2.2", "4.1", "--rapidity", "1.1"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "83", "200",   # 81-row band + 2 rows
      "--formats", "csv"],
+    ["family-verify", "--annulus", "0.4", "0.9", "--n", "301",   # 54-row bands below the
+     "--formats", "csv"],                                       # elision size, uneven last
     ["family-verify", "--rapidity", "6", "--formats", "csv"],   # boost_delta breach, exit 1
     ["family-verify", "--rapidity", "354", "--formats", "csv"],   # the boosted patch's scan
                                                                   # catches overflow: exit 2

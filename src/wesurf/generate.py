@@ -31,7 +31,7 @@ import numpy as np
 from . import catalog
 from .catalog import WEFunction, eval_R, eval_R_deriv, singularity_points
 from .family import SolitonFamily
-from .grids import ParamGrid, SurfaceGrid
+from .grids import ParamGrid, SurfaceGrid, _row_bands
 from .quadrature import antiderivative_on_grid
 
 
@@ -91,24 +91,39 @@ def _integrand(R: WEFunction):
 
 def _node_derivatives(R: WEFunction, grid: ParamGrid, dphi, ddphi) -> None:
     """Write (Phi'_k, Phi''_k) at the nodes, the exact holomorphic
-    derivatives, into dphi and ddphi (each indexed by k first)."""
-    r = grid.nodes()
-    rv = eval_R(R, r)
-    dv = eval_R_deriv(R, r)
-    r2 = r ** 2
-    np.multiply(1.0 - r2, rv, out=dphi[0])
-    np.multiply(1j * (1.0 + r2), rv, out=dphi[1])
-    np.multiply(2.0 * r, rv, out=dphi[2])
-    # each sum is formed in its output slot (complex addition commutes
-    # bitwise), so at most two grid-sized temporaries are alive at a time
-    np.multiply(1.0 - r2, dv, out=ddphi[0])
-    ddphi[0] += -2.0 * r * rv
-    np.multiply(1.0 + r2, dv, out=ddphi[1])
-    del r2
-    ddphi[1] += dphi[2]
-    ddphi[1] *= 1j
-    np.multiply(2.0 * r, dv, out=ddphi[2])
-    ddphi[2] += 2.0 * rv
+    derivatives, into dphi and ddphi (each indexed by k first).
+
+    One band of rows (`grids._row_bands`) is evaluated at a time, and the
+    band's output rows serve as its scratch, so only r, R(r) and R'(r) are
+    band-sized temporaries.  Every product is written with `out=`, or
+    in place into its left operand, so its operand order, and its bits, do
+    not depend on the band's size (README, Numerical notes).
+    """
+    for i, j in _row_bands(*grid.shape):
+        rows = slice(i, j)
+        r = grid.nodes(rows)
+        rv = eval_R(R, r)
+        dv = eval_R_deriv(R, r)
+        d1, d2 = dphi[:, rows], ddphi[:, rows]
+        r2 = np.square(r, out=d2[1])  # until d2[1] takes 1 + r^2
+        np.subtract(1.0, r2, out=d2[0])
+        np.multiply(d2[0], rv, out=d1[0])          # (1 - r^2) R
+        d2[0] *= dv
+        np.multiply(-2.0, r, out=d1[1])
+        d1[1] *= rv
+        d2[0] += d1[1]                             # (1 - r^2) R' - 2 r R
+        np.add(1.0, r2, out=d2[1])
+        np.multiply(1j, d2[1], out=d1[1])
+        d1[1] *= rv                                # i (1 + r^2) R
+        d2[1] *= dv
+        np.multiply(2.0, r, out=d1[2])
+        np.multiply(d1[2], dv, out=d2[2])
+        d1[2] *= rv                                # 2 r R
+        # complex addition commutes bitwise, so each sum is formed in place
+        d2[1] += d1[2]
+        d2[1] *= 1j                                # i ((1 + r^2) R' + 2 r R)
+        d2[2] += np.multiply(2.0, rv, out=rv)      # 2 r R' + 2 R
+        del r, rv, dv  # free this band's arrays before the next is built
 
 
 def generate_conjugate_pair(data: WEData, grid: ParamGrid,
@@ -133,13 +148,11 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid,
     y_scale != 1 multiplies Y by y_scale: a test hook for a pair that is not
     conjugate.  It equals scaling the float64 Y, then packing, bit for bit.
     """
-    phi = antiderivative_on_grid(_integrand(data.R), data.base, grid,
-                                 singularities=singularity_points(data.R))
-    values = np.empty((3,) + grid.shape, dtype=complex)
-    offsets = np.array(data.offsets)[:, None, None]
-    np.add(phi.real, offsets, out=values.real)
-    np.add(phi.imag, offsets, out=values.imag)
-    del phi
+    values = antiderivative_on_grid(_integrand(data.R), data.base, grid,
+                                    singularities=singularity_points(data.R))
+    offsets = np.array(data.offsets)[:, None, None]  # added to Phi's parts in place
+    values.real += offsets
+    values.imag += offsets
     jac = np.empty((3, 1) + grid.shape, dtype=complex)
     jac2 = np.empty_like(jac)
     _node_derivatives(data.R, grid, jac[:, 0], jac2[:, 0])

@@ -137,16 +137,25 @@ def action(form: FundamentalForm, grid: ParamGrid) -> float:
     (-clamp, 0) are clamped to zero (isothermal points can dip below zero by
     rounding), anything more negative is an error.
     """
-    disc = form.E * form.G - form.F ** 2
-    scale = 1.0 + np.max(np.abs(disc))
-    # a float64 form has no imaginary part: its .imag would be a fresh zero grid
-    if np.iscomplexobj(disc) and np.max(np.abs(disc.imag)) > DISCRIMINANT_CLAMP * scale:
-        raise GeometryError("EG - F^2 has a non-negligible imaginary part")
-    re = disc.real
-    if np.min(re) < -DISCRIMINANT_CLAMP * scale:
+    disc = form.E * form.G
+    disc -= form.F ** 2  # the one temporary beside disc
+    if np.iscomplexobj(disc):
+        scale = 1.0 + np.max(np.abs(disc))
+        if np.max(np.abs(disc.imag)) > DISCRIMINANT_CLAMP * scale:
+            raise GeometryError("EG - F^2 has a non-negligible imaginary part")
+        disc = np.ascontiguousarray(disc.real)
+        low = np.min(disc)
+    else:
+        # max |d| without an |d| array: the same value, and a NaN propagates
+        low = np.min(disc)
+        scale = 1.0 + np.maximum(np.max(disc), -low)
+    if low < -DISCRIMINANT_CLAMP * scale:
         raise GeometryError("EG - F^2 is negative beyond the round-off clamp")
-    integrand = np.sqrt(np.clip(re, 0.0, None))
-    return float(np.sum(integrand * grid.area_weights()))
+    # clip, root and weights in place: disc becomes the integrand
+    np.clip(disc, 0.0, None, out=disc)
+    np.sqrt(disc, out=disc)
+    disc *= grid.area_weights()
+    return float(np.sum(disc))
 
 
 __all__ = [

@@ -95,12 +95,13 @@ class ParamGrid:
     def shape(self) -> tuple[int, int]:
         return (self.n1, self.n2)
 
-    def nodes(self) -> np.ndarray:
-        """Complex node positions r, shape (n1, n2)."""
-        a1 = self.axis1[:, None]
+    def nodes(self, rows: slice = slice(None)) -> np.ndarray:
+        """Complex node positions r, shape (n1, n2); with `rows`, those rows
+        alone, the same bits as slicing the whole grid's."""
+        a1 = self.axis1[rows, None]
         a2 = self.axis2[None, :]
         if self.kind == "rectangle":
-            return a1 + 1j * a2 + np.zeros(self.shape)
+            return a1 + 1j * a2 + np.zeros((len(a1), self.n2))
         return a1 * np.exp(1j * a2)
 
     def polar_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,7 +137,7 @@ class ParamGrid:
         w2[0] = w2[-1] = 0.5 * self.h2
         w = w1[:, None] * w2[None, :]
         if self.kind == "annulus":
-            w = w * self.axis1[:, None]
+            w *= self.axis1[:, None]
         return w
 
 

@@ -138,11 +138,11 @@ def _log_branch(grid: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
     branch continued along the angular sweep (it may exceed pi); rectangle
     grids use the principal branch.
     """
-    r = grid.nodes()
     if grid.kind == "annulus":
         ln_rho = np.log(grid.axis1)[:, None] + np.zeros(grid.shape)
         arg = np.zeros(grid.shape) + grid.axis2[None, :]
         return ln_rho, arg
+    r = grid.nodes()
     return np.log(np.abs(r)), np.angle(r)
 
 

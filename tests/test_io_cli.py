@@ -530,6 +530,25 @@ def test_cli_residuals_breach_names_the_residual(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("tolerance breach: minimal ")
 
 
+def test_cli_residuals_breach_names_its_worst_node(tmp_path, capsys):
+    argv = ["residuals", "--surface", "enneper", "--rect", "-1", "1", "-1", "1", "--n", "41"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"tolerance breach: minimal \S+ \(tol 1\.0e-04\) "
+                         r"at node \((\d+), (\d+)\), r = (\S+)\n", err)
+    assert found, err
+    node = (int(found[1]), int(found[2]))
+    # the largest |minimal residual| over the retained nodes, formed here
+    grid = ws.ParamGrid("rectangle", 41, 41, (-1.0, 1.0, -1.0, 1.0))
+    p = ws.chain_rule_partials(ws.generate(ws.we_data("enneper"), grid),
+                               first_source="auto", accuracy=6, second_source="fd")
+    res = np.abs((1 + p.phi_t ** 2) * p.phi_xx - 2 * p.phi_x * p.phi_t * p.phi_xt
+                 + (1 + p.phi_x ** 2) * p.phi_tt)
+    assert p.valid_mask[node] and not p.valid_mask.all()
+    assert res[node] == np.max(res[p.valid_mask])
+    assert complex(found[3]) == pytest.approx(complex(grid.nodes()[node]), abs=1e-6)
+
+
 _BREACH = re.compile(r"^tolerance breach(?: at rapidity \S+)?: \w+", re.MULTILINE)
 _ODD = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                  st.sampled_from([0.0, -1.0, 1e-300, 1e300, 400.0, math.nan, math.inf]))
@@ -635,7 +654,9 @@ def test_cli_boost_check_catches_a_non_invariant_boost(tmp_path, capsys, monkeyp
         return dataclasses.replace(q, phi_xt=q.phi_xt * (1 + 1e-6))
     monkeypatch.setattr(cli, "boost", skewed)
     assert main(["boost-check", "--rapidity", "0.8", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "tolerance breach at rapidity 0.8: delta\n"
+    # both routes, and composition_error's second partials, see the skew
+    assert (capsys.readouterr().err
+            == "tolerance breach at rapidity 0.8: delta, composition_error\n")
 
 
 def test_cli_boost_check_catches_a_broken_composition(tmp_path, capsys, monkeypatch):

@@ -363,6 +363,45 @@ def test_grid_antiderivative_holds_one_output_grid():
     assert peak <= 2 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
+def test_pair_generation_holds_its_packed_arrays():
+    # the quadrature's output becomes the values, and the node derivatives
+    # run one band of rows at a time into their output rows: the peak sits
+    # at most 8 MiB above the 36 MiB of packed arrays (20 MiB when the values
+    # were a copy and the node derivatives ran on whole grids)
+    data = ws.we_data("catenoid")
+    ws.generate_conjugate_pair(data, ws.default_annulus(0.4, 0.9, 8, 8))  # lazy imports
+    tracemalloc.start()
+    try:
+        fam = ws.generate_conjugate_pair(data, ws.default_annulus(0.4, 0.9, 512, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    packed = fam.values.nbytes + fam.jac.nbytes + fam.jac2.nbytes
+    assert packed == 36 << 20
+    assert peak <= packed + (8 << 20), f"peak {(peak - packed) / 2**20:.1f} MiB above"
+
+
+def test_action_holds_two_grid_arrays():
+    # EG - F^2 is one array, formed with one temporary (F^2); the clip, the
+    # root and the weights go into it, beside one array of weights
+    grid = ws.default_annulus(0.4, 0.9, 512, 512)
+    rng = np.random.default_rng(3)
+    E, G = 1.0 + rng.random((2, *grid.shape))
+    F = 0.1 * rng.random(grid.shape)
+    form = ws.FundamentalForm(E, F, G, "wick_signed", grid)
+    small = ws.default_annulus(0.4, 0.9, 8, 8)
+    ws.action(ws.FundamentalForm(E[:8, :8], F[:8, :8], G[:8, :8], "wick_signed", small), small)
+    tracemalloc.start()
+    try:
+        ws.action(form, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the slack holds numpy's broadcast buffers (about 128 KiB) and the
+    # weights' axis vectors (4 KiB each)
+    assert peak <= 2 * E.nbytes + (256 << 10), f"peak {peak / E.nbytes:.2f} grid arrays"
+
+
 @pytest.mark.parametrize("block", [1, WHOLE_GRID])
 def test_path_integral_independent_of_block_size(monkeypatch, block):
     f = lambda w: np.stack([np.exp(w) / (w - 2.5j), w ** 2])
