@@ -8,8 +8,10 @@ directory replaced by `<OUT>`, and each warning printed as its category and
 message only: its source line moves with any refactor).  No CLI run reaches
 the library's F/G certificate, so `scripts/verify_all.py` is run the same
 way: its `family_checks.csv` holds the certificate (`relations_mismatch`).
-The result is printed as one JSON object keyed by the run's argv (the
-script's name for verify_all.py).
+So is `scripts/make_meshes.py`, the one route from the closed-form
+helicoid/catenoid family through `SolitonFamily.at` to `export_mesh`.  The
+result is printed as one JSON object keyed by the run's argv (the script's
+name for the two scripts).
 
 Compare two checkouts by running the script against each source tree and
 diffing the output:
@@ -28,6 +30,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import make_meshes
 import verify_all
 from wesurf.cli import main
 
@@ -57,8 +60,8 @@ RUNS = (
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "512", "--formats", "csv"],
     ["family-verify", "--surface", "right_helicoid", "--rapidity", "1.3"],
     ["family-verify", "--theta", "0", "3.0", "4.5"],
-    ["family-verify", "--theta", "3.141592653589793", "4.71238898038469",   # quarter angles:
-     "-1.0", "-2.5"],                                  # signs of zero in t_re (OBJ sidecar)
+    ["family-verify", "--theta", "3.141592653589793", "4.71238898038469",   # quarter angles
+     "-1.0", "-2.5"],                                                     # (OBJ sidecars)
     ["family-verify", "--corrupt-y-scale", "1.5", "--formats", "csv"],
     ["family-verify", "--surface", "henneberg", "--formats", "csv"],
     ["family-verify", "--surface", "henneberg", "--corrupt-y-scale", "1.5",  # flip_t x y_scale,
@@ -75,6 +78,10 @@ RUNS = (
                                                                   # catches overflow: exit 2
     ["family-verify", "--theta", "0.7", "--formats", "csv"],   # one theta: all-zero series
     ["family-verify", "--surface", "scherk", "--formats", "csv"],
+    ["family-verify", "--surface", "scherk", "--theta", "3.141592653589793",   # raw t = -0
+     "4.71238898038469", "-1.0"],                             # at quarter angles: t_re -0
+    ["family-verify", "--surface", "schwarz_riemann", "--theta", "0",   # in the OBJ
+     "3.141592653589793", "4.71238898038469"],                           # sidecars
     ["family-verify", "--surface", "schwarz_riemann", "--rapidity", "1.2",
      "--theta", "0", "0.4", "2.5", "--formats", "csv"],
     ["residuals", "--surface", "catenoid"],
@@ -121,4 +128,5 @@ if __name__ == "__main__":
     warnings.formatwarning = lambda message, category, *_: f"{category.__name__}: {message}\n"
     digests = {" ".join(run): digest_run(run) for run in RUNS}
     digests["scripts/verify_all.py"] = digest_run([], verify_all.main)
+    digests["scripts/make_meshes.py"] = digest_run([], make_meshes.main)
     print(json.dumps(digests, indent=1, sort_keys=True))

@@ -34,7 +34,7 @@ def catalog_rows():
         residual = ws.minimal_surface_residual(patch).max_abs
         cr = ws.conjugacy_violation(X, Y, source="fd", accuracy=6,
                                     interior_only=True)
-        iso = ws.fundamental_form(X, "euclidean", source="analytic").isothermal_defect
+        iso = ws.fundamental_form(X, source="analytic").isothermal_defect
         mask = interior_mask(grid.shape, 6, 2)
         harmonic = float(np.max([np.max(np.abs(ws.laplacian(X, c, accuracy=6))[mask])
                                  for c in ("x", "t", "phi")]))
@@ -60,9 +60,9 @@ def family_rows():
         sweep = ws.theta_sweep_invariance(fam, THETAS)
         for th, e_dev, f_abs, act in zip(THETAS, sweep.e_devs, sweep.f_abs, sweep.actions):
             S = fam.at(th)
-            patch = ws.chain_rule_partials(S, first_source="analytic",
+            patch = ws.chain_rule_partials(S.member, first_source="analytic",
                                            second_source="analytic")
-            bi = ws.born_infeld_residual(patch).max_abs
+            bi = ws.born_infeld_residual(ws.wick_substitute(patch)).max_abs
             rel = ws.verify_soliton_relations(S, ws.family_fg(fg1, fg2, th),
                                               singularities=sing).max_mismatch
             rows.append([name, th, bi, rel, act, e_dev, f_abs])

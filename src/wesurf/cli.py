@@ -12,11 +12,12 @@ boost-check    Lorentz-boost invariance of the Born-Infeld residual of S_0 = X^s
 export         write one artifact (obj/csv/table) for a surface
 
 Configuration is a flat INI file (sections [surface], [grid], [family],
-[tolerances], [output]) mirrored 1:1 by command-line flags; flags override
-the file.  The WESURF_OUT environment variable overrides the output
-directory from either source.  Exit codes: 0 success, 1 tolerance breach,
-2 configuration/usage error, 3 internal error (an exception that is not one
-of the library's input errors: one `internal error:` line, no traceback).
+[tolerances], [output]) mirrored by command-line flags (--formats: generate
+and family-verify only); flags override the file.  WESURF_OUT overrides the
+output directory from either source.  Exit codes: 0 success, 1 tolerance
+breach, 2 configuration/usage error, 3 internal error (an exception that is
+not one of the library's input errors: one `internal error:` line, no
+traceback).
 """
 
 from __future__ import annotations
@@ -257,7 +258,7 @@ def cmd_generate(cfg: RunConfig) -> int:
             h_max = float(np.max(np.abs(laplacian(srf, comp, accuracy=6))[mask]))
             worst_h = float(np.maximum(worst_h, h_max))
             rows.append([label, comp, h_max])
-    form = fundamental_form(X, "euclidean", source="auto")
+    form = fundamental_form(X, source="auto")
     rows.append(["surface", "isothermal_defect", form.isothermal_defect])
     cr = conjugacy_violation(X, Y, source="auto")
     rows.append(["pair", "cr_defect", cr])
@@ -445,7 +446,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "rectangle (Catalan-type parametrizations)")
     p.add_argument("--n", type=int, nargs="+", help="grid counts n1 [n2]")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--formats", help="comma list from csv,obj,table")
     for name in TOLERANCES:
         p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float)
 
@@ -459,9 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="surface + conjugate + report")
     _add_common(p)
+    p.add_argument("--formats", help="comma list from csv,obj,table")
 
     p = sub.add_parser("family-verify", help="theta-family invariant sweep")
     _add_common(p)
+    p.add_argument("--formats", help="comma list from csv,obj,table")
     p.add_argument("--theta", type=float, nargs="*",
                    help="family parameters to sweep")
     p.add_argument("--rapidity", type=float, nargs="+")

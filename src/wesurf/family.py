@@ -8,24 +8,23 @@ Born-Infeld equation, and every combination
 
 is again a solution: Wick rotation is linear, so S_theta is the rotated
 member at angle theta of X's associate (Bonnet) family, and `SolitonFamily.at`
-builds it that way.  X and Y are real surfaces, float64; only S_theta is
-complex.  The family stores the pair packed as Z = X + i Y, one complex
-array each for the values and the first and second derivatives (a
-generated family keeps only the d/dr1 slots Phi', Phi'' of the latter and
-builds the rest by Cauchy-Riemann), and the member at angle theta is
-X_theta = Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on
-float views into fresh float64 arrays and validated once.  S_theta is stored
-as X_theta: `wick_rotate` builds each of its complex arrays (values, jac,
-jac2) only when it is first read, and `real_member` hands X_theta itself to
-the theta sweep's float checks, which build none.  Each theta derivative is
-a member too: d^n S_theta / d theta^n is S at theta + n pi/2, and `at` hits
-the quarter angles exactly (`_cos_sin`).
-The family's F/G data is the same combination of the
+builds it that way.  X and Y are real surfaces, float64.  The family stores
+the pair packed as Z = X + i Y, one complex array each for the values and
+the first and second derivatives (a generated family keeps only the d/dr1
+slots Phi', Phi'' of the latter and builds the rest by Cauchy-Riemann), and
+the member at angle theta is X_theta = Re(e^{-i theta} Z) = cos(theta) Re Z
++ sin(theta) Im Z, taken on float views into fresh float64 arrays and
+validated once.  S_theta is that member plus one Wick rule (`WickRotated`):
+every check reads `.member`, in float arithmetic, and only the writers and
+`verify_soliton_relations` read S_theta's complex values, built once on
+first read.  Each theta derivative is a member too: d^n S_theta / d theta^n
+is S at theta + n pi/2, and `at` hits the quarter angles exactly
+(`_cos_sin`).  The family's F/G data is the same combination of the
 members' handles, F_theta = cos(theta) F_1 + sin(theta) F_2, which for the
 helicoid/catenoid pair collapses to (i/2) e^{-i theta} / r.
 
-`verify_soliton_relations` certifies a Wick-rotated grid against its F/G
-data by checking the three defining relations
+`verify_soliton_relations` certifies S_theta against its F/G data by
+checking the three defining relations
 
     x - t  = F(r)    - int rbar^2 G'(rbar) drbar
     x + t  = G(rbar) - int r^2    F'(r)    dr
@@ -41,7 +40,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -72,48 +71,34 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return c, s
 
 
-class _WickRotated(SurfaceGrid):
-    """S = X^s for a validated real member X (`wick_rotate`).  Each complex
-    array, values, jac or jac2, is built on its first read and then kept;
-    it is derived exactly from X's finite data, so it is not scanned."""
+@dataclass(frozen=True)
+class WickRotated:
+    """S = X^s for a validated real member X (`wick_rotate`): t -> i t.
 
-    def __init__(self, member: SurfaceGrid, raw):
-        vars(self).update(grid=member.grid, reality="wick_rotated", meta=dict(member.meta),
-                          _member=member, _raw=raw)
+    S's values are built by the one Wick rule on their first read and then
+    kept, read-only: x and phi keep X's parts, with imaginary parts +0, and
+    t = m becomes m * 0 + i (m + 0), the bits of 1j * (m + 0j), so its real
+    part is a zero with the sign of m.  They derive exactly from X's finite
+    data, so they are not scanned.  Everything else reads the member.
+    """
 
-    def _rotated(self, name: str) -> np.ndarray | None:
-        """raw(name) as a complex array, t -> i t with the bits of
-        1j * (m + 0j): imag <- m + 0, then real <- m * 0, a zero with the
-        sign of m; x and phi keep m, imaginary parts +0."""
-        m = self._raw(name)
-        if m is None:
-            return None
-        z = m.astype(complex)
+    member: SurfaceGrid
+    grid = property(lambda self: self.member.grid)
+    meta = property(lambda self: self.member.meta)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        z = self.member.values.astype(complex)
         t = z[1]
         np.add(t.real, 0.0, out=t.imag)
         np.multiply(t.real, 0.0, out=t.real)
         z.flags.writeable = False
         return z
 
-    values = cached_property(lambda self: self._rotated("values"))
-    jac = cached_property(lambda self: self._rotated("jac"))
-    jac2 = cached_property(lambda self: self._rotated("jac2"))
 
-
-def wick_rotate(member: SurfaceGrid, raw) -> SurfaceGrid:
-    """S = member^s, t -> i t, for a validated real member: its values, jac
-    and jac2 are each built the first time they are read, from raw(name),
-    the member's array before its t took + 0 (`_WickRotated`)."""
-    return _WickRotated(member, raw)
-
-
-def real_member(s: SurfaceGrid) -> SurfaceGrid:
-    """X of S = X^s, for S from `SolitonFamily.at`: the real member that `at`
-    built and validated, float64, not copied.  Its parts are S's Re x, Im t
-    and Re phi, bit for bit, and the nodewise kernels run in float
-    arithmetic on it and give S's bits (README, Numerical notes).
-    """
-    return s._member
+def wick_rotate(member: SurfaceGrid) -> WickRotated:
+    """S = member^s, t -> i t, for a validated real member (`WickRotated`)."""
+    return WickRotated(member)
 
 
 def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
@@ -121,8 +106,6 @@ def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     members; None when either array is missing."""
     if a is None or b is None:
         return None
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        raise FamilyError("family members must be real surfaces: a member is complex")
     z = np.empty(a.shape, complex)
     z.real, z.imag = a, b
     z.flags.writeable = False
@@ -145,11 +128,10 @@ class SolitonFamily:
     The pair is stored packed: values, jac and jac2 each hold X + i Y in one
     complex array, the bytes of the two float64 members.  The packing is
     exact for any real pair, conjugate or not, so `at` gives the values of
-    combining the members themselves.  A member that is not real raises
-    FamilyError; jac/jac2 are None when either member lacks them.  X and Y
-    are rebuilt on demand, as float64 surfaces, and iterating the family
-    gives (X, Y); the family keeps no reference to the surfaces it was
-    built from.  `packed` takes arrays already packed, as
+    combining the members themselves; jac/jac2 are None when either member
+    lacks them.  X and Y are rebuilt on demand, as float64 surfaces, and
+    iterating the family gives (X, Y); the family keeps no reference to the
+    surfaces it was built from.  `packed` takes arrays already packed, as
     `generate_conjugate_pair` writes them: there jac and jac2 hold one slot
     each, Phi' and Phi'', and every other slot follows by Cauchy-Riemann
     (`_SLOT_PARTS`), half the bytes of X and Y.
@@ -224,8 +206,7 @@ class SolitonFamily:
 
     def _real_surface(self, part, meta: dict) -> SurfaceGrid:
         """The real surface of part (`_real_array`), float64."""
-        values, jac, jac2 = (self._real_array(name, part) for name in _SLOTS)
-        return SurfaceGrid(self.grid, values, "real", jac, jac2, meta)
+        return SurfaceGrid(self.grid, *(self._real_array(name, part) for name in _SLOTS), meta)
 
     def rows(self, i: int, j: int) -> "SolitonFamily":
         """The family over grid rows i..j-1 (`ParamGrid.rows`): views of the
@@ -253,15 +234,14 @@ class SolitonFamily:
         yield self.X
         yield self.Y
 
-    def at(self, theta: float) -> SurfaceGrid:
+    def at(self, theta: float) -> WickRotated:
         """S_theta = (cos(theta) X + sin(theta) Y)^s, componentwise.
 
         The real member X_theta is combined on float views into fresh
         float64 arrays (real products, unlike numpy's SIMD complex ones, are
-        commutative bit for bit), its t takes + 0, which is Im t of S_theta,
-        and it is validated once; `wick_rotate` builds S_theta's complex
-        arrays from it only when read.  No array shares memory with the
-        family's.
+        commutative bit for bit) and validated once; `wick_rotate` gives
+        S_theta as that member, whose t keeps the combination's sign of
+        zero for the Wick rule.  No array shares memory with the family's.
         """
         c, s = _cos_sin(theta)
         meta = {"surface": self._metas[0].get("surface"), "theta": theta,
@@ -271,13 +251,7 @@ class SolitonFamily:
             # the signs go on the weights: c * (-x) and (-c) * x are the same bits
             np.add(np.multiply(sx * c, x, out=out), (sy * s) * y, out=out)
 
-        raw = partial(self._real_array, part=combine)
-        arrays = [raw(name) for name in _SLOTS]
-        for a in arrays:
-            if a is not None:
-                np.add(a[1], 0.0, out=a[1])  # -0 -> +0, as Im of 1j * (m + 0j)
-        values, jac, jac2 = arrays
-        return wick_rotate(SurfaceGrid(self.grid, values, "real", jac, jac2, meta), raw)
+        return wick_rotate(self._real_surface(combine, meta))
 
 
 def family_fg(pair1: FGPair, pair2: FGPair, theta: float) -> FGPair:
@@ -311,15 +285,16 @@ class SolitonRelationsReport:
                              self.phi.max_abs]))
 
 
-def verify_soliton_relations(s: SurfaceGrid, p: FGPair,
+def verify_soliton_relations(s: WickRotated, p: FGPair,
                              singularities=()) -> SolitonRelationsReport:
-    """Check a Wick-rotated grid against its F/G data, nodewise.
+    """Check S_theta against its F/G data, nodewise, in complex arithmetic.
 
     All four integrals run from the grid node (0, 0) along the fixed path
     family; each relation's constant is calibrated at that node.
     """
     rhs = fg_integrals(p, s.grid, complex(s.grid.nodes()[0, 0]), singularities)
-    lhs = (s.x - s.t, s.x + s.t, s.phi)
+    x, t, phi = s.values
+    lhs = (x - t, x + t, phi)
     reports = []
     for left, right in zip(lhs, rhs):
         shift = left[0, 0] - right[0, 0]
@@ -328,6 +303,6 @@ def verify_soliton_relations(s: SurfaceGrid, p: FGPair,
 
 
 __all__ = [
-    "FamilyError", "SolitonFamily", "SolitonRelationsReport", "family_fg",
-    "real_member", "verify_soliton_relations", "wick_rotate",
+    "FamilyError", "SolitonFamily", "SolitonRelationsReport", "WickRotated", "family_fg",
+    "verify_soliton_relations", "wick_rotate",
 ]

@@ -1,18 +1,14 @@
 """First fundamental form, isothermality, and the action integral.
 
-Two signatures are supported.  "euclidean" is the ordinary form of a real
-surface,
+The form is the euclidean one of a real surface,
 
-    E = x_{,1}^2 + t_{,1}^2 + phi_{,1}^2   (and F, G likewise),
+    E = x_{,1}^2 + t_{,1}^2 + phi_{,1}^2   (and F, G likewise).
 
-"wick_signed" carries the minus sign of the soliton picture,
-
-    E^s = x_{,1}^2 - t_{,1}^2 + phi_{,1}^2 ,
-
-where the squares are algebraic squares of (possibly complex) derivatives:
-for a Wick-rotated family the t derivative is imaginary, -(i t')^2 = +t'^2,
-so E^s, F^s, G^s come out real up to round-off and independent of the family
-parameter theta.
+The soliton picture's form carries a minus sign, E^s = x_{,1}^2 - t_{,1}^2
++ phi_{,1}^2 with algebraic squares; for S_theta = X_theta^s the t
+derivative is imaginary, -(i t')^2 = +t'^2, so E^s, F^s, G^s of S_theta are
+the euclidean E, F, G of its real member X_theta: real, and independent of
+the family parameter theta.
 
 The action is A = int sqrt(E G - F^2) dr1 dr2 over the grid's domain
 (tensor-product trapezoid; polar grids include the rho Jacobian).  The
@@ -23,15 +19,11 @@ result's provenance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from . import grids
-from .family import real_member
 from .grids import ParamGrid, SurfaceGrid, surface_jacobian
-
-Signature = Literal["euclidean", "wick_signed"]
 
 DISCRIMINANT_CLAMP = 1e-12
 
@@ -45,7 +37,6 @@ class FundamentalForm:
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
-    signature: Signature
     grid: ParamGrid
 
     @property
@@ -54,20 +45,16 @@ class FundamentalForm:
         return float(np.maximum(np.max(np.abs(self.E - self.G)), np.max(np.abs(self.F))))
 
 
-def fundamental_form(s: SurfaceGrid, signature: Signature = "euclidean",
-                     source: str = "auto", accuracy: int = 2) -> FundamentalForm:
+def fundamental_form(s: SurfaceGrid, source: str = "auto",
+                     accuracy: int = 2) -> FundamentalForm:
     """E, F, G from first derivatives (analytic when the grid carries them).
 
     source="fd" forces finite differences: the generic path for surfaces
     without analytic derivatives, with the usual O(h^accuracy) truncation.
     """
-    if signature not in ("euclidean", "wick_signed"):
-        raise GeometryError(f"unknown signature {signature!r}")
-    jac = surface_jacobian(s, source, accuracy)
-    sign = np.array([1.0, -1.0 if signature == "wick_signed" else 1.0, 1.0])
-    d1, d2 = jac[:, 0], jac[:, 1]
-    E, F, G = (np.einsum("k,kij->ij", sign, u * v) for u, v in ((d1, d1), (d1, d2), (d2, d2)))
-    return FundamentalForm(E, F, G, signature, s.grid)
+    d1, d2 = surface_jacobian(s, source, accuracy).swapaxes(0, 1)  # d/dr1, d/dr2
+    E, F, G = ((u * v).sum(axis=0) for u, v in ((d1, d1), (d1, d2), (d2, d2)))
+    return FundamentalForm(E, F, G, s.grid)
 
 
 @dataclass(frozen=True)
@@ -91,9 +78,9 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
     (`grids._row_bands`), so no full-grid S_theta exists; a family without
     analytic first derivatives runs as one band, the whole grid, so that
     its finite-difference form sees every neighbour.  Each band of S_theta
-    = X_theta^s is read as its real member X_theta (`family.real_member`),
-    and the form is X_theta's euclidean one in float arithmetic: the
-    wick-signed form of S_theta, bit for bit.  The member's rows go to
+    = X_theta^s is read as its real member X_theta (`.member`), and the
+    form is X_theta's euclidean one in float arithmetic, which is S_theta's
+    E^s, F^s, G^s (module docstring).  The member's rows go to
     `visit(theta, rows, X_rows)` when given, with `rows` the band's slice
     of grid rows; bands arrive in order, each row once per theta.  A visit
     may do nodewise work only: the same nodes of the whole member would
@@ -112,7 +99,7 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
         e_abs = g_abs = f_abs = 0.0
         for i, j in bands:
             rows = slice(i, j)
-            member = real_member(fam.rows(i, j).at(t))
+            member = fam.rows(i, j).at(t).member
             form = fundamental_form(member)
             if not series:
                 E0[rows], G0[rows] = form.E, form.G
@@ -125,7 +112,7 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
             if visit is not None:
                 visit(t, rows, member)
             del member  # free this band before the next is built
-        a = action(FundamentalForm(E, F, G, "wick_signed", grid), grid)
+        a = action(FundamentalForm(E, F, G, grid), grid)
         series.append((float(e_abs), float(g_abs), float(f_abs), a))
     return ThetaInvarianceReport(thetas, *zip(*series))
 
@@ -133,22 +120,18 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
 def action(form: FundamentalForm, grid: ParamGrid) -> float:
     """A = int sqrt(E G - F^2) dr1 dr2 over the grid domain.
 
-    The discriminant must be real and nonnegative up to round-off; values in
-    (-clamp, 0) are clamped to zero (isothermal points can dip below zero by
-    rounding), anything more negative is an error.
+    The form must be real (a complex one raises GeometryError) and its
+    discriminant nonnegative up to round-off; values in (-clamp, 0) are
+    clamped to zero (isothermal points can dip below zero by rounding),
+    anything more negative is an error.
     """
     disc = form.E * form.G
     disc -= form.F ** 2  # the one temporary beside disc
     if np.iscomplexobj(disc):
-        scale = 1.0 + np.max(np.abs(disc))
-        if np.max(np.abs(disc.imag)) > DISCRIMINANT_CLAMP * scale:
-            raise GeometryError("EG - F^2 has a non-negligible imaginary part")
-        disc = np.ascontiguousarray(disc.real)
-        low = np.min(disc)
-    else:
-        # max |d| without an |d| array: the same value, and a NaN propagates
-        low = np.min(disc)
-        scale = 1.0 + np.maximum(np.max(disc), -low)
+        raise GeometryError("EG - F^2 is complex: take the form of a real surface")
+    # max |d| without an |d| array: the same value, and a NaN propagates
+    low = np.min(disc)
+    scale = 1.0 + np.maximum(np.max(disc), -low)
     if low < -DISCRIMINANT_CLAMP * scale:
         raise GeometryError("EG - F^2 is negative beyond the round-off clamp")
     # clip, root and weights in place: disc becomes the integrand

@@ -28,7 +28,6 @@ _COMPONENT_INDEX = {"x": 0, "t": 1, "phi": 2}
 
 GridKind = Literal["rectangle", "annulus"]
 Axis = Literal["r1", "r2"]
-Reality = Literal["real", "wick_rotated"]
 
 
 class GridError(ValueError):
@@ -149,27 +148,25 @@ def default_annulus(rho_min: float = 0.4, rho_max: float = 0.9,
 
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Sampled parametric surface (x, t, phi) over a ParamGrid.
+    """Sampled real parametric surface (x, t, phi) over a ParamGrid.
 
-    values has shape (3, n1, n2): float64 when reality == "real", complex
-    when reality == "wick_rotated".  jac, when present, holds the analytic
-    first derivatives d(component)/d(r1) and /d(r2), shape (3, 2, n1, n2),
-    and jac2 the second ones (d11, d12, d22), shape (3, 3, n1, n2), of the
-    same dtype; they are propagated through conjugation, Wick rotation and
-    family combinations.  A real surface takes complex input only when
-    every imaginary part is zero, and drops the parts.
+    values has shape (3, n1, n2), float64.  jac, when present, holds the
+    analytic first derivatives d(component)/d(r1) and /d(r2), shape
+    (3, 2, n1, n2), and jac2 the second ones (d11, d12, d22), shape
+    (3, 3, n1, n2), also float64; they are propagated through conjugation
+    and family combinations.  Complex input is taken only when every
+    imaginary part is zero, and the parts are dropped.  The Wick-rotated
+    S_theta is not a SurfaceGrid: it is its real member plus the Wick rule
+    (`family.wick_rotate`).
     """
 
     grid: ParamGrid
     values: np.ndarray
-    reality: Reality = "real"
     jac: np.ndarray | None = None
     jac2: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.reality not in ("real", "wick_rotated"):
-            raise GridError(f"unknown reality flag {self.reality!r}")
         n1, n2 = self.grid.shape
         for name, slots, what in (("values", (), "surface components"),
                                   ("jac", (2,), "analytic derivatives"),
@@ -177,16 +174,14 @@ class SurfaceGrid:
             a = getattr(self, name)
             if a is None:
                 continue
-            complex_in = np.iscomplexobj(a)
-            a = np.ascontiguousarray(a, dtype=complex if complex_in or self.reality
-                                     == "wick_rotated" else np.float64)
+            a = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else np.float64)
             if a.shape != (3, *slots, n1, n2):
                 raise GridError(f"{name} shape {a.shape} does not match grid {self.grid.shape}")
             if not all_finite(a):
                 raise GridError(f"{what} must be finite")
-            if self.reality == "real" and complex_in:
+            if np.iscomplexobj(a):
                 if np.any(a.imag):
-                    raise GridError(f"reality=real but {what} have an imaginary part")
+                    raise GridError(f"{what} have an imaginary part")
                 a = np.ascontiguousarray(a.real)
             a.flags.writeable = False
             object.__setattr__(self, name, a)

@@ -162,7 +162,7 @@ def helicoid_closed(grid: ParamGrid) -> SurfaceGrid:
                                     [-(1.0 / r ** 3), -(1.0 / r ** 3), -(1.0 / r ** 2)],
                                     ["im", "re", "im"])
     meta = {"surface": "helicoid_closed", "base": None}
-    return SurfaceGrid(grid, np.stack([x, t, phi]), "real", jac, jac2, meta)
+    return SurfaceGrid(grid, np.stack([x, t, phi]), jac, jac2, meta)
 
 
 def catenoid_closed(grid: ParamGrid) -> SurfaceGrid:
@@ -180,7 +180,7 @@ def catenoid_closed(grid: ParamGrid) -> SurfaceGrid:
                                     [1.0 / r ** 3, -(1.0 / r ** 3), 1.0 / r ** 2],
                                     ["re", "im", "re"])
     meta = {"surface": "catenoid_closed", "base": None}
-    return SurfaceGrid(grid, np.stack([x, t, phi]), "real", jac, jac2, meta)
+    return SurfaceGrid(grid, np.stack([x, t, phi]), jac, jac2, meta)
 
 
 __all__ = [

@@ -4,6 +4,7 @@ All writers are byte-deterministic for fixed input (fixed float formatting,
 no timestamps) and atomic (temp file + rename), so repeated runs with the
 same configuration produce identical files.
 
+Each writer takes a real SurfaceGrid or S_theta (`family.WickRotated`).
 Complex values are serialized as adjacent <name>_re, <name>_im columns; a
 real surface's imaginary columns are constants.  CSV and table files carry
 a schema comment line as their first row.
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .family import WickRotated
 from .grids import SurfaceGrid
 
 SCHEMA = "wesurf/1"
@@ -52,7 +54,7 @@ def _lines(template: str, columns) -> str:
     return "".join(map(f"{template}\n".__mod__, zip(*[c.tolist() for c in columns])))
 
 
-def _node_rows(s: SurfaceGrid, sep: str):
+def _node_rows(s: SurfaceGrid | WickRotated, sep: str):
     """(format, rows): `format` fills one node's _NODE_COLUMNS, joined by
     `sep`, from the float columns that `rows` yields per grid row.
 
@@ -61,26 +63,28 @@ def _node_rows(s: SurfaceGrid, sep: str):
     t + 0j gives, else as 0.  Only the five real columns are formatted.
     """
     r = s.grid.nodes()
-    if s.reality == "real":
+    x, t, phi = s.values
+    if isinstance(s, SurfaceGrid):
         t_im = "-0" if s.meta.get("flip_t") else "0"
         fmt = sep.join(["%.17g"] * 3 + ["0", "%.17g", t_im, "%.17g", "0"])
-        cols = (r.real, r.imag, s.x, s.t, s.phi)
+        cols = (r.real, r.imag, x, t, phi)
     else:
         fmt = sep.join(["%.17g"] * 8)
-        cols = [a for z in (r, s.x, s.t, s.phi) for a in (z.real, z.imag)]
+        cols = [a for z in (r, x, t, phi) for a in (z.real, z.imag)]
     return fmt, ([c[i] for c in cols] for i in range(s.grid.n1))
 
 
-def mesh_vertices(s: SurfaceGrid) -> np.ndarray:
+def mesh_vertices(s: SurfaceGrid | WickRotated) -> np.ndarray:
     """Vertex coordinates for meshing, shape (n1*n2, 3), row-major.
 
-    Real grids use (x, t, phi) directly; Wick-rotated grids use
-    (Re x, |Im t|, Re phi) with the full complex data kept for the sidecar.
+    Real grids use (x, t, phi) directly; S_theta uses (Re x, |Im t|, Re phi)
+    with the full complex data kept for the sidecar.
     """
-    if s.reality == "real":
+    if isinstance(s, SurfaceGrid):
         coords = s.values
     else:
-        coords = np.stack([s.x.real, np.abs(s.t.imag), s.phi.real])
+        x, t, phi = s.values
+        coords = np.stack([x.real, np.abs(t.imag), phi.real])
     return coords.reshape(3, -1).T
 
 
@@ -92,9 +96,9 @@ def _faces(n1: int, n2: int) -> np.ndarray:
     return np.stack([v00, v10, v10 + 1, v10 + 1, v00 + 1, v00], axis=1).reshape(-1, 3)
 
 
-def export_mesh(s: SurfaceGrid, path) -> Path:
+def export_mesh(s: SurfaceGrid | WickRotated, path) -> Path:
     """Write the surface as an OBJ mesh (plus a complex-data sidecar CSV for
-    Wick-rotated grids).
+    S_theta).
 
     Grids sampled over a full circle close up automatically because the
     angular axis includes both endpoints (seam vertices coincide).
@@ -106,12 +110,12 @@ def export_mesh(s: SurfaceGrid, path) -> Path:
         [f"# wesurf mesh export (schema {SCHEMA})\n"],
         (_lines("v %.17g %.17g %.17g", verts[k:k + n2].T) for k in range(0, len(verts), n2)),
         (_lines("f %d %d %d", faces[k:k + n2].T) for k in range(0, len(faces), n2))))
-    if s.reality != "real":
+    if not isinstance(s, SurfaceGrid):
         write_surface_csv(s, path.with_name(path.stem + "_complex.csv"))
     return out
 
 
-def write_surface_csv(s: SurfaceGrid, path) -> Path:
+def write_surface_csv(s: SurfaceGrid | WickRotated, path) -> Path:
     """Node table: grid indices, parameter-plane position, complex components."""
     j = np.arange(s.grid.n2)
     fmt, rows = _node_rows(s, ",")
@@ -121,7 +125,7 @@ def write_surface_csv(s: SurfaceGrid, path) -> Path:
          for i, row in enumerate(rows))))
 
 
-def write_surface_table(s: SurfaceGrid, path) -> Path:
+def write_surface_table(s: SurfaceGrid | WickRotated, path) -> Path:
     """Gnuplot-ready table: whitespace columns, blank line between grid rows
     (splot/pm3d block format)."""
     fmt, rows = _node_rows(s, " ")

@@ -3,14 +3,15 @@
     minimal:     (1 + phi_t^2) phi_xx - 2 phi_x phi_t phi_xt + (1 + phi_x^2) phi_tt = 0
     Born-Infeld: (1 - phi_t^2) phi_xx + 2 phi_x phi_t phi_xt - (1 + phi_x^2) phi_tt = 0
 
-The two equations exchange under the Wick substitution t -> i t.  Parametric
-grids are converted to nonparametric derivative data by inverting the 2x2
-Jacobian d(x, t)/d(r1, r2) nodewise (complex-valued for Wick-rotated grids,
-float64 for real ones; the Wick substitution of `family.real_member`'s patch
-has the rotated grid's bits); second partials differentiate the (phi_x,
-phi_t) fields on the grid and apply the inverse Jacobian again, so they
-inherit the finite-difference step dependence even when the first
-derivatives are analytic.
+The two equations exchange under the Wick substitution t -> i t.  Real
+parametric grids are converted to nonparametric derivative data by
+inverting the 2x2 Jacobian d(x, t)/d(r1, r2) nodewise, in float64;
+S_theta's patch is the Wick substitution of its real member's patch
+(`wick_substitute`), which has the bits of the same inversion in complex
+arithmetic.  Second partials differentiate the (phi_x, phi_t) fields on the
+grid and apply the inverse Jacobian again, so they inherit the
+finite-difference step dependence even when the first derivatives are
+analytic.
 
 Also here: the Lorentz boost (cosh, sinh matrix) under which the Born-Infeld
 equation is invariant, applied to patches by transforming coordinates and

@@ -5,7 +5,7 @@ import pytest
 
 import wesurf as ws
 
-from oracles import with_values
+from oracles import wick_rotate, with_values
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +41,8 @@ def hc_family_sector(sector_grid):
 
 @pytest.fixture(scope="session", params=[(37, 53), (131, 257)], ids=["37x53", "131x257"])
 def s_theta_annulus(request):
-    """A Wick-rotated helicoid/catenoid member on a non-square annulus, each
+    """A Wick-rotated helicoid/catenoid member on a non-square annulus, as a
+    complex surface with its jac and jac2 (`oracles.wick_rotate`), each
     component turned by its own complex phase.
 
     The phases give every product non-zero real and imaginary parts: a real
@@ -52,7 +53,8 @@ def s_theta_annulus(request):
     """
     n1, n2 = request.param
     grid = ws.ParamGrid("annulus", n1, n2, (0.4, 0.9, 0.0, 2 * math.pi))
-    s = ws.SolitonFamily(ws.helicoid_closed(grid), ws.catenoid_closed(grid)).at(0.7)
+    s = wick_rotate(ws.SolitonFamily(ws.helicoid_closed(grid),
+                                     ws.catenoid_closed(grid)).at(0.7).member)
     c = np.exp(1j * np.array([0.3, -0.5, 1.1]))[:, None, None]
     return with_values(s, c * s.values, jac=c[:, None] * s.jac, jac2=c[:, None] * s.jac2)
 

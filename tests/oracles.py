@@ -24,29 +24,47 @@ from wesurf.quadrature import (_CHAIN_ORDERS, PathNearSingularity, _joukowski_rh
 from wesurf.stencils import axis_derivative
 
 
-def surface_from_components(grid: ParamGrid, x, t, phi, reality="real",
+@dataclass(frozen=True)
+class ComplexSurface:
+    """A sampled complex surface (x, t, phi) with SurfaceGrid's fields and
+    readers, not validated: the complex-arithmetic reference for S_theta =
+    X_theta^s, which the program holds as its real member plus the Wick
+    rule.  `chain_rule_partials`, `surface_jacobian` and `fundamental_form`
+    run on it in complex arithmetic."""
+
+    grid: ParamGrid
+    values: np.ndarray
+    jac: np.ndarray | None = None
+    jac2: np.ndarray | None = None
+    meta: dict = field(default_factory=dict)
+    x = property(lambda self: self.values[0])
+    t = property(lambda self: self.values[1])
+    phi = property(lambda self: self.values[2])
+
+
+def surface_from_components(grid: ParamGrid, x, t, phi,
                             jac=None, jac2=None, meta=None) -> SurfaceGrid:
     values = np.stack([np.asarray(x, dtype=complex),
                        np.asarray(t, dtype=complex),
                        np.asarray(phi, dtype=complex)])
-    return SurfaceGrid(grid, values, reality, jac, jac2, meta or {})
+    return SurfaceGrid(grid, values, jac, jac2, meta or {})
 
 
-def with_values(surface: SurfaceGrid, values, jac=None, jac2=None) -> SurfaceGrid:
-    """The same grid, reality and meta with new arrays.
+def with_values(surface, values, jac=None, jac2=None):
+    """The same kind of surface, grid and meta with new arrays.
 
     Omitted jac and jac2 mean none, since the surface's derivatives belong
     to its old values.
     """
-    return SurfaceGrid(surface.grid, values, surface.reality, jac, jac2, dict(surface.meta))
+    return type(surface)(surface.grid, values, jac, jac2, dict(surface.meta))
 
 
-def surface_rows(surface: SurfaceGrid, i: int, j: int) -> SurfaceGrid:
+def surface_rows(surface, i: int, j: int):
     """Rows i..j-1 of a surface and of its derivatives (`ParamGrid.rows`)."""
     band = np.s_[..., i:j, :]
     jac, jac2 = (None if z is None else z[band] for z in (surface.jac, surface.jac2))
-    return SurfaceGrid(surface.grid.rows(i, j), surface.values[band], surface.reality,
-                       jac, jac2, dict(surface.meta))
+    return type(surface)(surface.grid.rows(i, j), surface.values[band], jac, jac2,
+                         dict(surface.meta))
 
 
 def check_reality(pair: FGPair, samples, tol: float = 1e-12) -> float:
@@ -91,8 +109,7 @@ def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
     offsets at the base node.  Output is real when every imaginary part is
     within REAL_IMAG_TOL of its real part's scale, as the reality constraint
     makes it: the real parts of values and jac are then kept, float64.
-    Otherwise the components are complex and the grid is flagged
-    wick_rotated.
+    Otherwise the components are complex (`ComplexSurface`).
     """
     base = complex(base)
     r = grid.nodes()
@@ -117,14 +134,15 @@ def surface_from_fg(pair: FGPair, grid: ParamGrid, base: complex,
             "FG pair claims the reality constraint but produced complex output")
     meta = {"surface": f"fg:{pair.label}", "base": base}
     if imag_ok:
-        return SurfaceGrid(grid, values.real, "real", jac.real, None, meta)
-    return SurfaceGrid(grid, values, "wick_rotated", jac, None, meta)
+        return SurfaceGrid(grid, values.real, jac.real, None, meta)
+    return ComplexSurface(grid, values, jac, None, meta)
 
 
-def wick_rotate(s: SurfaceGrid) -> SurfaceGrid:
-    """t -> i t on a copy of s in complex arrays, x and phi unchanged: the
-    rotation `family.wick_rotate` does in place, for any surface.  Applying
-    it twice negates t, up to the signs of exact zeros."""
+def wick_rotate(s) -> ComplexSurface:
+    """t -> i t on a copy of s in complex arrays, x and phi unchanged, for
+    any surface, its jac and jac2 included: the complex S = X^s of a real
+    member X, whose values have the bits of `family.wick_rotate(X).values`.
+    Applying it twice negates t, up to the signs of exact zeros."""
     def rotate(a):
         if a is None:
             return None
@@ -133,11 +151,11 @@ def wick_rotate(s: SurfaceGrid) -> SurfaceGrid:
         np.multiply(1j, a[1], out=out[1])  # 1j first: SIMD complex * is not commutative
         return out
 
-    return SurfaceGrid(s.grid, rotate(s.values), "wick_rotated", rotate(s.jac),
-                       rotate(s.jac2), dict(s.meta))
+    return ComplexSurface(s.grid, rotate(s.values), rotate(getattr(s, "jac", None)),
+                          rotate(getattr(s, "jac2", None)), dict(s.meta))
 
 
-def theta_derivative(fam, theta: float, order: int) -> SurfaceGrid:
+def theta_derivative(fam, theta: float, order: int):
     """d^order S_theta / d theta^order = S at theta + order * pi/2, the order
     reduced mod 4 first: order 4 gives S_theta bit for bit."""
     return fam.at(theta + (order % 4) * (0.5 * math.pi))
@@ -146,8 +164,8 @@ def theta_derivative(fam, theta: float, order: int) -> SurfaceGrid:
 def change_of_variables_action(patch: NonparametricPatch, s: SurfaceGrid) -> float:
     """The action in the (x, t) chart: int sqrt(1 + phi_x^2 - phi_t^2) |det J|
     dr1 dr2 over s's grid, J = d(x, t)/d(r1, r2) from s's analytic jac and
-    `patch` from the same grid.  Agrees with `geometry.action` of the
-    wick_signed form wherever the (x, t) chart is a diffeomorphism."""
+    `patch` from the same grid.  Agrees with `geometry.action` of the real
+    member's form wherever the (x, t) chart is a diffeomorphism."""
     (x1, x2), (t1, t2) = s.jac[0], s.jac[1]
     integrand = np.sqrt(1.0 + patch.phi_x ** 2 - patch.phi_t ** 2)
     vals = np.abs(integrand) * np.abs(x1 * t2 - x2 * t1)
@@ -297,7 +315,7 @@ def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> Sur
         jac2[1] = -jac2[1]
     meta = {"surface": data.R.id, "base": data.base, "conjugate": part == "im",
             "flip_t": data.flip_t}
-    return SurfaceGrid(grid, _complex_values(data, phi, part), "real", jac, jac2, meta)
+    return SurfaceGrid(grid, _complex_values(data, phi, part), jac, jac2, meta)
 
 
 def pair_members(data: WEData, grid: ParamGrid) -> tuple[SurfaceGrid, SurfaceGrid]:

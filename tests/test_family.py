@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import wesurf as ws
 from wesurf import family, grids
 from wesurf.cli import main
-from wesurf.family import FamilyError, _cos_sin, real_member
+from wesurf.family import FamilyError, _cos_sin
 from wesurf.grids import GridError
 
 from conftest import rng_points
@@ -23,7 +24,6 @@ def test_wick_leaves_zero_t_unchanged(annulus_grid):
     r = annulus_grid.nodes()
     s = surface_from_components(annulus_grid, r.real, np.zeros(r.shape), r.imag)
     w = wick_rotate(s)
-    assert w.reality == "wick_rotated"
     assert np.array_equal(w.x, s.x) and np.array_equal(w.phi, s.phi)
     assert np.max(np.abs(w.t)) == 0.0
 
@@ -40,19 +40,19 @@ def _arrays(s):
 
 
 def test_wick_rotate_copies_its_input(hc_family):
-    for s in (ws.catenoid_closed(hc_family.grid), hc_family.at(0.7)):
+    catenoid = ws.catenoid_closed(hc_family.grid)
+    for s in (catenoid, wick_rotate(catenoid)):
         before = [a.copy() for a in _arrays(s)]
         w = wick_rotate(s)
         for a, b in zip(_arrays(s), before):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
         for a, out in zip(_arrays(s), _arrays(w)):
-            assert not out.flags.writeable
             assert not np.shares_memory(a, out)
 
 
 def test_double_wick_negates_rotated_t_bitwise(hc_family):
     # bitwise where t has no exact zero: 1j * (1j * z) keeps no sign of a zero
-    S = hc_family.at(0.7)
+    S = wick_rotate(hc_family.at(0.7).member)
     assert np.all(S.t.imag != 0)
     ww = wick_rotate(wick_rotate(S))
     for a, b in zip(_arrays(ww), _arrays(S)):
@@ -62,47 +62,74 @@ def test_double_wick_negates_rotated_t_bitwise(hc_family):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The names of the complex arrays of S_theta built, in order."""
-    built, rotated = [], family._WickRotated._rotated
+    """One "values" per build of S_theta's complex values, in order."""
+    built, values = [], family.WickRotated.values.func
 
-    def spy(self, name):
-        built.append(name)
-        return rotated(self, name)
+    def spy(self):
+        built.append("values")
+        return values(self)
 
-    monkeypatch.setattr(family._WickRotated, "_rotated", spy)
+    spied = cached_property(spy)
+    spied.__set_name__(family.WickRotated, "values")
+    monkeypatch.setattr(family.WickRotated, "values", spied)
     return built
 
 
 def test_wick_rotate_builds_the_bits_of_1j_times_t_on_read(builds):
     # `at` at theta 0 combines m = 1 * m + 0 * (-1), which keeps m's signs of
-    # zero; S's arrays, built when read, hold 1j * (m + 0j) in t, and the
-    # real member's t is m + 0
+    # zero; the member's t is m itself, and S's values, built when read,
+    # hold 1j * (m + 0j) in t: m * 0 + i (m + 0)
     grid = ws.ParamGrid("rectangle", 3, 4, (0.0, 1.0, 0.0, 1.0))
     m = np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -np.pi] * 2).reshape(grid.shape)
     z = np.empty((3,) + grid.shape, complex)
     z.real, z.imag = (m + 1, m, m - 1), -1.0
     fam = ws.SolitonFamily.packed(grid, z, z[:, None].copy(), z[:, None].copy(), ({}, {}))
     S = fam.at(0.0)
-    X = real_member(S)
+    X = S.member
     assert builds == []
-    assert np.array_equal(X.t.view(np.uint64), (m + 0.0).view(np.uint64))
+    assert np.array_equal(X.t.view(np.uint64), m.view(np.uint64))
     assert np.array_equal(X.x, m + 1) and np.array_equal(X.phi, m - 1)
     expected = np.multiply(1j, m.astype(complex))  # 1j first, as the copying oracle
-    assert S.reality == "wick_rotated" and not S.values.flags.writeable
-    assert np.array_equal(S.t.view(np.uint64), expected.view(np.uint64))
-    assert np.array_equal(S.x, m + 1) and np.array_equal(S.phi, m - 1)
-    assert not np.any(S.x.imag) and not np.any(S.phi.imag)
+    assert not S.values.flags.writeable
+    x, t, phi = S.values
+    assert np.array_equal(t.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(np.signbit(t.real), np.signbit(m))
+    assert np.array_equal(x, m + 1) and np.array_equal(phi, m - 1)
+    assert not np.any(x.imag) and not np.any(phi.imag)
     assert builds == ["values"] and S.values is S.values
+    assert (S.grid, S.meta) == (X.grid, X.meta)
+
+
+def test_member_keeps_the_raw_sign_of_zero_in_t():
+    # theta pi snaps to (c, s) = (-1, 0): the raw t = -x + 0 * y is -0 at
+    # nodes of Scherk's verification rectangle; the member keeps it, and S's
+    # t there is (-0) + 0j, the bits that the OBJ sidecar prints
+    fam = ws.generate_conjugate_pair(ws.we_data("scherk"), ws.verification_grid("scherk"))
+    X, Y = fam
+    m = np.add(np.multiply(-1.0, X.t), 0.0 * Y.t)
+    negative_zero = (m == 0) & np.signbit(m)
+    assert negative_zero.any()
+    S = fam.at(math.pi)
+    assert np.array_equal(S.member.t.view(np.uint64), m.view(np.uint64))
+    t = S.values[1][negative_zero]
+    assert np.all(np.signbit(t.real)) and not np.any(np.signbit(t.imag))
+    assert not np.any(t.real) and not np.any(t.imag)
+
+
+def _s_arrays(S):
+    """The arrays of S_theta: its member's and its complex values."""
+    return [*_arrays(S.member), S.values]
 
 
 def test_family_at_shares_no_memory_with_the_family(hc_family):
     for fam in (hc_family, hc_family.rows(3, 20)):
         S = fam.at(0.7)
-        for out in _arrays(S):
+        arrays = _s_arrays(S)
+        for out in arrays:
             assert not out.flags.writeable
             assert not any(np.shares_memory(out, z) for z in _arrays(fam))
-        assert not any(np.shares_memory(a, b) for k, a in enumerate(_arrays(S))
-                       for b in _arrays(S)[k + 1:])
+        assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays)
+                       for b in arrays[k + 1:])
 
 
 def test_wick_catenoid_matches_nonparametric_form(annulus_grid):
@@ -129,7 +156,7 @@ def test_theta_sweep_builds_no_complex_array(tmp_path, builds, monkeypatch):
     assert builds == []
 
 
-def test_obj_export_and_relations_build_only_values(tmp_path, builds, hc_family):
+def test_obj_export_and_relations_build_values_once(tmp_path, builds, hc_family):
     assert main(["family-verify", "--surface", "enneper", "--theta", "0", "0.7",
                  "--formats", "obj", "--out", str(tmp_path)]) == 0
     assert builds == ["values", "values"]
@@ -155,6 +182,11 @@ def _same_surface(a, b):
                                                  (a.jac, b.jac), (a.jac2, b.jac2)))
 
 
+def _is_wick_of(S, X):
+    """S = X^s: S's member has X's arrays, and S's values X's rotated ones."""
+    return _same_surface(S.member, X) and np.array_equal(S.values, wick_rotate(X).values)
+
+
 def test_family_rejects_non_conjugate_pair(annulus_grid):
     X = ws.helicoid_closed(annulus_grid)
     Y = ws.catenoid_closed(annulus_grid)
@@ -162,15 +194,15 @@ def test_family_rejects_non_conjugate_pair(annulus_grid):
     with pytest.raises(FamilyError):
         ws.SolitonFamily(X, bad)
     fam = ws.SolitonFamily(X, bad, validate=False)  # corruption injection
-    assert _same_surface(fam.at(math.pi / 2), wick_rotate(bad))
+    assert _is_wick_of(fam.at(math.pi / 2), bad)
 
 
 def test_family_at_zero_is_wick_x(hc_family):
-    assert _same_surface(hc_family.at(0.0), wick_rotate(hc_family.X))
+    assert _is_wick_of(hc_family.at(0.0), hc_family.X)
 
 
 def test_family_at_half_pi_is_wick_y(hc_family):
-    assert _same_surface(hc_family.at(math.pi / 2), wick_rotate(hc_family.Y))
+    assert _is_wick_of(hc_family.at(math.pi / 2), hc_family.Y)
 
 
 @pytest.mark.parametrize("family", ["hc_family", "enneper_family"])
@@ -181,10 +213,10 @@ def test_family_is_combination_of_wick_rotated_members(family, theta, request):
     Xs, Ys = wick_rotate(fam.X), wick_rotate(fam.Y)
     c, s = math.cos(theta), math.sin(theta)
     S = fam.at(theta)
-    assert S.reality == "wick_rotated"
     assert np.array_equal(S.values, c * Xs.values + s * Ys.values)
-    assert np.array_equal(S.jac, c * Xs.jac + s * Ys.jac)
-    assert np.array_equal(S.jac2, c * Xs.jac2 + s * Ys.jac2)
+    rotated = wick_rotate(S.member)
+    assert np.array_equal(rotated.jac, c * Xs.jac + s * Ys.jac)
+    assert np.array_equal(rotated.jac2, c * Xs.jac2 + s * Ys.jac2)
 
 
 def test_family_packs_pair_and_keeps_no_member():
@@ -259,7 +291,8 @@ def _bits(a):
     return None if a is None else a.view(np.uint64)
 
 
-# the quarter angles snap cos or sin to 0: signed zeros in t's real part
+# the quarter angles snap cos or sin to 0: signed zeros in the member's t
+# and in the real part of S's t
 PIN_THETAS = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2, -1.0, 4.5)
 
 
@@ -276,10 +309,12 @@ def test_packed_family_matches_combined_members(make_family):
         def comb(a, b):
             return None if a is None or b is None else c * a.real + s * b.real
 
-        want = wick_rotate(ws.SurfaceGrid(X.grid, comb(X.values, Y.values), "real",
-                                          comb(X.jac, Y.jac), comb(X.jac2, Y.jac2)))
+        want = ws.SurfaceGrid(X.grid, comb(X.values, Y.values), comb(X.jac, Y.jac),
+                              comb(X.jac2, Y.jac2))
         got = fam.at(theta)
-        for g, w in ((got.values, want.values), (got.jac, want.jac), (got.jac2, want.jac2)):
+        for g, w in ((got.member.values, want.values), (got.member.jac, want.jac),
+                     (got.member.jac2, want.jac2),
+                     (got.values, wick_rotate(want).values)):
             if w is None:
                 assert g is None
             else:
@@ -297,10 +332,8 @@ def test_family_rejects_member_with_imaginary_part(annulus_grid):
     # as it is built, before a family sees it
     with pytest.raises(GridError, match="imaginary part"):
         with_values(Y, Y.values + 1e-14j, jac=Y.jac, jac2=Y.jac2)
-    complex_member = wick_rotate(Y)
-    for pair in ((X, complex_member), (complex_member, X)):
-        with pytest.raises(FamilyError, match="must be real"):
-            ws.SolitonFamily(*pair, validate=False)
+    with pytest.raises(GridError, match="imaginary part"):
+        with_values(X, X.values, jac=X.jac + 1e-14j, jac2=X.jac2)
 
 
 def test_family_phi_closed_form(hc_family, annulus_grid):
@@ -309,13 +342,13 @@ def test_family_phi_closed_form(hc_family, annulus_grid):
     S = hc_family.at(theta)
     L = np.log(annulus_grid.axis1)[:, None] + 1j * annulus_grid.axis2[None, :]
     expected = -0.5j * L * np.exp(-1j * theta) + 0.5j * np.conj(L) * np.exp(1j * theta)
-    assert np.max(np.abs(S.phi - expected)) < 1e-12
+    assert np.max(np.abs(S.values[2] - expected)) < 1e-12
 
 
 def test_family_t_component_is_purely_imaginary(hc_family):
     for theta in (0.0, 0.4, 1.2):
         S = hc_family.at(theta)
-        assert np.max(np.abs(S.t.real)) < 1e-12
+        assert np.max(np.abs(S.values[1].real)) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -351,8 +384,7 @@ def test_theta_derivative_order_two_negates(hc_family):
 
 
 def test_first_derivative_at_zero_is_wick_y(hc_family):
-    assert _same_surface(theta_derivative(hc_family, 0.0, 1),
-                         wick_rotate(hc_family.Y))
+    assert _is_wick_of(theta_derivative(hc_family, 0.0, 1), hc_family.Y)
 
 
 # -------------------------------------------------------------- family F/G
@@ -409,7 +441,7 @@ def test_soliton_relations_detect_corrupted_F(hc_family):
 
 def test_soliton_relations_zero_surface(annulus_grid):
     z = np.zeros(annulus_grid.shape)
-    s = surface_from_components(annulus_grid, z, z, z, reality="wick_rotated")
+    s = family.wick_rotate(surface_from_components(annulus_grid, z, z, z))
     zero = ws.FGPair(F=lambda r: np.zeros_like(r), G=lambda s_: np.zeros_like(s_),
                      Fp=lambda r: np.zeros_like(r), Gp=lambda s_: np.zeros_like(s_),
                      reality_constraint=True, label="zero")

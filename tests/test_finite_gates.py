@@ -12,7 +12,7 @@ import pytest
 
 import wesurf as ws
 from wesurf import catalog, grids, pde, quadrature, stencils
-from wesurf.family import real_member
+from wesurf.family import wick_rotate
 from wesurf.pde import LorentzBoost, PDEError, boost, wick_substitute
 
 from oracles import finite_everywhere, finite_where_retained
@@ -48,19 +48,23 @@ def raises(gate, error) -> bool:
     return False
 
 
-@pytest.mark.parametrize("reality", ["real", "wick_rotated"])
+@pytest.mark.parametrize("route", ["real", "wick_rotated"])
 @pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_surface_grid_gate(case, reality):
+def test_surface_grid_gate(case, route):
+    """The member's gate is S_theta's only one: a member that passes it gives
+    finite Wick-rotated values, which are built from it unscanned."""
     grid = ws.ParamGrid("rectangle", *SHAPE, (0.0, 1.0, 0.0, 1.0))
     clean = poisoned((3, *SHAPE), complex, "real", None, "first", "contiguous")
     for name, slots in (("values", ()), ("jac", (2,)), ("jac2", (3,))):
         a = poisoned((3, *slots, *SHAPE), *case[0], *case[1:])
         try:
-            ws.SurfaceGrid(grid, **{"values": clean, name: a}, reality=reality)
+            member = ws.SurfaceGrid(grid, **{"values": clean, name: a})
         except ws.GridError as exc:
             assert not finite_everywhere(a) and "must be finite" in str(exc), (name, exc)
         else:
             assert finite_everywhere(a), name
+            if route == "wick_rotated":
+                assert finite_everywhere(wick_rotate(member).values), name
 
 
 @pytest.mark.parametrize("field", ["x", "phi_xt", "phi_tt"])
@@ -150,28 +154,20 @@ def _same_bytes(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_real_member_and_wick_substitute_keep_bits_without_a_scan(enneper_family, scans):
+def test_member_and_wick_substitute_keep_bits_without_a_scan(enneper_family, scans):
     S = enneper_family.rows(3, 40).at(0.7)
-    scans.clear()
-    X = real_member(S)
-    assert scans == [] and X is real_member(S)
+    X = S.member
     patch = ws.chain_rule_partials(X, second_source="analytic")
     assert scans  # the spy sees the gates that do scan
     scans.clear()
     w = wick_substitute(patch)
-    complex_arrays = S.values, S.jac, S.jac2  # built from the validated member
+    x, t, phi = S.values  # built from the validated member
     assert scans == []
-
-    def parts(z):
-        return np.stack([z[0].real, z[1].imag, z[2].real])
-
-    values, jac, jac2 = (parts(z) for z in complex_arrays)
-    validated = ws.SurfaceGrid(S.grid, values, "real", jac, jac2, dict(S.meta))
-    assert (X.grid, X.reality, X.meta) == (validated.grid, "real", validated.meta)
-    assert X.meta is not S.meta
+    assert _same_bytes(np.stack([x.real, t.imag, phi.real]), np.stack([X.x, X.t + 0.0, X.phi]))
+    assert (S.grid, S.meta) == (X.grid, X.meta)
     for name in ("values", "jac", "jac2"):
         got = getattr(X, name)
-        assert _same_bytes(got, getattr(validated, name)) and not got.flags.writeable, name
+        assert got.dtype == np.float64 and not got.flags.writeable, name
     derived = {"t": 1j * patch.t, "phi_t": -1j * patch.phi_t,
                "phi_xt": -1j * patch.phi_xt, "phi_tt": -patch.phi_tt}
     for f in dataclasses.fields(pde.NonparametricPatch):
@@ -208,7 +204,7 @@ def test_boost_that_overflows_still_raises():
     # the boosted patch is scanned: at rapidity 354 cosh^2 times the
     # catenoid's second partials overflows at retained nodes
     fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.verification_grid("catenoid"))
-    patch = wick_substitute(ws.chain_rule_partials(real_member(fam.at(0.0)),
+    patch = wick_substitute(ws.chain_rule_partials(fam.at(0.0).member,
                                                    second_source="analytic"))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PDEError, match="non-finite derivative data at retained nodes"):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import wesurf as ws
-from wesurf.family import real_member
 from wesurf.generate import GenerateError
 
 from oracles import (align_rigid, complex_laplacian, pair_members, pair_values, rotated_values,
@@ -106,6 +105,12 @@ def _assert_same_surface(got, want, label):
         assert _same_bits(getattr(got, name), getattr(want, name)), (label, name)
 
 
+def _assert_same_s_theta(got, want, label):
+    """Same member, and the same complex values by the Wick rule."""
+    _assert_same_surface(got.member, want.member, label)
+    assert _same_bits(got.values, want.values), (label, "complex values")
+
+
 # the quarter angles snap cos or sin to 0: signed zeros in the member
 PACKED_THETAS = (0.0, 0.3, 2.0, math.pi / 2, math.pi, 3 * math.pi / 2, -1.0, 4.5)
 
@@ -123,7 +128,7 @@ def test_packed_pair_equals_packed_members(sid, offsets):
     fam = ws.generate_conjugate_pair(data, grid)
     ref = ws.SolitonFamily(X, Y, validate=False)
     for theta in PACKED_THETAS:
-        _assert_same_surface(fam.at(theta), ref.at(theta), theta)
+        _assert_same_s_theta(fam.at(theta), ref.at(theta), theta)
     for got, want in zip(fam, ref):
         _assert_same_surface(got, want, "unpacked")
     for k in (1.5, -0.5):  # --corrupt-y-scale: scale Y in the family, or Y then pack
@@ -131,7 +136,7 @@ def test_packed_pair_equals_packed_members(sid, offsets):
         fam_k = ws.generate_conjugate_pair(data, grid, y_scale=k)
         ref_k = ws.SolitonFamily(X, scaled, validate=False)
         for theta in (0.3, 2.0, math.pi / 2):
-            _assert_same_surface(fam_k.at(theta), ref_k.at(theta), (k, theta))
+            _assert_same_s_theta(fam_k.at(theta), ref_k.at(theta), (k, theta))
         for got, want in zip(fam_k, ref_k):
             _assert_same_surface(got, want, (k, "unpacked"))
 
@@ -208,9 +213,9 @@ def test_real_surfaces_are_float64(annulus_grid):
     fam = ws.generate_conjugate_pair(ws.we_data("henneberg"), annulus_grid)
     real = [ws.generate(ws.we_data("henneberg"), annulus_grid), *fam,
             ws.helicoid_closed(annulus_grid), ws.catenoid_closed(annulus_grid),
-            real_member(fam.at(0.3))]
+            fam.at(0.3).member]
     for s in real:
-        assert s.reality == "real", s.meta
+        assert isinstance(s, ws.SurfaceGrid), s.meta
         assert s.values.dtype == s.jac.dtype == s.jac2.dtype == np.float64, s.meta
     assert fam.at(0.3).values.dtype == complex
 
@@ -235,7 +240,7 @@ def test_isothermality_with_conformal_factor_oracle(sid):
     # E = G = |R|^2 (1 + |w|^2)^2 and F = 0 in the W-E chart
     grid = ws.verification_grid(sid)
     X = ws.generate(ws.we_data(sid), grid)
-    form = ws.fundamental_form(X, "euclidean", source="analytic")
+    form = ws.fundamental_form(X, source="analytic")
     oracle = np.abs(ws.eval_R(ws.catalog_function(sid), grid.nodes())) ** 2 \
         * (1.0 + np.abs(grid.nodes()) ** 2) ** 2
     scale = np.max(oracle)
@@ -249,7 +254,7 @@ def test_isothermality_via_finite_differences_tightens_at_h2(sector_grid):
     for refine in (1, 2):
         g = ws.verification_grid("catenoid", refine=refine)
         Xr = ws.generate(ws.we_data("catenoid"), g)
-        form = ws.fundamental_form(Xr, "euclidean", source="fd", accuracy=2)
+        form = ws.fundamental_form(Xr, source="fd", accuracy=2)
         defects.append(form.isothermal_defect)
     assert defects[0] / defects[1] > 3.0
     _ = X

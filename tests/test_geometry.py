@@ -11,7 +11,7 @@ from wesurf.geometry import GeometryError
 from wesurf.stencils import interior_mask
 
 from oracles import (change_of_variables_action, max_deviation, surface_from_components,
-                     surface_rows, with_values)
+                     surface_rows, wick_rotate, with_values)
 
 
 def flat_patch(n=11):
@@ -22,7 +22,7 @@ def flat_patch(n=11):
 
 def test_plane_form_is_identity():
     _, s = flat_patch()
-    form = ws.fundamental_form(s, "euclidean", source="fd")
+    form = ws.fundamental_form(s, source="fd")
     assert np.max(np.abs(form.E - 1.0)) < 1e-12
     assert np.max(np.abs(form.G - 1.0)) < 1e-12
     assert np.max(np.abs(form.F)) < 1e-12
@@ -30,25 +30,24 @@ def test_plane_form_is_identity():
 
 @pytest.mark.parametrize("rows", [1, 7, "all"])
 def test_fundamental_form_independent_of_row_block(s_theta_annulus, monkeypatch, rows):
-    """Each band's E, F, G are rows i:j of the whole grid's, byte for byte.
-    rows=1 asks for one-row bands, which `_row_bands` widens to 3 rows."""
+    """Each band's E, F, G are rows i:j of the whole grid's, byte for byte,
+    in complex arithmetic too.  rows=1 asks for one-row bands, which
+    `_row_bands` widens to 3 rows."""
     grid = s_theta_annulus.grid
     _band_rows(monkeypatch, grid, rows)
     bands = grids._row_bands(*grid.shape)
     assert bands[0] == (0, grid.n1 if rows == "all" else max(3, rows))
-    for signature in ("euclidean", "wick_signed"):
-        whole = ws.fundamental_form(s_theta_annulus, signature, "analytic")
-        for i, j in bands:
-            form = ws.fundamental_form(surface_rows(s_theta_annulus, i, j), signature,
-                                       "analytic")
-            for name in ("E", "F", "G"):
-                a, b = getattr(form, name), getattr(whole, name)
-                assert a.dtype == b.dtype and a.tobytes() == b[i:j].tobytes(), (i, j, name)
+    whole = ws.fundamental_form(s_theta_annulus, "analytic")
+    for i, j in bands:
+        form = ws.fundamental_form(surface_rows(s_theta_annulus, i, j), "analytic")
+        for name in ("E", "F", "G"):
+            a, b = getattr(form, name), getattr(whole, name)
+            assert a.dtype == b.dtype and a.tobytes() == b[i:j].tobytes(), (i, j, name)
 
 
 def test_helicoid_isothermal_and_conformal_factor(annulus_grid):
     s = ws.helicoid_closed(annulus_grid)
-    form = ws.fundamental_form(s, "euclidean", source="analytic")
+    form = ws.fundamental_form(s, source="analytic")
     assert form.isothermal_defect < 1e-6
     rho = annulus_grid.axis1[:, None]
     oracle = 0.25 * (1.0 + rho ** -2) ** 2 + np.zeros(annulus_grid.shape)
@@ -58,18 +57,31 @@ def test_helicoid_isothermal_and_conformal_factor(annulus_grid):
 def test_helicoid_isothermal_by_finite_differences():
     g = ws.verification_grid("catenoid")  # sector with h ~ 1e-2 on both axes
     s = ws.helicoid_closed(g)
-    form = ws.fundamental_form(s, "euclidean", source="fd", accuracy=6)
+    form = ws.fundamental_form(s, source="fd", accuracy=6)
     mask = interior_mask(g.shape, 6)
     assert float(np.max(np.abs((form.E - form.G))[mask])) < 1e-6
     assert float(np.max(np.abs(form.F)[mask])) < 1e-6
 
 
-def test_wick_signed_form_is_real_and_theta_invariant(hc_family):
-    f0 = ws.fundamental_form(hc_family.at(0.0), "wick_signed", source="analytic")
-    f7 = ws.fundamental_form(hc_family.at(0.7), "wick_signed", source="analytic")
-    assert np.max(np.abs(f0.E.imag)) < 1e-12
+def test_s_theta_form_is_real_and_theta_invariant(hc_family):
+    # S_theta's E^s, F^s, G^s are its real member's euclidean form
+    f0 = ws.fundamental_form(hc_family.at(0.0).member, source="analytic")
+    f7 = ws.fundamental_form(hc_family.at(0.7).member, source="analytic")
+    assert f0.E.dtype == np.float64
     assert np.max(np.abs(f7.F)) < 1e-12
     assert np.max(np.abs(f0.E - f7.E)) < 1e-8
+
+
+def test_s_theta_form_is_the_minus_signed_form_of_its_complex_values(hc_family):
+    # x_1^2 - t_1^2 + phi_1^2 of S = X^s in complex arithmetic, t_1 = i X's t_1
+    S = wick_rotate(hc_family.at(0.7).member)
+    form = ws.fundamental_form(hc_family.at(0.7).member, source="analytic")
+    d1, d2 = S.jac[:, 0], S.jac[:, 1]
+    sign = np.array([1.0, -1.0, 1.0])[:, None, None]
+    for name, (u, v) in zip("EFG", ((d1, d1), (d1, d2), (d2, d2))):
+        signed = np.sum(sign * u * v, axis=0)
+        assert np.max(np.abs(signed.imag)) == 0.0
+        assert np.max(np.abs(signed.real - getattr(form, name))) < 1e-12
 
 
 def test_theta_sweep_invariance(hc_family):
@@ -107,11 +119,8 @@ def _band_rows(monkeypatch, grid, rows):
                         grid.n2 * (grid.n1 if rows == "all" else rows))
 
 
-def _same_member_bits(member, z):
-    """True when float64 `member` holds Re x, Im t and Re phi of the
-    Wick-rotated complex array `z`, bit for bit."""
-    parts = np.stack([z[0].real, z[1].imag, z[2].real])
-    return member.dtype == np.float64 and member.tobytes() == parts.tobytes()
+def _same_bits(a, b):
+    return a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
 def test_theta_sweep_visit_gets_each_thetas_maxima(annulus_grid, monkeypatch):
@@ -120,18 +129,18 @@ def test_theta_sweep_visit_gets_each_thetas_maxima(annulus_grid, monkeypatch):
     _band_rows(monkeypatch, annulus_grid, 7)
     bands = grids._row_bands(*annulus_grid.shape)
     assert len(bands) > 1
-    whole = {th: fam.at(th) for th in thetas}
+    whole = {th: fam.at(th).member for th in thetas}
     seen = []
 
     def visit(th, rows, X):
         seen.append((th, rows.start, rows.stop))
-        assert _same_member_bits(X.values, whole[th].values[:, rows])
+        assert _same_bits(X.values, whole[th].values[:, rows])
 
     rep = ws.theta_sweep_invariance(fam, thetas, visit=visit)
     assert seen == [(th, i, j) for th in thetas for i, j in bands]
-    first = ws.fundamental_form(whole[thetas[0]], "wick_signed", "analytic")
+    first = ws.fundamental_form(whole[thetas[0]], "analytic")
     for k, th in enumerate(thetas):
-        form = ws.fundamental_form(whole[th], "wick_signed", "analytic")
+        form = ws.fundamental_form(whole[th], "analytic")
         assert rep.e_devs[k] == float(np.max(np.abs(form.E - first.E)))
         assert rep.g_devs[k] == float(np.max(np.abs(form.G - first.G)))
         assert rep.f_abs[k] == float(np.max(np.abs(form.F)))
@@ -158,20 +167,20 @@ def test_theta_sweep_independent_of_band_height(banded_family, monkeypatch, rows
 def test_theta_sweep_bands_are_rows_of_the_whole_surface(banded_family, monkeypatch, rows):
     grid = banded_family.grid
     _band_rows(monkeypatch, grid, rows)
-    whole = {th: banded_family.at(th) for th in SWEEP_THETAS}
+    whole = {th: banded_family.at(th).member for th in SWEEP_THETAS}
     covered = {th: np.zeros(grid.n1, dtype=int) for th in SWEEP_THETAS}
 
     def visit(th, band, X):
         assert X.grid.shape == (band.stop - band.start, grid.n2)
         for name in ("values", "jac", "jac2"):
-            assert _same_member_bits(getattr(X, name), getattr(whole[th], name)[..., band, :])
+            assert _same_bits(getattr(X, name), getattr(whole[th], name)[..., band, :])
         covered[th][band] += 1
 
     rep = ws.theta_sweep_invariance(banded_family, SWEEP_THETAS, visit=visit)
     for th in SWEEP_THETAS:
         assert np.all(covered[th] == 1)
     for th, a in zip(SWEEP_THETAS, rep.actions, strict=True):
-        form = ws.fundamental_form(whole[th], "wick_signed")
+        form = ws.fundamental_form(whole[th])
         assert a == ws.action(form, grid)
 
 
@@ -196,8 +205,9 @@ def test_theta_sweep_without_analytic_jac_is_one_band(monkeypatch, annulus_grid)
     assert [rows for rows, _ in seen] == [slice(0, annulus_grid.n1)] * 2
     assert seen[0][1].grid == annulus_grid  # the stencils see the whole grid
     assert seen[1][1].jac is None
-    assert _same_member_bits(seen[1][1].values, fam.at(0.4).values)
-    form = ws.fundamental_form(fam.at(0.4), "wick_signed", "fd")
+    member = fam.at(0.4).member
+    assert _same_bits(seen[1][1].values, member.values)
+    form = ws.fundamental_form(member, "fd")
     assert rep.actions[1] == ws.action(form, annulus_grid)
 
 
@@ -223,8 +233,7 @@ def test_max_deviation_and_isothermal_defect_propagate_nan(annulus_grid):
     rep = ws.ThetaInvarianceReport((0.0, 0.3), (0.0, 1e-9), (0.0, math.nan),
                                    (0.0, 0.0), (1.0, 1.0))
     assert math.isnan(max_deviation(rep))
-    form = ws.fundamental_form(ws.helicoid_closed(annulus_grid), "euclidean",
-                               source="analytic")
+    form = ws.fundamental_form(ws.helicoid_closed(annulus_grid), source="analytic")
     F = form.F.copy()
     F[3, 4] = math.nan
     assert math.isnan(dataclasses.replace(form, F=F).isothermal_defect)
@@ -234,13 +243,13 @@ def test_max_deviation_and_isothermal_defect_propagate_nan(annulus_grid):
 
 def test_action_of_unit_flat_patch():
     g, s = flat_patch()
-    form = ws.fundamental_form(s, "euclidean", source="fd")
+    form = ws.fundamental_form(s, source="fd")
     assert abs(ws.action(form, g) - 1.0) < 1e-12
 
 
 def test_action_constant_over_theta(hc_family, annulus_grid):
-    acts = [ws.action(ws.fundamental_form(hc_family.at(t), "wick_signed",
-                                          source="analytic"), annulus_grid)
+    acts = [ws.action(ws.fundamental_form(hc_family.at(t).member, source="analytic"),
+                      annulus_grid)
             for t in (0.0, 0.4, 0.8, 1.2, math.pi / 2)]
     spread = (max(acts) - min(acts)) / abs(np.median(acts))
     assert spread < 1e-7
@@ -255,16 +264,17 @@ def test_action_against_closed_form_value(hc_family_sector, sector_grid):
         return 0.25 * (0.5 * rho ** 2 + 2.0 * math.log(rho) - 0.5 / rho ** 2)
 
     exact = (b[3] - b[2]) * (anti(b[1]) - anti(b[0]))
-    form = ws.fundamental_form(hc_family_sector.at(0.5), "wick_signed",
-                               source="analytic")
+    form = ws.fundamental_form(hc_family_sector.at(0.5).member, source="analytic")
     got = ws.action(form, sector_grid)
     assert abs(got - exact) / exact < 5e-4  # trapezoid truncation at h ~ 1e-2
 
 
 def test_action_matches_change_of_variables_route(hc_family_sector, sector_grid):
-    # independent evaluation: int sqrt(1 + phi_x^2 - phi_t^2) |det J| dr1 dr2
-    S = hc_family_sector.at(0.9)
-    form = ws.fundamental_form(S, "wick_signed", source="analytic")
+    # independent evaluation: int sqrt(1 + phi_x^2 - phi_t^2) |det J| dr1 dr2,
+    # on the complex S in complex arithmetic
+    X = hc_family_sector.at(0.9).member
+    S = wick_rotate(X)
+    form = ws.fundamental_form(X, source="analytic")
     patch = ws.chain_rule_partials(S, first_source="analytic", second_source="analytic")
     direct = ws.action(form, sector_grid)
     change = change_of_variables_action(patch, S)
@@ -274,20 +284,21 @@ def test_action_matches_change_of_variables_route(hc_family_sector, sector_grid)
 
 def test_action_rejects_negative_discriminant():
     g, s = flat_patch()
-    form = ws.fundamental_form(s, "euclidean", source="fd")
-    bad = ws.FundamentalForm(form.E, form.F + 2.0, form.G, form.signature, g)
+    form = ws.fundamental_form(s, source="fd")
+    bad = ws.FundamentalForm(form.E, form.F + 2.0, form.G, g)
     with pytest.raises(GeometryError):
         ws.action(bad, g)
 
 
-def test_action_rejects_complex_discriminant():
+def test_action_rejects_a_complex_form():
+    # S_theta's form is its real member's: a complex form is a caller's error,
+    # whatever its imaginary part
     g, s = flat_patch()
-    form = ws.fundamental_form(s, "euclidean", source="fd")
-    bad = ws.FundamentalForm(form.E + 0.5j, form.F, form.G, form.signature, g)
-    with pytest.raises(GeometryError, match="imaginary part"):
-        ws.action(bad, g)
-    tiny = ws.FundamentalForm(form.E + 1e-20j, form.F, form.G, form.signature, g)
-    assert ws.action(tiny, g) == ws.action(form, g)
+    form = ws.fundamental_form(s, source="fd")
+    for imag in (0.5j, 1e-20j, 0j):
+        bad = ws.FundamentalForm(form.E + imag, form.F, form.G, g)
+        with pytest.raises(GeometryError, match="complex"):
+            ws.action(bad, g)
 
 
 def test_area_weights_include_polar_jacobian():
@@ -300,7 +311,7 @@ def test_action_invariant_under_lorentz_boost(hc_family_sector):
     # cross-module check: the change-of-variables action is boost invariant
     # (1 + phi_x^2 - phi_t^2 is the Minkowski norm of the gradient and the
     # boost has unit determinant)
-    S = hc_family_sector.at(0.6)
+    S = wick_rotate(hc_family_sector.at(0.6).member)
     patch = ws.chain_rule_partials(S, first_source="analytic", second_source="analytic")
     before = change_of_variables_action(patch, S)
     after = change_of_variables_action(ws.boost(patch, ws.LorentzBoost(0.9)), S)

@@ -53,8 +53,7 @@ def test_surface_values_immutable_and_validated():
     with pytest.raises(ValueError):
         s.values[0, 0, 0] = 9.0
     with pytest.raises(GridError):
-        surface_from_components(g, g.nodes(), 0 * g.nodes(), 0 * g.nodes(),
-                                reality="real")  # complex x under real flag
+        surface_from_components(g, g.nodes(), 0 * g.nodes(), 0 * g.nodes())  # complex x
     with pytest.raises(GridError):
         bad = np.full(g.shape, np.nan)
         surface_from_components(g, bad, bad, bad)
@@ -64,12 +63,13 @@ def test_surface_values_immutable_and_validated():
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
                                  complex(-np.inf, 1.0)])
 def test_surface_rejects_one_non_finite_part(field, bad):
+    # the finiteness scan comes first, so a non-finite imaginary part is
+    # reported as such
     s = ws.helicoid_closed(ws.default_annulus(0.4, 0.9, 5, 7))
     arrays = {name: getattr(s, name).astype(complex) for name in ("values", "jac", "jac2")}
     arrays[field].flat[7] = bad
     with pytest.raises(GridError, match="finite"):
-        ws.SurfaceGrid(s.grid, arrays["values"], "wick_rotated", arrays["jac"],
-                       arrays["jac2"])
+        ws.SurfaceGrid(s.grid, arrays["values"], arrays["jac"], arrays["jac2"])
 
 
 @pytest.mark.parametrize("field", ["values", "jac", "jac2"])
@@ -93,7 +93,7 @@ def test_with_values_drops_omitted_derivatives():
     s = ws.catenoid_closed(ws.default_annulus(0.4, 0.9, 8, 8))
     scaled = with_values(s, 2.0 * s.values)
     assert scaled.jac is None and scaled.jac2 is None  # not s's stale derivatives
-    assert scaled.reality == s.reality and scaled.meta == s.meta
+    assert type(scaled) is type(s) and scaled.meta == s.meta
     kept = with_values(s, 2.0 * s.values, jac=2.0 * s.jac)
     assert np.array_equal(kept.jac, 2.0 * s.jac) and kept.jac2 is None
 

@@ -116,7 +116,7 @@ def test_real_surface_imaginary_part_tolerance_edge():
 
 def test_fg_surface_is_harmonic_and_isothermal(annulus_grid):
     s = surface_from_fg(ws.helicoid_fg(), annulus_grid, base=1.0, singularities=[0.0])
-    form = ws.fundamental_form(s, "euclidean", source="analytic")
+    form = ws.fundamental_form(s, source="analytic")
     assert form.isothermal_defect < 1e-10
     mask_worst = max(float(np.max(np.abs(ws.laplacian(s, c, accuracy=6))))
                      for c in ("x", "t", "phi"))

@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 import wesurf as ws
 from wesurf import cli, grids, pde
 from wesurf.cli import main
+from wesurf.family import wick_rotate
 from wesurf.io_export import SCHEMA, export_mesh, write_surface_csv, write_surface_table
 
-from oracles import quad_triangles, surface_from_components, wick_rotate, with_values
+from oracles import quad_triangles, surface_from_components, with_values
 
 
 def flat_surface(n1=3, n2=3):
@@ -59,6 +60,7 @@ def test_wick_mesh_writes_complex_sidecar(tmp_path):
     g = ws.default_annulus(0.4, 0.9, 5, 8)
     s = wick_rotate(ws.catenoid_closed(g))
     export_mesh(s, tmp_path / "wick.obj")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wick.obj", "wick_complex.csv"]
     sidecar = tmp_path / "wick_complex.csv"
     assert sidecar.exists()
     header = sidecar.read_text().splitlines()
@@ -67,7 +69,7 @@ def test_wick_mesh_writes_complex_sidecar(tmp_path):
     # vertices use (x_re, |t_im|, phi_re)
     lines = (tmp_path / "wick.obj").read_text().splitlines()
     first = [float(v) for v in lines[1].split()[1:]]
-    assert first[1] == pytest.approx(abs(complex(s.t[0, 0]).imag))
+    assert first[1] == pytest.approx(abs(complex(s.values[1, 0, 0]).imag))
 
 
 def _loop_triangles(n1, n2):
@@ -87,7 +89,8 @@ def test_quad_triangulation_indices():
 
 
 def test_writers_format_every_float_as_17g(tmp_path):
-    """Each written float is format(float(v), ".17g") of its source value."""
+    """Each written float is format(float(v), ".17g") of its source value;
+    S = X^s prints its t as m * 0 + i (m + 0), signs of zero included."""
     def ref(v):
         return format(float(v), ".17g")
 
@@ -97,14 +100,15 @@ def test_writers_format_every_float_as_17g(tmp_path):
                                         for k in range(3)))
     r = g.nodes()
     for name, s in (("real", real), ("wick", wick_rotate(real))):
-        t_mesh = s.t.real if s.reality == "real" else np.abs(s.t.imag)
-        nodes = {(i, j): [ref(f(z[i, j])) for z in (r, s.x, s.t, s.phi)
+        x, t, phi = s.values
+        t_mesh = t.real if name == "real" else np.abs(t.imag)
+        nodes = {(i, j): [ref(f(z[i, j])) for z in (r, x, t, phi)
                           for f in (np.real, np.imag)]
                  for i in range(3) for j in range(4)}
         csv = [f"{i},{j}," + ",".join(v) for (i, j), v in nodes.items()]
         table = [line for i in range(3)
                  for line in [" ".join(nodes[i, j]) for j in range(4)] + [""]]
-        obj = ([f"v {ref(s.x[i, j].real)} {ref(t_mesh[i, j])} {ref(s.phi[i, j].real)}"
+        obj = ([f"v {ref(x[i, j].real)} {ref(t_mesh[i, j])} {ref(phi[i, j].real)}"
                 for i in range(3) for j in range(4)]
                + [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in _loop_triangles(3, 4)])
         text = write_surface_csv(s, tmp_path / f"{name}.csv").read_text()
@@ -117,6 +121,7 @@ def test_writers_format_every_float_as_17g(tmp_path):
         assert name == "real" or sidecar.read_text() == text
     assert {"-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "0.10000000000000001",
             "0.33333333333333331", "-2.5"} <= set(",".join(csv).split(","))
+    assert csv[1].split(",")[6:8] == ["-0", "0"]  # t = -0 at node (0, 1): t_re, t_im
 
 
 def test_surface_csv_schema(tmp_path):
@@ -352,7 +357,8 @@ def test_cli_family_verify_skips_a_band_that_keeps_no_node(tmp_path, capsys, mon
         ws.we_data("catenoid"), ws.default_annulus(0.4, 0.9, 37, 53)), validate=False)
     lb = ws.LorentzBoost(cli.RunConfig().rapidities[0])
     for th, row in zip(BAND_THETAS, _report_rows(tmp_path), strict=True):
-        patch = ws.chain_rule_partials(fam.at(th), second_source="analytic")
+        patch = ws.wick_substitute(ws.chain_rule_partials(fam.at(th).member,
+                                                          second_source="analytic"))
         patch.valid_mask[i:j] = False
         res = ws.born_infeld_residual(patch).max_abs
         res_b = ws.born_infeld_residual(ws.boost(patch, lb)).max_abs
@@ -410,6 +416,16 @@ def test_cli_boost_check_overflowing_partials_fail(tmp_path, capsys):
         rc = main(["boost-check", "--rapidity", "300", "--out", str(tmp_path)])
     assert rc == 1
     assert "tolerance breach at rapidity 300" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["residuals", "boost-check", "export"])
+def test_cli_formats_is_refused_where_it_writes_nothing(tmp_path, capsys, command):
+    # --formats chooses the files of generate and family-verify only
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--formats", "csv", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --formats csv" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -573,9 +589,10 @@ def test_cli_exit_codes_property(command, surface, n, thetas, rapidities, kappa,
         with open(config, "w") as fh:
             fh.write(f"[family]\nthetas = {', '.join(map(repr, thetas))}\n"
                      f"rapidity = {', '.join(map(repr, rapidities))}\n")
+        formats = ["--formats", "csv"] if command in ("generate", "family-verify") else []
         rc = main([command, "--config", config, "--surface", surface, "--n", str(n),
                    f"--kappa={kappa!r}", f"--{tolerance.replace('_', '-')}={tol_value!r}",
-                   "--formats", "csv", "--out", out])
+                   *formats, "--out", out])
     text = err.getvalue()
     assert rc in (0, 1, 2), text
     assert "Traceback" not in text

@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
 from wesurf import grids, pde
-from wesurf.family import real_member
 from wesurf.pde import PDEError, wick_substitute
 
 from oracles import (catenoid_graph_fns, graph_patch, surface_from_components, surface_rows,
-                     t_reflect, wick_catenoid_graph_fns)
+                     t_reflect, wick_catenoid_graph_fns, wick_rotate)
 
 
 def xt_mesh(x0, x1, t0, t1, n=41):
@@ -130,8 +129,8 @@ def test_wick_catenoid_patch_solves_born_infeld():
 
 def test_family_grids_solve_born_infeld(hc_family):
     for theta in (0.0, 0.5, math.pi / 2):
-        p = ws.chain_rule_partials(hc_family.at(theta), first_source="analytic",
-                                   second_source="analytic")
+        S = wick_rotate(hc_family.at(theta).member)  # complex, with its jac and jac2
+        p = ws.chain_rule_partials(S, first_source="analytic", second_source="analytic")
         assert ws.born_infeld_residual(p).max_abs < 1e-4
 
 
@@ -264,17 +263,21 @@ def generated_family(request):
 @pytest.mark.parametrize("rows", [1, 7, "all"])
 def test_real_member_route_gives_s_theta_bits(generated_family, monkeypatch, rows):
     """The chain rule on S_theta's real member X in float, Wick-substituted,
-    is the chain rule on S_theta; X's minimal residual is S_theta's
-    Born-Infeld residual (the node sets are the same).  Both run on each
-    band of the theta sweep, as `family-verify` runs them."""
+    is the chain rule on S_theta in complex arithmetic (S_theta's values
+    with the jac and jac2 of the same Wick rule, `oracles.wick_rotate`); X's
+    minimal residual is S_theta's Born-Infeld residual (the node sets are
+    the same).  Both run on each band of the theta sweep, as `family-verify`
+    runs them."""
     n1, n2 = generated_family.grid.shape
     monkeypatch.setattr(grids, "_BAND_NODES", n2 * (n1 if rows == "all" else rows))
     for theta, (i, j) in itertools.product((0.0, 0.3, math.pi / 2, math.pi, 4.5),
                                            grids._row_bands(n1, n2)):
-        S = generated_family.rows(i, j).at(theta)
-        for z in (S.values, S.jac, S.jac2):  # real_member reads the other parts
+        X = generated_family.rows(i, j).at(theta).member
+        S = wick_rotate(X)
+        assert np.array_equal(S.values.view(np.uint64),
+                              generated_family.rows(i, j).at(theta).values.view(np.uint64))
+        for z in (S.values, S.jac, S.jac2):  # X holds the other parts
             assert not (np.any(z[0].imag) or np.any(z[1].real) or np.any(z[2].imag))
-        X = real_member(S)
         complex_route = ws.chain_rule_partials(S, second_source="analytic")
         float_route = ws.chain_rule_partials(X, second_source="analytic")
         assert float_route.phi_xx.dtype == np.float64

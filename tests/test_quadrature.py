@@ -388,9 +388,9 @@ def test_action_holds_two_grid_arrays():
     rng = np.random.default_rng(3)
     E, G = 1.0 + rng.random((2, *grid.shape))
     F = 0.1 * rng.random(grid.shape)
-    form = ws.FundamentalForm(E, F, G, "wick_signed", grid)
+    form = ws.FundamentalForm(E, F, G, grid)
     small = ws.default_annulus(0.4, 0.9, 8, 8)
-    ws.action(ws.FundamentalForm(E[:8, :8], F[:8, :8], G[:8, :8], "wick_signed", small), small)
+    ws.action(ws.FundamentalForm(E[:8, :8], F[:8, :8], G[:8, :8], small), small)
     tracemalloc.start()
     try:
         ws.action(form, grid)
