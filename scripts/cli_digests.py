@@ -77,6 +77,9 @@ RUNS = (
     ["family-verify", "--rapidity", "354", "--formats", "csv"],   # the boosted patch's scan
                                                                   # catches overflow: exit 2
     ["family-verify", "--theta", "0.7", "--formats", "csv"],   # one theta: all-zero series
+    ["family-verify", "--formats", "csv", "--theta", "0", "0.3", "0.7", "1.1",   # 14 thetas:
+     "1.5707963267948966", "2.0", "2.5", "3.141592653589793", "3.6", "4.1",    # two blocks
+     "4.71238898038469", "5.2", "-1.0", "-2.5"],                              # of the sweep
     ["family-verify", "--surface", "scherk", "--formats", "csv"],
     ["family-verify", "--surface", "scherk", "--theta", "3.141592653589793",   # raw t = -0
      "4.71238898038469", "-1.0"],                             # at quarter angles: t_re -0

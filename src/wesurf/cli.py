@@ -12,9 +12,10 @@ boost-check    Lorentz-boost invariance of the Born-Infeld residual of S_0 = X^s
 export         write one artifact (obj/csv/table) for a surface
 
 Configuration is a flat INI file (sections [surface], [grid], [family],
-[tolerances], [output]) mirrored by command-line flags (--formats: generate
-and family-verify only); flags override the file.  WESURF_OUT overrides the
-output directory from either source.  Exit codes: 0 success, 1 tolerance
+[tolerances], [output]) mirrored by command-line flags; flags override the
+file.  --formats and the [output] formats key serve generate (csv, obj,
+table) and family-verify (csv, obj) only.  WESURF_OUT overrides the output
+directory from either source.  Exit codes: 0 success, 1 tolerance
 breach, 2 configuration/usage error, 3 internal error (an exception that is
 not one of the library's input errors: one `internal error:` line, no
 traceback).
@@ -75,7 +76,10 @@ class RunConfig:
     formats: tuple[str, ...] = ("csv", "obj")
     corrupt_y_scale: float = 1.0
 
-    def validate(self, need_thetas: bool = False) -> None:
+    def validate(self, need_thetas: bool = False, formats: tuple[str, ...] = ()) -> None:
+        """Check the config.  `formats` are the export formats the command
+        takes; a command that takes none does not read the `formats`
+        setting, so it does not check it."""
         _surface_id(self.surface)
         if need_thetas and len(self.thetas) == 0:
             raise ConfigError("theta list must not be empty for family commands")
@@ -90,11 +94,12 @@ class RunConfig:
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol > 0):
                 raise ConfigError(f"tolerance {name} must be finite and positive")
-        if not self.formats:
-            raise ConfigError(f"format list must not be empty; valid: {VALID_FORMATS}")
-        bad = [f for f in self.formats if f not in VALID_FORMATS]
-        if bad:
-            raise ConfigError(f"unknown export formats {bad}; valid: {VALID_FORMATS}")
+        if formats:
+            if not self.formats:
+                raise ConfigError(f"format list must not be empty; valid: {formats}")
+            bad = [f for f in self.formats if f not in formats]
+            if bad:
+                raise ConfigError(f"unknown export formats {bad}; valid here: {formats}")
 
 
 def _surface_id(surface: str) -> str:
@@ -243,7 +248,7 @@ def _export_surface(s: SurfaceGrid, stem: str, cfg: RunConfig) -> list[Path]:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    cfg.validate()
+    cfg.validate(formats=VALID_FORMATS)
     data, grid = _inputs(cfg)
     X, Y = generate_conjugate_pair(data, grid)
     files = _export_surface(X, cfg.surface, cfg)
@@ -282,26 +287,25 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def cmd_family_verify(cfg: RunConfig) -> int:
-    cfg.validate(need_thetas=True)
+    cfg.validate(need_thetas=True, formats=("csv", "obj"))  # csv: the report alone
     if len(cfg.rapidities) != 1:  # the boost_delta column has one rapidity
         raise ConfigError(f"family-verify takes one rapidity, got {list(cfg.rapidities)}")
     lb = LorentzBoost(cfg.rapidities[0])
     fam = generate_conjugate_pair(*_inputs(cfg), y_scale=cfg.corrupt_y_scale)
     header = ["theta", "max_bi_residual", "e_deviation", "g_deviation",
               "max_f_abs", "action", "boost_delta"]
-    band_maxima = []  # per theta: (unboosted, boosted) max residual of each band
+    # per theta index: (unboosted, boosted) max residual of each band
+    band_maxima = [[] for _ in cfg.thetas]
 
-    def check_band(th, rows, X):
+    def check_band(k, rows, X):
         # X is the real member of S_theta = X^s: its partials run in float,
         # and by the Wick identity its minimal residual is S_theta's
         # Born-Infeld residual, bit for bit; the boosted data are complex
         patch = chain_rule_partials(X, second_source="analytic")
         res = minimal_surface_residual(patch)
         res_b = born_infeld_residual(boost(wick_substitute(patch), lb))
-        if rows.start == 0:
-            band_maxima.append([])
         if res.node_count:  # a band that keeps no node has no maximum
-            band_maxima[-1].append((res.max_abs, res_b.max_abs))
+            band_maxima[k].append((res.max_abs, res_b.max_abs))
 
     sweep = theta_sweep_invariance(fam, cfg.thetas, visit=check_band)
     rows = []
@@ -463,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family-verify", help="theta-family invariant sweep")
     _add_common(p)
-    p.add_argument("--formats", help="comma list from csv,obj,table")
+    p.add_argument("--formats", help="comma list from csv,obj")
     p.add_argument("--theta", type=float, nargs="*",
                    help="family parameters to sweep")
     p.add_argument("--rapidity", type=float, nargs="+")

@@ -9,12 +9,12 @@ Born-Infeld equation, and every combination
 is again a solution: Wick rotation is linear, so S_theta is the rotated
 member at angle theta of X's associate (Bonnet) family, and `SolitonFamily.at`
 builds it that way.  X and Y are real surfaces, float64.  The family stores
-the pair packed as Z = X + i Y, one complex array each for the values and
-the first and second derivatives (a generated family keeps only the d/dr1
-slots Phi', Phi'' of the latter and builds the rest by Cauchy-Riemann), and
-the member at angle theta is X_theta = Re(e^{-i theta} Z) = cos(theta) Re Z
-+ sin(theta) Im Z, taken on float views into fresh float64 arrays and
-validated once.  S_theta is that member plus one Wick rule (`WickRotated`):
+the pair packed as Z = X + i Y, one complex array for the values, and reads
+the packed first and second derivatives of a span of rows from one source
+(a generated family evaluates only their d/dr1 slots Phi', Phi'' from R and
+builds the rest by Cauchy-Riemann).  The member at angle theta is
+X_theta = Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on
+float views into fresh float64 arrays and validated once.  S_theta is that member plus one Wick rule (`WickRotated`):
 every check reads `.member`, in float arithmetic, and only the writers and
 `verify_soliton_relations` read S_theta's complex values, built once on
 first read.  Each theta derivative is a member too: d^n S_theta / d theta^n
@@ -112,6 +112,15 @@ def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     return z
 
 
+def _row_slices(jac: np.ndarray | None, jac2: np.ndarray | None):
+    """The derivative source of packed jac and jac2 held whole: a function
+    of a row slice that returns those rows of each (None stays None)."""
+    for z in (jac, jac2):
+        if z is not None:
+            z.flags.writeable = False
+    return lambda rows: tuple(None if z is None else z[..., rows, :] for z in (jac, jac2))
+
+
 # A one-slot jac or jac2 holds the d/dr1 slot z of a holomorphic pair
 # X + i Y; by Cauchy-Riemann the d/dr2 (and d12) slot is i z and the d22 slot
 # is -z.  Slot j's X and Y parts, Re and Im of that multiple of z, each as
@@ -125,16 +134,23 @@ _SLOTS = {"values": 1, "jac": 2, "jac2": 3}  # derivative slots of each array
 class SolitonFamily:
     """A conjugate minimal-surface pair X, Y; `at` builds S_theta from it.
 
-    The pair is stored packed: values, jac and jac2 each hold X + i Y in one
-    complex array, the bytes of the two float64 members.  The packing is
+    The pair is stored packed: `values` holds X + i Y in one complex array,
+    the bytes of the two float64 members, and the packed jac and jac2 come
+    from one derivative source, `derivatives(rows)`, which returns those of
+    a slice of grid rows (each None when the pair lacks it).  The packing is
     exact for any real pair, conjugate or not, so `at` gives the values of
-    combining the members themselves; jac/jac2 are None when either member
-    lacks them.  X and Y are rebuilt on demand, as float64 surfaces, and
-    iterating the family gives (X, Y); the family keeps no reference to the
-    surfaces it was built from.  `packed` takes arrays already packed, as
-    `generate_conjugate_pair` writes them: there jac and jac2 hold one slot
-    each, Phi' and Phi'', and every other slot follows by Cauchy-Riemann
-    (`_SLOT_PARTS`), half the bytes of X and Y.
+    combining the members themselves.  A family built from two surfaces
+    holds their packed jac and jac2 and its source slices them.  A
+    generated family (`packed`, as `generate_conjugate_pair` writes it)
+    holds only its values: its source evaluates Phi' and Phi'' from R, the
+    one-slot jac and jac2 whose every other slot follows by Cauchy-Riemann
+    (`_SLOT_PARTS`), each time it is read.  `rows(i, j)` reads the source
+    once for its rows and keeps the result, so every `at` of a band reuses
+    it.  `analytic` tells whether the pair carries analytic first
+    derivatives without reading them.  X and Y are rebuilt on demand, as
+    float64 surfaces, and iterating the family gives (X, Y) from one read
+    of the source; the family keeps no reference to the surfaces it was
+    built from.
 
     The pair must pass the Cauchy-Riemann conjugacy check before a family is
     accepted; corruption tests can bypass with validate=False.
@@ -152,42 +168,42 @@ class SolitonFamily:
                     f"> {CR_TOLERANCE:.3g}")
         self.grid = X.grid
         self.values = _pack(X.values, Y.values)
-        self.jac = _pack(X.jac, Y.jac)
-        self.jac2 = _pack(X.jac2, Y.jac2)
+        jac = _pack(X.jac, Y.jac)
+        self.derivatives = _row_slices(jac, _pack(X.jac2, Y.jac2))
+        self.analytic = jac is not None
         self._metas = (dict(X.meta), dict(Y.meta))
         self._y_scale = 1.0
 
     @classmethod
-    def packed(cls, grid: ParamGrid, values: np.ndarray, jac: np.ndarray,
-               jac2: np.ndarray, metas: tuple[dict, dict],
-               y_scale: float = 1.0) -> "SolitonFamily":
-        """The family whose packed arrays X + i Y are given (taken
-        over, not copied, and made read-only); metas are X's and Y's.
+    def packed(cls, grid: ParamGrid, values: np.ndarray, derivatives,
+               metas: tuple[dict, dict], y_scale: float = 1.0) -> "SolitonFamily":
+        """The family whose packed values X + i Y are given (taken over, not
+        copied, and made read-only), with `derivatives(rows)` the source of
+        its packed jac and jac2 on a slice of grid rows; metas are X's and
+        Y's.
 
-        jac and jac2 may hold the d/dr1 slot alone, shape (3, 1, n1, n2),
+        The source may return the d/dr1 slot alone, shape (3, 1, rows, n2),
         when X + i Y is holomorphic: the d/dr2 and d12 slots are then i times
         it and the d22 slot minus it.  Y is y_scale times what the arrays
         hold, the product taken when a member is built.
         """
         fam = cls.__new__(cls)
-        for z in (values, jac, jac2):
-            z.flags.writeable = False
-        fam.grid, fam.values, fam.jac, fam.jac2 = grid, values, jac, jac2
+        values.flags.writeable = False
+        fam.grid, fam.values, fam.derivatives, fam.analytic = grid, values, derivatives, True
         fam._metas = (dict(metas[0]), dict(metas[1]))
         fam._y_scale = float(y_scale)
         return fam
 
-    def _real_array(self, name: str, part) -> np.ndarray | None:
-        """A fresh float64 array for the family's values, jac or jac2
-        (`name`), each grid of it written by part(sx, x, sy, y, out); None
-        when the family has none.
+    def _real_array(self, name: str, z: np.ndarray | None, part) -> np.ndarray | None:
+        """A fresh float64 array for the family's packed values, jac or jac2
+        (`name`, held in z), each grid of it written by part(sx, x, sy, y,
+        out); None when z is None.
 
         x and y are float arrays of one component and slot of X and of Y up
         to the signs sx and sy: views of the packed arrays, y times the
         family's y_scale, and a one-slot jac or jac2 is spread over its slots
         by `_SLOT_PARTS`.  This is the one place that rule is applied.
         """
-        z = getattr(self, name)
         if z is None:
             return None
         if name == "values":
@@ -205,18 +221,22 @@ class SolitonFamily:
         return out[:, 0] if name == "values" else out
 
     def _real_surface(self, part, meta: dict) -> SurfaceGrid:
-        """The real surface of part (`_real_array`), float64."""
-        return SurfaceGrid(self.grid, *(self._real_array(name, part) for name in _SLOTS), meta)
+        """The real surface of part (`_real_array`), float64, from one read
+        of the derivative source."""
+        packed = (self.values, *self.derivatives(slice(None)))
+        return SurfaceGrid(self.grid, *(self._real_array(name, z, part)
+                                        for name, z in zip(_SLOTS, packed)), meta)
 
     def rows(self, i: int, j: int) -> "SolitonFamily":
-        """The family over grid rows i..j-1 (`ParamGrid.rows`): views of the
-        packed arrays, no copy.  Its `at` gives those rows of the whole
-        family's `at`, bit for bit, since the member is built nodewise."""
-        band = np.s_[..., i:j, :]
+        """The family over grid rows i..j-1 (`ParamGrid.rows`): a view of the
+        packed values, no copy, whose derivative source slices the packed
+        jac and jac2 of those rows, read from this family's source once,
+        here.  Its `at` gives those rows of the whole family's `at`, bit for
+        bit, since the member is built nodewise."""
         view = copy.copy(self)
         view.grid = self.grid.rows(i, j)
-        view.values, view.jac, view.jac2 = (None if z is None else z[band]
-                                            for z in (self.values, self.jac, self.jac2))
+        view.values = self.values[..., i:j, :]
+        view.derivatives = _row_slices(*self.derivatives(slice(i, j)))
         return view
 
     @property
@@ -230,9 +250,11 @@ class SolitonFamily:
                                   dict(self._metas[1]))
 
     def __iter__(self):
-        """X, then Y: `X, Y = fam` unpacks the pair."""
-        yield self.X
-        yield self.Y
+        """X, then Y: `X, Y = fam` unpacks the pair, from one read of the
+        derivative source (`rows` over the whole grid)."""
+        whole = self.rows(0, self.grid.n1)
+        yield whole.X
+        yield whole.Y
 
     def at(self, theta: float) -> WickRotated:
         """S_theta = (cos(theta) X + sin(theta) Y)^s, componentwise.

@@ -6,9 +6,9 @@ The three coordinate functions are real parts of one holomorphic triple
 
 so the harmonic conjugate surface (R -> -i R) is simply the imaginary parts
 of the same triple.  `generate_conjugate_pair` therefore integrates once and
-writes the pair straight into the packed arrays of a `SolitonFamily`
-(X + i Y is Phi itself, up to offsets, and its derivative arrays hold
-Phi' and Phi'' alone), which unpacks to the float64 surfaces (X, Y); the
+writes the pair straight into the packed values of a `SolitonFamily`
+(X + i Y is Phi itself, up to offsets; its derivatives Phi' and Phi'' are
+evaluated from R when read), which unpacks to the float64 surfaces (X, Y); the
 pair satisfies the Cauchy-Riemann relations componentwise by construction,
 which is what the soliton-family machinery relies on.  It is the one
 construction: `generate` is its X, and the `generate` command writes its
@@ -24,6 +24,7 @@ lowest Gauss-Legendre order their distance allows, and an R without poles
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,22 +90,28 @@ def _integrand(R: WEFunction):
     return f
 
 
-def _node_derivatives(R: WEFunction, grid: ParamGrid, dphi, ddphi) -> None:
-    """Write (Phi'_k, Phi''_k) at the nodes, the exact holomorphic
-    derivatives, into dphi and ddphi (each indexed by k first).
+def _node_derivatives(R: WEFunction, grid: ParamGrid, flip_t: bool,
+                      rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """The packed jac and jac2 of the generated pair on grid rows `rows`:
+    Phi'_k and Phi''_k, the exact holomorphic derivatives, each of shape
+    (3, 1, rows, n2), with component 1 negated under flip_t.
 
-    One band of rows (`grids._row_bands`) is evaluated at a time, and the
-    band's output rows serve as its scratch, so only r, R(r) and R'(r) are
-    band-sized temporaries.  Every product is written with `out=`, or
-    in place into its left operand, so its operand order, and its bits, do
-    not depend on the band's size (README, Numerical notes).
+    The nodes are `grid.nodes` of those rows of the whole grid, so a span
+    gets the bits of the same rows of any other span.  One band of rows
+    (`grids._row_bands`) is evaluated at a time, and the band's output rows
+    serve as its scratch, so only r, R(r) and R'(r) are band-sized
+    temporaries.  Every product is written with `out=`, or in place into its
+    left operand, so its operand order, and its bits, do not depend on the
+    band's size (README, Numerical notes).
     """
-    for i, j in _row_bands(*grid.shape):
-        rows = slice(i, j)
-        r = grid.nodes(rows)
+    start, stop, _ = rows.indices(grid.n1)
+    dphi = np.empty((3, 1, stop - start, grid.n2), dtype=complex)
+    ddphi = np.empty_like(dphi)
+    for i, j in _row_bands(stop - start, grid.n2):
+        r = grid.nodes(slice(start + i, start + j))
         rv = eval_R(R, r)
         dv = eval_R_deriv(R, r)
-        d1, d2 = dphi[:, rows], ddphi[:, rows]
+        d1, d2 = dphi[:, 0, i:j], ddphi[:, 0, i:j]
         r2 = np.square(r, out=d2[1])  # until d2[1] takes 1 + r^2
         np.subtract(1.0, r2, out=d2[0])
         np.multiply(d2[0], rv, out=d1[0])          # (1 - r^2) R
@@ -124,25 +131,33 @@ def _node_derivatives(R: WEFunction, grid: ParamGrid, dphi, ddphi) -> None:
         d2[1] *= 1j                                # i ((1 + r^2) R' + 2 r R)
         d2[2] += np.multiply(2.0, rv, out=rv)      # 2 r R' + 2 R
         del r, rv, dv  # free this band's arrays before the next is built
+    if flip_t:
+        for z in (dphi, ddphi):
+            np.negative(z[1], out=z[1])
+    return dphi, ddphi
 
 
 def generate_conjugate_pair(data: WEData, grid: ParamGrid,
                             y_scale: float = 1.0) -> SolitonFamily:
     """The family of X = Re Phi and its harmonic conjugate Y = Im Phi.
 
-    The packed arrays X + i Y are written straight from the triple
-    (Phi, Phi', Phi''), so X and Y are never built:
+    The family keeps one packed array, written straight from the triple
+    Phi, so X and Y are never built:
 
         values[k] = (Re Phi_k + o_k) + i (Im Phi_k + o_k)    (o: offsets)
-        jac[k]    = Phi'_k     (the d/dr1 slot alone)
-        jac2[k]   = Phi''_k    (the d11 slot alone)
 
-    and flip_t negates component 1 of all three.  X + i Y is holomorphic,
-    so the family builds the other slots by Cauchy-Riemann when it makes a
-    member: d/dr2 and d12 are i Phi', i Phi'', and d22 is -Phi''.  Each of
-    their parts is a copy or a sign change of a stored one, so the family
-    equals packing X and Y assembled as Re and Im of the triple bit for bit,
-    in `at` and in the unpacked (X, Y), and holds half their bytes.
+    with component 1 negated under flip_t.  Its derivatives are not stored:
+    the family's derivative source evaluates Phi'_k and Phi''_k from R at the
+    nodes of a span of rows (`_node_derivatives`), the packed d/dr1 and d11
+    slots, when something reads them.  `SolitonFamily.rows` evaluates them
+    once per band, and every `at` of that band reuses them; so the theta
+    sweep evaluates R once per band per block of thetas.  X + i Y is
+    holomorphic, so the family builds the other slots by Cauchy-Riemann
+    when it makes a member: d/dr2 and d12 are i Phi', i Phi'', and d22 is
+    -Phi''.  Each of their parts is a copy or a sign change of a stored
+    one, so the family equals packing X and Y assembled as Re and Im of the
+    triple bit for bit, in `at` and in the unpacked (X, Y), and holds 48
+    bytes per node, a sixth of theirs.
     The members' meta records flip_t, so that the writers print the -0
     imaginary part of a negated t (io_export).
     y_scale != 1 multiplies Y by y_scale: a test hook for a pair that is not
@@ -153,15 +168,12 @@ def generate_conjugate_pair(data: WEData, grid: ParamGrid,
     offsets = np.array(data.offsets)[:, None, None]  # added to Phi's parts in place
     values.real += offsets
     values.imag += offsets
-    jac = np.empty((3, 1) + grid.shape, dtype=complex)
-    jac2 = np.empty_like(jac)
-    _node_derivatives(data.R, grid, jac[:, 0], jac2[:, 0])
     if data.flip_t:
-        for z in (values, jac, jac2):
-            np.negative(z[1], out=z[1])
+        np.negative(values[1], out=values[1])
     metas = tuple({"surface": data.R.id, "base": data.base, "conjugate": conjugate,
                    "flip_t": data.flip_t} for conjugate in (False, True))
-    return SolitonFamily.packed(grid, values, jac, jac2, metas, y_scale)
+    derivatives = functools.partial(_node_derivatives, data.R, grid, data.flip_t)
+    return SolitonFamily.packed(grid, values, derivatives, metas, y_scale)
 
 
 def generate(data: WEData, grid: ParamGrid) -> SurfaceGrid:

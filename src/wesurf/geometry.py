@@ -44,6 +44,13 @@ class FundamentalForm:
         """max(|E - G|, |F|) over the grid: 0 for isothermal coordinates."""
         return float(np.maximum(np.max(np.abs(self.E - self.G)), np.max(np.abs(self.F))))
 
+    def discriminant(self, out: np.ndarray | None = None) -> np.ndarray:
+        """EG - F^2, the integrand of `action` before its root, written into
+        `out` when given; F^2 is the one temporary."""
+        out = np.multiply(self.E, self.G, out=out)
+        out -= self.F ** 2
+        return out
+
 
 def fundamental_form(s: SurfaceGrid, source: str = "auto",
                      accuracy: int = 2) -> FundamentalForm:
@@ -70,63 +77,83 @@ class ThetaInvarianceReport:
     actions: tuple[float, ...]
 
 
+# Thetas per pass over the bands: one float64 EG - F^2 grid each, so a pass
+# holds at most 96 bytes per node, what a generated family's stored Phi' and
+# Phi'' took, and memory does not grow with the number of thetas.
+_THETA_BLOCK = 12
+
+
 def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
     """Sweep S_theta and report how far E^s, G^s move (they should not).
 
-    `fam` is a SolitonFamily (duck-typed: .grid, .jac, .rows(i, j) and
-    .at(theta)).  Each theta is built one band of whole rows at a time
-    (`grids._row_bands`), so no full-grid S_theta exists; a family without
-    analytic first derivatives runs as one band, the whole grid, so that
-    its finite-difference form sees every neighbour.  Each band of S_theta
-    = X_theta^s is read as its real member X_theta (`.member`), and the
-    form is X_theta's euclidean one in float arithmetic, which is S_theta's
-    E^s, F^s, G^s (module docstring).  The member's rows go to
-    `visit(theta, rows, X_rows)` when given, with `rows` the band's slice
-    of grid rows; bands arrive in order, each row once per theta.  A visit
-    may do nodewise work only: the same nodes of the whole member would
-    give it the same bits.  The form's E, F, G are assembled into float
-    buffers for the action, a whole-grid sum taken after each theta's last
-    band.  A NaN anywhere propagates into the report.
+    `fam` is a SolitonFamily (duck-typed: .grid, .analytic, .rows(i, j) and
+    .at(theta)).  The sweep is band-major: bands of whole rows
+    (`grids._row_bands`) in the outer loop, thetas in the inner one, so no
+    full-grid S_theta exists, and each band's `fam.rows(i, j)` reads the
+    family's derivatives once (for a generated family, evaluates Phi' and
+    Phi'' from R) for every theta's `at`.  The thetas run in blocks of at
+    most `_THETA_BLOCK`, one pass over the bands each; E_0 and G_0 are the
+    band's form at the first theta, built again in a later block.  A family
+    without analytic first derivatives runs as one band, the whole grid, so
+    that its finite-difference form sees every neighbour; `fam.analytic`
+    tells so without reading a derivative.  Each band of S_theta = X_theta^s is read as its real
+    member X_theta (`.member`), and the form is X_theta's euclidean one in
+    float arithmetic, which is S_theta's E^s, F^s, G^s (module docstring).
+    The member's rows go to `visit(k, rows, X_rows)` when given, with k the
+    theta's index in `thetas` and `rows` the band's slice of grid rows:
+    within a block, each band visits every theta of the block in order,
+    and each row is visited once per theta.  A visit may do nodewise work
+    only: the same nodes of the whole member would give it the same bits.
+    Each theta keeps one float64 grid, its EG - F^2, filled band by band;
+    after a block's last band, `action` takes each of them in theta order,
+    a whole-grid sum, so its bits do not depend on the bands.  A NaN
+    anywhere propagates into the report.
     """
     thetas = tuple(float(t) for t in thetas)
     if len(thetas) < 1:
         raise GeometryError("need at least one theta")
     grid = fam.grid
-    bands = grids._row_bands(*grid.shape) if fam.jac is not None else [(0, grid.n1)]
-    E, F, G, E0, G0 = (np.empty(grid.shape) for _ in range(5))
-    series = []
-    for t in thetas:
-        e_abs = g_abs = f_abs = 0.0
+    bands = grids._row_bands(*grid.shape) if fam.analytic else [(0, grid.n1)]
+    maxima = np.zeros((3, len(thetas)))  # max |E - E_0|, |G - G_0|, |F| per theta
+    actions = []
+    for first in range(0, len(thetas), _THETA_BLOCK):
+        block = range(first, min(first + _THETA_BLOCK, len(thetas)))
+        discs = [np.empty(grid.shape) for _ in block]
         for i, j in bands:
             rows = slice(i, j)
-            member = fam.rows(i, j).at(t).member
-            form = fundamental_form(member)
-            if not series:
-                E0[rows], G0[rows] = form.E, form.G
-            # np.maximum, not max(): a NaN in any band must reach the series
-            e_abs = np.maximum(e_abs, np.max(np.abs(form.E - E0[rows])))
-            g_abs = np.maximum(g_abs, np.max(np.abs(form.G - G0[rows])))
-            f_abs = np.maximum(f_abs, np.max(np.abs(form.F)))
-            E[rows], F[rows], G[rows] = form.E, form.F, form.G
-            del form
-            if visit is not None:
-                visit(t, rows, member)
-            del member  # free this band before the next is built
-        a = action(FundamentalForm(E, F, G, grid), grid)
-        series.append((float(e_abs), float(g_abs), float(f_abs), a))
-    return ThetaInvarianceReport(thetas, *zip(*series))
+            band = fam.rows(i, j)
+            ref = None if first == 0 else fundamental_form(band.at(thetas[0]).member)
+            for k, disc in zip(block, discs):
+                member = band.at(thetas[k]).member
+                form = fundamental_form(member)
+                if ref is None:
+                    ref = form
+                # np.maximum, not max(): a NaN in any band must reach the series
+                maxima[:, k] = np.maximum(maxima[:, k], [np.max(np.abs(form.E - ref.E)),
+                                                         np.max(np.abs(form.G - ref.G)),
+                                                         np.max(np.abs(form.F))])
+                form.discriminant(out=disc[rows])
+                del form
+                if visit is not None:
+                    visit(k, rows, member)
+                del member  # free this band's member before the next is built
+            del band, ref  # free this band's derivatives before the next are read
+        actions += [action(disc, grid) for disc in discs]
+        del discs  # free this block's grids before the next block's exist
+    return ThetaInvarianceReport(thetas, *(tuple(m.tolist()) for m in maxima),
+                                 tuple(actions))
 
 
-def action(form: FundamentalForm, grid: ParamGrid) -> float:
-    """A = int sqrt(E G - F^2) dr1 dr2 over the grid domain.
+def action(disc: np.ndarray, grid: ParamGrid) -> float:
+    """A = int sqrt(E G - F^2) dr1 dr2 over the grid domain, from the
+    discriminant disc = EG - F^2 (`FundamentalForm.discriminant`), which it
+    overwrites with the integrand.
 
-    The form must be real (a complex one raises GeometryError) and its
-    discriminant nonnegative up to round-off; values in (-clamp, 0) are
-    clamped to zero (isothermal points can dip below zero by rounding),
-    anything more negative is an error.
+    The discriminant must be real (a complex one raises GeometryError) and
+    nonnegative up to round-off; values in (-clamp, 0) are clamped to zero
+    (isothermal points can dip below zero by rounding), anything more
+    negative is an error.
     """
-    disc = form.E * form.G
-    disc -= form.F ** 2  # the one temporary beside disc
     if np.iscomplexobj(disc):
         raise GeometryError("EG - F^2 is complex: take the form of a real surface")
     # max |d| without an |d| array: the same value, and a NaN propagates

@@ -324,9 +324,8 @@ def pair_members(data: WEData, grid: ParamGrid) -> tuple[SurfaceGrid, SurfaceGri
     `generate_conjugate_pair`, which builds its slots by `_SLOT_PARTS`.
     """
     phi = _phi(data, grid)
-    dphi = np.empty((3,) + grid.shape, dtype=complex)
-    ddphi = np.empty_like(dphi)
-    _node_derivatives(data.R, grid, dphi, ddphi)
+    # the d/dr1 slots Phi', Phi'' of the whole grid, t not negated
+    dphi, ddphi = (z[:, 0] for z in _node_derivatives(data.R, grid, False, slice(None)))
     return (_assemble(data, grid, phi, dphi, ddphi, "re"),
             _assemble(data, grid, phi, dphi, ddphi, "im"))
 

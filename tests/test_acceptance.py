@@ -153,8 +153,8 @@ def test_criterion_7_first_form_and_action_invariance(hc_family, annulus_grid):
     record("C7 E deviation over sweep", float(np.max(sweep.e_devs)), 1e-8)
     record("C7 G deviation over sweep", float(np.max(sweep.g_devs)), 1e-8)
     record("C7 max |F|", float(np.max(sweep.f_abs)), 1e-8)
-    acts = [ws.action(ws.fundamental_form(hc_family.at(t).member, source="analytic"),
-                      annulus_grid)
+    acts = [ws.action(ws.fundamental_form(hc_family.at(t).member,
+                                          source="analytic").discriminant(), annulus_grid)
             for t in THETAS_41]
     spread = (max(acts) - min(acts)) / abs(np.median(acts))
     record("C7 action relative spread", spread, 1e-7)

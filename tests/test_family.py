@@ -83,7 +83,8 @@ def test_wick_rotate_builds_the_bits_of_1j_times_t_on_read(builds):
     m = np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -np.pi] * 2).reshape(grid.shape)
     z = np.empty((3,) + grid.shape, complex)
     z.real, z.imag = (m + 1, m, m - 1), -1.0
-    fam = ws.SolitonFamily.packed(grid, z, z[:, None].copy(), z[:, None].copy(), ({}, {}))
+    slot = z[:, None].copy()
+    fam = ws.SolitonFamily.packed(grid, z, lambda rows: (slot[..., rows, :],) * 2, ({}, {}))
     S = fam.at(0.0)
     X = S.member
     assert builds == []
@@ -125,9 +126,10 @@ def test_family_at_shares_no_memory_with_the_family(hc_family):
     for fam in (hc_family, hc_family.rows(3, 20)):
         S = fam.at(0.7)
         arrays = _s_arrays(S)
+        held = [fam.values, *fam.derivatives(slice(None))]
         for out in arrays:
             assert not out.flags.writeable
-            assert not any(np.shares_memory(out, z) for z in _arrays(fam))
+            assert not any(np.shares_memory(out, z) for z in held)
         assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays)
                        for b in arrays[k + 1:])
 
@@ -236,7 +238,8 @@ def test_family_packs_pair_and_keeps_no_member():
     assert refs[0]() is None and refs[1]() is None, "the family keeps a member alive"
     held_bytes = sum(trace.size for trace in held.traces)
     assert held_bytes <= pair_bytes, f"family holds {held_bytes} bytes"
-    assert fam.values.nbytes + fam.jac.nbytes + fam.jac2.nbytes == pair_bytes
+    held_arrays = (fam.values, *fam.derivatives(slice(None)))
+    assert sum(z.nbytes for z in held_arrays) == pair_bytes
 
 
 # each maker returns (family, (X, Y)): generated families unpack to their

@@ -179,14 +179,16 @@ def test_member_and_wick_substitute_keep_bits_without_a_scan(enneper_family, sca
 
 
 def test_each_band_scans_each_array_once(monkeypatch, scans):
-    # per band of family-verify's sweep: the member's values, jac and jac2
-    # when `at` validates it, the five partials the chain rule derives, and
-    # the seven boosted fields; the shared x, t and phi are not scanned again
+    # per band of family-verify's sweep and theta: the member's values, jac
+    # and jac2 when `at` validates it, the five partials the chain rule
+    # derives, and the seven boosted fields; the shared x, t and phi are not
+    # scanned again.  R(r) and R'(r) are evaluated, and scanned, once per
+    # band of the block, before its first theta's member
     fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.verification_grid("catenoid"))
     monkeypatch.setattr(grids, "_BAND_NODES", 7 * fam.grid.n2)
     per_band = []
 
-    def visit(theta, rows, X):
+    def visit(k, rows, X):
         at_scans = len(scans)
         patch = ws.chain_rule_partials(X, second_source="analytic")
         chain_scans = len(scans) - at_scans
@@ -196,8 +198,9 @@ def test_each_band_scans_each_array_once(monkeypatch, scans):
 
     scans.clear()
     ws.theta_sweep_invariance(fam, (0.0, 0.7), visit)
-    assert len(per_band) == 2 * len(grids._row_bands(*fam.grid.shape)) > 2
-    assert set(per_band) == {(3, 5, 7)}
+    bands = grids._row_bands(*fam.grid.shape)
+    assert len(bands) > 1
+    assert per_band == [(2 + 3, 5, 7), (3, 5, 7)] * len(bands)
 
 
 def test_boost_that_overflows_still_raises():

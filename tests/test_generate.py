@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 
 import wesurf as ws
-from wesurf.generate import GenerateError
+from wesurf import grids
+from wesurf.generate import GenerateError, _node_derivatives
 
 from oracles import (align_rigid, complex_laplacian, pair_members, pair_values, rotated_values,
                      with_values)
 
 ALL_IDS = [i for i in ws.CATALOG_IDS if i != "custom"]
+generate = importlib.import_module("wesurf.generate")  # ws.generate is the function
 
 
 def test_base_at_singularity_rejected():
@@ -141,9 +144,10 @@ def test_packed_pair_equals_packed_members(sid, offsets):
             _assert_same_surface(got, want, (k, "unpacked"))
 
 
-def test_generated_family_holds_one_slot_per_derivative():
-    # values, Phi' and Phi'': 144 bytes per node; storing the d/dr2, d12 and
-    # d22 slots too, which Cauchy-Riemann gives from these, took 288
+def test_generated_family_holds_only_its_values():
+    # the packed values alone: 48 bytes per node.  Phi' and Phi'' are
+    # evaluated from R when read, one slot each (storing them took 144 bytes
+    # per node, and every slot 288)
     grid = ws.default_annulus(0.4, 0.9, 256, 256)
     tracemalloc.start()
     try:
@@ -153,8 +157,51 @@ def test_generated_family_holds_one_slot_per_derivative():
     finally:
         tracemalloc.stop()
     per_node = sum(trace.size for trace in held.traces) / (grid.n1 * grid.n2)
-    assert per_node < 145, f"{per_node:.1f} bytes per node"
-    assert fam.jac.shape[1] == fam.jac2.shape[1] == 1
+    assert per_node < 49, f"{per_node:.1f} bytes per node"
+    jac, jac2 = fam.derivatives(slice(5, 9))
+    assert jac.shape == jac2.shape == (3, 1, 4, grid.n2)
+
+
+def test_generated_derivatives_are_rows_of_the_whole_grids():
+    # a span's Phi', Phi'' are those rows of the whole grid's, bit for bit
+    # (the nodes are the whole grid's, not a band grid's linspace), t negated
+    # under flip_t, and a band's `rows` reads R once for all its `at`s
+    data = ws.we_data("henneberg")
+    grid = ws.verification_grid("henneberg")
+    fam = ws.generate_conjugate_pair(data, grid)
+    whole = fam.derivatives(slice(None))
+    for i, j in ((0, grid.n1), (3, 17), (grid.n1 - 4, grid.n1)):
+        for got, want in zip(fam.derivatives(slice(i, j)), whole):
+            assert got.tobytes() == want[..., i:j, :].tobytes(), (i, j)
+    dphi, ddphi = (z[:, 0] for z in _node_derivatives(data.R, grid, False, slice(None)))
+    assert np.array_equal(whole[0][1, 0], -dphi[1]) and np.array_equal(whole[1][1, 0], -ddphi[1])
+    assert np.array_equal(whole[0][0, 0], dphi[0])
+
+
+def test_sweep_evaluates_r_once_per_band_per_block(monkeypatch):
+    # each band's `fam.rows` evaluates R and R' on the band's nodes once, for
+    # every theta of the block; 14 thetas run in two blocks
+    grid = ws.default_annulus(0.4, 0.9, 40, 64)
+    fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), grid)
+    monkeypatch.setattr(grids, "_BAND_NODES", 7 * grid.n2)
+    bands = grids._row_bands(*grid.shape)
+    assert len(bands) > 1
+    calls = []
+
+    def spy(name):
+        real = getattr(generate, name)
+
+        def counted(R, w):
+            calls.append((name, w.shape))
+            return real(R, w)
+        return counted
+
+    for name in ("eval_R", "eval_R_deriv"):
+        monkeypatch.setattr(generate, name, spy(name))
+    ws.theta_sweep_invariance(fam, np.linspace(0.0, 6.0, 14).tolist())
+    per_pass = [(name, (j - i, grid.n2)) for i, j in bands
+                for name in ("eval_R", "eval_R_deriv")]
+    assert calls == 2 * per_pass
 
 
 def test_packed_pair_unpacks_to_the_members():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import wesurf as ws
-from wesurf import grids
+from wesurf import geometry, grids
 from wesurf.geometry import GeometryError
 from wesurf.stencils import interior_mask
 
@@ -124,6 +124,7 @@ def _same_bits(a, b):
 
 
 def test_theta_sweep_visit_gets_each_thetas_maxima(annulus_grid, monkeypatch):
+    # band-major: each band visits every theta, by its index, in order
     fam = _scaled_y_family(annulus_grid)
     thetas = [0.0, 0.4, 1.1]
     _band_rows(monkeypatch, annulus_grid, 7)
@@ -132,12 +133,12 @@ def test_theta_sweep_visit_gets_each_thetas_maxima(annulus_grid, monkeypatch):
     whole = {th: fam.at(th).member for th in thetas}
     seen = []
 
-    def visit(th, rows, X):
-        seen.append((th, rows.start, rows.stop))
-        assert _same_bits(X.values, whole[th].values[:, rows])
+    def visit(k, rows, X):
+        seen.append((k, rows.start, rows.stop))
+        assert _same_bits(X.values, whole[thetas[k]].values[:, rows])
 
     rep = ws.theta_sweep_invariance(fam, thetas, visit=visit)
-    assert seen == [(th, i, j) for th in thetas for i, j in bands]
+    assert seen == [(k, i, j) for i, j in bands for k in range(len(thetas))]
     first = ws.fundamental_form(whole[thetas[0]], "analytic")
     for k, th in enumerate(thetas):
         form = ws.fundamental_form(whole[th], "analytic")
@@ -170,7 +171,8 @@ def test_theta_sweep_bands_are_rows_of_the_whole_surface(banded_family, monkeypa
     whole = {th: banded_family.at(th).member for th in SWEEP_THETAS}
     covered = {th: np.zeros(grid.n1, dtype=int) for th in SWEEP_THETAS}
 
-    def visit(th, band, X):
+    def visit(k, band, X):
+        th = SWEEP_THETAS[k]
         assert X.grid.shape == (band.stop - band.start, grid.n2)
         for name in ("values", "jac", "jac2"):
             assert _same_bits(getattr(X, name), getattr(whole[th], name)[..., band, :])
@@ -181,7 +183,7 @@ def test_theta_sweep_bands_are_rows_of_the_whole_surface(banded_family, monkeypa
         assert np.all(covered[th] == 1)
     for th, a in zip(SWEEP_THETAS, rep.actions, strict=True):
         form = ws.fundamental_form(whole[th])
-        assert a == ws.action(form, grid)
+        assert a == ws.action(form.discriminant(), grid)
 
 
 def test_row_bands_fold_a_short_remainder_into_the_last_band(monkeypatch):
@@ -197,36 +199,73 @@ def test_theta_sweep_without_analytic_jac_is_one_band(monkeypatch, annulus_grid)
     X, Y = (with_values(s, s.values) for s in (ws.helicoid_closed(annulus_grid),
                                                   ws.catenoid_closed(annulus_grid)))
     fam = ws.SolitonFamily(X, Y, validate=False)
-    assert fam.jac is None
+    assert not fam.analytic and fam.derivatives(slice(None)) == (None, None)
     _band_rows(monkeypatch, annulus_grid, 3)
     seen = []
     rep = ws.theta_sweep_invariance(fam, [0.0, 0.4],
-                                    visit=lambda th, rows, X: seen.append((rows, X)))
+                                    visit=lambda k, rows, X: seen.append((rows, X)))
     assert [rows for rows, _ in seen] == [slice(0, annulus_grid.n1)] * 2
     assert seen[0][1].grid == annulus_grid  # the stencils see the whole grid
     assert seen[1][1].jac is None
     member = fam.at(0.4).member
     assert _same_bits(seen[1][1].values, member.values)
     form = ws.fundamental_form(member, "fd")
-    assert rep.actions[1] == ws.action(form, annulus_grid)
+    assert rep.actions[1] == ws.action(form.discriminant(), annulus_grid)
 
 
-def test_theta_sweep_holds_five_grid_buffers(monkeypatch):
-    """Above the held family, the sweep keeps E, F, G, E_0 and G_0: five
-    float64 grids, plus the action's whole-grid temporaries (about 4.3
-    more).  Running nodewise maxima of |E - E_0| and |G - G_0| would add
-    two grids, where the per-theta series need none."""
+def _sweep_peak(fam, thetas) -> int:
+    """tracemalloc's peak of one theta sweep of fam, in bytes."""
+    tracemalloc.start()
+    try:
+        ws.theta_sweep_invariance(fam, thetas)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_theta_sweep_holds_one_grid_per_theta(monkeypatch):
+    """Above the held family, the sweep keeps one float64 grid per theta,
+    its EG - F^2 (three here), plus one band's temporaries and the action's
+    weights.  Whole-grid E, F, G, E_0 and G_0 buffers took five grids and
+    the action's temporaries about 4.3 more."""
     grid = ws.default_annulus(0.4, 0.9, 256, 256)
     fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), grid)
     _band_rows(monkeypatch, grid, 3)
-    tracemalloc.start()
-    try:
-        ws.theta_sweep_invariance(fam, [0.0, 0.3, 1.1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    grids_held = peak / (8 * grid.n1 * grid.n2)
-    assert grids_held < 10, f"peak {grids_held:.2f} float64 grids"
+    grids_held = _sweep_peak(fam, [0.0, 0.3, 1.1]) / (8 * grid.n1 * grid.n2)
+    assert grids_held < 5, f"peak {grids_held:.2f} float64 grids"
+
+
+def test_theta_sweep_memory_does_not_grow_with_the_theta_count():
+    # thetas run in blocks of 12, one EG - F^2 grid each: 30 thetas peak no
+    # higher than 12, up to one band's set of temporaries
+    grid = ws.default_annulus(0.4, 0.9, 256, 256)
+    fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), grid)
+    assert geometry._THETA_BLOCK == 12
+    thetas = np.linspace(0.0, 2 * math.pi, 30).tolist()
+    # a later block also builds its band's form at the first theta: at most
+    # one band's member (values, jac, jac2: 144 bytes per node) and form (24)
+    band_set = (144 + 24) * max(j - i for i, j in grids._row_bands(*grid.shape)) * grid.n2
+    twelve = _sweep_peak(fam, thetas[:12])
+    assert _sweep_peak(fam, thetas) <= twelve + band_set
+
+
+@pytest.mark.parametrize("block", [1, 2, "all"])
+def test_theta_sweep_independent_of_the_theta_block(banded_family, monkeypatch, block):
+    # the blocks change the order of the visits within a pass, not their
+    # members, the report or its bytes
+    thetas = (0.0, 0.4, 1.1, math.pi / 2, -2.5)
+    _band_rows(monkeypatch, banded_family.grid, 7)
+
+    def sweep():
+        seen = []
+        rep = ws.theta_sweep_invariance(
+            banded_family, thetas,
+            visit=lambda k, rows, X: seen.append((k, rows.start, X.values.tobytes())))
+        return repr(rep), sorted(seen)
+
+    reference = sweep()
+    monkeypatch.setattr(geometry, "_THETA_BLOCK", len(thetas) if block == "all" else block)
+    assert sweep() == reference
 
 
 def test_max_deviation_and_isothermal_defect_propagate_nan(annulus_grid):
@@ -244,12 +283,12 @@ def test_max_deviation_and_isothermal_defect_propagate_nan(annulus_grid):
 def test_action_of_unit_flat_patch():
     g, s = flat_patch()
     form = ws.fundamental_form(s, source="fd")
-    assert abs(ws.action(form, g) - 1.0) < 1e-12
+    assert abs(ws.action(form.discriminant(), g) - 1.0) < 1e-12
 
 
 def test_action_constant_over_theta(hc_family, annulus_grid):
-    acts = [ws.action(ws.fundamental_form(hc_family.at(t).member, source="analytic"),
-                      annulus_grid)
+    acts = [ws.action(ws.fundamental_form(hc_family.at(t).member,
+                                          source="analytic").discriminant(), annulus_grid)
             for t in (0.0, 0.4, 0.8, 1.2, math.pi / 2)]
     spread = (max(acts) - min(acts)) / abs(np.median(acts))
     assert spread < 1e-7
@@ -265,7 +304,7 @@ def test_action_against_closed_form_value(hc_family_sector, sector_grid):
 
     exact = (b[3] - b[2]) * (anti(b[1]) - anti(b[0]))
     form = ws.fundamental_form(hc_family_sector.at(0.5).member, source="analytic")
-    got = ws.action(form, sector_grid)
+    got = ws.action(form.discriminant(), sector_grid)
     assert abs(got - exact) / exact < 5e-4  # trapezoid truncation at h ~ 1e-2
 
 
@@ -276,7 +315,7 @@ def test_action_matches_change_of_variables_route(hc_family_sector, sector_grid)
     S = wick_rotate(X)
     form = ws.fundamental_form(X, source="analytic")
     patch = ws.chain_rule_partials(S, first_source="analytic", second_source="analytic")
-    direct = ws.action(form, sector_grid)
+    direct = ws.action(form.discriminant(), sector_grid)
     change = change_of_variables_action(patch, S)
     assert patch.valid_mask.all()
     assert abs(direct - change) / direct < 1e-10
@@ -287,7 +326,7 @@ def test_action_rejects_negative_discriminant():
     form = ws.fundamental_form(s, source="fd")
     bad = ws.FundamentalForm(form.E, form.F + 2.0, form.G, g)
     with pytest.raises(GeometryError):
-        ws.action(bad, g)
+        ws.action(bad.discriminant(), g)
 
 
 def test_action_rejects_a_complex_form():
@@ -298,7 +337,7 @@ def test_action_rejects_a_complex_form():
     for imag in (0.5j, 1e-20j, 0j):
         bad = ws.FundamentalForm(form.E + imag, form.F, form.G, g)
         with pytest.raises(GeometryError, match="complex"):
-            ws.action(bad, g)
+            ws.action(bad.discriminant(), g)
 
 
 def test_area_weights_include_polar_jacobian():

@@ -234,11 +234,12 @@ def test_cli_family_verify_builds_the_family_without_the_members(tmp_path, capsy
     assert peak <= 2.25, f"peak {peak:.2f} surfaces"
 
 
-def test_cli_family_verify_keeps_one_slot_per_derivative(tmp_path, capsys):
-    # the generated family stores Phi' and Phi'' alone and builds the d/dr2
-    # and d22 slots per band: 24.5 MiB at 256^2, where all slots took 33.5
+def test_cli_family_verify_keeps_no_derivative_grid(tmp_path, capsys):
+    # the generated family keeps its values alone, and each band of the sweep
+    # evaluates its own Phi' and Phi'': 13.5 MiB at 256^2, where storing
+    # Phi' and Phi'' took 17.6 and storing every slot 33.5
     peak_mib = _family_verify_peak_surfaces(256, tmp_path) * 18 * 16 * 256 ** 2 / 2 ** 20
-    assert peak_mib <= 30, f"peak {peak_mib:.1f} MiB"
+    assert peak_mib <= 16, f"peak {peak_mib:.1f} MiB"
 
 
 def test_cli_family_verify_corruption_exits_1(tmp_path, capsys):
@@ -740,6 +741,38 @@ def test_cli_malformed_config_file_exits_2(tmp_path, capsys, text):
     cfgfile.write_text(text)
     assert main(["generate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("formats", ["table", "csv,table"])
+def test_cli_family_verify_refuses_the_table_format(tmp_path, capsys, formats):
+    # family-verify writes no gnuplot table: the format is named, nothing is
+    # written, from the flag and from the config file alike
+    out = tmp_path / "out"
+    assert main(["family-verify", "--formats", formats, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'table'" in err, err
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text(f"[output]\nformats = {formats}\n")
+    assert main(["family-verify", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "'table'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["generate", "--n", "8"], 2),
+    (["family-verify", "--n", "8"], 2),
+    (["residuals", "--surface", "catenoid"], 0),
+    (["boost-check"], 0),
+    (["export", "--n", "8"], 0),
+])
+def test_cli_config_formats_is_checked_where_it_is_read(tmp_path, capsys, argv, rc):
+    # [output] formats chooses the files of generate and family-verify only;
+    # the other subcommands do not read it, so a bad value does not stop them
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[output]\nformats = bogus\n")
+    assert main([*argv, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == rc
+    err = capsys.readouterr().err
+    assert ("'bogus'" in err) == (rc == 2), err
 
 
 def test_cli_empty_format_list_in_config_file_exits_2(tmp_path, capsys):
