@@ -74,6 +74,7 @@ RUNS = (
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "301",   # 54-row bands below the
      "--formats", "csv"],                                       # elision size, uneven last
     ["family-verify", "--rapidity", "6", "--formats", "csv"],   # boost_delta breach, exit 1
+    ["family-verify", "--rapidity", "-1.3", "--formats", "csv"],   # b < 0 in the boost
     ["family-verify", "--rapidity", "354", "--formats", "csv"],   # the boosted patch's scan
                                                                   # catches overflow: exit 2
     ["family-verify", "--theta", "0.7", "--formats", "csv"],   # one theta: all-zero series
@@ -99,6 +100,7 @@ RUNS = (
     ["boost-check", "--rapidity", "0.2", "0.8", "1.5"],
     ["boost-check", "--surface", "scherk"],   # the run's own surface, not a fixed patch
     ["boost-check", "--surface", "henneberg", "--rapidity", "0.8", "3"],   # flip_t
+    ["boost-check", "--rapidity", "0", "-0.8", "3"],   # b = 0 and b < 0 in the boost
     ["export"],
     ["export", "--surface", "enneper", "--format", "table"],
     ["export", "--surface", "catenoid", "--format", "table"],   # n1 != n2

@@ -9,12 +9,14 @@ Born-Infeld equation, and every combination
 is again a solution: Wick rotation is linear, so S_theta is the rotated
 member at angle theta of X's associate (Bonnet) family, and `SolitonFamily.at`
 builds it that way.  X and Y are real surfaces, float64.  The family stores
-the pair packed as Z = X + i Y, one complex array for the values, and reads
-the packed first and second derivatives of a span of rows from one source
-(a generated family evaluates only their d/dr1 slots Phi', Phi'' from R and
-builds the rest by Cauchy-Riemann).  The member at angle theta is
-X_theta = Re(e^{-i theta} Z) = cos(theta) Re Z + sin(theta) Im Z, taken on
-float views into fresh float64 arrays and validated once.  S_theta is that member plus one Wick rule (`WickRotated`):
+the pair as parts, X's and Y's float arrays with unit stride, for the values,
+and reads the parts of the first and second derivatives of a span of rows
+from one source (a generated family evaluates only their d/dr1 slots Phi',
+Phi'' from R, whose real and imaginary parts are X's and Y's, and builds
+the rest by Cauchy-Riemann).  The member at angle theta is
+X_theta = Re(e^{-i theta} (X + i Y)) = cos(theta) X + sin(theta) Y, taken
+on the parts into fresh float64 arrays and validated once.  S_theta is
+that member plus one Wick rule (`WickRotated`):
 every check reads `.member`, in float arithmetic, and only the writers and
 `verify_soliton_relations` read S_theta's complex values, built once on
 first read.  Each theta derivative is a member too: d^n S_theta / d theta^n
@@ -101,24 +103,29 @@ def wick_rotate(member: SurfaceGrid) -> WickRotated:
     return WickRotated(member)
 
 
-def _pack(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """a + i b in one complex array, from the float arrays of two real
-    members; None when either array is missing."""
+def _parts(a: np.ndarray | None, b: np.ndarray | None) -> tuple | None:
+    """Read-only copies of a and b, the float arrays of two real members,
+    as the two halves of one new array; None when either is missing.
+
+    Copying lets the members' own arrays be freed for the heap to reuse;
+    a family that held them instead doubled the page faults of the checks
+    run on it (README, Numerical notes)."""
     if a is None or b is None:
         return None
-    z = np.empty(a.shape, complex)
-    z.real, z.imag = a, b
-    z.flags.writeable = False
-    return z
+    planes = np.stack((a, b))
+    planes.flags.writeable = False
+    return planes[0], planes[1]
 
 
-def _row_slices(jac: np.ndarray | None, jac2: np.ndarray | None):
-    """The derivative source of packed jac and jac2 held whole: a function
-    of a row slice that returns those rows of each (None stays None)."""
+def _row_slices(jac: tuple | None, jac2: tuple | None):
+    """The derivative source of jac and jac2 held whole, each an (X part,
+    Y part) pair: a function of a row slice that returns those rows of
+    each (None stays None)."""
     for z in (jac, jac2):
-        if z is not None:
-            z.flags.writeable = False
-    return lambda rows: tuple(None if z is None else z[..., rows, :] for z in (jac, jac2))
+        for part in z or ():
+            part.flags.writeable = False
+    return lambda rows: tuple(None if z is None else tuple(part[..., rows, :] for part in z)
+                              for z in (jac, jac2))
 
 
 # A one-slot jac or jac2 holds the d/dr1 slot z of a holomorphic pair
@@ -134,23 +141,24 @@ _SLOTS = {"values": 1, "jac": 2, "jac2": 3}  # derivative slots of each array
 class SolitonFamily:
     """A conjugate minimal-surface pair X, Y; `at` builds S_theta from it.
 
-    The pair is stored packed: `values` holds X + i Y in one complex array,
-    the bytes of the two float64 members, and the packed jac and jac2 come
-    from one derivative source, `derivatives(rows)`, which returns those of
-    a slice of grid rows (each None when the pair lacks it).  The packing is
-    exact for any real pair, conjugate or not, so `at` gives the values of
-    combining the members themselves.  A family built from two surfaces
-    holds their packed jac and jac2 and its source slices them.  A
-    generated family (`packed`, as `generate_conjugate_pair` writes it)
-    holds only its values: its source evaluates Phi' and Phi'' from R, the
-    one-slot jac and jac2 whose every other slot follows by Cauchy-Riemann
-    (`_SLOT_PARTS`), each time it is read.  `rows(i, j)` reads the source
-    once for its rows and keeps the result, so every `at` of a band reuses
-    it.  `analytic` tells whether the pair carries analytic first
-    derivatives without reading them.  X and Y are rebuilt on demand, as
-    float64 surfaces, and iterating the family gives (X, Y) from one read
-    of the source; the family keeps no reference to the surfaces it was
-    built from.
+    The pair is stored as parts: `values` is the pair (X's values, Y's
+    values) of float64 arrays, and the jac and jac2 of a slice of grid rows
+    come from one derivative source, `derivatives(rows)`, as such pairs
+    too (each None when the pair lacks it).  Every grid of a part is
+    contiguous, so `at` combines unit-stride rows (the real and imaginary
+    views of a complex array have a 16-byte stride, and multiply at half
+    the speed).  A family built from two surfaces copies X's and Y's
+    arrays into one read-only array per field, X's half and Y's
+    (`_parts`), and its source slices them.  A generated family (`from_parts`, as
+    `generate_conjugate_pair` writes it) holds only its values: its source
+    evaluates Phi' and Phi'' from R, the one-slot jac and jac2 whose every
+    other slot follows by Cauchy-Riemann (`_SLOT_PARTS`), each time it is
+    read.  `rows(i, j)` reads the source once for its rows and keeps the
+    result, so every `at` of a band reuses it.  `analytic` tells whether
+    the pair carries analytic first derivatives without reading them.  X
+    and Y are rebuilt on demand, as fresh float64 surfaces, and iterating
+    the family gives (X, Y) from one read of the source; the family keeps
+    no reference to the surfaces it was built from.
 
     The pair must pass the Cauchy-Riemann conjugacy check before a family is
     accepted; corruption tests can bypass with validate=False.
@@ -167,52 +175,53 @@ class SolitonFamily:
                     f"surfaces are not harmonic conjugates: CR defect {defect:.3g} "
                     f"> {CR_TOLERANCE:.3g}")
         self.grid = X.grid
-        self.values = _pack(X.values, Y.values)
-        jac = _pack(X.jac, Y.jac)
-        self.derivatives = _row_slices(jac, _pack(X.jac2, Y.jac2))
+        self.values = _parts(X.values, Y.values)
+        jac = _parts(X.jac, Y.jac)
+        self.derivatives = _row_slices(jac, _parts(X.jac2, Y.jac2))
         self.analytic = jac is not None
         self._metas = (dict(X.meta), dict(Y.meta))
         self._y_scale = 1.0
 
     @classmethod
-    def packed(cls, grid: ParamGrid, values: np.ndarray, derivatives,
-               metas: tuple[dict, dict], y_scale: float = 1.0) -> "SolitonFamily":
-        """The family whose packed values X + i Y are given (taken over, not
-        copied, and made read-only), with `derivatives(rows)` the source of
-        its packed jac and jac2 on a slice of grid rows; metas are X's and
-        Y's.
+    def from_parts(cls, grid: ParamGrid, values: tuple[np.ndarray, np.ndarray], derivatives,
+                   metas: tuple[dict, dict], y_scale: float = 1.0) -> "SolitonFamily":
+        """The family whose values are the float64 parts (X's, Y's) given
+        (taken over, not copied, and made read-only), with
+        `derivatives(rows)` the source of its jac and jac2 parts on a slice
+        of grid rows; metas are X's and Y's.
 
         The source may return the d/dr1 slot alone, shape (3, 1, rows, n2),
-        when X + i Y is holomorphic: the d/dr2 and d12 slots are then i times
-        it and the d22 slot minus it.  Y is y_scale times what the arrays
-        hold, the product taken when a member is built.
+        when X + i Y is holomorphic: its parts are then Re z and Im z of
+        that slot z, the d/dr2 and d12 slots are i z and the d22 slot -z.
+        Y is y_scale times what the arrays hold, the product taken when a
+        member is built.
         """
         fam = cls.__new__(cls)
-        values.flags.writeable = False
+        for part in values:
+            part.flags.writeable = False
         fam.grid, fam.values, fam.derivatives, fam.analytic = grid, values, derivatives, True
         fam._metas = (dict(metas[0]), dict(metas[1]))
         fam._y_scale = float(y_scale)
         return fam
 
-    def _real_array(self, name: str, z: np.ndarray | None, part) -> np.ndarray | None:
-        """A fresh float64 array for the family's packed values, jac or jac2
-        (`name`, held in z), each grid of it written by part(sx, x, sy, y,
-        out); None when z is None.
+    def _real_array(self, name: str, z: tuple | None, part) -> np.ndarray | None:
+        """A fresh float64 array for the family's values, jac or jac2
+        (`name`, whose (X, Y) parts z holds), each grid of it written by
+        part(sx, x, sy, y, out); None when z is None.
 
         x and y are float arrays of one component and slot of X and of Y up
-        to the signs sx and sy: views of the packed arrays, y times the
+        to the signs sx and sy: rows of the stored parts, y times the
         family's y_scale, and a one-slot jac or jac2 is spread over its slots
         by `_SLOT_PARTS`.  This is the one place that rule is applied.
         """
         if z is None:
             return None
         if name == "values":
-            z = z[:, None]  # one slot, as z
-        compact = z.shape[1] == 1
-        out = np.empty((len(z), _SLOTS[name]) + z.shape[2:])
+            z = tuple(p[:, None] for p in z)  # one slot, as z
+        compact = z[0].shape[1] == 1
+        out = np.empty((len(z[0]), _SLOTS[name]) + z[0].shape[2:])
         for k, j in np.ndindex(out.shape[:2]):  # small temporaries: one grid each
-            src = z[k, 0 if compact else j]
-            re_im = (src.real, src.imag)
+            re_im = tuple(p[k, 0 if compact else j] for p in z)
             (sx, px), (sy, py) = _SLOT_PARTS[j if compact else 0]
             x, y = re_im[px], re_im[py]
             if self._y_scale != 1.0:
@@ -223,19 +232,19 @@ class SolitonFamily:
     def _real_surface(self, part, meta: dict) -> SurfaceGrid:
         """The real surface of part (`_real_array`), float64, from one read
         of the derivative source."""
-        packed = (self.values, *self.derivatives(slice(None)))
+        parts = (self.values, *self.derivatives(slice(None)))
         return SurfaceGrid(self.grid, *(self._real_array(name, z, part)
-                                        for name, z in zip(_SLOTS, packed)), meta)
+                                        for name, z in zip(_SLOTS, parts)), meta)
 
     def rows(self, i: int, j: int) -> "SolitonFamily":
-        """The family over grid rows i..j-1 (`ParamGrid.rows`): a view of the
-        packed values, no copy, whose derivative source slices the packed
-        jac and jac2 of those rows, read from this family's source once,
+        """The family over grid rows i..j-1 (`ParamGrid.rows`): views of the
+        values' parts, no copy, whose derivative source slices the jac and
+        jac2 parts of those rows, read from this family's source once,
         here.  Its `at` gives those rows of the whole family's `at`, bit for
         bit, since the member is built nodewise."""
         view = copy.copy(self)
         view.grid = self.grid.rows(i, j)
-        view.values = self.values[..., i:j, :]
+        view.values = tuple(p[..., i:j, :] for p in self.values)
         view.derivatives = _row_slices(*self.derivatives(slice(i, j)))
         return view
 
@@ -259,7 +268,7 @@ class SolitonFamily:
     def at(self, theta: float) -> WickRotated:
         """S_theta = (cos(theta) X + sin(theta) Y)^s, componentwise.
 
-        The real member X_theta is combined on float views into fresh
+        The real member X_theta is combined on the float parts into fresh
         float64 arrays (real products, unlike numpy's SIMD complex ones, are
         commutative bit for bit) and validated once; `wick_rotate` gives
         S_theta as that member, whose t keeps the combination's sign of

@@ -6,7 +6,7 @@ The three coordinate functions are real parts of one holomorphic triple
 
 so the harmonic conjugate surface (R -> -i R) is simply the imaginary parts
 of the same triple.  `generate_conjugate_pair` therefore integrates once and
-writes the pair straight into the packed values of a `SolitonFamily`
+splits Phi in place into the X and Y parts of a `SolitonFamily`'s values
 (X + i Y is Phi itself, up to offsets; its derivatives Phi' and Phi'' are
 evaluated from R when read), which unpacks to the float64 surfaces (X, Y); the
 pair satisfies the Cauchy-Riemann relations componentwise by construction,
@@ -90,19 +90,32 @@ def _integrand(R: WEFunction):
     return f
 
 
-def _node_derivatives(R: WEFunction, grid: ParamGrid, flip_t: bool,
-                      rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    """The packed jac and jac2 of the generated pair on grid rows `rows`:
-    Phi'_k and Phi''_k, the exact holomorphic derivatives, each of shape
-    (3, 1, rows, n2), with component 1 negated under flip_t.
+def _split_planes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re z and Im z of a C-contiguous complex array, as float arrays in z's
+    own memory, z's complex values gone: the block of each z[k] is
+    rewritten as its real parts followed by its imaginary parts, so every
+    part[k] is contiguous.  One z[k]'s parts are copied out at a time."""
+    planes = z.view(float).reshape(len(z), 2, *z.shape[1:])
+    for k in range(len(z)):
+        re, im = z[k].real.copy(), z[k].imag.copy()
+        planes[k, 0], planes[k, 1] = re, im
+    return planes[:, 0], planes[:, 1]
+
+
+def _node_derivatives(R: WEFunction, grid: ParamGrid, flip_t: bool, rows: slice):
+    """The jac and jac2 parts of the generated pair on grid rows `rows`:
+    Re and Im of Phi'_k and Phi''_k, the exact holomorphic derivatives,
+    each part of shape (3, 1, rows, n2), with component 1 negated under
+    flip_t.
 
     The nodes are `grid.nodes` of those rows of the whole grid, so a span
     gets the bits of the same rows of any other span.  One band of rows
-    (`grids._row_bands`) is evaluated at a time, and the band's output rows
-    serve as its scratch, so only r, R(r) and R'(r) are band-sized
-    temporaries.  Every product is written with `out=`, or in place into its
-    left operand, so its operand order, and its bits, do not depend on the
-    band's size (README, Numerical notes).
+    (`grids._row_bands`) is evaluated at a time, into complex output rows
+    that serve as its scratch, so only r, R(r) and R'(r) are band-sized
+    temporaries; then each output is split in place into its parts
+    (`_split_planes`).  Every product is written with `out=`, or
+    in place into its left operand, so its operand order, and its bits, do
+    not depend on the band's size (README, Numerical notes).
     """
     start, stop, _ = rows.indices(grid.n1)
     dphi = np.empty((3, 1, stop - start, grid.n2), dtype=complex)
@@ -134,46 +147,48 @@ def _node_derivatives(R: WEFunction, grid: ParamGrid, flip_t: bool,
     if flip_t:
         for z in (dphi, ddphi):
             np.negative(z[1], out=z[1])
-    return dphi, ddphi
+    return _split_planes(dphi), _split_planes(ddphi)
 
 
 def generate_conjugate_pair(data: WEData, grid: ParamGrid,
                             y_scale: float = 1.0) -> SolitonFamily:
     """The family of X = Re Phi and its harmonic conjugate Y = Im Phi.
 
-    The family keeps one packed array, written straight from the triple
-    Phi, so X and Y are never built:
+    The family keeps the values' two float parts, split in place from the
+    quadrature's output Phi (`_split_planes`), so X and Y are never
+    built:
 
-        values[k] = (Re Phi_k + o_k) + i (Im Phi_k + o_k)    (o: offsets)
+        X values[k] = Re Phi_k + o_k,   Y values[k] = Im Phi_k + o_k
 
-    with component 1 negated under flip_t.  Its derivatives are not stored:
-    the family's derivative source evaluates Phi'_k and Phi''_k from R at the
-    nodes of a span of rows (`_node_derivatives`), the packed d/dr1 and d11
-    slots, when something reads them.  `SolitonFamily.rows` evaluates them
-    once per band, and every `at` of that band reuses them; so the theta
-    sweep evaluates R once per band per block of thetas.  X + i Y is
-    holomorphic, so the family builds the other slots by Cauchy-Riemann
-    when it makes a member: d/dr2 and d12 are i Phi', i Phi'', and d22 is
-    -Phi''.  Each of their parts is a copy or a sign change of a stored
-    one, so the family equals packing X and Y assembled as Re and Im of the
-    triple bit for bit, in `at` and in the unpacked (X, Y), and holds 48
-    bytes per node, a sixth of theirs.
+    (o: offsets) with component 1 negated under flip_t; each part of each
+    component is one contiguous grid.  Its derivatives are not stored: the
+    family's derivative source evaluates Phi'_k and Phi''_k from R at the
+    nodes of a span of rows (`_node_derivatives`), the parts of the d/dr1
+    and d11 slots, when something reads them.  `SolitonFamily.rows`
+    evaluates them once per band, and every `at` of that band reuses them;
+    so the theta sweep evaluates R once per band per block of thetas.
+    X + i Y is holomorphic, so the family builds the other slots by
+    Cauchy-Riemann when it makes a member: d/dr2 and d12 are i Phi',
+    i Phi'', and d22 is -Phi''.  Each of their parts is a copy or a sign
+    change of a stored one, so the family equals the family of X and Y
+    assembled as Re and Im of the triple bit for bit, in `at` and in the
+    unpacked (X, Y), and holds 48 bytes per node, a sixth of theirs.
     The members' meta records flip_t, so that the writers print the -0
     imaginary part of a negated t (io_export).
     y_scale != 1 multiplies Y by y_scale: a test hook for a pair that is not
-    conjugate.  It equals scaling the float64 Y, then packing, bit for bit.
+    conjugate.  It equals scaling the float64 Y first, bit for bit.
     """
     values = antiderivative_on_grid(_integrand(data.R), data.base, grid,
                                     singularities=singularity_points(data.R))
-    offsets = np.array(data.offsets)[:, None, None]  # added to Phi's parts in place
-    values.real += offsets
-    values.imag += offsets
-    if data.flip_t:
-        np.negative(values[1], out=values[1])
+    parts = _split_planes(values)  # Re Phi, Im Phi, in the quadrature's output
+    for part in parts:
+        part += np.array(data.offsets)[:, None, None]
+        if data.flip_t:
+            np.negative(part[1], out=part[1])
     metas = tuple({"surface": data.R.id, "base": data.base, "conjugate": conjugate,
                    "flip_t": data.flip_t} for conjugate in (False, True))
     derivatives = functools.partial(_node_derivatives, data.R, grid, data.flip_t)
-    return SolitonFamily.packed(grid, values, derivatives, metas, y_scale)
+    return SolitonFamily.from_parts(grid, parts, derivatives, metas, y_scale)
 
 
 def generate(data: WEData, grid: ParamGrid) -> SurfaceGrid:

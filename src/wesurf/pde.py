@@ -18,7 +18,9 @@ equation is invariant, applied to patches by transforming coordinates and
 derivative data exactly.  The CLI boosts one patch route: a generated
 surface's `chain_rule_partials`, then `wick_substitute`, then `boost`.  The
 Born-Infeld residual of a real patch's Wick substitution is its minimal
-residual bit for bit, so no check compares those two.
+residual bit for bit, so no check compares those two.  The kernels whose
+outputs a finiteness scan reads next (the chain rule and the boost) do not
+warn on overflow: the scan raises PDEError at a retained node instead.
 """
 
 from __future__ import annotations
@@ -116,6 +118,20 @@ def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
     return out
 
 
+def _sum_of_products(out: np.ndarray, tmp: np.ndarray, first, *terms) -> np.ndarray:
+    """a b, then (op, c, d) terms: out = op(out, c d), left to right.
+
+    The first product is written into `out` and every later one into `tmp`,
+    then added to or subtracted from `out` in place.  Each operation keeps
+    the expression's operand order, so the bits do not depend on numpy's
+    temporary elision (README, Numerical notes).
+    """
+    np.multiply(*first, out=out)
+    for op, c, d in terms:
+        op(out, np.multiply(c, d, out=tmp), out=out)
+    return out
+
+
 def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
                         accuracy: int = 2, second_source: str = "fd",
                         cond_cutoff: float = DEFAULT_COND_CUTOFF) -> NonparametricPatch:
@@ -131,6 +147,11 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
     second derivatives carried by generated/closed-form grids; "auto" prefers
     analytic when available.  Graph slopes of W-E charts diverge toward
     |r| = 1, which is where the fd route loses accuracy first.
+
+    The determinant, the solves and the quotient-rule sums are formed in
+    place (`_sum_of_products`), in the operand order of their expressions
+    (README, Numerical notes).  Overflow is not warned about: the scan of
+    the outputs raises PDEError at a retained node.
     """
     jac = surface_jacobian(s, first_source, accuracy)
     if second_source not in ("fd", "analytic", "auto"):
@@ -141,43 +162,67 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
 
     # every quotient is a product with inv = 1 / det_safe (README, Numerical notes)
     (x1, x2), (t1, t2), (p1, p2) = jac
-    det = x1 * t2 - x2 * t1
-    bad = np.abs(det) < DET_FLOOR
-    det_safe = np.where(bad, 1.0, det)
-    norm_j = np.maximum(np.abs(x1) + np.abs(x2), np.abs(t1) + np.abs(t2))
-    norm_inv = np.maximum(np.abs(t2) + np.abs(x2), np.abs(t1) + np.abs(x1)) / np.abs(det_safe)
-    bad |= norm_j * norm_inv > cond_cutoff
-    inv = 1.0 / det_safe
+    dtype = np.result_type(jac, *((s.jac2,) if analytic else ()))
 
-    def solve(f1, f2):
-        return (t2 * f1 - t1 * f2) * inv, (x1 * f2 - x2 * f1) * inv
+    def new():
+        return np.empty(x1.shape, dtype)
 
-    phi_x, phi_t = solve(p1, p2)
-    if analytic:
-        # d_i of the solved gradient fields, by quotient rule on exact data
-        (x11, x12, x22), (t11, t12, t22), (p11, p12, p22) = s.jac2
-        partials = []
-        for dx1, dx2, dt1, dt2, dp1, dp2 in ((x11, x12, t11, t12, p11, p12),
-                                             (x12, x22, t12, t22, p12, p22)):
-            ddet = dx1 * t2 + x1 * dt2 - dx2 * t1 - x2 * dt1
-            dnum_x = dt2 * p1 + t2 * dp1 - dt1 * p2 - t1 * dp2
-            dnum_t = dx1 * p2 + x1 * dp2 - dx2 * p1 - x2 * dp1
-            partials.append(((dnum_x - phi_x * ddet) * inv,
-                             (dnum_t - phi_t * ddet) * inv))
-        (a1, b1), (a2, b2) = partials
-        valid = ~bad
-    else:
-        a1 = array_derivative(s.grid, phi_x, "r1", 1, accuracy)
-        a2 = array_derivative(s.grid, phi_x, "r2", 1, accuracy)
-        b1 = array_derivative(s.grid, phi_t, "r1", 1, accuracy)
-        b2 = array_derivative(s.grid, phi_t, "r2", 1, accuracy)
-        valid = ~_dilate(bad, accuracy + 1)  # stencil window reach, incl. one-sided edges
-    phi_xx, phi_xt_a = solve(a1, a2)
-    phi_tx_b, phi_tt = solve(b1, b2)
+    def solve(f1, f2, out1, out2):
+        for out, terms in ((out1, ((t2, f1), (np.subtract, t1, f2))),
+                           (out2, ((x1, f2), (np.subtract, x2, f1)))):
+            _sum_of_products(out, tmp, *terms)
+            out *= inv
+        return out1, out2
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        tmp = new()
+        det = _sum_of_products(new(), tmp, (x1, t2), (np.subtract, x2, t1))
+        abs_det = np.abs(det)
+        bad = abs_det < DET_FLOOR
+        np.copyto(det, 1.0, where=bad)  # det becomes det_safe
+        np.copyto(abs_det, 1.0, where=bad)
+        ax1, ax2, at1, at2 = (np.abs(v) for v in (x1, x2, t1, t2))
+        norm_j = np.maximum(ax1 + ax2, at1 + at2)
+        norm_inv = np.maximum(at2 + ax2, at1 + ax1) / abs_det
+        bad |= norm_j * norm_inv > cond_cutoff
+        del ax1, ax2, at1, at2, abs_det, norm_j, norm_inv
+        inv = np.divide(1.0, det, out=det)
+
+        phi_x, phi_t = solve(p1, p2, new(), new())
+        if analytic:
+            # d_i of the solved gradient fields, by quotient rule on exact data
+            (x11, x12, x22), (t11, t12, t22), (p11, p12, p22) = s.jac2
+            ddet = new()
+            partials = []
+            for dx1, dx2, dt1, dt2, dp1, dp2 in ((x11, x12, t11, t12, p11, p12),
+                                                 (x12, x22, t12, t22, p12, p22)):
+                _sum_of_products(ddet, tmp, (dx1, t2), (np.add, x1, dt2),
+                                 (np.subtract, dx2, t1), (np.subtract, x2, dt1))
+                # (dnum_x - phi_x ddet) inv and (dnum_t - phi_t ddet) inv
+                a = _sum_of_products(new(), tmp, (dt2, p1), (np.add, t2, dp1),
+                                     (np.subtract, dt1, p2), (np.subtract, t1, dp2),
+                                     (np.subtract, phi_x, ddet))
+                b = _sum_of_products(new(), tmp, (dx1, p2), (np.add, x1, dp2),
+                                     (np.subtract, dx2, p1), (np.subtract, x2, dp1),
+                                     (np.subtract, phi_t, ddet))
+                a *= inv
+                b *= inv
+                partials.append((a, b))
+            (a1, b1), (a2, b2) = partials
+            valid = ~bad
+        else:
+            a1 = array_derivative(s.grid, phi_x, "r1", 1, accuracy)
+            a2 = array_derivative(s.grid, phi_x, "r2", 1, accuracy)
+            b1 = array_derivative(s.grid, phi_t, "r1", 1, accuracy)
+            b2 = array_derivative(s.grid, phi_t, "r2", 1, accuracy)
+            valid = ~_dilate(bad, accuracy + 1)  # stencil window reach, incl. one-sided edges
+        phi_xx, phi_xt = solve(a1, a2, new(), ddet if analytic else new())
+        phi_tx, phi_tt = solve(b1, b2, a1, a2)  # a1 and a2 are free
+        phi_xt += phi_tx
+        np.multiply(0.5, phi_xt, out=phi_xt)
     return _derived_patch(
         valid, dict(x=s.x, t=s.t, phi=s.phi),  # read-only views of the validated surface
-        phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=0.5 * (phi_xt_a + phi_tx_b),
-        phi_tt=phi_tt)
+        phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=phi_xt, phi_tt=phi_tt)
 
 
 def _residual(p: NonparametricPatch, born_infeld: bool) -> ResidualReport:
@@ -208,18 +253,19 @@ def boost(p: NonparametricPatch, lb: LorentzBoost) -> NonparametricPatch:
     """Boosted patch: x' = a x + b t, t' = b x + a t, derivative data pulled
     back exactly (phi'(x', t') = phi(x, t)).  phi and valid_mask are shared
     with `p`, not copied, nor scanned again; the boosted products are
-    scanned, since they can overflow."""
+    scanned, since they can overflow (unwarned: the scan raises)."""
     a, b = lb.a, lb.b
 
     x, t, phi_x, phi_t = p.x, p.t, p.phi_x, p.phi_t
     phi_xx, phi_xt, phi_tt = p.phi_xx, p.phi_xt, p.phi_tt
-    return _derived_patch(
-        p.valid_mask, dict(phi=p.phi),
-        x=a * x + b * t, t=b * x + a * t,
-        phi_x=a * phi_x - b * phi_t, phi_t=-b * phi_x + a * phi_t,
-        phi_xx=a * a * phi_xx - 2 * a * b * phi_xt + b * b * phi_tt,
-        phi_xt=-a * b * (phi_xx + phi_tt) + (a * a + b * b) * phi_xt,
-        phi_tt=b * b * phi_xx - 2 * a * b * phi_xt + a * a * phi_tt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        derived = dict(
+            x=a * x + b * t, t=b * x + a * t,
+            phi_x=a * phi_x - b * phi_t, phi_t=-b * phi_x + a * phi_t,
+            phi_xx=a * a * phi_xx - 2 * a * b * phi_xt + b * b * phi_tt,
+            phi_xt=-a * b * (phi_xx + phi_tt) + (a * a + b * b) * phi_xt,
+            phi_tt=b * b * phi_xx - 2 * a * b * phi_xt + a * a * phi_tt)
+    return _derived_patch(p.valid_mask, dict(phi=p.phi), **derived)
 
 
 def wick_substitute(p: NonparametricPatch) -> NonparametricPatch:

@@ -14,11 +14,12 @@ import numpy as np
 from wesurf.catalog import singularity_points
 from wesurf.generate import GenerateError, WEData, _integrand, _node_derivatives
 from wesurf.geometry import ThetaInvarianceReport
-from wesurf.grids import ParamGrid, SurfaceGrid, cauchy_riemann_jacs, surface_jacobian
+from wesurf.grids import (ParamGrid, SurfaceGrid, array_derivative, cauchy_riemann_jacs,
+                          surface_jacobian)
 from wesurf.hodograph import REAL_IMAG_TOL, FGPair, HodographError, fg_integrals
 from wesurf.io_export import _faces
 from wesurf import quadrature
-from wesurf.pde import NonparametricPatch
+from wesurf.pde import DEFAULT_COND_CUTOFF, DET_FLOOR, NonparametricPatch, _dilate
 from wesurf.quadrature import (_CHAIN_ORDERS, PathNearSingularity, _joukowski_rho, _order_for,
                                _segment_singularity_distance, antiderivative_on_grid)
 from wesurf.stencils import axis_derivative
@@ -153,6 +154,52 @@ def wick_rotate(s) -> ComplexSurface:
 
     return ComplexSurface(s.grid, rotate(s.values), rotate(getattr(s, "jac", None)),
                           rotate(getattr(s, "jac2", None)), dict(s.meta))
+
+
+def chain_rule_partials_expr(s, second_source: str,
+                             cond_cutoff: float = DEFAULT_COND_CUTOFF) -> NonparametricPatch:
+    """`pde.chain_rule_partials` in the expression form it had before its
+    sums were formed in place: numpy temporaries, whose elision for
+    operands of 256 KiB or more decides where each result is written.  The
+    reference for the in-place form's bits; accuracy 2, first derivatives
+    from `s.jac` when it has them."""
+    jac = surface_jacobian(s, "auto", 2)
+    (x1, x2), (t1, t2), (p1, p2) = jac
+    det = x1 * t2 - x2 * t1
+    bad = np.abs(det) < DET_FLOOR
+    det_safe = np.where(bad, 1.0, det)
+    norm_j = np.maximum(np.abs(x1) + np.abs(x2), np.abs(t1) + np.abs(t2))
+    norm_inv = np.maximum(np.abs(t2) + np.abs(x2), np.abs(t1) + np.abs(x1)) / np.abs(det_safe)
+    bad |= norm_j * norm_inv > cond_cutoff
+    inv = 1.0 / det_safe
+
+    def solve(f1, f2):
+        return (t2 * f1 - t1 * f2) * inv, (x1 * f2 - x2 * f1) * inv
+
+    phi_x, phi_t = solve(p1, p2)
+    if second_source == "analytic":
+        (x11, x12, x22), (t11, t12, t22), (p11, p12, p22) = s.jac2
+        partials = []
+        for dx1, dx2, dt1, dt2, dp1, dp2 in ((x11, x12, t11, t12, p11, p12),
+                                             (x12, x22, t12, t22, p12, p22)):
+            ddet = dx1 * t2 + x1 * dt2 - dx2 * t1 - x2 * dt1
+            dnum_x = dt2 * p1 + t2 * dp1 - dt1 * p2 - t1 * dp2
+            dnum_t = dx1 * p2 + x1 * dp2 - dx2 * p1 - x2 * dp1
+            partials.append(((dnum_x - phi_x * ddet) * inv,
+                             (dnum_t - phi_t * ddet) * inv))
+        (a1, b1), (a2, b2) = partials
+        valid = ~bad
+    else:
+        a1 = array_derivative(s.grid, phi_x, "r1", 1, 2)
+        a2 = array_derivative(s.grid, phi_x, "r2", 1, 2)
+        b1 = array_derivative(s.grid, phi_t, "r1", 1, 2)
+        b2 = array_derivative(s.grid, phi_t, "r2", 1, 2)
+        valid = ~_dilate(bad, 3)
+    phi_xx, phi_xt_a = solve(a1, a2)
+    phi_tx_b, phi_tt = solve(b1, b2)
+    return NonparametricPatch(x=s.x, t=s.t, phi=s.phi, phi_x=phi_x, phi_t=phi_t,
+                              phi_xx=phi_xx, phi_xt=0.5 * (phi_xt_a + phi_tx_b),
+                              phi_tt=phi_tt, valid_mask=valid)
 
 
 def theta_derivative(fam, theta: float, order: int):
@@ -318,6 +365,14 @@ def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> Sur
     return SurfaceGrid(grid, _complex_values(data, phi, part), jac, jac2, meta)
 
 
+def complex_of(parts) -> np.ndarray:
+    """The complex array whose real and imaginary parts are the float
+    arrays `parts` = (re, im), bit for bit."""
+    z = np.empty(parts[0].shape, complex)
+    z.real, z.imag = parts
+    return z
+
+
 def pair_members(data: WEData, grid: ParamGrid) -> tuple[SurfaceGrid, SurfaceGrid]:
     """(X, Y) = (Re Phi, Im Phi) as two real surfaces, every derivative slot
     by `cauchy_riemann_jacs`: the reference for the packed family of
@@ -325,7 +380,8 @@ def pair_members(data: WEData, grid: ParamGrid) -> tuple[SurfaceGrid, SurfaceGri
     """
     phi = _phi(data, grid)
     # the d/dr1 slots Phi', Phi'' of the whole grid, t not negated
-    dphi, ddphi = (z[:, 0] for z in _node_derivatives(data.R, grid, False, slice(None)))
+    dphi, ddphi = (complex_of(z)[:, 0] for z in _node_derivatives(data.R, grid, False,
+                                                                  slice(None)))
     return (_assemble(data, grid, phi, dphi, ddphi, "re"),
             _assemble(data, grid, phi, dphi, ddphi, "im"))
 

@@ -81,10 +81,10 @@ def test_wick_rotate_builds_the_bits_of_1j_times_t_on_read(builds):
     # hold 1j * (m + 0j) in t: m * 0 + i (m + 0)
     grid = ws.ParamGrid("rectangle", 3, 4, (0.0, 1.0, 0.0, 1.0))
     m = np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -np.pi] * 2).reshape(grid.shape)
-    z = np.empty((3,) + grid.shape, complex)
-    z.real, z.imag = (m + 1, m, m - 1), -1.0
-    slot = z[:, None].copy()
-    fam = ws.SolitonFamily.packed(grid, z, lambda rows: (slot[..., rows, :],) * 2, ({}, {}))
+    values = (np.stack([m + 1, m, m - 1]), np.full((3,) + grid.shape, -1.0))
+    slot = tuple(part[:, None].copy() for part in values)
+    fam = ws.SolitonFamily.from_parts(
+        grid, values, lambda rows: (tuple(part[..., rows, :] for part in slot),) * 2, ({}, {}))
     S = fam.at(0.0)
     X = S.member
     assert builds == []
@@ -126,7 +126,9 @@ def test_family_at_shares_no_memory_with_the_family(hc_family):
     for fam in (hc_family, hc_family.rows(3, 20)):
         S = fam.at(0.7)
         arrays = _s_arrays(S)
-        held = [fam.values, *fam.derivatives(slice(None))]
+        held = [part for parts in (fam.values, *fam.derivatives(slice(None)))
+                for part in parts]
+        assert len(held) == 6
         for out in arrays:
             assert not out.flags.writeable
             assert not any(np.shares_memory(out, z) for z in held)
@@ -222,6 +224,8 @@ def test_family_is_combination_of_wick_rotated_members(family, theta, request):
 
 
 def test_family_packs_pair_and_keeps_no_member():
+    # the family copies X's and Y's arrays into one array per field, X's
+    # half and Y's: the pair's bytes, read-only; no surface stays alive
     grid = ws.default_annulus(0.4, 0.9, 64, 64)
     X, Y = ws.helicoid_closed(grid), ws.catenoid_closed(grid)
     pair_bytes = sum(a.nbytes for s in (X, Y) for a in (s.values, s.jac, s.jac2))
@@ -238,8 +242,10 @@ def test_family_packs_pair_and_keeps_no_member():
     assert refs[0]() is None and refs[1]() is None, "the family keeps a member alive"
     held_bytes = sum(trace.size for trace in held.traces)
     assert held_bytes <= pair_bytes, f"family holds {held_bytes} bytes"
-    held_arrays = (fam.values, *fam.derivatives(slice(None)))
+    held_arrays = [part for parts in (fam.values, *fam.derivatives(slice(None)))
+                   for part in parts]
     assert sum(z.nbytes for z in held_arrays) == pair_bytes
+    assert not any(z.flags.writeable or not z.flags.c_contiguous for z in held_arrays)
 
 
 # each maker returns (family, (X, Y)): generated families unpack to their

@@ -9,8 +9,8 @@ import wesurf as ws
 from wesurf import grids
 from wesurf.generate import GenerateError, _node_derivatives
 
-from oracles import (align_rigid, complex_laplacian, pair_members, pair_values, rotated_values,
-                     with_values)
+from oracles import (align_rigid, complex_laplacian, complex_of, pair_members, pair_values,
+                     rotated_values, with_values)
 
 ALL_IDS = [i for i in ws.CATALOG_IDS if i != "custom"]
 generate = importlib.import_module("wesurf.generate")  # ws.generate is the function
@@ -145,7 +145,7 @@ def test_packed_pair_equals_packed_members(sid, offsets):
 
 
 def test_generated_family_holds_only_its_values():
-    # the packed values alone: 48 bytes per node.  Phi' and Phi'' are
+    # the values' two parts alone: 48 bytes per node.  Phi' and Phi'' are
     # evaluated from R when read, one slot each (storing them took 144 bytes
     # per node, and every slot 288)
     grid = ws.default_annulus(0.4, 0.9, 256, 256)
@@ -158,8 +158,9 @@ def test_generated_family_holds_only_its_values():
         tracemalloc.stop()
     per_node = sum(trace.size for trace in held.traces) / (grid.n1 * grid.n2)
     assert per_node < 49, f"{per_node:.1f} bytes per node"
-    jac, jac2 = fam.derivatives(slice(5, 9))
-    assert jac.shape == jac2.shape == (3, 1, 4, grid.n2)
+    assert all(part.shape == (3, grid.n1, grid.n2) for part in fam.values)
+    for parts in fam.derivatives(slice(5, 9)):  # (Re, Im) of Phi', of Phi''
+        assert all(part.shape == (3, 1, 4, grid.n2) for part in parts)
 
 
 def test_generated_derivatives_are_rows_of_the_whole_grids():
@@ -172,10 +173,13 @@ def test_generated_derivatives_are_rows_of_the_whole_grids():
     whole = fam.derivatives(slice(None))
     for i, j in ((0, grid.n1), (3, 17), (grid.n1 - 4, grid.n1)):
         for got, want in zip(fam.derivatives(slice(i, j)), whole):
-            assert got.tobytes() == want[..., i:j, :].tobytes(), (i, j)
-    dphi, ddphi = (z[:, 0] for z in _node_derivatives(data.R, grid, False, slice(None)))
-    assert np.array_equal(whole[0][1, 0], -dphi[1]) and np.array_equal(whole[1][1, 0], -ddphi[1])
-    assert np.array_equal(whole[0][0, 0], dphi[0])
+            for got_part, want_part in zip(got, want):  # Re, then Im
+                assert got_part.tobytes() == want_part[..., i:j, :].tobytes(), (i, j)
+    whole = [complex_of(parts)[:, 0] for parts in whole]
+    dphi, ddphi = (complex_of(z)[:, 0] for z in _node_derivatives(data.R, grid, False,
+                                                                  slice(None)))
+    assert np.array_equal(whole[0][1], -dphi[1]) and np.array_equal(whole[1][1], -ddphi[1])
+    assert np.array_equal(whole[0][0], dphi[0])
 
 
 def test_sweep_evaluates_r_once_per_band_per_block(monkeypatch):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ def _family_verify_peak_surfaces(n, out_dir):
 
 
 def test_cli_family_verify_peak_memory_is_a_few_surfaces(tmp_path, capsys):
-    # the family keeps the pair packed in one buffer (one surface's bytes)
+    # the family keeps the pair's values as two parts (one surface's bytes)
     # and each S_theta is freed before the next
     peak = _family_verify_peak_surfaces(128, tmp_path)
     assert peak <= 4.5, f"peak {peak:.2f} surfaces"
@@ -227,7 +228,7 @@ def test_cli_family_verify_peak_memory_is_a_few_surfaces(tmp_path, capsys):
 
 def test_cli_family_verify_builds_the_family_without_the_members(tmp_path, capsys):
     # generating X and Y and then packing them peaks at 3 surfaces; writing
-    # the packed family straight from the holomorphic triple takes 1.4, so
+    # the family straight from the holomorphic triple takes 1.4, so
     # the sweep's bands (2 surfaces at 256^2) set the peak.  At 128^2 one
     # band holds the whole grid and hides the difference.
     peak = _family_verify_peak_surfaces(256, tmp_path)
@@ -475,6 +476,21 @@ def test_cli_invalid_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if sum(flag in argv for flag in ("--annulus", "--rect", "--gamma-chart")) > 1:
         assert "at most one of --gamma-chart, --annulus and --rect" in err, err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["family-verify", "--rapidity", "354", "--formats", "csv"],   # the boosted patch
+    ["residuals", "--kappa", "1e300"],                             # the chain rule
+])
+def test_cli_overflow_that_the_scan_catches_prints_only_the_error(tmp_path, capsys, argv):
+    # the kernels whose outputs the finiteness scan reads next do not warn:
+    # stderr is the one error line, whatever order their float operations run in
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_custom_surface_is_unknown(tmp_path, capsys):

@@ -9,8 +9,9 @@ import wesurf as ws
 from wesurf import grids, pde
 from wesurf.pde import PDEError, wick_substitute
 
-from oracles import (catenoid_graph_fns, graph_patch, surface_from_components, surface_rows,
-                     t_reflect, wick_catenoid_graph_fns, wick_rotate)
+from oracles import (catenoid_graph_fns, chain_rule_partials_expr, graph_patch,
+                     surface_from_components, surface_rows, t_reflect,
+                     wick_catenoid_graph_fns, wick_rotate)
 
 
 def xt_mesh(x0, x1, t0, t1, n=41):
@@ -58,6 +59,54 @@ def test_degenerate_chart_nodes_are_dropped_and_counted():
     rep = ws.minimal_surface_residual(p)
     assert rep.dropped_count > 0
     assert rep.node_count == p.valid_mask.sum() == p.valid_mask.size - rep.dropped_count
+
+
+_DERIVED = ("phi_x", "phi_t", "phi_xx", "phi_xt", "phi_tt")
+ALL_IDS = [i for i in ws.CATALOG_IDS if i != "custom"]
+
+
+def _assert_expression_bits(s, second_source, label):
+    """chain_rule_partials of s has the bits of its expression form
+    (`oracles.chain_rule_partials_expr`), field by field, and its mask."""
+    got = ws.chain_rule_partials(s, second_source=second_source)
+    want = chain_rule_partials_expr(s, second_source)
+    for name in _DERIVED:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64)), (
+            label, name)
+    assert np.array_equal(got.valid_mask, want.valid_mask), label
+
+
+@pytest.fixture(scope="module")
+def member_512():
+    """A catenoid member on 64 rows of 512 columns: its whole float arrays
+    are 256 KiB, its complex ones 512 KiB (numpy elides temporaries of 256
+    KiB or more), and a band of 3 rows 12 KiB."""
+    fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.default_annulus(0.4, 0.9, 64, 512))
+    return fam.at(0.7).member
+
+
+@pytest.mark.parametrize("second_source", ["analytic", "fd"])
+@pytest.mark.parametrize("rows", [3, "all"])
+def test_in_place_chain_rule_has_the_expression_bits(member_512, s_theta_annulus,
+                                                      second_source, rows):
+    # the float member, its complex Wick rotation and a complex surface whose
+    # every product has non-zero real and imaginary parts, on both sides of
+    # the elision size
+    for label, s in (("float", member_512), ("wick", wick_rotate(member_512)),
+                     ("phased", s_theta_annulus)):
+        if rows != "all":
+            s = surface_rows(s, 5, 5 + rows)
+        _assert_expression_bits(s, second_source, label)
+
+
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_in_place_chain_rule_has_the_expression_bits_on_the_catalog(sid):
+    fam = ws.generate_conjugate_pair(ws.we_data(sid), ws.verification_grid(sid))
+    for theta in (0.0, 0.7, 4.5):
+        X = fam.at(theta).member
+        for s, second_source in itertools.product((X, wick_rotate(X)), ("analytic", "fd")):
+            _assert_expression_bits(s, second_source, (theta, type(s).__name__, second_source))
 
 
 # ---------------------------------------------------------------------- bands
