@@ -11,7 +11,11 @@ way: its `family_checks.csv` holds the certificate (`relations_mismatch`).
 So is `scripts/make_meshes.py`, the one route from the closed-form
 helicoid/catenoid family through `SolitonFamily.at` to `export_mesh`.  The
 result is printed as one JSON object keyed by the run's argv (the script's
-name for the two scripts).
+name for the two scripts).  One more entry, "numpy", names numpy's version
+and SIMD target: its compiled-in baseline and the dispatched features
+enabled on this CPU.  Digests are the same bits for a fixed numpy build and
+SIMD target, so a diff that moves digests between two machines shows
+whether the target moved too.
 
 Compare two checkouts by running the script against each source tree and
 diffing the output:
@@ -29,6 +33,9 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+
+import numpy as np
+from numpy._core import _multiarray_umath as umath
 
 import make_meshes
 import verify_all
@@ -113,6 +120,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def simd_target() -> str:
+    """numpy's version, compiled-in SIMD baseline and enabled dispatch
+    targets, on one line."""
+    enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return (f"{np.__version__} baseline {' '.join(umath.__cpu_baseline__)} "
+            f"dispatch {' '.join(enabled) or '-'}")
+
+
 def digest_run(argv: list[str], entry=main) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         out, err = io.StringIO(), io.StringIO()
@@ -134,4 +149,5 @@ if __name__ == "__main__":
     digests = {" ".join(run): digest_run(run) for run in RUNS}
     digests["scripts/verify_all.py"] = digest_run([], verify_all.main)
     digests["scripts/make_meshes.py"] = digest_run([], make_meshes.main)
+    digests["numpy"] = simd_target()
     print(json.dumps(digests, indent=1, sort_keys=True))

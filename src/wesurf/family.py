@@ -15,15 +15,16 @@ from one source (a generated family evaluates only their d/dr1 slots Phi',
 Phi'' from R, whose real and imaginary parts are X's and Y's, and builds
 the rest by Cauchy-Riemann).  The member at angle theta is
 X_theta = Re(e^{-i theta} (X + i Y)) = cos(theta) X + sin(theta) Y, taken
-on the parts into fresh float64 arrays and validated once.  S_theta is
-that member plus one Wick rule (`WickRotated`):
-every check reads `.member`, in float arithmetic, and only the writers and
-`verify_soliton_relations` read S_theta's complex values, built once on
-first read.  Each theta derivative is a member too: d^n S_theta / d theta^n
-is S at theta + n pi/2, and `at` hits the quarter angles exactly
-(`_cos_sin`).  The family's F/G data is the same combination of the
-members' handles, F_theta = cos(theta) F_1 + sin(theta) F_2, which for the
-helicoid/catenoid pair collapses to (i/2) e^{-i theta} / r.
+on the parts into fresh float64 arrays, each validated once: the values
+now, jac and jac2 on first read.  S_theta is that member plus one Wick
+rule (`WickRotated`): every check reads `.member`, in float arithmetic,
+and only the writers and `verify_soliton_relations` read S_theta's
+complex values, built once on first read.  Each theta derivative is a
+member too: d^n S_theta / d theta^n is S at theta + n pi/2, and `at` hits
+the quarter angles exactly (`_cos_sin`).  The family's F/G data is the
+same combination of the members' handles, F_theta = cos(theta) F_1 +
+sin(theta) F_2, which for the helicoid/catenoid pair collapses to
+(i/2) e^{-i theta} / r.
 
 `verify_soliton_relations` certifies S_theta against its F/G data by
 checking the three defining relations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -153,12 +154,13 @@ class SolitonFamily:
     `generate_conjugate_pair` writes it) holds only its values: its source
     evaluates Phi' and Phi'' from R, the one-slot jac and jac2 whose every
     other slot follows by Cauchy-Riemann (`_SLOT_PARTS`), each time it is
-    read.  `rows(i, j)` reads the source once for its rows and keeps the
-    result, so every `at` of a band reuses it.  `analytic` tells whether
-    the pair carries analytic first derivatives without reading them.  X
-    and Y are rebuilt on demand, as fresh float64 surfaces, and iterating
-    the family gives (X, Y) from one read of the source; the family keeps
-    no reference to the surfaces it was built from.
+    read; a member reads it at the first read of its jac or jac2.
+    `rows(i, j)` reads the source once for its rows and keeps the result,
+    so every `at` of a band reuses it.  `analytic` tells whether the pair
+    carries analytic first derivatives without reading them.  X and Y are
+    rebuilt on demand, as fresh float64 surfaces, and iterating the family
+    gives (X, Y) that share one read of the source; the family keeps no
+    reference to the surfaces it was built from.
 
     The pair must pass the Cauchy-Riemann conjugacy check before a family is
     accepted; corruption tests can bypass with validate=False.
@@ -230,22 +232,24 @@ class SolitonFamily:
         return out[:, 0] if name == "values" else out
 
     def _real_surface(self, part, meta: dict) -> SurfaceGrid:
-        """The real surface of part (`_real_array`), float64, from one read
-        of the derivative source."""
-        parts = (self.values, *self.derivatives(slice(None)))
-        return SurfaceGrid(self.grid, *(self._real_array(name, z, part)
-                                        for name, z in zip(_SLOTS, parts)), meta)
+        """The real surface of part (`_real_array`), float64: its values now,
+        its jac and jac2 on first read, from one shared source read."""
+        read = cache(lambda: self.derivatives(slice(None)))
+        return SurfaceGrid(self.grid, self._real_array("values", self.values, part),
+                           lambda: self._real_array("jac", read()[0], part),
+                           lambda: self._real_array("jac2", read()[1], part), meta)
 
     def rows(self, i: int, j: int) -> "SolitonFamily":
         """The family over grid rows i..j-1 (`ParamGrid.rows`): views of the
         values' parts, no copy, whose derivative source slices the jac and
-        jac2 parts of those rows, read from this family's source once,
-        here.  Its `at` gives those rows of the whole family's `at`, bit for
-        bit, since the member is built nodewise."""
+        jac2 parts of those rows, read from this family's source once, at
+        a member's first read of them.  Its `at` gives those rows of the
+        whole family's `at`, bit for bit, since it is built nodewise."""
         view = copy.copy(self)
         view.grid = self.grid.rows(i, j)
         view.values = tuple(p[..., i:j, :] for p in self.values)
-        view.derivatives = _row_slices(*self.derivatives(slice(i, j)))
+        read = cache(lambda: _row_slices(*self.derivatives(slice(i, j))))
+        view.derivatives = lambda rows: read()(rows)
         return view
 
     @property
@@ -259,8 +263,8 @@ class SolitonFamily:
                                   dict(self._metas[1]))
 
     def __iter__(self):
-        """X, then Y: `X, Y = fam` unpacks the pair, from one read of the
-        derivative source (`rows` over the whole grid)."""
+        """X, then Y: `X, Y = fam` unpacks the pair, which shares one read
+        of the derivative source (`rows` over the whole grid)."""
         whole = self.rows(0, self.grid.n1)
         yield whole.X
         yield whole.Y
@@ -270,9 +274,10 @@ class SolitonFamily:
 
         The real member X_theta is combined on the float parts into fresh
         float64 arrays (real products, unlike numpy's SIMD complex ones, are
-        commutative bit for bit) and validated once; `wick_rotate` gives
-        S_theta as that member, whose t keeps the combination's sign of
-        zero for the Wick rule.  No array shares memory with the family's.
+        commutative bit for bit), each validated once when it is built
+        (`_real_surface`); `wick_rotate` gives S_theta as that member, whose
+        t keeps the combination's sign of zero for the Wick rule.  No array
+        shares memory with the family's.
         """
         c, s = _cos_sin(theta)
         meta = {"surface": self._metas[0].get("surface"), "theta": theta,

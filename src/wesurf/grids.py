@@ -146,6 +146,27 @@ def default_annulus(rho_min: float = 0.4, rho_max: float = 0.9,
     return ParamGrid("annulus", n_rho, n_psi, (rho_min, rho_max, 0.0, TWO_PI))
 
 
+class _Deferrable:
+    """jac or jac2 of a SurfaceGrid: a function of no arguments given for
+    it is called on the first read, and its result checked and kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, s, owner):
+        a = None if s is None else s.__dict__[self.name]  # None: the field's default
+        if callable(a):
+            a = s.__dict__[self.name] = s._checked(self.name, a())
+        return a
+
+    def __set__(self, s, a):
+        s.__dict__[self.name] = a
+
+
+_FIELDS = {"values": ((), "surface components"), "jac": ((2,), "analytic derivatives"),
+           "jac2": ((3,), "analytic second derivatives")}
+
+
 @dataclass(frozen=True)
 class SurfaceGrid:
     """Sampled real parametric surface (x, t, phi) over a ParamGrid.
@@ -154,37 +175,41 @@ class SurfaceGrid:
     analytic first derivatives d(component)/d(r1) and /d(r2), shape
     (3, 2, n1, n2), and jac2 the second ones (d11, d12, d22), shape
     (3, 3, n1, n2), also float64; they are propagated through conjugation
-    and family combinations.  Complex input is taken only when every
-    imaginary part is zero, and the parts are dropped.  The Wick-rotated
-    S_theta is not a SurfaceGrid: it is its real member plus the Wick rule
-    (`family.wick_rotate`).
+    and family combinations; either may be given as a function that builds
+    it on first read (`_Deferrable`).  Complex input is taken only when
+    every imaginary part is zero, and the parts are dropped.  The
+    Wick-rotated S_theta is not a SurfaceGrid: it is its real member plus
+    the Wick rule (`family.wick_rotate`).
     """
 
     grid: ParamGrid
     values: np.ndarray
-    jac: np.ndarray | None = None
-    jac2: np.ndarray | None = None
+    jac: np.ndarray | None = _Deferrable()
+    jac2: np.ndarray | None = _Deferrable()
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n1, n2 = self.grid.shape
-        for name, slots, what in (("values", (), "surface components"),
-                                  ("jac", (2,), "analytic derivatives"),
-                                  ("jac2", (3,), "analytic second derivatives")):
-            a = getattr(self, name)
-            if a is None:
-                continue
-            a = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else np.float64)
-            if a.shape != (3, *slots, n1, n2):
-                raise GridError(f"{name} shape {a.shape} does not match grid {self.grid.shape}")
-            if not all_finite(a):
-                raise GridError(f"{what} must be finite")
-            if np.iscomplexobj(a):
-                if np.any(a.imag):
-                    raise GridError(f"{what} have an imaginary part")
-                a = np.ascontiguousarray(a.real)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        self.__dict__["values"] = self._checked("values", self.values)
+        for name in ("jac", "jac2"):
+            if not callable(a := self.__dict__[name]):
+                self.__dict__[name] = self._checked(name, a)
+
+    def _checked(self, name: str, a) -> np.ndarray | None:
+        """a, checked and read-only, as this surface's array `name`, or None."""
+        if a is None:
+            return None
+        slots, what = _FIELDS[name]
+        a = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else np.float64)
+        if a.shape != (3, *slots, *self.grid.shape):
+            raise GridError(f"{name} shape {a.shape} does not match grid {self.grid.shape}")
+        if not all_finite(a):
+            raise GridError(f"{what} must be finite")
+        if np.iscomplexobj(a):
+            if np.any(a.imag):
+                raise GridError(f"{what} have an imaginary part")
+            a = np.ascontiguousarray(a.real)
+        a.flags.writeable = False
+        return a
 
     @property
     def x(self) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wesurf as ws
+from wesurf import catalog, grids, pde, quadrature, stencils
 
 from oracles import wick_rotate, with_values
 
@@ -71,3 +72,17 @@ def rng_points(n, rho_lo=0.4, rho_hi=0.9, seed=7):
     rho = rng.uniform(rho_lo, rho_hi, n)
     psi = rng.uniform(0.0, 2 * math.pi, n)
     return rho * np.exp(1j * psi)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Count the calls of the finiteness helper, in every module using it."""
+    calls, scan = [], stencils.all_finite
+
+    def spy(a):
+        calls.append(a.shape)
+        return scan(a)
+
+    for module in (stencils, grids, pde, quadrature, catalog):
+        monkeypatch.setattr(module, "all_finite", spy)
+    return calls

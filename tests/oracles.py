@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wesurf.catalog import singularity_points
+from wesurf.family import _cos_sin
 from wesurf.generate import GenerateError, WEData, _integrand, _node_derivatives
 from wesurf.geometry import ThetaInvarianceReport
 from wesurf.grids import (ParamGrid, SurfaceGrid, array_derivative, cauchy_riemann_jacs,
@@ -154,6 +155,21 @@ def wick_rotate(s) -> ComplexSurface:
 
     return ComplexSurface(s.grid, rotate(s.values), rotate(getattr(s, "jac", None)),
                           rotate(getattr(s, "jac2", None)), dict(s.meta))
+
+
+def eager_member(fam, theta: float) -> SurfaceGrid:
+    """The real member of `fam.at(theta)` built whole at once: its values,
+    jac and jac2 from one read of the family's derivative source, by the
+    family's own rule (`SolitonFamily._real_array`), each validated when
+    the surface is made."""
+    c, s = _cos_sin(theta)
+
+    def combine(sx, x, sy, y, out):
+        np.add(np.multiply(sx * c, x, out=out), (sy * s) * y, out=out)
+
+    parts = (fam.values, *fam.derivatives(slice(None)))
+    return SurfaceGrid(fam.grid, *(fam._real_array(name, z, combine)
+                                   for name, z in zip(("values", "jac", "jac2"), parts)))
 
 
 def chain_rule_partials_expr(s, second_source: str,

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 import weakref
@@ -12,10 +13,11 @@ from wesurf import family, grids
 from wesurf.cli import main
 from wesurf.family import FamilyError, _cos_sin
 from wesurf.grids import GridError
+from wesurf.io_export import export_mesh
 
 from conftest import rng_points
-from oracles import (check_reality, surface_from_components, surface_from_fg, theta_derivative,
-                     wick_rotate, with_values)
+from oracles import (check_reality, eager_member, surface_from_components, surface_from_fg,
+                     theta_derivative, wick_rotate, with_values)
 
 
 # ------------------------------------------------------------- wick rotation
@@ -171,12 +173,95 @@ def test_obj_export_and_relations_build_values_once(tmp_path, builds, hc_family)
     assert builds == ["values"]
 
 
+def _spied_source(fam):
+    """A copy of fam whose derivative source records each read's rows."""
+    reads, source = [], fam.derivatives
+    spied = copy.copy(fam)
+    spied.derivatives = lambda rows: reads.append(rows) or source(rows)
+    return spied, reads
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The name of each array a family builds for a member, in order."""
+    names, real_array = [], ws.SolitonFamily._real_array
+
+    def spy(fam, name, z, part):
+        names.append(name)
+        return real_array(fam, name, z, part)
+
+    monkeypatch.setattr(ws.SolitonFamily, "_real_array", spy)
+    return names
+
+
+def _no_derivative_grid(scans):
+    # jac and jac2 are the only four-axis arrays a member scans
+    return all(len(shape) < 4 for shape in scans)
+
+
+def test_readers_of_values_build_no_derivative(tmp_path, made, scans, builds, hc_family):
+    fam, reads = _spied_source(ws.generate_conjugate_pair(ws.we_data("catenoid"),
+                                                          ws.verification_grid("catenoid")))
+    scans.clear()
+    S = fam.at(0.7)
+    assert (reads, made, scans, builds) == ([], ["values"], [S.member.values.shape], [])
+    export_mesh(fam.at(math.pi / 2), tmp_path / "s.obj")
+    assert reads == [] and made == ["values"] * 2 and builds == ["values"]
+    assert _no_derivative_grid(scans)
+    hc, reads = _spied_source(hc_family)
+    made.clear()
+    ws.verify_soliton_relations(hc.at(0.7), ws.family_fg(ws.helicoid_fg(), ws.catenoid_fg(), 0.7),
+                                singularities=[0.0])
+    assert reads == [] and made == ["values"] and _no_derivative_grid(scans)
+
+
+def test_first_read_of_jac_builds_it_once_read_only(made, scans):
+    fam, reads = _spied_source(ws.generate_conjugate_pair(ws.we_data("catenoid"),
+                                                          ws.verification_grid("catenoid")))
+    m = fam.at(0.7).member
+    scans.clear()
+    assert m.jac is m.jac and not m.jac.flags.writeable
+    assert reads == [slice(None)] and made == ["values", "jac"]
+    assert scans == [fam.grid.shape] * 2 + [m.jac.shape]  # R(r), R'(r), then jac
+    assert m.jac2 is m.jac2 and not m.jac2.flags.writeable
+    assert reads == [slice(None)] and made == ["values", "jac", "jac2"]  # the read is shared
+    X, Y = fam
+    assert reads == [slice(None)]
+    X.jac, Y.jac2
+    assert reads == [slice(None), slice(0, fam.grid.n1)]  # X and Y share one read
+
+
+def _generated_band():
+    fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.verification_grid("catenoid"))
+    return fam.rows(5, 17)
+
+
+@pytest.mark.parametrize("make_family", [
+    lambda: ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.verification_grid("catenoid")),
+    _generated_band,
+    lambda: ws.SolitonFamily(ws.helicoid_closed(ws.verification_grid("catenoid")),
+                             ws.catenoid_closed(ws.verification_grid("catenoid"))),
+    lambda: _henneberg_pair()[0],
+    lambda: _y_scale_family()[0],
+], ids=["generated", "band", "helicoid_catenoid", "henneberg", "y_scale"])
+def test_deferred_member_matches_eager_bitwise(make_family):
+    fam = make_family()
+    for theta in (0.0, 0.7, math.pi / 2, math.pi):
+        lazy, eager = fam.at(theta).member, eager_member(fam, theta)
+        for name in ("values", "jac", "jac2"):
+            assert np.array_equal(_bits(getattr(lazy, name)), _bits(getattr(eager, name))), name
+
+
 def test_at_raises_on_an_overflowing_member():
+    # the values stay finite and only jac overflows: the member raises at
+    # the first read of its jac, before any use of it, and at every read
     fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.verification_grid("catenoid"),
                                      y_scale=1e308)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(GridError, match="must be finite"):
-            fam.at(0.7)
+        member = fam.at(0.7).member
+        for _ in range(2):
+            with pytest.raises(GridError, match="analytic derivatives must be finite"):
+                member.jac
 
 
 # ------------------------------------------------------------------- family

@@ -137,20 +137,6 @@ def test_axis_derivative_gate(case, axis):
 
 # ------------------------------------------------- derived data: no second scan
 
-@pytest.fixture
-def scans(monkeypatch):
-    """Count the calls of the finiteness helper, in every module using it."""
-    calls, scan = [], stencils.all_finite
-
-    def spy(a):
-        calls.append(a.shape)
-        return scan(a)
-
-    for module in (stencils, grids, pde, quadrature, catalog):
-        monkeypatch.setattr(module, "all_finite", spy)
-    return calls
-
-
 def _same_bytes(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -180,11 +166,13 @@ def test_member_and_wick_substitute_keep_bits_without_a_scan(enneper_family, sca
 
 
 def test_each_band_scans_each_array_once(monkeypatch, scans):
-    # per band of family-verify's sweep and theta: the member's values, jac
-    # and jac2 when `at` validates it, the five partials the chain rule
-    # derives, and the seven boosted fields; the shared x, t and phi are not
-    # scanned again.  R(r) and R'(r) are evaluated, and scanned, once per
-    # band of the block, before its first theta's member
+    # per band of family-verify's sweep and theta: the member's values when
+    # `at` makes it and its jac when the form first reads it (counted under
+    # `at`, which the sweep runs with the form), its jac2 when the chain rule
+    # reads it, the five partials the chain rule derives, and the seven
+    # boosted fields; the shared x, t and phi are not scanned again.  R(r)
+    # and R'(r) are evaluated, and scanned, once per band of the block, at
+    # the first read of its first theta's jac
     fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.verification_grid("catenoid"))
     monkeypatch.setattr(grids, "_BAND_NODES", 7 * fam.grid.n2)
     per_band = []
@@ -201,7 +189,7 @@ def test_each_band_scans_each_array_once(monkeypatch, scans):
     ws.theta_sweep_invariance(fam, (0.0, 0.7), visit)
     bands = grids._row_bands(*fam.grid.shape)
     assert len(bands) > 1
-    assert per_band == [(2 + 3, 5, 7), (3, 5, 7)] * len(bands)
+    assert per_band == [(2 + 2, 1 + 5, 7), (2, 1 + 5, 7)] * len(bands)
 
 
 def test_boost_that_overflows_still_raises():

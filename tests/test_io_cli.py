@@ -250,6 +250,19 @@ def test_cli_family_verify_corruption_exits_1(tmp_path, capsys):
     assert "tolerance breach" in capsys.readouterr().err
 
 
+def test_cli_family_verify_overflowing_member_exits_2_and_writes_nothing(tmp_path, capsys):
+    # y_scale 1e308 keeps the values finite and overflows the first
+    # derivatives: the sweep's first read of a member's jac raises, before
+    # the report or any mesh is written
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["family-verify", "--corrupt-y-scale", "1e308", "--formats", "csv,obj",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: analytic derivatives must be finite" in capsys.readouterr().err.splitlines()
+    assert list(tmp_path.iterdir()) == []
+
+
 def _nan_at(fn, call, poison):
     """fn, except that its call-th result (0-based) is poisoned with NaN."""
     count = [0]
