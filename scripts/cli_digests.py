@@ -70,6 +70,12 @@ RUNS = (
     ["family-verify", "--theta", "3.141592653589793", "4.71238898038469",   # quarter angles
      "-1.0", "-2.5"],                                                     # (OBJ sidecars)
     ["family-verify", "--corrupt-y-scale", "1.5", "--formats", "csv"],
+    ["family-verify", "--theta", "0", "3.141592653589793",   # corrupted pair at sc = 0:
+     "--corrupt-y-scale", "1.5", "--formats", "csv"],        # exits 0 (ROADMAP item 1)
+    ["family-verify", "--theta", "0.7", "--corrupt-y-scale", "1.5",   # and at one theta
+     "--formats", "csv"],
+    ["family-verify", "--annulus", "0.4", "0.9", "--n", "512",   # one theta at 512^2
+     "--theta", "0.7", "--formats", "csv"],
     ["family-verify", "--surface", "henneberg", "--formats", "csv"],
     ["family-verify", "--surface", "henneberg", "--corrupt-y-scale", "1.5",  # flip_t x y_scale,
      "--theta", "0", "1.5707963267948966", "3.141592653589793", "-1.0"],      # OBJ signs of zero

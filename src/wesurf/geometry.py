@@ -83,7 +83,7 @@ class ThetaInvarianceReport:
 _THETA_BLOCK = 12
 
 
-def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
+def theta_sweep_invariance(fam, thetas, per_band=None) -> ThetaInvarianceReport:
     """Sweep S_theta and report how far E^s, G^s move (they should not).
 
     `fam` is a SolitonFamily (duck-typed: .grid, .analytic, .rows(i, j) and
@@ -99,11 +99,13 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
     tells so without reading a derivative.  Each band of S_theta = X_theta^s is read as its real
     member X_theta (`.member`), and the form is X_theta's euclidean one in
     float arithmetic, which is S_theta's E^s, F^s, G^s (module docstring).
-    The member's rows go to `visit(k, rows, X_rows)` when given, with k the
-    theta's index in `thetas` and `rows` the band's slice of grid rows:
-    within a block, each band visits every theta of the block in order,
-    and each row is visited once per theta.  A visit may do nodewise work
-    only: the same nodes of the whole member would give it the same bits.
+    The form reads a member's jac alone, so its jac2 is never built.  When
+    given, `per_band(rows, band)` runs once per band, in the first block,
+    after the band's thetas: `rows` is the band's slice of grid rows and
+    `band` its `fam.rows` view, whose X, Y and `at` share the band's one
+    read of the derivatives, so each row is handed over once, whatever the
+    thetas.  It may do nodewise work only: the same nodes of the whole
+    family would give it the same bits.
     Each theta keeps one float64 grid, its EG - F^2, filled band by band;
     after a block's last band, `action` takes each of them in theta order,
     a whole-grid sum, so its bits do not depend on the bands.  A NaN
@@ -124,8 +126,7 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
             band = fam.rows(i, j)
             ref = None if first == 0 else fundamental_form(band.at(thetas[0]).member)
             for k, disc in zip(block, discs):
-                member = band.at(thetas[k]).member
-                form = fundamental_form(member)
+                form = fundamental_form(band.at(thetas[k]).member)
                 if ref is None:
                     ref = form
                 # np.maximum, not max(): a NaN in any band must reach the series
@@ -133,11 +134,11 @@ def theta_sweep_invariance(fam, thetas, visit=None) -> ThetaInvarianceReport:
                                                          np.max(np.abs(form.G - ref.G)),
                                                          np.max(np.abs(form.F))])
                 form.discriminant(out=disc[rows])
-                del form
-                if visit is not None:
-                    visit(k, rows, member)
-                del member  # free this band's member before the next is built
-            del band, ref  # free this band's derivatives before the next are read
+                del form  # free this band's form before the next is built
+            del ref
+            if first == 0 and per_band is not None:
+                per_band(rows, band)
+            del band  # free this band's derivatives before the next are read
         actions += [action(disc, grid) for disc in discs]
         del discs  # free this block's grids before the next block's exist
     return ThetaInvarianceReport(thetas, *(tuple(m.tolist()) for m in maxima),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,7 +12,8 @@ _RMS_SLACK = 1.0 + 4 * np.finfo(float).eps  # max_abs * _RMS_SLACK: 4 to 8 ulps 
 @dataclass(frozen=True)
 class ResidualReport:
     """max/mean/RMS of |residual| over the retained nodes of a grid check,
-    and the count of nodes the mask dropped."""
+    and the count of nodes the mask dropped; `residual` is a read-only view
+    of the array they were taken from."""
 
     max_abs: float
     mean_abs: float
@@ -20,6 +21,7 @@ class ResidualReport:
     node_count: int
     worst_node: tuple[int, int]
     dropped_count: int = 0
+    residual: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         # NaN statistics pass through: the gates that read them fail closed.
@@ -31,13 +33,15 @@ class ResidualReport:
 def residual_report(residual: np.ndarray, mask: np.ndarray | None = None) -> ResidualReport:
     """Build a ResidualReport from a 2-D residual array; mask selects the
     retained nodes (True = keep)."""
+    view = residual.view()
+    view.flags.writeable = False
     mag = np.abs(residual).astype(float, copy=False)  # a fresh float array: written below
     if mask is None:
         mask = np.ones(mag.shape, dtype=bool)
     kept = int(np.count_nonzero(mask))
     dropped = int(mask.size - kept)
     if not kept:
-        return ResidualReport(np.nan, np.nan, np.nan, 0, (-1, -1), dropped)
+        return ResidualReport(np.nan, np.nan, np.nan, 0, (-1, -1), dropped, view)
     sel = mag[mask]
     mag[~mask] = -np.inf  # dropped nodes never win the argmax; the first NaN does
     worst = np.unravel_index(int(np.argmax(mag)), mag.shape)
@@ -50,6 +54,7 @@ def residual_report(residual: np.ndarray, mask: np.ndarray | None = None) -> Res
         node_count=kept,
         worst_node=(int(worst[0]), int(worst[1])),
         dropped_count=dropped,
+        residual=view,
     )
 
 

@@ -20,7 +20,10 @@ from wesurf.grids import (ParamGrid, SurfaceGrid, array_derivative, cauchy_riema
 from wesurf.hodograph import REAL_IMAG_TOL, FGPair, HodographError, fg_integrals
 from wesurf.io_export import _faces
 from wesurf import quadrature
-from wesurf.pde import DEFAULT_COND_CUTOFF, DET_FLOOR, NonparametricPatch, _dilate
+from wesurf.pde import (DEFAULT_COND_CUTOFF, DET_FLOOR, LorentzBoost, NonparametricPatch,
+                        _dilate, boost, born_infeld_residual, chain_rule_partials,
+                        minimal_surface_residual, wick_substitute)
+from wesurf.reports import ResidualReport
 from wesurf.quadrature import (_CHAIN_ORDERS, PathNearSingularity, _joukowski_rho, _order_for,
                                _segment_singularity_distance, antiderivative_on_grid)
 from wesurf.stencils import axis_derivative
@@ -170,6 +173,19 @@ def eager_member(fam, theta: float) -> SurfaceGrid:
     parts = (fam.values, *fam.derivatives(slice(None)))
     return SurfaceGrid(fam.grid, *(fam._real_array(name, z, combine)
                                    for name, z in zip(("values", "jac", "jac2"), parts)))
+
+
+def member_residuals(fam, theta: float,
+                     lb: LorentzBoost) -> tuple[ResidualReport, ResidualReport]:
+    """family-verify's per-theta route to its PDE columns, the reference for
+    the route that combines X's and Y's residuals: S_theta's real member,
+    its analytic chain-rule patch and minimal residual (S_theta's
+    Born-Infeld residual, by the Wick identity), then the Wick
+    substitution, the boost and the Born-Infeld residual of the boosted
+    patch.  Nodewise, so the whole member gives each band's bits."""
+    patch = chain_rule_partials(fam.at(theta).member, second_source="analytic")
+    return (minimal_surface_residual(patch),
+            born_infeld_residual(boost(wick_substitute(patch), lb)))
 
 
 def chain_rule_partials_expr(s, second_source: str,

@@ -166,30 +166,33 @@ def test_member_and_wick_substitute_keep_bits_without_a_scan(enneper_family, sca
 
 
 def test_each_band_scans_each_array_once(monkeypatch, scans):
-    # per band of family-verify's sweep and theta: the member's values when
-    # `at` makes it and its jac when the form first reads it (counted under
-    # `at`, which the sweep runs with the form), its jac2 when the chain rule
-    # reads it, the five partials the chain rule derives, and the seven
-    # boosted fields; the shared x, t and phi are not scanned again.  R(r)
-    # and R'(r) are evaluated, and scanned, once per band of the block, at
-    # the first read of its first theta's jac
+    # per band of family-verify's sweep: each theta's member has its values
+    # scanned when `at` makes it and its jac when the form first reads it,
+    # and R(r) and R'(r) are evaluated, and scanned, once per band, at the
+    # first read of its first theta's jac.  Then X and Y, one after the
+    # other: the values when the member is made, its jac and jac2 when the
+    # chain rule reads them, the five partials it derives, and the seven
+    # boosted fields; the shared x, t and phi, and the band's R and R', are
+    # not scanned again
     fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.verification_grid("catenoid"))
     monkeypatch.setattr(grids, "_BAND_NODES", 7 * fam.grid.n2)
     per_band = []
 
-    def visit(k, rows, X):
-        at_scans = len(scans)
-        patch = ws.chain_rule_partials(X, second_source="analytic")
-        chain_scans = len(scans) - at_scans
-        boost(wick_substitute(patch), LorentzBoost(0.8))
-        per_band.append((at_scans, chain_scans, len(scans) - at_scans - chain_scans))
+    def check_band(rows, band):
+        counts = [len(scans)]  # the sweep's
+        for member in band:
+            patch = ws.chain_rule_partials(member, second_source="analytic")
+            counts.append(len(scans) - sum(counts))
+            boost(wick_substitute(patch), LorentzBoost(0.8))
+            counts.append(len(scans) - sum(counts))
+        per_band.append(tuple(counts))
         scans.clear()
 
     scans.clear()
-    ws.theta_sweep_invariance(fam, (0.0, 0.7), visit)
+    ws.theta_sweep_invariance(fam, (0.0, 0.7), per_band=check_band)
     bands = grids._row_bands(*fam.grid.shape)
     assert len(bands) > 1
-    assert per_band == [(2 + 2, 1 + 5, 7), (2, 1 + 5, 7)] * len(bands)
+    assert per_band == [((2 + 2) + 2, 3 + 5, 7, 3 + 5, 7)] * len(bands)
 
 
 def test_boost_that_overflows_still_raises():

@@ -123,22 +123,27 @@ def _same_bits(a, b):
     return a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
-def test_theta_sweep_visit_gets_each_thetas_maxima(annulus_grid, monkeypatch):
-    # band-major: each band visits every theta, by its index, in order
+def test_theta_sweep_hands_over_each_band_once(annulus_grid, monkeypatch):
+    # band-major: each band's view reaches per_band once, in order, and its
+    # members are those rows of the whole family's
     fam = _scaled_y_family(annulus_grid)
     thetas = [0.0, 0.4, 1.1]
     _band_rows(monkeypatch, annulus_grid, 7)
     bands = grids._row_bands(*annulus_grid.shape)
     assert len(bands) > 1
     whole = {th: fam.at(th).member for th in thetas}
+    pair = tuple(fam)
     seen = []
 
-    def visit(k, rows, X):
-        seen.append((k, rows.start, rows.stop))
-        assert _same_bits(X.values, whole[thetas[k]].values[:, rows])
+    def per_band(rows, band):
+        seen.append((rows.start, rows.stop))
+        for th in thetas:
+            assert _same_bits(band.at(th).member.values, whole[th].values[:, rows])
+        for member, of_whole in zip(band, pair, strict=True):
+            assert _same_bits(member.values, of_whole.values[:, rows])
 
-    rep = ws.theta_sweep_invariance(fam, thetas, visit=visit)
-    assert seen == [(k, i, j) for i, j in bands for k in range(len(thetas))]
+    rep = ws.theta_sweep_invariance(fam, thetas, per_band=per_band)
+    assert seen == bands
     first = ws.fundamental_form(whole[thetas[0]], "analytic")
     for k, th in enumerate(thetas):
         form = ws.fundamental_form(whole[th], "analytic")
@@ -169,18 +174,19 @@ def test_theta_sweep_bands_are_rows_of_the_whole_surface(banded_family, monkeypa
     grid = banded_family.grid
     _band_rows(monkeypatch, grid, rows)
     whole = {th: banded_family.at(th).member for th in SWEEP_THETAS}
-    covered = {th: np.zeros(grid.n1, dtype=int) for th in SWEEP_THETAS}
+    pair = tuple(banded_family)
+    covered = np.zeros(grid.n1, dtype=int)
 
-    def visit(k, band, X):
-        th = SWEEP_THETAS[k]
-        assert X.grid.shape == (band.stop - band.start, grid.n2)
-        for name in ("values", "jac", "jac2"):
-            assert _same_bits(getattr(X, name), getattr(whole[th], name)[..., band, :])
-        covered[th][band] += 1
+    def per_band(rows, band):
+        assert band.grid.shape == (rows.stop - rows.start, grid.n2)
+        members = [band.at(th).member for th in SWEEP_THETAS] + list(band)
+        for member, of_whole in zip(members, [*whole.values(), *pair], strict=True):
+            for name in ("values", "jac", "jac2"):
+                assert _same_bits(getattr(member, name), getattr(of_whole, name)[..., rows, :])
+        covered[rows] += 1
 
-    rep = ws.theta_sweep_invariance(banded_family, SWEEP_THETAS, visit=visit)
-    for th in SWEEP_THETAS:
-        assert np.all(covered[th] == 1)
+    rep = ws.theta_sweep_invariance(banded_family, SWEEP_THETAS, per_band=per_band)
+    assert np.all(covered == 1)
     for th, a in zip(SWEEP_THETAS, rep.actions, strict=True):
         form = ws.fundamental_form(whole[th])
         assert a == ws.action(form.discriminant(), grid)
@@ -203,12 +209,13 @@ def test_theta_sweep_without_analytic_jac_is_one_band(monkeypatch, annulus_grid)
     _band_rows(monkeypatch, annulus_grid, 3)
     seen = []
     rep = ws.theta_sweep_invariance(fam, [0.0, 0.4],
-                                    visit=lambda k, rows, X: seen.append((rows, X)))
-    assert [rows for rows, _ in seen] == [slice(0, annulus_grid.n1)] * 2
-    assert seen[0][1].grid == annulus_grid  # the stencils see the whole grid
-    assert seen[1][1].jac is None
+                                    per_band=lambda rows, band: seen.append((rows, band)))
+    assert [rows for rows, _ in seen] == [slice(0, annulus_grid.n1)]
+    band = seen[0][1]
+    assert band.grid == annulus_grid  # the stencils see the whole grid
+    assert band.at(0.4).member.jac is None
     member = fam.at(0.4).member
-    assert _same_bits(seen[1][1].values, member.values)
+    assert _same_bits(band.at(0.4).member.values, member.values)
     form = ws.fundamental_form(member, "fd")
     assert rep.actions[1] == ws.action(form.discriminant(), annulus_grid)
 
@@ -251,8 +258,8 @@ def test_theta_sweep_memory_does_not_grow_with_the_theta_count():
 
 @pytest.mark.parametrize("block", [1, 2, "all"])
 def test_theta_sweep_independent_of_the_theta_block(banded_family, monkeypatch, block):
-    # the blocks change the order of the visits within a pass, not their
-    # members, the report or its bytes
+    # the blocks change neither the report and its bytes nor the per-band
+    # calls: one per band, in the first block, with the same members
     thetas = (0.0, 0.4, 1.1, math.pi / 2, -2.5)
     _band_rows(monkeypatch, banded_family.grid, 7)
 
@@ -260,10 +267,12 @@ def test_theta_sweep_independent_of_the_theta_block(banded_family, monkeypatch, 
         seen = []
         rep = ws.theta_sweep_invariance(
             banded_family, thetas,
-            visit=lambda k, rows, X: seen.append((k, rows.start, X.values.tobytes())))
-        return repr(rep), sorted(seen)
+            per_band=lambda rows, band: seen.append(
+                (rows.start, *(member.values.tobytes() for member in band))))
+        return repr(rep), seen
 
     reference = sweep()
+    assert len(reference[1]) == len(grids._row_bands(*banded_family.grid.shape))
     monkeypatch.setattr(geometry, "_THETA_BLOCK", len(thetas) if block == "all" else block)
     assert sweep() == reference
 

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
-from wesurf import cli, grids, pde
+from wesurf import cli, family, geometry, grids, pde
 from wesurf.cli import main
-from wesurf.family import wick_rotate
+from wesurf.family import _cos_sin, wick_rotate
 from wesurf.io_export import SCHEMA, export_mesh, write_surface_csv, write_surface_table
 
-from oracles import quad_triangles, surface_from_components, with_values
+from oracles import member_residuals, quad_triangles, surface_from_components, with_values
 
 
 def flat_surface(n1=3, n2=3):
@@ -263,6 +263,10 @@ def test_cli_family_verify_overflowing_member_exits_2_and_writes_nothing(tmp_pat
     assert list(tmp_path.iterdir()) == []
 
 
+def _failed_gates(out: str) -> set[str]:
+    return {line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")}
+
+
 def _nan_at(fn, call, poison):
     """fn, except that its call-th result (0-based) is poisoned with NaN."""
     count = [0]
@@ -279,15 +283,19 @@ def _nan_form(field):
 
 
 NAN_CASES = {
-    # once per theta, the unboosted Born-Infeld residual is the minimal
-    # residual of the real member and the boosted one is born_infeld_residual;
-    # a NaN in a form also reaches the action
-    "bi_residual": ("wesurf.cli", "minimal_surface_residual", 1,
+    # per band, cli.residual_report runs on the circle's hypot(r_X, r_Y),
+    # then per theta on c r_X + s r_Y, the unboosted Born-Infeld residual
+    # (the minimal residual of the real member), and on the boosted one;
+    # the default run is one band.  A NaN in a form also reaches the action
+    "bi_residual": ("wesurf.cli", "residual_report", 1 + 2,
                     lambda rep: dataclasses.replace(rep, max_abs=math.nan),
                     {"max_bi_residual", "boost_delta"}),
-    "boosted_residual": ("wesurf.cli", "born_infeld_residual", 1,
+    "boosted_residual": ("wesurf.cli", "residual_report", 1 + 2 + 1,
                          lambda rep: dataclasses.replace(rep, max_abs=math.nan),
                          {"boost_delta"}),
+    "circle": ("wesurf.cli", "residual_report", 0,
+               lambda rep: dataclasses.replace(rep, max_abs=math.nan),
+               {"max_bi_residual_circle"}),
     "action": ("wesurf.geometry", "action", 1, lambda a: math.nan, {"action_rel_spread"}),
     "E": ("wesurf.geometry", "fundamental_form", 1, _nan_form("E"),
           {"e_deviation", "action_rel_spread"}),
@@ -296,6 +304,9 @@ NAN_CASES = {
     "F": ("wesurf.geometry", "fundamental_form", 1, _nan_form("F"),
           {"max_f_abs", "action_rel_spread"}),
 }
+
+# the gates over all thetas at once: their breach names no theta
+WHOLE_SWEEP_GATES = ("action_rel_spread", "max_bi_residual_circle")
 
 
 @pytest.mark.parametrize("case", sorted(NAN_CASES))
@@ -307,11 +318,11 @@ def test_cli_family_verify_nan_at_second_theta_fails(tmp_path, capsys, monkeypat
                "--out", str(tmp_path)])
     out, err = capsys.readouterr()
     assert rc == 1
-    failed = {line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")}
+    failed = _failed_gates(out)
     assert failed == breached
     for quantity in breached:
-        at = "" if quantity == "action_rel_spread" else " at theta=0.3"
-        assert f"tolerance breach: {quantity}{at}" in err
+        at = "" if quantity in WHOLE_SWEEP_GATES else " at theta=0.3"
+        assert f"tolerance breach: {quantity}{at}\n" in err
 
 
 BAND_SHAPES = {"37x53": (37, 53), "131x257": (131, 257)}
@@ -346,7 +357,8 @@ def test_cli_family_verify_independent_of_band_height(tmp_path, capsys, monkeypa
 
 def _seven_row_bands(monkeypatch, poison):
     """family-verify on a 37x53 annulus in bands of 7 rows; poison(patch,
-    theta_index, band_index) edits each band's chain-rule patch in place."""
+    band_index, member) edits each band's chain-rule patch in place, where
+    member 0 is X's patch and 1 is Y's."""
     monkeypatch.setattr(grids, "_BAND_NODES", 7 * 53)
     bands = grids._row_bands(37, 53)
     calls = [0]
@@ -354,49 +366,58 @@ def _seven_row_bands(monkeypatch, poison):
 
     def wrapped(S, **kwargs):
         patch = partials(S, **kwargs)
-        poison(patch, *divmod(calls[0], len(bands)))
+        poison(patch, *divmod(calls[0], 2))
         calls[0] += 1
         return patch
     monkeypatch.setattr(cli, "chain_rule_partials", wrapped)
     return bands
 
 
+def _combined_residuals(fam, lb):
+    """The whole grid's residual arrays of X's patch and of Y's, unboosted
+    and boosted, and their common kept nodes."""
+    arrays, keep = [], True
+    for member in fam:
+        patch = ws.chain_rule_partials(member, second_source="analytic")
+        arrays.append((ws.minimal_surface_residual(patch).residual,
+                       ws.born_infeld_residual(ws.boost(ws.wick_substitute(patch), lb)).residual))
+        keep = keep & patch.valid_mask
+    return arrays, keep
+
+
 def test_cli_family_verify_skips_a_band_that_keeps_no_node(tmp_path, capsys, monkeypatch):
-    def drop_second_band(patch, k, band):
+    def drop_second_band(patch, band, member):
         if band == 1:
             patch.valid_mask[:] = False
     i, j = _seven_row_bands(monkeypatch, drop_second_band)[1]
     assert _family_verify(tmp_path, 37, 53) == 0
     # the whole-grid reports with the same rows dropped
-    fam = ws.SolitonFamily(*ws.generate_conjugate_pair(
-        ws.we_data("catenoid"), ws.default_annulus(0.4, 0.9, 37, 53)), validate=False)
+    fam = ws.generate_conjugate_pair(ws.we_data("catenoid"), ws.default_annulus(0.4, 0.9, 37, 53))
     lb = ws.LorentzBoost(cli.RunConfig().rapidities[0])
+    ((r_x, rb_x), (r_y, rb_y)), keep = _combined_residuals(fam, lb)
+    keep[i:j] = False
     for th, row in zip(BAND_THETAS, _report_rows(tmp_path), strict=True):
-        patch = ws.wick_substitute(ws.chain_rule_partials(fam.at(th).member,
-                                                          second_source="analytic"))
-        patch.valid_mask[i:j] = False
-        res = ws.born_infeld_residual(patch).max_abs
-        res_b = ws.born_infeld_residual(ws.boost(patch, lb)).max_abs
+        c, s = _cos_sin(th)
+        res = ws.residual_report(c * r_x + s * r_y, keep).max_abs
+        res_b = ws.residual_report(c * rb_x + s * rb_y, keep).max_abs
         assert (float(row[1]), float(row[6])) == (res, abs(res - res_b))
 
 
 def test_cli_family_verify_with_no_kept_node_fails(tmp_path, capsys, monkeypatch):
-    def drop_all(patch, k, band):
+    def drop_all(patch, band, member):
         patch.valid_mask[:] = False
     _seven_row_bands(monkeypatch, drop_all)
     assert _family_verify(tmp_path, 37, 53) == 1
     out, err = capsys.readouterr()
     assert all(row[1] == row[6] == "nan" for row in _report_rows(tmp_path))
-    failed = {line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")}
-    assert failed == {"max_bi_residual", "boost_delta"}
+    failed = _failed_gates(out)
+    assert failed == {"max_bi_residual", "max_bi_residual_circle", "boost_delta"}
     assert "tolerance breach: max_bi_residual at theta=0\n" in err
 
 
-def test_cli_family_verify_nan_in_a_later_band_fails(tmp_path, capsys, monkeypatch):
-    # residual_report runs twice per band, unboosted then boosted: put a NaN
-    # into the unboosted residual at a kept node of theta 0.3's third band
-    bands = _seven_row_bands(monkeypatch, lambda patch, k, band: None)
-    poisoned_call = 2 * (len(bands) + 2)
+def _poison_residual_call(monkeypatch, poisoned_call):
+    """Put a NaN into the residual array of pde.residual_report's
+    poisoned_call-th call (0-based) of the run, at its first kept node."""
     calls = [0]
     report = pde.residual_report
 
@@ -406,12 +427,123 @@ def test_cli_family_verify_nan_in_a_later_band_fails(tmp_path, capsys, monkeypat
         calls[0] += 1
         return report(res, mask)
     monkeypatch.setattr(pde, "residual_report", wrapped)
+
+
+# per band, pde.residual_report runs on X's minimal residual, X's boosted
+# Born-Infeld residual, then on Y's two
+THIRD_BAND_CALL = 2 * 4
+
+
+def test_cli_family_verify_nan_in_a_later_band_fails(tmp_path, capsys, monkeypatch):
+    # a NaN in X's unboosted residual at a kept node of the third band
+    # reaches every theta (each has cos(theta) != 0) and the circle
+    _seven_row_bands(monkeypatch, lambda patch, band, member: None)
+    _poison_residual_call(monkeypatch, THIRD_BAND_CALL)
     assert _family_verify(tmp_path, 37, 53) == 1
     out, err = capsys.readouterr()
-    assert [row[1] == "nan" for row in _report_rows(tmp_path)] == [False, True, False]
-    failed = {line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")}
-    assert failed == {"max_bi_residual", "boost_delta"}
-    assert "tolerance breach: max_bi_residual at theta=0.3" in err
+    assert [row[1] == "nan" for row in _report_rows(tmp_path)] == [True, True, True]
+    failed = _failed_gates(out)
+    assert failed == {"max_bi_residual", "max_bi_residual_circle", "boost_delta"}
+    assert "tolerance breach: max_bi_residual at theta=0\n" in err
+
+
+@pytest.mark.parametrize("boosted", [False, True], ids=["unboosted", "boosted"])
+@pytest.mark.parametrize("member", [0, 1], ids=["X", "Y"])
+def test_cli_family_verify_nan_in_a_members_residual_reaches_its_thetas(
+        tmp_path, capsys, monkeypatch, member, boosted):
+    # theta's row combines X's residual with weight cos(theta) and Y's with
+    # sin(theta): a NaN in one of them reaches every row that weighs it
+    # (and, as 0 * NaN, the others too)
+    _seven_row_bands(monkeypatch, lambda patch, band, member: None)
+    _poison_residual_call(monkeypatch, THIRD_BAND_CALL + 2 * member + boosted)
+    thetas = (0.0, 0.3, math.pi / 2, math.pi)
+    rc = main(["family-verify", "--annulus", "0.4", "0.9", "--n", "37", "53",
+               "--theta", *map(repr, thetas), "--formats", "csv", "--out", str(tmp_path)])
+    assert rc == 1
+    weighed = [_cos_sin(th)[member] != 0.0 for th in thetas]
+    assert 0 < weighed.count(True) < len(thetas)  # each member has a zero weight
+    for row, nonzero in zip(_report_rows(tmp_path), weighed, strict=True):
+        if nonzero:
+            assert row[6] == "nan" and (boosted or row[1] == "nan")
+    failed = _failed_gates(capsys.readouterr().out)
+    assert failed == ({"boost_delta"} if boosted else
+                      {"max_bi_residual", "max_bi_residual_circle", "boost_delta"})
+
+
+# 14 thetas, two blocks of the sweep; the quarter angles among them give
+# one patch's residual exactly
+ORACLE_THETAS = (0.0, 0.3, 0.7, 1.1, math.pi / 2, 2.0, 2.5, math.pi, 3.6, 4.1,
+                 3 * math.pi / 2, 5.2, -1.0, -2.5)
+QUARTER_ANGLES = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+# c r_X + s r_Y against the member's own residual, both at round-off: the
+# largest gap over the CLI ids' default grids was 2.0e-14 on
+# max_bi_residual and 1.1e-13 on boost_delta
+ORACLE_TOL = 1e-12
+ULP = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("surface", [i for i in ws.CATALOG_IDS if i != "custom"])
+def test_cli_family_verify_matches_the_per_theta_route(tmp_path, capsys, monkeypatch,
+                                                      surface):
+    assert geometry._THETA_BLOCK < len(ORACLE_THETAS)
+    reports = []
+    report = cli.residual_report
+
+    def spy(res, mask):
+        reports.append(report(res, mask))
+        return reports[-1]
+    monkeypatch.setattr(cli, "residual_report", spy)
+    rc = main(["family-verify", "--surface", surface, "--theta", *map(repr, ORACLE_THETAS),
+               "--formats", "csv", "--out", str(tmp_path)])
+    assert rc == 0
+    # per band: the circle's report, then two per theta
+    circle = max(rep.max_abs for rep in reports[::1 + 2 * len(ORACLE_THETAS)])
+    cfg = cli.RunConfig(surface=surface)
+    fam = ws.generate_conjugate_pair(*cli._inputs(cfg))
+    lb = ws.LorentzBoost(cfg.rapidities[0])
+    for th, row in zip(ORACLE_THETAS, _report_rows(tmp_path), strict=True):
+        res, res_b = (rep.max_abs for rep in member_residuals(fam, th, lb))
+        got, ref = (float(row[1]), float(row[6])), (res, abs(res - res_b))
+        if th in QUARTER_ANGLES:
+            assert got == ref, th
+        else:
+            assert np.allclose(got, ref, rtol=0.0, atol=ORACLE_TOL), th
+        assert circle >= got[0] * (1 - 4 * ULP)
+
+
+PDE_GATES = {"max_bi_residual", "max_bi_residual_circle"}
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("part", [0, 1], ids=["X", "Y"])
+def test_cli_family_verify_fails_a_flipped_slot_sign(tmp_path, capsys, monkeypatch,
+                                                     slot, part):
+    # one sign of the Cauchy-Riemann spread of Phi' and Phi'' wrong: in the
+    # values' and d/dr1 slot or the d22 slot it breaks the PDE; in the d/dr2
+    # and d12 slot, the first form
+    parts = [list(p) for p in family._SLOT_PARTS]
+    sign, re_im = parts[slot][part]
+    parts[slot][part] = (-sign, re_im)
+    monkeypatch.setattr(family, "_SLOT_PARTS", tuple(map(tuple, parts)))
+    assert main(["family-verify", "--formats", "csv", "--out", str(tmp_path)]) == 1
+    failed = _failed_gates(capsys.readouterr().out)
+    assert failed >= ({"max_f_abs", "action_rel_spread"} if slot == 1 else PDE_GATES)
+
+
+@pytest.mark.parametrize("term", range(4))
+def test_cli_family_verify_fails_a_dropped_quotient_rule_term(tmp_path, capsys, monkeypatch,
+                                                              term):
+    # the quotient rule's sums for the solved gradient's derivatives are the
+    # chain rule's only sums of five products: drop one of the last four
+    sums = pde._sum_of_products
+
+    def dropped(out, tmp, first, *terms):
+        if len(terms) == 4:
+            terms = terms[:term] + terms[term + 1:]
+        return sums(out, tmp, first, *terms)
+    monkeypatch.setattr(pde, "_sum_of_products", dropped)
+    assert main(["family-verify", "--formats", "csv", "--out", str(tmp_path)]) == 1
+    assert _failed_gates(capsys.readouterr().out) == PDE_GATES
 
 
 def test_cli_boost_check_nan_residual_fails(tmp_path, capsys, monkeypatch):
@@ -660,6 +792,57 @@ def test_cli_family_verify_deterministic(tmp_path):
                      "--theta", "0", "0.4", "1.1", "--out", str(d)]) == 0
     for name in sorted(os.listdir(d1)):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+# numpy's x86-64-v2 baseline: its AVX2 and AVX-512 loops switched off
+BASELINE_TARGET = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+# CSV values under the two targets agree within these many ulps of
+# max(1, |value|): 1 on the surfaces, 174 on the family's round-off
+# residuals and 55882 on generate's report, whose Laplacian stencils divide
+# the data's round-off by h^2
+SIMD_ULPS = {"family_verify.csv": 2 ** 10, "catenoid.csv": 4,
+             "catenoid_conjugate.csv": 4, "catenoid_report.csv": 2 ** 18}
+
+
+def _verdicts(out: str, err: str) -> list[str]:
+    """The gate lines of a run: each check's name and verdict, and each
+    breach's first three words."""
+    return ([f"{line.split(':')[0]} {line.split()[-1]}" for line in out.splitlines()
+             if line.endswith((" ok", " FAIL"))]
+            + [" ".join(line.split()[:3]) for line in err.splitlines()
+               if line.startswith("tolerance breach")])
+
+
+def _csv_values(path) -> np.ndarray:
+    """The numeric fields of a report or surface CSV, in file order."""
+    values = []
+    for line in path.read_text().splitlines()[2:]:  # after the schema and the header
+        for field in line.split(","):
+            with contextlib.suppress(ValueError):  # a label
+                values.append(float(field))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("argv", [["family-verify", "--formats", "csv"], ["generate"]],
+                         ids=["family-verify", "generate"])
+def test_cli_verdicts_hold_on_the_baseline_simd_target(tmp_path, capsys, argv):
+    here, there = tmp_path / "here", tmp_path / "there"
+    rc = main([*argv, "--out", str(here)])
+    out, err = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "wesurf.cli", *argv, "--out", str(there)],
+                          env=dict(os.environ, **BASELINE_TARGET),
+                          capture_output=True, text=True)
+    verdicts = _verdicts(out, err)
+    assert verdicts or argv[0] == "generate"  # generate prints verdicts on a breach only
+    assert proc.returncode == rc
+    assert _verdicts(proc.stdout, proc.stderr) == verdicts
+    csvs = sorted(p.name for p in here.glob("*.csv"))
+    assert csvs == sorted(p.name for p in there.glob("*.csv")) and csvs
+    for name in csvs:
+        a, b = _csv_values(here / name), _csv_values(there / name)
+        assert a.shape == b.shape, name
+        ulps = np.abs(a - b) / np.spacing(np.maximum(1.0, np.abs(a)))
+        assert np.max(ulps) <= SIMD_ULPS[name], name
 
 
 def test_cli_residuals(tmp_path):
