@@ -63,6 +63,8 @@ RUNS = (
     ["generate", "--surface", "right_helicoid", "--formats", "csv"],   # R with an imaginary
     ["generate", "--surface", "general_helicoid", "--formats", "csv"],  # or complex factor:
     ["generate", "--surface", "schwarz_riemann", "--formats", "csv"],   # signs of zero
+    ["generate", "--formats", "csv", "--cr-tol", "1e-300"],         # tolerances that no
+    ["generate", "--formats", "csv", "--harmonic-tol", "1e-300"],   # check enforces: exit 2
     ["family-verify"],
     ["family-verify", "--annulus", "0.4", "0.9", "--n", "512", "--formats", "csv"],
     ["family-verify", "--surface", "right_helicoid", "--rapidity", "1.3"],

@@ -30,6 +30,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,13 +67,14 @@ class RunConfig:
     thetas: tuple[float, ...] = DEFAULT_THETAS
     rapidities: tuple[float, ...] = (0.8,)
     resid_tol: float = 1e-4
-    cr_tol: float = 1e-6
     dev_tol: float = 1e-8
     f_tol: float = 1e-8
     action_rel_tol: float = 1e-7
     boost_tol: float = 1e-4
     comp_tol: float = 1e-12
-    harmonic_tol: float = 1e-6
+    # generate's report rows that no check gates (cmd_generate): not settings
+    cr_tol: ClassVar[float] = 1e-6
+    harmonic_tol: ClassVar[float] = 1e-6
     out_dir: Path = Path(".")
     formats: tuple[str, ...] = ("csv", "obj")
     corrupt_y_scale: float = 1.0
@@ -276,15 +278,13 @@ def cmd_generate(cfg: RunConfig) -> int:
           f"{form.isothermal_defect:.3e}, CR defect {cr:.3e}")
     # Harmonicity rows are reported, not gated: they measure the stencil's
     # truncation as much as the surface (6e-6 on a 24x24 full annulus).
-    # Both gated rows come from the exact derivatives the surfaces carry.
-    status = 0
-    for quantity, value, tol in (("isothermal_defect", form.isothermal_defect, cfg.dev_tol),
-                                 ("cr_defect", cr, cfg.cr_tol)):
-        if not value <= tol:  # NaN fails
-            print(f"tolerance breach: {quantity} {value:.3e} (tol {tol:.1e})",
-                  file=sys.stderr)
-            status = 1
-    return status
+    # cr_defect is not gated either: X and Y take their derivatives from the
+    # same Phi', so it is 0 by construction.
+    if not form.isothermal_defect <= cfg.dev_tol:  # NaN fails
+        print(f"tolerance breach: isothermal_defect {form.isothermal_defect:.3e} "
+              f"(tol {cfg.dev_tol:.1e})", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_family_verify(cfg: RunConfig) -> int:

@@ -15,11 +15,11 @@ from one source (a generated family evaluates only their d/dr1 slots Phi',
 Phi'' from R, whose real and imaginary parts are X's and Y's, and builds
 the rest by Cauchy-Riemann).  The member at angle theta is
 X_theta = Re(e^{-i theta} (X + i Y)) = cos(theta) X + sin(theta) Y, taken
-on the parts into fresh float64 arrays, each validated once: the values
-now, jac and jac2 on first read.  S_theta is that member plus one Wick
-rule (`WickRotated`): every check reads `.member`, in float arithmetic,
-and only the writers and `verify_soliton_relations` read S_theta's
-complex values, built once on first read.  Each theta derivative is a
+on the parts into fresh float64 arrays, each built and validated on its
+first read.  S_theta is that member plus one Wick rule (`WickRotated`):
+every check reads `.member`, in float arithmetic, and only the writers
+and `verify_soliton_relations` read S_theta's complex values, built once
+on first read.  Each theta derivative is a
 member too: d^n S_theta / d theta^n is S at theta + n pi/2, and `at` hits
 the quarter angles exactly (`_cos_sin`).  The family's F/G data is the
 same combination of the members' handles, F_theta = cos(theta) F_1 +
@@ -47,6 +47,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from . import grids
 from .grids import ParamGrid, SurfaceGrid, conjugacy_violation
 from .hodograph import FGPair, fg_integrals
 from .reports import ResidualReport, residual_report
@@ -129,13 +130,6 @@ def _row_slices(jac: tuple | None, jac2: tuple | None):
                               for z in (jac, jac2))
 
 
-# A one-slot jac or jac2 holds the d/dr1 slot z of a holomorphic pair
-# X + i Y; by Cauchy-Riemann the d/dr2 (and d12) slot is i z and the d22 slot
-# is -z.  Slot j's X and Y parts, Re and Im of that multiple of z, each as
-# (sign, 0 for Re z or 1 for Im z):
-_SLOT_PARTS = (((1.0, 0), (1.0, 1)),     # z:    Re z,  Im z
-               ((-1.0, 1), (1.0, 0)),    # i z: -Im z,  Re z
-               ((-1.0, 0), (-1.0, 1)))   # -z:  -Re z, -Im z
 _SLOTS = {"values": 1, "jac": 2, "jac2": 3}  # derivative slots of each array
 
 
@@ -153,8 +147,8 @@ class SolitonFamily:
     (`_parts`), and its source slices them.  A generated family (`from_parts`, as
     `generate_conjugate_pair` writes it) holds only its values: its source
     evaluates Phi' and Phi'' from R, the one-slot jac and jac2 whose every
-    other slot follows by Cauchy-Riemann (`_SLOT_PARTS`), each time it is
-    read; a member reads it at the first read of its jac or jac2.
+    other slot follows by Cauchy-Riemann (`grids._CR_SLOTS`), each time it
+    is read; a member reads it at the first read of its jac or jac2.
     `rows(i, j)` reads the source once for its rows and keeps the result,
     so every `at` of a band reuses it.  `analytic` tells whether the pair
     carries analytic first derivatives without reading them.  X and Y are
@@ -214,7 +208,7 @@ class SolitonFamily:
         x and y are float arrays of one component and slot of X and of Y up
         to the signs sx and sy: rows of the stored parts, y times the
         family's y_scale, and a one-slot jac or jac2 is spread over its slots
-        by `_SLOT_PARTS`.  This is the one place that rule is applied.
+        by the Cauchy-Riemann table, `grids._CR_SLOTS`.
         """
         if z is None:
             return None
@@ -224,7 +218,7 @@ class SolitonFamily:
         out = np.empty((len(z[0]), _SLOTS[name]) + z[0].shape[2:])
         for k, j in np.ndindex(out.shape[:2]):  # small temporaries: one grid each
             re_im = tuple(p[k, 0 if compact else j] for p in z)
-            (sx, px), (sy, py) = _SLOT_PARTS[j if compact else 0]
+            (sx, px), (sy, py) = grids._CR_SLOTS[j if compact else 0]
             x, y = re_im[px], re_im[py]
             if self._y_scale != 1.0:
                 y = self._y_scale * y
@@ -232,10 +226,10 @@ class SolitonFamily:
         return out[:, 0] if name == "values" else out
 
     def _real_surface(self, part, meta: dict) -> SurfaceGrid:
-        """The real surface of part (`_real_array`), float64: its values now,
-        its jac and jac2 on first read, from one shared source read."""
+        """The real surface of part (`_real_array`), float64: each field
+        built on first read, jac and jac2 from one shared source read."""
         read = cache(lambda: self.derivatives(slice(None)))
-        return SurfaceGrid(self.grid, self._real_array("values", self.values, part),
+        return SurfaceGrid(self.grid, lambda: self._real_array("values", self.values, part),
                            lambda: self._real_array("jac", read()[0], part),
                            lambda: self._real_array("jac2", read()[1], part), meta)
 
@@ -274,7 +268,7 @@ class SolitonFamily:
 
         The real member X_theta is combined on the float parts into fresh
         float64 arrays (real products, unlike numpy's SIMD complex ones, are
-        commutative bit for bit), each validated once when it is built
+        commutative bit for bit), each validated when first read
         (`_real_surface`); `wick_rotate` gives S_theta as that member, whose
         t keeps the combination's sign of zero for the Wick rule.  No array
         shares memory with the family's.

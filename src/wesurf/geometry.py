@@ -96,16 +96,16 @@ def theta_sweep_invariance(fam, thetas, per_band=None) -> ThetaInvarianceReport:
     band's form at the first theta, built again in a later block.  A family
     without analytic first derivatives runs as one band, the whole grid, so
     that its finite-difference form sees every neighbour; `fam.analytic`
-    tells so without reading a derivative.  Each band of S_theta = X_theta^s is read as its real
-    member X_theta (`.member`), and the form is X_theta's euclidean one in
-    float arithmetic, which is S_theta's E^s, F^s, G^s (module docstring).
-    The form reads a member's jac alone, so its jac2 is never built.  When
-    given, `per_band(rows, band)` runs once per band, in the first block,
-    after the band's thetas: `rows` is the band's slice of grid rows and
-    `band` its `fam.rows` view, whose X, Y and `at` share the band's one
-    read of the derivatives, so each row is handed over once, whatever the
-    thetas.  It may do nodewise work only: the same nodes of the whole
-    family would give it the same bits.
+    tells so without reading a derivative.  Each band of S_theta = X_theta^s
+    is read as its real member X_theta (`.member`), and the form is
+    X_theta's euclidean one in float arithmetic, which is S_theta's E^s,
+    F^s, G^s (module docstring).  The form reads a member's jac alone: its
+    values and jac2 are never built.  When given, `per_band(rows, band)` runs
+    once per band, in the first block, after the band's thetas: `rows` is
+    the band's slice of grid rows and `band` its `fam.rows` view, whose X, Y
+    and `at` share the band's one read of the derivatives, so each row is
+    handed over once, whatever the thetas.  It may do nodewise work only: the
+    same nodes of the whole family would give it the same bits.
     Each theta keeps one float64 grid, its EG - F^2, filled band by band;
     after a block's last band, `action` takes each of them in theta order,
     a whole-grid sum, so its bits do not depend on the bands.  A NaN

@@ -147,8 +147,9 @@ def default_annulus(rho_min: float = 0.4, rho_max: float = 0.9,
 
 
 class _Deferrable:
-    """jac or jac2 of a SurfaceGrid: a function of no arguments given for
-    it is called on the first read, and its result checked and kept."""
+    """A field of a SurfaceGrid (values, jac or jac2): an array, checked
+    when the surface is made, or a function of no arguments, called on the
+    first read, whose result is checked and kept."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -175,28 +176,29 @@ class SurfaceGrid:
     analytic first derivatives d(component)/d(r1) and /d(r2), shape
     (3, 2, n1, n2), and jac2 the second ones (d11, d12, d22), shape
     (3, 3, n1, n2), also float64; they are propagated through conjugation
-    and family combinations; either may be given as a function that builds
-    it on first read (`_Deferrable`).  Complex input is taken only when
-    every imaginary part is zero, and the parts are dropped.  The
+    and family combinations.  Each of the three may be given as a function
+    that builds it on first read (`_Deferrable`).  Complex input is taken
+    only when every imaginary part is zero, and the parts are dropped.  The
     Wick-rotated S_theta is not a SurfaceGrid: it is its real member plus
     the Wick rule (`family.wick_rotate`).
     """
 
     grid: ParamGrid
-    values: np.ndarray
+    values: np.ndarray = _Deferrable()
     jac: np.ndarray | None = _Deferrable()
     jac2: np.ndarray | None = _Deferrable()
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.__dict__["values"] = self._checked("values", self.values)
-        for name in ("jac", "jac2"):
+        for name in _FIELDS:
             if not callable(a := self.__dict__[name]):
                 self.__dict__[name] = self._checked(name, a)
 
     def _checked(self, name: str, a) -> np.ndarray | None:
         """a, checked and read-only, as this surface's array `name`, or None."""
         if a is None:
+            if name == "values":
+                raise GridError("a surface needs its values")
             return None
         slots, what = _FIELDS[name]
         a = np.ascontiguousarray(a, dtype=complex if np.iscomplexobj(a) else np.float64)
@@ -306,24 +308,26 @@ def laplacian(surface: SurfaceGrid, component: str, accuracy: int = 2) -> np.nda
     return f_rr + f_r * (1.0 / rho) + f_pp * (1.0 / rho ** 2)
 
 
+# The Cauchy-Riemann slot rule, for holomorphic f with d/dr1 slot z = f' or f'':
+# row j is slot j of jac (d/dr1, d/dr2) or jac2 (d11, d12, d22), a multiple of
+# z, and the parts of it that Re f and Im f take, as (sign, 0: Re z, 1: Im z).
+_CR_SLOTS = (((1.0, 0), (1.0, 1)),     # z:    Re z,  Im z
+             ((-1.0, 1), (1.0, 0)),    # i z: -Im z,  Re z
+             ((-1.0, 0), (-1.0, 1)))   # -z:  -Re z, -Im z
+
+
 def cauchy_riemann_jacs(d1, d2, parts) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (jac, jac2) of components c_k = Re f_k or Im f_k.
 
     d1[k], d2[k] are the complex derivatives f_k', f_k'' of holomorphic f_k at
-    the nodes; parts[k] is "re" or "im".  By Cauchy-Riemann
-    d(Re f)/dr1 = Re f', d(Re f)/dr2 = -Im f', and (d11, d12, d22) of Re f are
-    (Re f'', -Im f'', -Re f''); for Im f swap Re and Im with the sign rules.
+    the nodes; parts[k] is "re" or "im".  Each slot is a signed part of
+    f_k' or f_k'' (`_CR_SLOTS`).
     """
-    shape = np.shape(d1[0])
-    jac = np.empty((3, 2) + shape)
-    jac2 = np.empty((3, 3) + shape)
-    for k, (f1, f2, part) in enumerate(zip(d1, d2, parts)):
-        if part == "re":
-            jac[k, 0], jac[k, 1] = f1.real, -f1.imag
-            jac2[k, 0], jac2[k, 1], jac2[k, 2] = f2.real, -f2.imag, -f2.real
-        else:
-            jac[k, 0], jac[k, 1] = f1.imag, f1.real
-            jac2[k, 0], jac2[k, 1], jac2[k, 2] = f2.imag, f2.real, -f2.imag
+    jac, jac2 = (np.empty((3, slots) + np.shape(d1[0])) for slots in (2, 3))
+    for out, d in ((jac, d1), (jac2, d2)):
+        for k, j in np.ndindex(out.shape[:2]):
+            sign, re_im = _CR_SLOTS[j][parts[k] == "im"]
+            np.multiply(sign, d[k].imag if re_im else d[k].real, out=out[k, j])
     return jac, jac2
 
 

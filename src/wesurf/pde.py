@@ -11,7 +11,8 @@ S_theta's patch is the Wick substitution of its real member's patch
 arithmetic.  Second partials differentiate the (phi_x, phi_t) fields on the
 grid and apply the inverse Jacobian again, so they inherit the
 finite-difference step dependence even when the first derivatives are
-analytic.
+analytic.  The chain rule is its formulas as float64 numpy expressions
+(README, Numerical notes).
 
 Also here: the Lorentz boost (cosh, sinh matrix) under which the Born-Infeld
 equation is invariant, applied to patches by transforming coordinates and
@@ -118,20 +119,6 @@ def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
     return out
 
 
-def _sum_of_products(out: np.ndarray, tmp: np.ndarray, first, *terms) -> np.ndarray:
-    """a b, then (op, c, d) terms: out = op(out, c d), left to right.
-
-    The first product is written into `out` and every later one into `tmp`,
-    then added to or subtracted from `out` in place.  Each operation keeps
-    the expression's operand order, so the bits do not depend on numpy's
-    temporary elision (README, Numerical notes).
-    """
-    np.multiply(*first, out=out)
-    for op, c, d in terms:
-        op(out, np.multiply(c, d, out=tmp), out=out)
-    return out
-
-
 def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
                         accuracy: int = 2, second_source: str = "fd",
                         cond_cutoff: float = DEFAULT_COND_CUTOFF) -> NonparametricPatch:
@@ -148,66 +135,41 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
     analytic when available.  Graph slopes of W-E charts diverge toward
     |r| = 1, which is where the fd route loses accuracy first.
 
-    The determinant, the solves and the quotient-rule sums are formed in
-    place (`_sum_of_products`), in the operand order of their expressions
-    (README, Numerical notes).  Overflow is not warned about: the scan of
-    the outputs raises PDEError at a retained node.
+    Each quotient is a product with inv = 1 / det_safe (README, Numerical
+    notes).  Overflow is not warned about: the scan of the outputs raises
+    PDEError at a retained node.
     """
-    jac = surface_jacobian(s, first_source, accuracy)
+    (x1, x2), (t1, t2), (p1, p2) = surface_jacobian(s, first_source, accuracy)
     if second_source not in ("fd", "analytic", "auto"):
         raise PDEError(f"unknown second_source {second_source!r}")
     analytic = second_source == "analytic" or (second_source == "auto" and s.jac2 is not None)
     if analytic and s.jac2 is None:
         raise PDEError("surface carries no analytic second derivatives")
 
-    # every quotient is a product with inv = 1 / det_safe (README, Numerical notes)
-    (x1, x2), (t1, t2), (p1, p2) = jac
-    dtype = np.result_type(jac, *((s.jac2,) if analytic else ()))
-
-    def new():
-        return np.empty(x1.shape, dtype)
-
-    def solve(f1, f2, out1, out2):
-        for out, terms in ((out1, ((t2, f1), (np.subtract, t1, f2))),
-                           (out2, ((x1, f2), (np.subtract, x2, f1)))):
-            _sum_of_products(out, tmp, *terms)
-            out *= inv
-        return out1, out2
-
     with np.errstate(over="ignore", invalid="ignore"):
-        tmp = new()
-        det = _sum_of_products(new(), tmp, (x1, t2), (np.subtract, x2, t1))
-        abs_det = np.abs(det)
-        bad = abs_det < DET_FLOOR
-        np.copyto(det, 1.0, where=bad)  # det becomes det_safe
-        np.copyto(abs_det, 1.0, where=bad)
-        ax1, ax2, at1, at2 = (np.abs(v) for v in (x1, x2, t1, t2))
-        norm_j = np.maximum(ax1 + ax2, at1 + at2)
-        norm_inv = np.maximum(at2 + ax2, at1 + ax1) / abs_det
+        det = x1 * t2 - x2 * t1
+        bad = np.abs(det) < DET_FLOOR
+        det_safe = np.where(bad, 1.0, det)
+        norm_j = np.maximum(np.abs(x1) + np.abs(x2), np.abs(t1) + np.abs(t2))
+        norm_inv = np.maximum(np.abs(t2) + np.abs(x2), np.abs(t1) + np.abs(x1)) / np.abs(det_safe)
         bad |= norm_j * norm_inv > cond_cutoff
-        del ax1, ax2, at1, at2, abs_det, norm_j, norm_inv
-        inv = np.divide(1.0, det, out=det)
+        inv = 1.0 / det_safe
 
-        phi_x, phi_t = solve(p1, p2, new(), new())
+        def solve(f1, f2):
+            return (t2 * f1 - t1 * f2) * inv, (x1 * f2 - x2 * f1) * inv
+
+        phi_x, phi_t = solve(p1, p2)
         if analytic:
             # d_i of the solved gradient fields, by quotient rule on exact data
             (x11, x12, x22), (t11, t12, t22), (p11, p12, p22) = s.jac2
-            ddet = new()
             partials = []
             for dx1, dx2, dt1, dt2, dp1, dp2 in ((x11, x12, t11, t12, p11, p12),
                                                  (x12, x22, t12, t22, p12, p22)):
-                _sum_of_products(ddet, tmp, (dx1, t2), (np.add, x1, dt2),
-                                 (np.subtract, dx2, t1), (np.subtract, x2, dt1))
-                # (dnum_x - phi_x ddet) inv and (dnum_t - phi_t ddet) inv
-                a = _sum_of_products(new(), tmp, (dt2, p1), (np.add, t2, dp1),
-                                     (np.subtract, dt1, p2), (np.subtract, t1, dp2),
-                                     (np.subtract, phi_x, ddet))
-                b = _sum_of_products(new(), tmp, (dx1, p2), (np.add, x1, dp2),
-                                     (np.subtract, dx2, p1), (np.subtract, x2, dp1),
-                                     (np.subtract, phi_t, ddet))
-                a *= inv
-                b *= inv
-                partials.append((a, b))
+                ddet = dx1 * t2 + x1 * dt2 - dx2 * t1 - x2 * dt1
+                dnum_x = dt2 * p1 + t2 * dp1 - dt1 * p2 - t1 * dp2
+                dnum_t = dx1 * p2 + x1 * dp2 - dx2 * p1 - x2 * dp1
+                partials.append(((dnum_x - phi_x * ddet) * inv,
+                                 (dnum_t - phi_t * ddet) * inv))
             (a1, b1), (a2, b2) = partials
             valid = ~bad
         else:
@@ -216,10 +178,9 @@ def chain_rule_partials(s: SurfaceGrid, first_source: str = "auto",
             b1 = array_derivative(s.grid, phi_t, "r1", 1, accuracy)
             b2 = array_derivative(s.grid, phi_t, "r2", 1, accuracy)
             valid = ~_dilate(bad, accuracy + 1)  # stencil window reach, incl. one-sided edges
-        phi_xx, phi_xt = solve(a1, a2, new(), ddet if analytic else new())
-        phi_tx, phi_tt = solve(b1, b2, a1, a2)  # a1 and a2 are free
-        phi_xt += phi_tx
-        np.multiply(0.5, phi_xt, out=phi_xt)
+        phi_xx, phi_xt = solve(a1, a2)
+        phi_tx, phi_tt = solve(b1, b2)
+        phi_xt = 0.5 * (phi_xt + phi_tx)
     return _derived_patch(
         valid, dict(x=s.x, t=s.t, phi=s.phi),  # read-only views of the validated surface
         phi_x=phi_x, phi_t=phi_t, phi_xx=phi_xx, phi_xt=phi_xt, phi_tt=phi_tt)

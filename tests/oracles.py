@@ -15,8 +15,7 @@ from wesurf.catalog import singularity_points
 from wesurf.family import _cos_sin
 from wesurf.generate import GenerateError, WEData, _integrand, _node_derivatives
 from wesurf.geometry import ThetaInvarianceReport
-from wesurf.grids import (ParamGrid, SurfaceGrid, array_derivative, cauchy_riemann_jacs,
-                          surface_jacobian)
+from wesurf.grids import ParamGrid, SurfaceGrid, array_derivative, surface_jacobian
 from wesurf.hodograph import REAL_IMAG_TOL, FGPair, HodographError, fg_integrals
 from wesurf.io_export import _faces
 from wesurf import quadrature
@@ -190,11 +189,10 @@ def member_residuals(fam, theta: float,
 
 def chain_rule_partials_expr(s, second_source: str,
                              cond_cutoff: float = DEFAULT_COND_CUTOFF) -> NonparametricPatch:
-    """`pde.chain_rule_partials` in the expression form it had before its
-    sums were formed in place: numpy temporaries, whose elision for
-    operands of 256 KiB or more decides where each result is written.  The
-    reference for the in-place form's bits; accuracy 2, first derivatives
-    from `s.jac` when it has them."""
+    """`pde.chain_rule_partials`'s formulas, frozen here as the bit
+    reference of the kernel: numpy temporaries, whose elision for operands
+    of 256 KiB or more decides where each result is written; accuracy 2,
+    first derivatives from `s.jac` when it has them."""
     jac = surface_jacobian(s, "auto", 2)
     (x1, x2), (t1, t2), (p1, p2) = jac
     det = x1 * t2 - x2 * t1
@@ -386,6 +384,28 @@ def pair_values(data: WEData, grid: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
     return _complex_values(data, phi, "re"), _complex_values(data, phi, "im")
 
 
+def cauchy_riemann_jacs(d1, d2, parts) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic (jac, jac2) of components c_k = Re f_k or Im f_k, each slot
+    written out: the reference for the slot table `grids._CR_SLOTS`.
+
+    d1[k], d2[k] are the complex derivatives f_k', f_k'' of holomorphic f_k at
+    the nodes; parts[k] is "re" or "im".  By Cauchy-Riemann
+    d(Re f)/dr1 = Re f', d(Re f)/dr2 = -Im f', and (d11, d12, d22) of Re f are
+    (Re f'', -Im f'', -Re f''); for Im f swap Re and Im with the sign rules.
+    """
+    shape = np.shape(d1[0])
+    jac = np.empty((3, 2) + shape)
+    jac2 = np.empty((3, 3) + shape)
+    for k, (f1, f2, part) in enumerate(zip(d1, d2, parts)):
+        if part == "re":
+            jac[k, 0], jac[k, 1] = f1.real, -f1.imag
+            jac2[k, 0], jac2[k, 1], jac2[k, 2] = f2.real, -f2.imag, -f2.real
+        else:
+            jac[k, 0], jac[k, 1] = f1.imag, f1.real
+            jac2[k, 0], jac2[k, 1], jac2[k, 2] = f2.imag, f2.real, -f2.imag
+    return jac, jac2
+
+
 def _assemble(data: WEData, grid: ParamGrid, phi, dphi, ddphi, part: str) -> SurfaceGrid:
     """The surface Re(Phi) (part "re") or its conjugate Im(Phi) (part "im")."""
     jac, jac2 = cauchy_riemann_jacs(dphi, ddphi, (part,) * 3)
@@ -408,7 +428,7 @@ def complex_of(parts) -> np.ndarray:
 def pair_members(data: WEData, grid: ParamGrid) -> tuple[SurfaceGrid, SurfaceGrid]:
     """(X, Y) = (Re Phi, Im Phi) as two real surfaces, every derivative slot
     by `cauchy_riemann_jacs`: the reference for the packed family of
-    `generate_conjugate_pair`, which builds its slots by `_SLOT_PARTS`.
+    `generate_conjugate_pair`, which builds its slots by `grids._CR_SLOTS`.
     """
     phi = _phi(data, grid)
     # the d/dr1 slots Phi', Phi'' of the whole grid, t not negated

@@ -218,13 +218,17 @@ def test_readers_of_values_build_no_derivative(tmp_path, made, scans, builds, hc
 def test_first_read_of_jac_builds_it_once_read_only(made, scans):
     fam, reads = _spied_source(ws.generate_conjugate_pair(ws.we_data("catenoid"),
                                                           ws.verification_grid("catenoid")))
-    m = fam.at(0.7).member
     scans.clear()
+    m = fam.at(0.7).member
+    assert (reads, made, scans) == ([], [], [])  # no field is built before its read
     assert m.jac is m.jac and not m.jac.flags.writeable
-    assert reads == [slice(None)] and made == ["values", "jac"]
+    assert reads == [slice(None)] and made == ["jac"]
     assert scans == [fam.grid.shape] * 2 + [m.jac.shape]  # R(r), R'(r), then jac
+    assert m.values is m.values and not m.values.flags.writeable
+    assert reads == [slice(None)] and made == ["jac", "values"]
+    assert scans[3:] == [m.values.shape]
     assert m.jac2 is m.jac2 and not m.jac2.flags.writeable
-    assert reads == [slice(None)] and made == ["values", "jac", "jac2"]  # the read is shared
+    assert reads == [slice(None)] and made == ["jac", "values", "jac2"]  # the read is shared
     X, Y = fam
     assert reads == [slice(None)]
     X.jac, Y.jac2

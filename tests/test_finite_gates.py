@@ -166,11 +166,11 @@ def test_member_and_wick_substitute_keep_bits_without_a_scan(enneper_family, sca
 
 
 def test_each_band_scans_each_array_once(monkeypatch, scans):
-    # per band of family-verify's sweep: each theta's member has its values
-    # scanned when `at` makes it and its jac when the form first reads it,
-    # and R(r) and R'(r) are evaluated, and scanned, once per band, at the
-    # first read of its first theta's jac.  Then X and Y, one after the
-    # other: the values when the member is made, its jac and jac2 when the
+    # per band of family-verify's sweep: each theta's member has its jac
+    # scanned when the form first reads it, and its values, which nothing
+    # there reads, are never built; R(r) and R'(r) are evaluated, and
+    # scanned, once per band, at the first read of its first theta's jac.
+    # Then X and Y, one after the other: the values, jac and jac2 when the
     # chain rule reads them, the five partials it derives, and the seven
     # boosted fields; the shared x, t and phi, and the band's R and R', are
     # not scanned again
@@ -192,7 +192,7 @@ def test_each_band_scans_each_array_once(monkeypatch, scans):
     ws.theta_sweep_invariance(fam, (0.0, 0.7), per_band=check_band)
     bands = grids._row_bands(*fam.grid.shape)
     assert len(bands) > 1
-    assert per_band == [((2 + 2) + 2, 3 + 5, 7, 3 + 5, 7)] * len(bands)
+    assert per_band == [(2 + 2, 3 + 5, 7, 3 + 5, 7)] * len(bands)
 
 
 def test_boost_that_overflows_still_raises():

@@ -6,6 +6,7 @@ import wesurf as ws
 from wesurf.grids import GridError
 from wesurf.stencils import axis_derivative, interior_mask
 
+import oracles
 from oracles import surface_from_components, with_values
 
 
@@ -87,6 +88,33 @@ def test_real_surface_is_float64(field):
     z.flat[3] = complex(z.flat[3].real, 5e-324)
     with pytest.raises(GridError, match="imaginary part"):
         ws.SurfaceGrid(s.grid, **{**arrays, field: z})
+
+
+def test_surface_needs_its_values():
+    # values may be deferred like jac and jac2, but not missing: a surface
+    # without them is refused when made, a builder of none at its read
+    grid = ws.default_annulus(0.4, 0.9, 5, 7)
+    with pytest.raises(GridError, match="needs its values"):
+        ws.SurfaceGrid(grid)
+    s = ws.SurfaceGrid(grid, lambda: None)
+    with pytest.raises(GridError, match="needs its values"):
+        s.values
+    with pytest.raises(GridError, match="shape"):
+        ws.SurfaceGrid(grid, lambda: np.zeros((3, 5, 6))).x
+
+
+def test_cauchy_riemann_table_has_the_slots_written_out():
+    # random parts of both signs, and zeros of both signs: a wrong sign or
+    # part in the table moves bits
+    rng = np.random.default_rng(3)
+    d = [rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5)) for _ in range(6)]
+    for z in d:
+        z.flat[:4] = (complex(0.0, -0.0), complex(-0.0, 0.0), 0.0, complex(-0.0, -0.0))
+    for parts in (("re", "im", "re"), ("im", "re", "im")):
+        got = ws.grids.cauchy_riemann_jacs(d[:3], d[3:], parts)
+        want = oracles.cauchy_riemann_jacs(d[:3], d[3:], parts)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), parts
 
 
 def test_with_values_drops_omitted_derivatives():

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
-from wesurf import cli, family, geometry, grids, pde
+from wesurf import cli, geometry, grids, pde
 from wesurf.cli import main
 from wesurf.family import _cos_sin, wick_rotate
 from wesurf.io_export import SCHEMA, export_mesh, write_surface_csv, write_surface_table
@@ -521,27 +522,32 @@ def test_cli_family_verify_fails_a_flipped_slot_sign(tmp_path, capsys, monkeypat
     # one sign of the Cauchy-Riemann spread of Phi' and Phi'' wrong: in the
     # values' and d/dr1 slot or the d22 slot it breaks the PDE; in the d/dr2
     # and d12 slot, the first form
-    parts = [list(p) for p in family._SLOT_PARTS]
+    parts = [list(p) for p in grids._CR_SLOTS]
     sign, re_im = parts[slot][part]
     parts[slot][part] = (-sign, re_im)
-    monkeypatch.setattr(family, "_SLOT_PARTS", tuple(map(tuple, parts)))
+    monkeypatch.setattr(grids, "_CR_SLOTS", tuple(map(tuple, parts)))
     assert main(["family-verify", "--formats", "csv", "--out", str(tmp_path)]) == 1
     failed = _failed_gates(capsys.readouterr().out)
     assert failed >= ({"max_f_abs", "action_rel_spread"} if slot == 1 else PDE_GATES)
 
 
+# the last four of the five products in each quotient-rule sum for the
+# solved gradient's derivatives, phi_x's and phi_t's
+QUOTIENT_RULE_TERMS = ((" + t2 * dp1", " + x1 * dp2"), (" - dt1 * p2", " - dx2 * p1"),
+                       (" - t1 * dp2", " - x2 * dp1"), (" - phi_x * ddet", " - phi_t * ddet"))
+
+
 @pytest.mark.parametrize("term", range(4))
 def test_cli_family_verify_fails_a_dropped_quotient_rule_term(tmp_path, capsys, monkeypatch,
                                                               term):
-    # the quotient rule's sums for the solved gradient's derivatives are the
-    # chain rule's only sums of five products: drop one of the last four
-    sums = pde._sum_of_products
-
-    def dropped(out, tmp, first, *terms):
-        if len(terms) == 4:
-            terms = terms[:term] + terms[term + 1:]
-        return sums(out, tmp, first, *terms)
-    monkeypatch.setattr(pde, "_sum_of_products", dropped)
+    # a copy of the chain rule's source with one term of each sum dropped
+    src = inspect.getsource(pde.chain_rule_partials)
+    for dropped in QUOTIENT_RULE_TERMS[term]:
+        assert src.count(dropped) == 1, dropped
+        src = src.replace(dropped, "")
+    namespace = dict(vars(pde))
+    exec(compile(src, pde.__file__, "exec"), namespace)
+    monkeypatch.setattr(cli, "chain_rule_partials", namespace["chain_rule_partials"])
     assert main(["family-verify", "--formats", "csv", "--out", str(tmp_path)]) == 1
     assert _failed_gates(capsys.readouterr().out) == PDE_GATES
 
@@ -696,10 +702,26 @@ def test_cli_generate_breach_names_the_row(tmp_path, capsys):
     assert "tolerance breach: isothermal_defect nan" in capsys.readouterr().err
 
 
-def test_cli_generate_nan_cr_defect_fails(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "conjugacy_violation", lambda *args, **kwargs: math.nan)
-    assert main(["generate", "--formats", "csv", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "tolerance breach: cr_defect nan (tol 1.0e-06)\n"
+# each tolerance setting: a run on default input that it gates, and the
+# quantity that breaches it at 1e-300.  A setting that no check enforces
+# would exit 0 there.
+LIVE_TOLERANCES = {
+    "resid_tol": (["residuals"], "minimal"),
+    "dev_tol": (["generate", "--formats", "csv"], "isothermal_defect"),
+    "f_tol": (["family-verify", "--formats", "csv"], "max_f_abs"),
+    "action_rel_tol": (["family-verify", "--formats", "csv"], "action_rel_spread"),
+    "boost_tol": (["boost-check"], "delta"),
+    "comp_tol": (["boost-check"], "composition_error"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_TOLERANCES))
+def test_every_tolerance_setting_is_enforced(tmp_path, capsys, name):
+    assert set(LIVE_TOLERANCES) == set(cli.TOLERANCES)
+    argv, quantity = LIVE_TOLERANCES[name]
+    assert main([*argv, f"--{name.replace('_', '-')}", "1e-300", "--out", str(tmp_path)]) == 1
+    breaches = _BREACH.findall(capsys.readouterr().err)
+    assert breaches and all(b.endswith(quantity) for b in breaches), breaches
 
 
 def test_cli_residuals_breach_names_the_residual(tmp_path, capsys):
