@@ -32,10 +32,10 @@ chain, then all angular or vertical chains) streams in groups of whole
 chains, about _BLOCK_NODES nodes each: a group is integrated, cumulated
 and written straight into its rows of the output.  Besides the waypoints
 and the order pass's transient distances, the output is the only
-grid-sized array.  Each chain family runs the smallest order in
-_CHAIN_ORDERS whose Gauss error bound on the Bernstein ellipse through the
-nearest declared singularity is negligible; a family with no declared
-singularity runs the largest.  One pass over the distances from each
+grid-sized array.  Each chain family runs the smallest order from 2 to 32
+(_CHAIN_ORDERS) whose Gauss error bound on the Bernstein ellipse through
+the nearest declared singularity is negligible; a family with no declared
+singularity runs 32 points.  One pass over the distances from each
 singularity to the segments' ends checks the exclusion radius and picks
 the order (see `_chain_order`).  For holomorphic f the values are path
 independent on simply connected domains; on annuli the fixed family makes
@@ -56,10 +56,10 @@ from .stencils import all_finite, fixed_order_dot
 EXCLUSION_FRACTION = 1e-3  # exclusion radius = fraction * path length
 _ARC_MAX_STEP = 0.2        # max angular chord (radians) on annulus sweeps
 _BLOCK_NODES = 1 << 15     # quadrature nodes evaluated per integrand call
-_CHAIN_ORDERS = (8, 16, 32)  # Gauss-Legendre orders a grid chain may run
+_CHAIN_ORDERS = tuple(range(2, 33))  # Gauss-Legendre orders a grid chain may run
 # Gauss error bound a chain's order must meet, per unit of max |f| on the
 # ellipse; that maximum is unknown, and six decades below round-off keep
-# poles up to order 6 at the 32-point rule's accuracy
+# poles up to order 6 at the 32-point rule's accuracy whichever order runs
 _CHAIN_TOL = 1e-22
 # relative margin on the exclusion radius and on rho within which the fused
 # distance pass defers to the exact projection distance and Joukowski rho
@@ -80,17 +80,21 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
     The two central weights are nudged by ulps, symmetrically, until the
     weights' `fixed_order_dot` is exactly 2, so constant integrands integrate
-    exactly.  The nudge is far below the rule's own truncation error.
+    exactly.  Where a step carries the sum over 2 (orders 23 and 30), the
+    last weight takes 2 minus the others' sum instead: a few ulps of 2.
     """
     xi, w = np.polynomial.legendre.leggauss(order)
     mid = [(order - 1) // 2, order // 2]
     for _ in range(64):
         total = fixed_order_dot(w, np.ones(order))
         if total == 2.0:
-            w.flags.writeable = False
-            return xi, w
+            break
         w[mid] = np.nextafter(w[mid], np.inf if total < 2.0 else -np.inf)
-    raise QuadratureError(f"cannot normalise the {order}-point rule")  # pragma: no cover
+    else:  # the nudge steps over 2: the last term of the sum takes the rest
+        w = np.polynomial.legendre.leggauss(order)[1]
+        w[-1] = 2.0 - fixed_order_dot(w[:-1], np.ones(order - 1))  # exact (Sterbenz)
+    w.flags.writeable = False
+    return xi, w
 
 
 def _segment_singularity_distance(z0: np.ndarray, z1: np.ndarray,
@@ -152,9 +156,9 @@ def _segment_integrals(f, z0: np.ndarray, z1: np.ndarray, order: int) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def _order_for(rho: float) -> int:
-    """Smallest order in _CHAIN_ORDERS whose Gauss error bound at Bernstein
-    parameter rho is below _CHAIN_TOL: (64/15) rho^(-2n) / (rho^2 - 1)
-    (Trefethen, ATAP Thm 19.3).  Non-increasing in rho."""
+    """Smallest order n in _CHAIN_ORDERS (2 to 32) whose Gauss error bound at
+    Bernstein parameter rho, (64/15) rho^(-2n) / (rho^2 - 1) (Trefethen, ATAP
+    Thm 19.3), is below _CHAIN_TOL; else 32.  Non-increasing in rho."""
     for n in _CHAIN_ORDERS[:-1]:
         if rho > 1 and 64 / 15 * rho ** -(2 * n) / (rho * rho - 1) < _CHAIN_TOL:
             return n

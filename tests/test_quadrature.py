@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import subprocess
@@ -10,10 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wesurf as ws
-from wesurf import quadrature
+from wesurf import hodograph, quadrature
 from wesurf.catalog import BranchRegionError, singularity_points
+from wesurf.family import _cos_sin
 from wesurf.generate import _integrand
 from wesurf.quadrature import PathNearSingularity, QuadratureError, _segment_integrals
+from wesurf.stencils import fixed_order_dot
 
 from oracles import antiderivative_on_grid_columns, chain_order_direct, cumulative_chain_columns
 
@@ -50,6 +53,37 @@ def test_constant_integrand_exact_for_every_order(order):
     z1 = np.array([1.0 + 1.0j, 0.55 - 0.2j, 2.5j, 0.9 - 0.6j])
     got = _segment_integrals(lambda w: np.ones_like(w), z0, z1, order)
     assert np.array_equal(got, z1 - z0)
+
+
+def _central_nudge(order):
+    """leggauss's weights with the two central ones nudged by ulps,
+    symmetrically, until their fixed-order sum is 2; None if 64 nudges do
+    not reach it.  The normalisation that the 8-, 16- and 32-point rules had
+    when they were the only orders."""
+    w = np.polynomial.legendre.leggauss(order)[1]
+    mid = [(order - 1) // 2, order // 2]
+    for _ in range(64):
+        total = fixed_order_dot(w, np.ones(order))
+        if total == 2.0:
+            return w
+        w[mid] = np.nextafter(w[mid], np.inf if total < 2.0 else -np.inf)
+    return None
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_rules_normalised_by_the_central_nudge_keep_their_bits(order):
+    # a chain that stays on 8, 16 or 32 points keeps its bits
+    assert quadrature._gl_rule(order)[1].tobytes() == _central_nudge(order).tobytes()
+
+
+@pytest.mark.parametrize("order", [23, 30])
+def test_rules_the_central_nudge_steps_over_put_the_rest_in_the_last_weight(order):
+    # one central ulp carries the sum from below 2 to above it
+    xi, w = np.polynomial.legendre.leggauss(order)
+    assert _central_nudge(order) is None
+    got = quadrature._gl_rule(order)
+    assert np.array_equal(got[0], xi) and np.array_equal(got[1][:-1], w[:-1])
+    assert abs(got[1][-1] - w[-1]) <= 4 * np.spacing(2.0)
 
 
 # block sizes in nodes: 7 segments of the 32-point rule (28 of the 8-point
@@ -172,13 +206,90 @@ def test_chain_orders_match_32_point_oracle_near_the_pole(monkeypatch, sid):
     assert np.max(np.abs(shipped - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
+def _bound_order(rho):
+    """Smallest n from 2 to 32 whose Gauss bound (64/15) rho^(-2n) / (rho^2 - 1)
+    (Trefethen, ATAP Thm 19.3) is below 1e-22, else 32: the rule written out
+    here, not read from the module."""
+    return next((n for n in range(2, 33) if 64 / 15 * rho ** (-2 * n) / (rho * rho - 1) < 1e-22),
+                32)
+
+
+def _continued_log(mp, w, psi):
+    """log w on the branch that the angular chain continues to the angle psi."""
+    log = mp.log(w)
+    return log + 2j * mp.pi * round((psi - float(mp.im(log))) / (2 * math.pi))
+
+
+def _catenoid_exact(mp, w, psi):
+    """int_1^w of the catenoid integrand ((1 - w^2) R, i (1 + w^2) R, 2 w R),
+    R = 1 / (2 w^2)."""
+    return (1 - 1 / (2 * w) - w / 2, 1j * (w / 2 - 1 / (2 * w)), _continued_log(mp, w, psi))
+
+
+def _fg_exact(mp, w, psi):
+    """int_base^w of (s^2 F', s F') for the F/G sweep's F' = k / s^2,
+    k = -(sin 0.7 + i cos 0.7) / 2, base 0.4."""
+    c, s = _cos_sin(0.7)
+    k = -(mp.mpf(s) + 1j * mp.mpf(c)) / 2
+    return k * (w - mp.mpf(0.4)), k * (_continued_log(mp, w, psi) - mp.log(mp.mpf(0.4)))
+
+
+def _exact_oracle_case(case, monkeypatch):
+    """(antiderivative values, grid, closed form) of one case."""
+    if case == "fg-256":
+        swept = []
+        sweep = hodograph.antiderivative_on_grid
+        monkeypatch.setattr(hodograph, "antiderivative_on_grid",
+                            lambda *args: swept.append(sweep(*args)) or swept[-1])
+        annulus = ws.ParamGrid("annulus", 256, 256, (0.4, 0.9, 0.0, 2 * np.pi))
+        pair = ws.family_fg(ws.helicoid_fg(), ws.catenoid_fg(), 0.7)
+        ws.fg_integrals(pair, annulus, complex(annulus.nodes()[0, 0]), [0.0])
+        return swept[0], annulus, _fg_exact
+    n = int(case.split("-")[1])
+    data = ws.we_data("catenoid")
+    annulus = ws.default_annulus(0.4, 0.9, n, n)
+    return (ws.antiderivative_on_grid(_integrand(data.R), data.base, annulus, [0.0]),
+            annulus, _catenoid_exact)
+
+
+# largest forward error over the sampled nodes, in eps of max(1, |value|):
+# 18.4 (catenoid-512), 14.7 (catenoid-256) and 7.8 (fg-256) with the shipped
+# orders (7/4, 7/5 and 3/5 points), 20.2, 13.0 and 7.0 when the orders came
+# from 8, 16 and 32 alone; cumulative round-off along the chains sets it,
+# not the rules' truncation
+EXACT_ORACLE_EPS = 24
+
+
+@pytest.mark.parametrize("case", ["catenoid-256", "catenoid-512", "fg-256"])
+def test_shipped_orders_match_closed_form_antiderivatives(monkeypatch, case):
+    # exact values at 30 digits: unlike the 32-point oracle, they share no
+    # path, weight normalisation or cumulative sum with the shipped route
+    mpmath = pytest.importorskip("mpmath")
+    got, grid, exact = _exact_oracle_case(case, monkeypatch)
+    rng = np.random.default_rng(35)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for i, j in zip(rng.integers(0, grid.n1, 200), rng.integers(0, grid.n2, 200)):
+            node = complex(grid.axis1[i] * np.exp(1j * grid.axis2[j]))  # the grid's node
+            want = exact(mpmath, mpmath.mpc(node.real, node.imag), float(grid.axis2[j]))
+            for value, ref in zip(got[:, i, j], want, strict=True):
+                err = abs(mpmath.mpc(value.real, value.imag) - ref)
+                worst = max(worst, float(err / max(1, abs(ref))) / np.finfo(float).eps)
+    assert worst <= EXACT_ORACLE_EPS, f"{worst:.1f} eps"
+
+
 def test_chain_order_from_bernstein_bound():
     z = np.linspace(0.0, 1.0, 11)  # ten segments of length h = 0.1
     z0, z1 = z[:-1], z[1:]
     order = lambda sing: quadrature._chain_order(z0, z1, sing, 1e-3)
-    assert order([0.55 + 0.05j]) == 32  # half a segment length off the chain
-    assert order([0.55 + 0.3j]) == 16   # three segment lengths
-    assert order([0.55 + 2.0j]) == 8
+    # s = 0.55 + iy, abeam the middle of the segment [0.5, 0.6], lies on its
+    # Bernstein ellipse of rho = v + sqrt(v^2 + 1), v = y / 0.05; the other
+    # segments' ellipses through s are larger
+    for y, want in [(0.05, 29), (0.1, 18), (0.3, 10), (1.0, 7), (2.0, 5), (10.0, 4),
+                    (40.0, 3), (200.0, 2)]:
+        v = y / 0.05
+        assert _bound_order(v + math.sqrt(v * v + 1)) == want
+        assert order([0.55 + 1j * y]) == want, y
     assert order([]) == 32  # no declared singularity: the largest order
 
 
@@ -197,9 +308,18 @@ def test_zero_length_segments_do_not_enter_the_order(monkeypatch):
     # a moving chain next to one that stays at 0.5 (all segments zero length)
     pts = np.stack([radii, np.full_like(radii, 0.5)]).astype(complex)
     cum = quadrature._chains(lambda w: 1.0 / w, pts, 0, np.arange(len(radii)), [0.0], 1e-3)
-    assert used == [8]
+    # the nearest moving segment to the pole, [0.4, 0.45], has a = 0.85 / 0.05
+    assert used == [_bound_order(17 + math.sqrt(17 ** 2 - 1))] == [7]
     assert np.max(np.abs(cum[0] - np.log(radii / 0.4))) < 1e-14
     assert np.all(cum[1] == 0)
+
+
+# (radial or horizontal, angular or vertical) chain families' orders on each
+# catalog id's refine-2 verification grid and on the 256^2 F/G sweep
+SWEEP_ORDERS = {"enneper": (32, 32), "catenoid": (10, 8), "right_helicoid": (10, 8),
+                "general_helicoid": (10, 8), "scherk": (4, 4), "general_scherk": (4, 4),
+                "henneberg": (4, 3), "general_enneper": (4, 3), "schwarz_riemann": (4, 4),
+                FG_FAMILY: (3, 5)}
 
 
 def test_fused_pass_picks_the_direct_order_on_the_benchmark_sweeps(monkeypatch):
@@ -225,7 +345,8 @@ def test_fused_pass_picks_the_direct_order_on_the_benchmark_sweeps(monkeypatch):
     ws.fg_integrals(pair, annulus, complex(annulus.nodes()[0, 0]), [0.0])
     assert len(checked) == 2 * (len(CATALOG) + 1)
     assert all(got == want for got, want in checked), checked
-    assert {got for got, _ in checked} == {8, 16, 32}
+    assert [got for got, _ in checked] == [n for sid in CATALOG + [FG_FAMILY]
+                                           for n in SWEEP_ORDERS[sid]]
 
 
 def _outcome(order_fn, z0, z1, sing, radius):
@@ -255,7 +376,7 @@ def test_fused_pass_matches_the_direct_forms_on_random_chains():
         got = _outcome(quadrature._chain_order, z0, z1, sing, radius)
         assert got == _outcome(chain_order_direct, z0, z1, sing, radius)
         seen.add(got if isinstance(got, int) else "raise")
-    assert seen == {8, 16, 32, "raise"}
+    assert seen == {4, 5, 6, 13, 14, 15, 17, 20, 22, 23, 26, 28, 30, 32, "raise"}
 
 
 @pytest.mark.parametrize("factor", [1 - 1e-12, 1 + 1e-12])
@@ -279,7 +400,7 @@ def test_fused_clearance_at_the_exclusion_radius(factor, where, angle):
 
 def _threshold(order):
     """Smallest float rho at which the Gauss bound admits `order` points."""
-    lo, hi = 1.0, 1e3
+    lo, hi = 1.0, 1e5  # the 2-point rule needs rho above 5.9e3
     while np.nextafter(lo, np.inf) < hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if quadrature._order_for(mid) <= order else (mid, hi)
@@ -296,7 +417,8 @@ def _ulps_around(x, n):
 
 @pytest.mark.parametrize("segment", [(-1.0, 1.0), (0.3 + 0.1j, 0.45 + 0.23j),
                                      (0.55 + 0.3j, 0.6 + 0.3j)])
-@pytest.mark.parametrize("order,larger", [(8, 16), (16, 32)])
+@pytest.mark.parametrize("order,larger", zip(quadrature._CHAIN_ORDERS[:-1],
+                                             quadrature._CHAIN_ORDERS[1:]))
 def test_fused_order_at_the_order_thresholds(monkeypatch, order, larger, segment):
     # singularities on Bernstein ellipses a few ulps either side of a
     # threshold defer to the Joukowski form; those 3e-9 away do not
