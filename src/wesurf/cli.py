@@ -47,6 +47,7 @@ from .io_export import (export_mesh, write_report_csv, write_surface_csv,
 from .pde import (LorentzBoost, PDEError, boost, born_infeld_residual,
                   chain_rule_partials, minimal_surface_residual, wick_substitute)
 from .quadrature import QuadratureError
+from .reports import kept_max
 from .stencils import StencilError, interior_mask
 
 DEFAULT_THETAS = (0.0, 0.3, 0.7, 1.1, math.pi / 2)
@@ -286,11 +287,6 @@ def cmd_generate(cfg: RunConfig) -> int:
     return 0
 
 
-def _kept_max(residual: np.ndarray, keep: np.ndarray) -> float:
-    """max |residual| over the kept nodes; a NaN at a kept node is the result."""
-    return float(np.max(np.abs(residual), where=keep, initial=-np.inf))
-
-
 def cmd_family_verify(cfg: RunConfig) -> int:
     cfg.validate(need_thetas=True, formats=("csv", "obj"))  # csv: the report alone
     if len(cfg.rapidities) != 1:  # the boost_delta column has one rapidity
@@ -320,11 +316,11 @@ def cmd_family_verify(cfg: RunConfig) -> int:
         (r_x, rb_x), (r_y, rb_y) = residuals
         if not np.any(keep):  # a band that keeps no node has no maximum
             return
-        circle.append(_kept_max(np.hypot(r_x, r_y), keep))
+        circle.append(kept_max(np.hypot(r_x, r_y), keep))
         for k, theta in enumerate(cfg.thetas):
             c, s = _cos_sin(theta)
-            band_maxima[k].append((_kept_max(c * r_x + s * r_y, keep),
-                                   _kept_max(c * rb_x + s * rb_y, keep)))
+            band_maxima[k].append((kept_max(c * r_x + s * r_y, keep),
+                                   kept_max(c * rb_x + s * rb_y, keep)))
 
     sweep = theta_sweep_invariance(fam, cfg.thetas, per_band=check_band)
     rows = []

@@ -18,9 +18,8 @@ Generated surfaces carry their exact first derivatives: d(Re Phi_k)/dr1 is
 the integrand Phi_k'(r) evaluated at the node, no quadrature or finite
 differences involved.  The values come from `antiderivative_on_grid` with
 R's declared poles as singularities, so each quadrature chain runs the
-lowest Gauss-Legendre order from 2 to 32 that their distance allows (3 to
-10 points on the catalog's verification grids), and an R without poles
-(Enneper) runs the 32-point rule on every chain.
+fewest Gauss-Legendre points, 2 to 32, that their distance allows (4 to 11
+on the catalog's grids); an R without poles (Enneper) runs 32 everywhere.
 """
 
 from __future__ import annotations

@@ -32,10 +32,10 @@ chain, then all angular or vertical chains) streams in groups of whole
 chains, about _BLOCK_NODES nodes each: a group is integrated, cumulated
 and written straight into its rows of the output.  Besides the waypoints
 and the order pass's transient distances, the output is the only
-grid-sized array.  Each chain family runs the smallest order from 2 to 32
-(_CHAIN_ORDERS) whose Gauss error bound on the Bernstein ellipse through
-the nearest declared singularity is negligible; a family with no declared
-singularity runs 32 points.  One pass over the distances from each
+grid-sized array.  Each chain family runs the fewest points (_CHAIN_ORDERS)
+whose Gauss error bound is negligible on the Bernstein ellipse through the
+nearest declared singularity, kept within the grid's reach (`_reach_rho`);
+a family with no declared singularity runs 32.  One distance pass from each
 singularity to the segments' ends checks the exclusion radius and picks
 the order (see `_chain_order`).  For holomorphic f the values are path
 independent on simply connected domains; on annuli the fixed family makes
@@ -56,10 +56,10 @@ from .stencils import all_finite, fixed_order_dot
 EXCLUSION_FRACTION = 1e-3  # exclusion radius = fraction * path length
 _ARC_MAX_STEP = 0.2        # max angular chord (radians) on annulus sweeps
 _BLOCK_NODES = 1 << 15     # quadrature nodes evaluated per integrand call
-_CHAIN_ORDERS = tuple(range(2, 33))  # Gauss-Legendre orders a grid chain may run
+_CHAIN_ORDERS = (*range(2, 23), *range(24, 30), 31, 32)  # the rules `_gl_rule` normalises
 # Gauss error bound a chain's order must meet, per unit of max |f| on the
 # ellipse; that maximum is unknown, and six decades below round-off keep
-# poles up to order 6 at the 32-point rule's accuracy whichever order runs
+# poles up to order 6, or growth a millionfold, at the 32-point accuracy
 _CHAIN_TOL = 1e-22
 # relative margin on the exclusion radius and on rho within which the fused
 # distance pass defers to the exact projection distance and Joukowski rho
@@ -80,21 +80,17 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
     The two central weights are nudged by ulps, symmetrically, until the
     weights' `fixed_order_dot` is exactly 2, so constant integrands integrate
-    exactly.  Where a step carries the sum over 2 (orders 23 and 30), the
-    last weight takes 2 minus the others' sum instead: a few ulps of 2.
+    exactly.  The nudge is far below the rule's own truncation error.
     """
     xi, w = np.polynomial.legendre.leggauss(order)
     mid = [(order - 1) // 2, order // 2]
     for _ in range(64):
         total = fixed_order_dot(w, np.ones(order))
         if total == 2.0:
-            break
+            w.flags.writeable = False
+            return xi, w
         w[mid] = np.nextafter(w[mid], np.inf if total < 2.0 else -np.inf)
-    else:  # the nudge steps over 2: the last term of the sum takes the rest
-        w = np.polynomial.legendre.leggauss(order)[1]
-        w[-1] = 2.0 - fixed_order_dot(w[:-1], np.ones(order - 1))  # exact (Sterbenz)
-    w.flags.writeable = False
-    return xi, w
+    raise QuadratureError(f"cannot normalise the {order}-point rule")  # pragma: no cover
 
 
 def _segment_singularity_distance(z0: np.ndarray, z1: np.ndarray,
@@ -156,13 +152,20 @@ def _segment_integrals(f, z0: np.ndarray, z1: np.ndarray, order: int) -> np.ndar
 # ---------------------------------------------------------------------------
 
 def _order_for(rho: float) -> int:
-    """Smallest order n in _CHAIN_ORDERS (2 to 32) whose Gauss error bound at
-    Bernstein parameter rho, (64/15) rho^(-2n) / (rho^2 - 1) (Trefethen, ATAP
-    Thm 19.3), is below _CHAIN_TOL; else 32.  Non-increasing in rho."""
+    """Smallest order n in _CHAIN_ORDERS whose Gauss error bound at Bernstein
+    parameter rho, (64/15) rho^(2-2n) / (rho^2 - 1) (Trefethen, ATAP Thm 19.3,
+    whose I_n has n + 1 points), is below _CHAIN_TOL.  Non-increasing in rho."""
     for n in _CHAIN_ORDERS[:-1]:
-        if rho > 1 and 64 / 15 * rho ** -(2 * n) / (rho * rho - 1) < _CHAIN_TOL:
+        if rho > 1 and 64 / 15 * rho ** (2 - 2 * n) / (rho * rho - 1) < _CHAIN_TOL:
             return n
     return _CHAIN_ORDERS[-1]
+
+
+def _reach_rho(length: np.ndarray, radius: float) -> float:
+    """rho of the ellipse of semi-major axis half the path length about the
+    longest segment: a far pole says nothing of f's growth (M) farther out."""
+    a = radius / EXCLUSION_FRACTION / float(np.max(length))
+    return a + math.sqrt(max(a - 1, 0.0) * (a + 1))
 
 
 def _joukowski_rho(z0: np.ndarray, z1: np.ndarray, singularities) -> float:
@@ -193,7 +196,7 @@ def _chain_order(z0: np.ndarray, z1: np.ndarray, singularities, radius: float) -
       (A0 + A1) / 2, which is the Bernstein ellipse of parameter
       rho = a + sqrt(a^2 - 1), a = (A0 + A1) / L.  The Gauss error bound
       (`_order_for`) falls as rho grows, so the chain's smallest a over its
-      moving segments and the singularities picks the order.
+      moving segments and the singularities, within `_reach_rho`, picks it.
 
     When rho (1 -+ _BOUND_SLACK) straddles an order threshold, rounding could
     tip the choice, and the order comes from the Joukowski form of rho
@@ -217,10 +220,10 @@ def _chain_order(z0: np.ndarray, z1: np.ndarray, singularities, radius: float) -
         a = min(a, float(np.min(ratio, initial=np.inf)))
     if a == np.inf:  # no segment moves
         return _CHAIN_ORDERS[-1]
-    rho = a + math.sqrt(max(a - 1, 0.0) * (a + 1))
+    rho = min(a + math.sqrt(max(a - 1, 0.0) * (a + 1)), _reach_rho(length, radius))
     order = _order_for(rho * (1 - _BOUND_SLACK))
     if order != _order_for(rho * (1 + _BOUND_SLACK)):
-        order = _order_for(_joukowski_rho(z0, z1, singularities))
+        order = _order_for(min(_joukowski_rho(z0, z1, singularities), _reach_rho(length, radius)))
     return order
 
 

@@ -30,6 +30,11 @@ class ResidualReport:
             raise ValueError("inconsistent residual statistics (need max >= rms >= 0)")
 
 
+def kept_max(residual: np.ndarray, keep: np.ndarray) -> float:
+    """max |residual| where keep is True; a NaN there is the result."""
+    return float(np.max(np.abs(residual), where=keep, initial=-np.inf))
+
+
 def residual_report(residual: np.ndarray, mask: np.ndarray | None = None) -> ResidualReport:
     """Build a ResidualReport from a 2-D residual array; mask selects the
     retained nodes (True = keep)."""
@@ -43,9 +48,9 @@ def residual_report(residual: np.ndarray, mask: np.ndarray | None = None) -> Res
     if not kept:
         return ResidualReport(np.nan, np.nan, np.nan, 0, (-1, -1), dropped, view)
     sel = mag[mask]
+    max_abs, mean_abs = kept_max(mag, mask), float(sel.mean())
     mag[~mask] = -np.inf  # dropped nodes never win the argmax; the first NaN does
     worst = np.unravel_index(int(np.argmax(mag)), mag.shape)
-    max_abs, mean_abs = float(sel.max()), float(sel.mean())
     np.square(sel, out=sel)
     return ResidualReport(
         max_abs=max_abs,
@@ -58,4 +63,4 @@ def residual_report(residual: np.ndarray, mask: np.ndarray | None = None) -> Res
     )
 
 
-__all__ = ["ResidualReport", "residual_report"]
+__all__ = ["ResidualReport", "kept_max", "residual_report"]

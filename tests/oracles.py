@@ -24,7 +24,8 @@ from wesurf.pde import (DEFAULT_COND_CUTOFF, DET_FLOOR, LorentzBoost, Nonparamet
                         minimal_surface_residual, wick_substitute)
 from wesurf.reports import ResidualReport
 from wesurf.quadrature import (_CHAIN_ORDERS, PathNearSingularity, _joukowski_rho, _order_for,
-                               _segment_singularity_distance, antiderivative_on_grid)
+                               _reach_rho, _segment_singularity_distance,
+                               antiderivative_on_grid)
 from wesurf.stencils import axis_derivative
 
 
@@ -442,15 +443,17 @@ def chain_order_direct(z0: np.ndarray, z1: np.ndarray, singularities,
                        radius: float) -> int:
     """The grid quadrature's clearance check and chain order in their direct
     forms: the projection distance from every segment to every singularity,
-    then the Joukowski rho of every moving segment.  The reference for the
-    fused distance pass of `quadrature._chain_order`."""
+    then the Joukowski rho of every moving segment, capped at the grid's
+    reach (`quadrature._reach_rho`).  The reference for the fused distance
+    pass of `quadrature._chain_order`."""
     for s in singularities:
         if np.any(_segment_singularity_distance(z0, z1, complex(s)) < radius):
             raise PathNearSingularity(
                 f"integration path passes within {radius:.3g} of singularity {s}")
     if not len(singularities) or not np.any(z1 != z0):
         return _CHAIN_ORDERS[-1]
-    return _order_for(_joukowski_rho(z0, z1, singularities))
+    return _order_for(min(_joukowski_rho(z0, z1, singularities),
+                          _reach_rho(np.abs(z1 - z0), radius)))
 
 
 def cumulative_chain_columns(f, points: np.ndarray, base_index: int, singularities,

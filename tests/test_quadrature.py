@@ -70,20 +70,17 @@ def _central_nudge(order):
     return None
 
 
-@pytest.mark.parametrize("order", [8, 16, 32])
-def test_rules_normalised_by_the_central_nudge_keep_their_bits(order):
+@pytest.mark.parametrize("order", quadrature._CHAIN_ORDERS)
+def test_rules_keep_the_central_nudge_bits(order):
     # a chain that stays on 8, 16 or 32 points keeps its bits
     assert quadrature._gl_rule(order)[1].tobytes() == _central_nudge(order).tobytes()
 
 
-@pytest.mark.parametrize("order", [23, 30])
-def test_rules_the_central_nudge_steps_over_put_the_rest_in_the_last_weight(order):
-    # one central ulp carries the sum from below 2 to above it
-    xi, w = np.polynomial.legendre.leggauss(order)
-    assert _central_nudge(order) is None
-    got = quadrature._gl_rule(order)
-    assert np.array_equal(got[0], xi) and np.array_equal(got[1][:-1], w[:-1])
-    assert abs(got[1][-1] - w[-1]) <= 4 * np.spacing(2.0)
+def test_ladder_holds_every_order_the_central_nudge_normalises():
+    # at 23 and 30 points one central ulp carries the sum from below 2 to above it
+    nudged = [n for n in range(2, 33) if _central_nudge(n) is not None]
+    assert list(quadrature._CHAIN_ORDERS) == nudged
+    assert sorted(set(range(2, 33)) - set(nudged)) == [23, 30]
 
 
 # block sizes in nodes: 7 segments of the 32-point rule (28 of the 8-point
@@ -206,12 +203,39 @@ def test_chain_orders_match_32_point_oracle_near_the_pole(monkeypatch, sid):
     assert np.max(np.abs(shipped - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
+# custom Weierstrass-Enneper data whose one pole is far from the grid while
+# R grows short of it: (numerator, denominator, half-width of the square
+# grid centred on 0)
+FAR_POLES = {"w^8/(w-100)": ((1,) + (0,) * 8, (1, -100), 1.0),
+             "w^16/(w-100)": ((1,) + (0,) * 16, (1, -100), 1.0),
+             "1/(w-50) on [-5,5]^2": ((1,), (1, -50), 5.0)}
+# gap to the 32-point rule in eps of the largest value: at most 3.6 over
+# these cases (8 to 4 points).  Without the reach 8 of the 12 fail, up to
+# 2.1e12 eps off, when the bound also reads ATAP's (n + 1)-point I_n as
+# the n-point rule, and 5, up to 911 eps, with the reach and that misreading
+FAR_POLE_EPS = 8
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 256])
+@pytest.mark.parametrize("case", sorted(FAR_POLES))
+def test_far_pole_orders_match_the_32_point_rule(monkeypatch, case, n):
+    numerator, denominator, half = FAR_POLES[case]
+    R = ws.catalog_function("custom", numerator=numerator, denominator=denominator)
+    f, sing = _integrand(R), singularity_points(R)
+    grid = ws.ParamGrid("rectangle", n, n, (-half, half, -half, half))
+    shipped = ws.antiderivative_on_grid(f, 0.1 + 0.05j, grid, sing)
+    monkeypatch.setattr(quadrature, "_CHAIN_ORDERS", (32,))
+    oracle = ws.antiderivative_on_grid(f, 0.1 + 0.05j, grid, sing)
+    gap = np.max(np.abs(shipped - oracle)) / np.max(np.abs(oracle)) / np.finfo(float).eps
+    assert gap <= FAR_POLE_EPS, f"{gap:.1f} eps"
+
+
 def _bound_order(rho):
-    """Smallest n from 2 to 32 whose Gauss bound (64/15) rho^(-2n) / (rho^2 - 1)
-    (Trefethen, ATAP Thm 19.3) is below 1e-22, else 32: the rule written out
-    here, not read from the module."""
-    return next((n for n in range(2, 33) if 64 / 15 * rho ** (-2 * n) / (rho * rho - 1) < 1e-22),
-                32)
+    """Smallest n of the ladder whose Gauss bound (64/15) rho^(2-2n) / (rho^2 - 1)
+    is below 1e-22, else 32: Trefethen's ATAP Thm 19.3, whose I_n has n + 1
+    points, written out here, not read from the module."""
+    return next((n for n in quadrature._CHAIN_ORDERS
+                 if 64 / 15 * rho ** (2 - 2 * n) / (rho * rho - 1) < 1e-22), 32)
 
 
 def _continued_log(mp, w, psi):
@@ -253,8 +277,8 @@ def _exact_oracle_case(case, monkeypatch):
 
 
 # largest forward error over the sampled nodes, in eps of max(1, |value|):
-# 18.4 (catenoid-512), 14.7 (catenoid-256) and 7.8 (fg-256) with the shipped
-# orders (7/4, 7/5 and 3/5 points), 20.2, 13.0 and 7.0 when the orders came
+# 18.2 (catenoid-512), 14.8 (catenoid-256) and 7.7 (fg-256) with the shipped
+# orders (8/5, 8/6 and 4/6 points), 20.2, 13.0 and 7.0 when the orders came
 # from 8, 16 and 32 alone; cumulative round-off along the chains sets it,
 # not the rules' truncation
 EXACT_ORACLE_EPS = 24
@@ -281,15 +305,21 @@ def test_shipped_orders_match_closed_form_antiderivatives(monkeypatch, case):
 def test_chain_order_from_bernstein_bound():
     z = np.linspace(0.0, 1.0, 11)  # ten segments of length h = 0.1
     z0, z1 = z[:-1], z[1:]
-    order = lambda sing: quadrature._chain_order(z0, z1, sing, 1e-3)
+    order = lambda sing, radius=1e-2: quadrature._chain_order(z0, z1, sing, radius)
     # s = 0.55 + iy, abeam the middle of the segment [0.5, 0.6], lies on its
     # Bernstein ellipse of rho = v + sqrt(v^2 + 1), v = y / 0.05; the other
     # segments' ellipses through s are larger
-    for y, want in [(0.05, 29), (0.1, 18), (0.3, 10), (1.0, 7), (2.0, 5), (10.0, 4),
-                    (40.0, 3), (200.0, 2)]:
+    for y, want in [(0.05, 31), (0.1, 19), (0.3, 11), (1.0, 8), (2.0, 6), (10.0, 5),
+                    (40.0, 4), (200.0, 3)]:
         v = y / 0.05
         assert _bound_order(v + math.sqrt(v * v + 1)) == want
-        assert order([0.55 + 1j * y]) == want, y
+        # the reach: at radius 1e-2 the path length is 10, and the ellipse of
+        # semi-major axis 5 about a segment, a = 100, admits 5 points; at
+        # 1e-3 the path length is 1, a = 10, and 9 points
+        assert order([0.55 + 1j * y]) == max(want, 5) == max(
+            want, _bound_order(100 + math.sqrt(100 ** 2 - 1))), y
+        assert order([0.55 + 1j * y], 1e-3) == max(want, 9) == max(
+            want, _bound_order(10 + math.sqrt(10 ** 2 - 1))), y
     assert order([]) == 32  # no declared singularity: the largest order
 
 
@@ -309,17 +339,17 @@ def test_zero_length_segments_do_not_enter_the_order(monkeypatch):
     pts = np.stack([radii, np.full_like(radii, 0.5)]).astype(complex)
     cum = quadrature._chains(lambda w: 1.0 / w, pts, 0, np.arange(len(radii)), [0.0], 1e-3)
     # the nearest moving segment to the pole, [0.4, 0.45], has a = 0.85 / 0.05
-    assert used == [_bound_order(17 + math.sqrt(17 ** 2 - 1))] == [7]
+    assert used == [_bound_order(17 + math.sqrt(17 ** 2 - 1))] == [8]
     assert np.max(np.abs(cum[0] - np.log(radii / 0.4))) < 1e-14
     assert np.all(cum[1] == 0)
 
 
 # (radial or horizontal, angular or vertical) chain families' orders on each
 # catalog id's refine-2 verification grid and on the 256^2 F/G sweep
-SWEEP_ORDERS = {"enneper": (32, 32), "catenoid": (10, 8), "right_helicoid": (10, 8),
-                "general_helicoid": (10, 8), "scherk": (4, 4), "general_scherk": (4, 4),
-                "henneberg": (4, 3), "general_enneper": (4, 3), "schwarz_riemann": (4, 4),
-                FG_FAMILY: (3, 5)}
+SWEEP_ORDERS = {"enneper": (32, 32), "catenoid": (11, 9), "right_helicoid": (11, 9),
+                "general_helicoid": (11, 9), "scherk": (5, 5), "general_scherk": (5, 5),
+                "henneberg": (5, 5), "general_enneper": (5, 5), "schwarz_riemann": (5, 5),
+                FG_FAMILY: (4, 6)}
 
 
 def test_fused_pass_picks_the_direct_order_on_the_benchmark_sweeps(monkeypatch):
@@ -331,7 +361,7 @@ def test_fused_pass_picks_the_direct_order_on_the_benchmark_sweeps(monkeypatch):
 
     def spy(z0, z1, singularities, radius):
         order = chain_order(z0, z1, singularities, radius)
-        checked.append((order, chain_order_direct(z0, z1, sing, 0.0)))
+        checked.append((order, chain_order_direct(z0, z1, sing, radius)))
         return order
 
     monkeypatch.setattr(quadrature, "_chain_order", spy)
@@ -376,7 +406,9 @@ def test_fused_pass_matches_the_direct_forms_on_random_chains():
         got = _outcome(quadrature._chain_order, z0, z1, sing, radius)
         assert got == _outcome(chain_order_direct, z0, z1, sing, radius)
         seen.add(got if isinstance(got, int) else "raise")
-    assert seen == {4, 5, 6, 13, 14, 15, 17, 20, 22, 23, 26, 28, 30, 32, "raise"}
+    # the reach (half the path length, 1e3 radii) sets 18 of the 63 orders
+    # that a declared singularity bounds
+    assert seen == {8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 21, 24, 27, 29, 31, 32, "raise"}
 
 
 @pytest.mark.parametrize("factor", [1 - 1e-12, 1 + 1e-12])
@@ -400,7 +432,7 @@ def test_fused_clearance_at_the_exclusion_radius(factor, where, angle):
 
 def _threshold(order):
     """Smallest float rho at which the Gauss bound admits `order` points."""
-    lo, hi = 1.0, 1e5  # the 2-point rule needs rho above 5.9e3
+    lo, hi = 1.0, 1e6  # the 2-point rule needs rho above 4.6e5
     while np.nextafter(lo, np.inf) < hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if quadrature._order_for(mid) <= order else (mid, hi)
@@ -437,10 +469,12 @@ def test_fused_order_at_the_order_thresholds(monkeypatch, order, larger, segment
     for rho, near in ([(r, True) for r in _ulps_around(_threshold(order), 6)]
                       + [(_threshold(order) * (1 + e), False) for e in (-3e-9, 3e-9)]):
         s = mid + half * 1j * 0.5 * (rho - 1 / rho)  # on the ellipse of parameter rho
+        # half the distance to s: the reach, 500 rho^2 or more, does not bind
+        radius = 0.5 * abs(s - mid)
         deferred.clear()
-        got = quadrature._chain_order(z0, z1, [s], 1e-3)
+        got = quadrature._chain_order(z0, z1, [s], radius)
         assert bool(deferred) == near
-        assert got == chain_order_direct(z0, z1, [s], 1e-3)
+        assert got == chain_order_direct(z0, z1, [s], radius)
         picked.add(got)
     assert picked == {order, larger}
 
